@@ -169,7 +169,7 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
 def _band_limited_noise(grid: Grid, rng: np.random.Generator) -> Field:
     coef = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     coef *= sp.dealias_mask(grid)  # top third of each spectral axis zeroed
-    return Field(grid, np.fft.ifft2(coef, norm="ortho"), sp.PHYSICAL)
+    return Field(grid, sp._ifft2(coef), sp.PHYSICAL)
 
 
 def cmd_stability(cfg: ExperimentConfig) -> int:
@@ -329,7 +329,7 @@ def _random_smooth(grid: Grid, rng: np.random.Generator) -> Field:
     kx = np.abs(np.fft.fftfreq(grid.nx) * grid.nx)[:, None]
     ky = np.abs(np.fft.fftfreq(grid.ny) * grid.ny)[None, :]
     envelope = np.exp(-(kx ** 2 + ky ** 2) / (grid.nx / 8.0) ** 2)
-    return Field(grid, np.fft.ifft2(coef * envelope, norm="ortho"), sp.PHYSICAL)
+    return Field(grid, sp._ifft2(coef * envelope), sp.PHYSICAL)
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:

@@ -48,9 +48,8 @@ def strang_step(u: Field, dt: float, p: float, focusing: bool = True,
     phase = np.exp(1j * dt * (-(g.xi[:, None] ** 2) - np.abs(g.eta)[None, :]))
     vals = _nonlinear_phase(sp.to_physical(u).values, 0.5 * dt, p, sign)
     if dealias:
-        vals = np.fft.ifft2(np.fft.fft2(vals, norm="ortho") * sp.dealias_mask(g),
-                            norm="ortho")
-    vals = np.fft.ifft2(phase * np.fft.fft2(vals, norm="ortho"), norm="ortho")
+        vals = sp._ifft2(sp._fft2(vals) * sp.dealias_mask(g))
+    vals = sp._ifft2(phase * sp._fft2(vals))
     vals = _nonlinear_phase(vals, 0.5 * dt, p, sign)
     return Field(g, vals, sp.PHYSICAL)
 
@@ -121,7 +120,7 @@ def evolve(u0: Field, p: float, T: float, dt: float, sample_stride: int = 10,
         ref_hat = sp.to_spectral(reference).values
 
     def monitors(vals):
-        hat = np.fft.fft2(vals, norm="ortho")
+        hat = sp._fft2(vals)
         power = hat.real ** 2 + hat.imag ** 2
         m = 0.5 * float(np.sum(power)) * w
         quad = 0.5 * float(np.sum(lin_sym * power)) * w
@@ -173,8 +172,8 @@ def evolve(u0: Field, p: float, T: float, dt: float, sample_stride: int = 10,
     while step < n_steps:
         vals = _nonlinear_phase(vals, 0.5 * dt, p, sign)
         if mask is not None:
-            vals = np.fft.ifft2(np.fft.fft2(vals, norm="ortho") * mask, norm="ortho")
-        vals = np.fft.ifft2(phase_full * np.fft.fft2(vals, norm="ortho"), norm="ortho")
+            vals = sp._ifft2(sp._fft2(vals) * mask)
+        vals = sp._ifft2(phase_full * sp._fft2(vals))
         vals = _nonlinear_phase(vals, 0.5 * dt, p, sign)
         step += 1
         if step % sample_stride == 0 or step == n_steps:
@@ -244,7 +243,7 @@ def picard_solve(u0: Field, p: float, T: float, n_steps: int = 64,
     phase = np.exp(1j * dt * (-(g.xi[:, None] ** 2) - np.abs(g.eta)[None, :]))
 
     def prop(vals):
-        return np.fft.ifft2(phase * np.fft.fft2(vals, norm="ortho"), norm="ortho")
+        return sp._ifft2(phase * sp._fft2(vals))
 
     def nonlinearity(vals):
         dens = np.clip(vals.real ** 2 + vals.imag ** 2, 0.0, None)

@@ -32,8 +32,8 @@ class ModelParams:
     v: float = 0.0
 
     def __post_init__(self):
-        if not (1.0 < self.p <= 5.0):
-            raise ValueError(f"p must lie in (1, 5], got {self.p}")
+        if not (1.0 < self.p < 5.0):
+            raise ValueError(f"p must lie in (1, 5), got {self.p}")
         if not self.omega > 0.0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if not abs(self.v) < 1.0:
@@ -54,6 +54,8 @@ class ModelParams:
 
 
 def _density(u: np.ndarray) -> np.ndarray:
+    if not np.iscomplexobj(u):
+        return u * u
     return np.clip(u.real ** 2 + u.imag ** 2, 0.0, None)
 
 
@@ -141,13 +143,18 @@ def gn_quotient(u: Field, p: float) -> float:
 
     maximized exactly by the ground states.
     """
-    a = dx_norm_sq(u) ** 0.5
-    b = dy_half_norm_sq(u) ** 0.5
-    c = sp.l2_norm(u)
+    return _gn_quotient(lp1_power(u, p), dx_norm_sq(u), dy_half_norm_sq(u),
+                        sp.l2_norm_sq(u), p)
+
+
+def _gn_quotient(lp1: float, dx_sq: float, dy_sq: float, l2_sq: float, p: float) -> float:
+    a = dx_sq ** 0.5
+    b = dy_sq ** 0.5
+    c = math.sqrt(l2_sq)
     if a == 0.0 or b == 0.0 or c == 0.0:
         raise ValueError("Gagliardo-Nirenberg quotient needs nonzero norm factors")
     denom = a ** ((p - 1.0) / 2.0) * b ** (p - 1.0) * c ** ((5.0 - p) / 2.0)
-    return lp1_power(u, p) / denom
+    return lp1 / denom
 
 
 def action_gradient(u: Field, params: ModelParams, dealias: bool = False) -> Field:
@@ -180,13 +187,21 @@ class FunctionalReport:
 
 
 def functional_report(u: Field, params: ModelParams) -> FunctionalReport:
+    """Every functional of u from one transform; equal to the separate functions."""
+    p = params.p
+    spec = sp.to_spectral(u)
+    dx_sq = dx_norm_sq(spec)
+    dy_sq = dy_half_norm_sq(spec)
+    quad = quadratic_action_form(spec, params)
+    lp1 = lp1_power(sp.to_physical(u), p)
+    l2_sq = sp.l2_norm_sq(u)
     return FunctionalReport(
-        mass=mass(u),
-        hamiltonian=hamiltonian(u, params.p),
-        action=action(u, params),
-        nehari=nehari(u, params),
-        i_value=i_value(u, params),
-        x_norm=x_norm(u),
-        lp1_norm=lp1_norm(u, params.p),
-        gn_quotient=gn_quotient(u, params.p),
+        mass=0.5 * l2_sq,
+        hamiltonian=0.5 * (dx_sq + dy_sq) - lp1 / (p + 1.0),
+        action=0.5 * quad - lp1 / (p + 1.0),
+        nehari=quad - lp1,
+        i_value=(0.5 - 1.0 / (p + 1.0)) * quad,
+        x_norm=math.sqrt(dx_sq + dy_sq + l2_sq),
+        lp1_norm=lp1 ** (1.0 / (p + 1.0)),
+        gn_quotient=_gn_quotient(lp1, dx_sq, dy_sq, l2_sq, p),
     )

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import optimize, signal
+from scipy import signal
 
 from . import functionals as fl
 from . import spectral as sp
@@ -99,7 +99,7 @@ def default_initial_guess(grid: Grid, params: ModelParams, kind: str = "gaussian
         coef = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         keep = sp.dealias_mask(grid)
         envelope = np.exp(-(grid.xi[:, None] ** 2) / 8.0 - (grid.eta[None, :] ** 2) / 8.0)
-        phys = np.fft.ifft2(coef * keep * envelope, norm="ortho")
+        phys = sp._ifft2(coef * keep * envelope)
         vals = phys * np.exp(-X ** 2 / 8.0 - Y ** 2 / 32.0)
     else:
         raise ValueError(f"unknown initializer kind {kind!r}")
@@ -110,8 +110,7 @@ def default_initial_guess(grid: Grid, params: ModelParams, kind: str = "gaussian
 
 
 def _lp1_power_vals(vals: np.ndarray, p: float, w: float) -> float:
-    dens = np.clip(vals.real ** 2 + vals.imag ** 2, 0.0, None)
-    return float(np.sum(dens ** ((p + 1.0) / 2.0))) * w
+    return float(np.sum(fl._density(vals) ** ((p + 1.0) / 2.0))) * w
 
 
 def nehari_project(u: Field, params: ModelParams) -> Field:
@@ -141,9 +140,10 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
     final value is a certified upper bound for the minimum.  The memory
     restarts whenever the quasi-Newton direction stops pointing
     downhill.  Terminates when ||grad S(u)||_{L2} <= tol * ||u||_{L2}.
+    For v = 0 and a real initial guess the iteration runs in real
+    arithmetic on half spectra; otherwise in complex arithmetic, with
+    the v = 0 result rotated onto the real axis afterwards.
     """
-    if not params.p < 5.0:
-        raise ValueError("variational solve needs 1 < p < 5")
     if init is None:
         init = default_initial_guess(grid, params, kind=init_kind, seed=seed)
     if init.grid != grid:
@@ -153,12 +153,24 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
 
     w = grid.cell_area
     p = params.p
-    aq = sp.action_quadratic(params.omega, params.v).values(grid)
+    u0 = sp.to_physical(init).values
+    if params.v == 0.0 and not np.any(u0.imag):
+        # Real ground state: iterate in real arithmetic on half spectra.
+        u0 = u0.real.copy()
+        aq = sp.action_quadratic(params.omega).values(grid, half=True)
+        aq_sum = aq * sp._half_weights(grid.ny)
+        fwd = sp._rfft2
+
+        def inv(hat):
+            return sp._irfft2(hat, grid.shape)
+    else:
+        aq = aq_sum = sp.action_quadratic(params.omega, params.v).values(grid)
+        fwd, inv = sp._fft2, sp._ifft2
     inv_aq = 1.0 / aq
 
     def project(vals):
-        hat = np.fft.fft2(vals, norm="ortho")
-        a = float(np.sum(aq * (hat.real ** 2 + hat.imag ** 2))) * w
+        hat = fwd(vals)
+        a = float(np.sum(aq_sum * (hat.real ** 2 + hat.imag ** 2))) * w
         b = _lp1_power_vals(vals, p, w)
         if b < 1e-280 or not np.isfinite(b):
             raise CollapseError("nonlinear mass vanished; field collapsed to zero")
@@ -172,9 +184,9 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
         return float(np.vdot(a, b).real) * w
 
     def precondition(vals):
-        return np.fft.ifft2(inv_aq * np.fft.fft2(vals, norm="ortho"), norm="ortho")
+        return inv(inv_aq * fwd(vals))
 
-    u, a_form, b_pot = project(sp.to_physical(init).values)
+    u, a_form, b_pot = project(u0)
     s_val = action_of(a_form, b_pot)
     history = [s_val]
     grad_norm = math.inf
@@ -186,10 +198,7 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
     grad_prev = None
 
     for iterations in range(1, max_iter + 1):
-        hat = np.fft.fft2(u, norm="ortho")
-        dens = np.clip(u.real ** 2 + u.imag ** 2, 0.0, None)
-        grad = (np.fft.ifft2(aq * hat, norm="ortho")
-                - dens ** ((p - 1.0) / 2.0) * u)
+        grad = inv(aq * fwd(u)) - fl._density(u) ** ((p - 1.0) / 2.0) * u
         grad_norm = math.sqrt(inner(grad, grad))
         u_norm = math.sqrt(inner(u, u))
         if grad_norm <= tol * u_norm:
@@ -242,14 +251,14 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
 
     if params.v == 0.0:
         # Phase freedom: rotate to the real axis, keep the nonnegative sign.
-        mag = np.abs(u)
-        phase = np.vdot(mag, u)
-        if abs(phase) > 0.0:
-            u = (u * (np.conj(phase) / abs(phase))).real.astype(np.complex128)
+        if np.iscomplexobj(u):
+            phase = np.vdot(np.abs(u), u)
+            if abs(phase) > 0.0:
+                u = (u * (np.conj(phase) / abs(phase))).real.astype(np.complex128)
+            u, a_form, b_pot = project(u)
+            s_val = action_of(a_form, b_pot)
         if float(np.sum(u.real)) < 0.0:
             u = -u
-        u, a_form, b_pot = project(u)
-        s_val = action_of(a_form, b_pot)
 
     q = Field(grid, u, sp.PHYSICAL)
     g_final = fl.action_gradient(q, params)
@@ -307,15 +316,11 @@ def extend_ground_state(sol: SolitarySolution, grid: Grid,
     u = np.zeros((nx, ny), dtype=np.float64)
     u[:, offset:offset + g0.ny] = sp.to_physical(sol.q).values.real
 
-    eta_h = 2.0 * np.pi * np.fft.rfftfreq(ny, d=grid.dy)
-    aq_h = (grid.xi ** 2)[:, None] + np.abs(eta_h)[None, :] + params.omega
-    # rfft column multiplicity for Parseval sums over the half spectrum
-    mult = np.full(eta_h.size, 2.0)
-    mult[0] = 1.0
-    mult[-1] = 1.0
+    aq_h = sp.action_quadratic(params.omega).values(grid, half=True)
+    mult = sp._half_weights(ny)
 
     def project(vals):
-        hat = np.fft.rfft2(vals, norm="ortho")
+        hat = sp._rfft2(vals)
         a = w * float(np.einsum("ij,ij,j->", aq_h, hat.real ** 2 + hat.imag ** 2, mult))
         b = w * float(np.sum(np.abs(vals) ** (p + 1.0)))
         if b < 1e-280 or not np.isfinite(b):
@@ -325,9 +330,9 @@ def extend_ground_state(sol: SolitarySolution, grid: Grid,
         return vals, t * t * a, t ** (p + 1.0) * b
 
     def gradient(vals):
-        hat = np.fft.rfft2(vals, norm="ortho")
+        hat = sp._rfft2(vals)
         hat *= aq_h
-        out = np.fft.irfft2(hat, s=(nx, ny), norm="ortho")
+        out = sp._irfft2(hat, (nx, ny))
         out -= np.abs(vals) ** (p - 1.0) * vals
         return out
 
@@ -341,9 +346,9 @@ def extend_ground_state(sol: SolitarySolution, grid: Grid,
         u_norm = math.sqrt(w * float(np.sum(u * u)))
         if grad_norm <= tol * u_norm:
             break
-        ghat = np.fft.rfft2(grad, norm="ortho")
+        ghat = sp._rfft2(grad)
         ghat /= aq_h
-        direction = np.fft.irfft2(ghat, s=(nx, ny), norm="ortho")
+        direction = sp._irfft2(ghat, (nx, ny))
         del ghat
         slope = w * float(np.sum(direction * grad))
         del grad
@@ -440,15 +445,12 @@ def solve_mass_constrained(grid: Grid, mu: float, p: float,
         return vals * math.sqrt(mu / m)
 
     def energy_of(vals):
-        hat = np.fft.fft2(vals, norm="ortho")
+        hat = sp._fft2(vals)
         quad = float(np.sum(lin * (hat.real ** 2 + hat.imag ** 2))) * w
         return 0.5 * quad - _lp1_power_vals(vals, p, w) / (p + 1.0)
 
     def gradient(vals):
-        hat = np.fft.fft2(vals, norm="ortho")
-        dens = np.clip(vals.real ** 2 + vals.imag ** 2, 0.0, None)
-        return (np.fft.ifft2(lin * hat, norm="ortho")
-                - dens ** ((p - 1.0) / 2.0) * vals)
+        return sp._ifft2(lin * sp._fft2(vals)) - fl._density(vals) ** ((p - 1.0) / 2.0) * vals
 
     u = renorm(sp.to_physical(init).values)
     h_val = energy_of(u)
@@ -458,16 +460,15 @@ def solve_mass_constrained(grid: Grid, mu: float, p: float,
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        dens = np.clip(u.real ** 2 + u.imag ** 2, 0.0, None)
-        nl = dens ** ((p - 1.0) / 2.0) * u
-        hat_u = np.fft.fft2(u, norm="ortho")
+        nl = fl._density(u) ** ((p - 1.0) / 2.0) * u
+        hat_u = sp._fft2(u)
         # lambda(u) = -<u, H'(u)> / ||u||^2, the multiplier that makes the
         # step tangent to the mass sphere (equals omega at convergence)
         norm_sq = float(np.vdot(u, u).real)
         quad = float(np.sum(lin * (hat_u.real ** 2 + hat_u.imag ** 2)))
         lam = (float(np.vdot(u, nl).real) - quad) / norm_sq
-        hat = hat_u + dt * (np.fft.fft2(nl, norm="ortho") - lam * hat_u)
-        trial = renorm(np.fft.ifft2(hat / (1.0 + dt * lin), norm="ortho"))
+        hat = hat_u + dt * (sp._fft2(nl) - lam * hat_u)
+        trial = renorm(sp._ifft2(hat / (1.0 + dt * lin)))
         h_trial = energy_of(trial)
         if not np.isfinite(h_trial):
             raise CollapseError("energy lost finiteness during the flow")
@@ -609,7 +610,7 @@ def t_lambda(u: Field, lam: float, center: tuple[float, float] = (0.0, 0.0),
         _check_tail(phys, tail_tol, "t_lambda")
     cx, cy = center
     rx = math.sqrt(lam)
-    hat = np.fft.fft2(phys.values, norm="ortho")
+    hat = sp._fft2(phys.values)
     part = _czt_eval_axis(hat, 0, g.nx, g.lx, g.x[0],
                           cx + rx * (g.x[0] - cx), rx * g.dx)
     vals = _czt_eval_axis(part, 1, g.ny, g.ly, g.y[0],
@@ -725,15 +726,13 @@ def r1_diagnostics(q1: Field, p: float, tail_tol: float = 1e-8) -> R1Diagnostics
     r1 = phys.values / (p - 1.0) + 0.5 * X * qx + Y * qy
 
     lin_symbol = sp.action_quadratic(1.0, 0.0).values(g)
-    r1_hat = np.fft.fft2(r1, norm="ortho")
-    lin_applied = np.fft.ifft2(lin_symbol * r1_hat, norm="ortho")
-    dens = np.clip(phys.values.real ** 2 + phys.values.imag ** 2, 0.0, None)
-    defect = lin_applied - p * dens ** ((p - 1.0) / 2.0) * r1 + phys.values
+    lin_applied = sp._ifft2(lin_symbol * sp._fft2(r1))
+    defect = lin_applied - p * fl._density(phys.values) ** ((p - 1.0) / 2.0) * r1 + phys.values
     q_norm = sp.l2_norm(phys)
     lin_res = math.sqrt(float(np.vdot(defect, defect).real) * g.cell_area) / q_norm
 
     phi1 = 1.0 / lin_symbol
-    roundtrip = np.fft.ifft2(phi1 * np.fft.fft2(lin_applied, norm="ortho"), norm="ortho")
+    roundtrip = sp._ifft2(phi1 * sp._fft2(lin_applied))
     r1_norm = math.sqrt(float(np.vdot(r1, r1).real) * g.cell_area)
     rt_err = math.sqrt(float(np.vdot(roundtrip - r1, roundtrip - r1).real)
                        * g.cell_area) / r1_norm
@@ -773,12 +772,9 @@ def _r1_diagnostics_real(phys: Field, p: float, tail_tol: float) -> R1Diagnostic
     X = (g.x - cx)[:, None]
     Y = (g.y - cy)[None, :]
 
-    eta_h = 2.0 * np.pi * np.fft.rfftfreq(ny, d=g.dy)
-    eo_h = eta_h.copy()
-    eo_h[-1] = 0.0
-    hat = np.fft.rfft2(re, norm="ortho")
-    qx = np.fft.irfft2(1j * g.xi_odd[:, None] * hat, s=(nx, ny), norm="ortho")
-    qy = np.fft.irfft2(1j * eo_h[None, :] * hat, s=(nx, ny), norm="ortho")
+    hat = sp._rfft2(re)
+    qx = sp._irfft2(1j * g.xi_odd[:, None] * hat, (nx, ny))
+    qy = sp._irfft2(1j * g.eta_odd[None, :ny // 2 + 1] * hat, (nx, ny))
     del hat
     r1 = re / (p - 1.0)
     qx *= 0.5 * X
@@ -788,19 +784,17 @@ def _r1_diagnostics_real(phys: Field, p: float, tail_tol: float) -> R1Diagnostic
     r1 += qy
     del qy
 
-    aq_h = (g.xi ** 2)[:, None] + np.abs(eta_h)[None, :] + 1.0
-    r1_hat = np.fft.rfft2(r1, norm="ortho")
-    lin_applied = np.fft.irfft2(aq_h * r1_hat, s=(nx, ny), norm="ortho")
-    del r1_hat
+    aq_h = sp.action_quadratic(1.0).values(g, half=True)
+    lin_applied = sp._irfft2(aq_h * sp._rfft2(r1), (nx, ny))
     defect = lin_applied - p * np.abs(re) ** (p - 1.0) * r1 + re
     q_norm = math.sqrt(w * float(np.sum(re * re)))
     lin_res = math.sqrt(w * float(np.sum(defect * defect))) / q_norm
     del defect
 
-    back = np.fft.rfft2(lin_applied, norm="ortho")
+    back = sp._rfft2(lin_applied)
     del lin_applied
     back /= aq_h
-    roundtrip = np.fft.irfft2(back, s=(nx, ny), norm="ortho")
+    roundtrip = sp._irfft2(back, (nx, ny))
     del back
     r1_norm_sq = float(np.sum(r1 * r1))
     roundtrip -= r1
@@ -810,7 +804,7 @@ def _r1_diagnostics_real(phys: Field, p: float, tail_tol: float) -> R1Diagnostic
     phi1_h = 1.0 / aq_h
     phi_max = (float(np.max(phi1_h)),
                float(np.max((g.xi ** 2)[:, None] * phi1_h)),
-               float(np.max(np.abs(eta_h)[None, :] * phi1_h)))
+               float(np.max(np.abs(g.eta[:ny // 2 + 1])[None, :] * phi1_h)))
     return R1Diagnostics(r1=Field(g, r1, sp.PHYSICAL),
                          linearized_residual=lin_res,
                          multiplier_roundtrip_error=rt_err,
@@ -825,13 +819,52 @@ class OrbitalFit:
     distance: float
 
 
+def _corr_derivatives(coef: np.ndarray, xi: np.ndarray, eta: np.ndarray,
+                      tau: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
+    """c(tau) = sum coef e^{-i(xi tau1 + eta tau2)}, its gradient and Hessian."""
+    ex = np.exp(-1j * xi * tau[0])
+    ey = np.exp(-1j * eta * tau[1])
+    # columns: sum over eta of coef * ey weighted by 1, -i eta, -eta^2
+    rows = coef @ np.stack([ey, -1j * eta * ey, -(eta ** 2) * ey], axis=1)
+    c = ex @ rows[:, 0]
+    dx_ex = -1j * xi * ex
+    grad = np.array([dx_ex @ rows[:, 0], ex @ rows[:, 1]])
+    hess = np.array([[-(xi ** 2 * ex) @ rows[:, 0], dx_ex @ rows[:, 1]],
+                     [dx_ex @ rows[:, 1], ex @ rows[:, 2]]])
+    return c, grad, hess
+
+
+def _refine_peak(coef: np.ndarray, g: Grid, tau: np.ndarray) -> np.ndarray:
+    """Newton ascent of |c(tau)|^2 from a lattice peak.
+
+    Returns the lattice point unchanged if the Hessian there or at a
+    later iterate is not negative definite, or if the iterates end
+    below the lattice value.
+    """
+    start, c_start = tau, None
+    for _ in range(8):
+        c, dc, ddc = _corr_derivatives(coef, g.xi, g.eta, tau)
+        if c_start is None:
+            c_start = abs(c)
+        grad = 2.0 * (np.conj(c) * dc).real
+        hess = 2.0 * (np.conj(dc)[:, None] * dc[None, :] + np.conj(c) * ddc).real
+        if not (hess[0, 0] < 0.0 and np.linalg.det(hess) > 0.0):
+            return start
+        step = np.linalg.solve(hess, grad)
+        tau = tau - step
+        if np.all(np.abs(step) <= 1e-13 * np.array([g.dx, g.dy])):
+            break
+    return tau if abs(_corr_derivatives(coef, g.xi, g.eta, tau)[0]) >= c_start else start
+
+
 def orbital_fit(u: Field, q: Field, refine: bool = True) -> OrbitalFit:
     """Best X-norm match of u against the orbit e^{i theta} q(. + tau).
 
     The X cross-correlation over all grid shifts comes from one FFT of
     the weighted coefficient product; the peak is then polished off the
-    lattice by direct evaluation of the correlation sum (Nelder-Mead),
-    and the phase is the closed-form argument of the correlation.
+    lattice by Newton steps on |c(tau)|^2, whose gradient and Hessian
+    are the correlation sum weighted by -i xi and -i eta, and the phase
+    is the closed-form argument of the correlation.
     """
     if u.grid != q.grid:
         raise ValueError("fields live on different grids")
@@ -840,30 +873,18 @@ def orbital_fit(u: Field, q: Field, refine: bool = True) -> OrbitalFit:
     uh = sp.to_spectral(u).values
     qh = sp.to_spectral(q).values
     coef = w * uh * np.conj(qh) * g.cell_area
-    corr = np.fft.fft2(coef)
+    corr = sp._fft2(coef, norm="backward")
     flat = int(np.argmax(np.abs(corr)))
     j1, j2 = np.unravel_index(flat, corr.shape)
-    tau1 = ((j1 + g.nx // 2) % g.nx - g.nx // 2) * g.dx
-    tau2 = ((j2 + g.ny // 2) % g.ny - g.ny // 2) * g.dy
-
-    xi = g.xi
-    eta = g.eta
-
-    def corr_at(tau):
-        ex = np.exp(-1j * xi * tau[0])
-        ey = np.exp(-1j * eta * tau[1])
-        return ex @ coef @ ey
-
+    tau = np.array([((j1 + g.nx // 2) % g.nx - g.nx // 2) * g.dx,
+                    ((j2 + g.ny // 2) % g.ny - g.ny // 2) * g.dy])
     if refine:
-        res = optimize.minimize(lambda t: -abs(corr_at(t)), x0=[tau1, tau2],
-                                method="Nelder-Mead",
-                                options={"xatol": 1e-12, "fatol": 1e-30,
-                                         "maxiter": 400})
-        tau1, tau2 = float(res.x[0]), float(res.x[1])
-    c_best = corr_at((tau1, tau2))
+        tau = _refine_peak(coef, g, tau)
+    c_best = _corr_derivatives(coef, g.xi, g.eta, tau)[0]
     theta = float(np.angle(c_best))
-    dist_sq = fl.x_norm_sq(u) + fl.x_norm_sq(q) - 2.0 * abs(c_best)
-    return OrbitalFit(theta=theta, tau1=tau1, tau2=tau2,
+    x_sq = [float(np.sum(w * (h.real ** 2 + h.imag ** 2))) * g.cell_area for h in (uh, qh)]
+    dist_sq = x_sq[0] + x_sq[1] - 2.0 * abs(c_best)
+    return OrbitalFit(theta=theta, tau1=float(tau[0]), tau2=float(tau[1]),
                       distance=math.sqrt(max(dist_sq, 0.0)))
 
 
@@ -891,7 +912,7 @@ def travel_upper_bound_probe(grid: Grid, p: float, omega: float,
     m_eta = np.where(grid.eta_odd[None, :] > 0.0,
                      np.exp(-(eta - 1.0) ** 2 / 0.5), 0.0)
     phi_hat = np.exp(-xi ** 2) * m_eta
-    phi_vals = np.fft.ifft2(phi_hat, norm="ortho")
+    phi_vals = sp._ifft2(phi_hat)
 
     points = []
     for lam in lams:

@@ -26,7 +26,7 @@ def random_field(grid, seed=0):
     return sp.physical_field(grid, vals * env)
 
 
-@pytest.mark.parametrize("p,omega,v", [(0.9, 1.0, 0.0), (5.1, 1.0, 0.0),
+@pytest.mark.parametrize("p,omega,v", [(0.9, 1.0, 0.0), (5.0, 1.0, 0.0), (5.1, 1.0, 0.0),
                                        (2.0, 0.0, 0.0), (2.0, -1.0, 0.0),
                                        (2.0, 1.0, 1.0), (2.0, 1.0, -1.3)])
 def test_params_validation(p, omega, v):
@@ -147,10 +147,19 @@ def test_nehari_is_radial_action_derivative(grid):
 
 
 def test_functional_report_consistency(grid):
-    u = random_field(grid, 9)
-    par = ModelParams(p=2.0, omega=1.0, v=0.0)
-    rep = fl.functional_report(u, par)
-    assert rep.mass == pytest.approx(fl.mass(u))
-    assert rep.action == pytest.approx(fl.action(u, par))
-    assert rep.x_norm == pytest.approx(fl.x_norm(u))
-    assert rep.gn_quotient == pytest.approx(fl.gn_quotient(u, par.p))
+    # one transform in the report, same numbers as the separate functionals
+    for u, par in ((random_field(grid, 9), ModelParams(p=2.0, omega=1.0, v=0.0)),
+                   (sp.to_spectral(random_field(grid, 10)), ModelParams(p=3.0, omega=0.7, v=0.6))):
+        rep = fl.functional_report(u, par)
+        separate = {
+            "mass": fl.mass(u),
+            "hamiltonian": fl.hamiltonian(u, par.p),
+            "action": fl.action(u, par),
+            "nehari": fl.nehari(u, par),
+            "i_value": fl.i_value(u, par),
+            "x_norm": fl.x_norm(u),
+            "lp1_norm": fl.lp1_norm(u, par.p),
+            "gn_quotient": fl.gn_quotient(u, par.p),
+        }
+        for name, value in separate.items():
+            assert getattr(rep, name) == pytest.approx(value, rel=1e-12, abs=0.0), name

@@ -1,7 +1,13 @@
 """Grid construction, transforms, multipliers, and the fractional identity."""
 
+import ast
+import os
+import pathlib
+import re
+
 import numpy as np
 import pytest
+import scipy.fft
 
 from hwlab import spectral as sp
 
@@ -149,6 +155,55 @@ def test_transport_coercivity(grid):
             + np.zeros(grid.shape))
         dy_half = sp.quadratic_form(f, np.abs(grid.eta)[None, :] + np.zeros(grid.shape))
         assert b >= (1.0 - abs(v)) * dy_half - 1e-12 * sp.l2_norm_sq(f)
+
+
+def test_half_spectrum_symbols(grid):
+    cols = grid.ny // 2 + 1
+    for sym in (sp.dxx(), sp.abs_dy(), sp.frac_dy(0.3), sp.action_quadratic(1.5)):
+        assert np.array_equal(sym.values(grid, half=True), sym.values(grid)[:, :cols])
+    for sym in (sp.transport(0.5), sp.halfwave_group(0.1), sp.action_quadratic(1.0, 0.5)):
+        with pytest.raises(ValueError):
+            sym.values(grid, half=True)
+    w = sp._half_weights(grid.ny)
+    u = random_field(grid, 3).values.real
+    hat = sp._rfft2(u)
+    assert np.sum(w * np.abs(hat) ** 2) == pytest.approx(np.sum(u * u), rel=1e-13)
+    assert np.allclose(sp._irfft2(hat, grid.shape), u, rtol=0.0, atol=1e-13)
+
+
+def test_transforms_bit_identical_across_worker_counts():
+    # 2**22 points: the helpers use every usable core here
+    shape = (128, 32768)
+    assert sp._workers(shape[0] * shape[1]) == len(os.sched_getaffinity(0))
+    assert sp._workers(shape[0] * shape[1] - 1) == 1
+    rng = np.random.default_rng(0)
+    real = rng.standard_normal(shape)
+    half = scipy.fft.rfft2(real, norm="ortho", workers=1)
+    assert np.array_equal(sp._rfft2(real), half)
+    assert np.array_equal(sp._irfft2(half, shape),
+                          scipy.fft.irfft2(half, s=shape, norm="ortho", workers=1))
+    del half
+    cplx = real + 1j * rng.standard_normal(shape)
+    del real
+    assert np.array_equal(sp._fft2(cplx), scipy.fft.fft2(cplx, norm="ortho", workers=1))
+    assert np.array_equal(sp._ifft2(cplx), scipy.fft.ifft2(cplx, norm="ortho", workers=1))
+
+
+def test_two_dimensional_transforms_only_in_spectral():
+    transform = re.compile(r"^i?r?fft[2n]$")
+    package = pathlib.Path(sp.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and transform.match(node.attr):
+                offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("fft"):
+                offenders.extend(f"{path.name}:{node.lineno} import {alias.name}"
+                                 for alias in node.names if transform.match(alias.name))
+    assert not offenders, offenders
 
 
 def test_derivatives_match_analytic():
