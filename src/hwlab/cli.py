@@ -13,6 +13,7 @@ snapshot outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -115,6 +116,7 @@ def _solve_command(cfg: ExperimentConfig, default_name: str) -> int:
         "x_norm": rep.x_norm,
         "gn_quotient": rep.gn_quotient,
         "snapshot": snap_path,
+        "history": [dataclasses.asdict(r) for r in solution.history],
     })
     return EXIT_OK
 

@@ -29,6 +29,7 @@ from .functionals import ModelParams
 from .spectral import Field, Grid
 
 ARMIJO_C = 1e-4
+_BLOCK_ELEMS = 1 << 20  # entries per block of the blocked elementwise passes
 
 
 class ConvergenceError(RuntimeError):
@@ -66,6 +67,19 @@ class SolitarySolution:
     iterations: int
     tail_mass_fraction: float
     action_history: list = dc_field(default_factory=list)
+    history: list = dc_field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class IterationRecord:
+    """One descent iteration: action after it, ||grad S(u)|| / ||u|| before it,
+    accepted step (0 if none), rejected trials, quasi-Newton memory cleared."""
+
+    action: float
+    gradient_residual: float
+    step: float
+    backtracks: int
+    restart: bool
 
 
 @dataclass
@@ -109,8 +123,30 @@ def default_initial_guess(grid: Grid, params: ModelParams, kind: str = "gaussian
     return Field(grid, vals, sp.PHYSICAL)
 
 
-def _lp1_power_vals(vals: np.ndarray, p: float, w: float) -> float:
-    return float(np.sum(fl._density(vals) ** ((p + 1.0) / 2.0))) * w
+def _slices(count: int, per: int) -> list[slice]:
+    """Slices of range(count) spanning about _BLOCK_ELEMS entries at `per` per item."""
+    step = max(1, _BLOCK_ELEMS // max(1, per))
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def _lp1_change(u: np.ndarray, d: np.ndarray, alpha: float, p: float) -> float:
+    """sum (|u - alpha d|^{p+1} - |u|^{p+1}), accurate far below the rounding
+    level of either sum; by row blocks, so a trial needs no full-size temporary."""
+    q = (p + 1.0) / 2.0
+    total = 0.0
+    for rows in _slices(*u.shape):
+        blk = u[rows]
+        total += float(np.sum(fl._density(blk - alpha * d[rows]) ** q - fl._density(blk) ** q))
+    return total
+
+
+def _nehari_scale(a_form: float, b_pot: float, p: float) -> tuple[float, float, float]:
+    """Factor t with N(t u) = 0 for a field with quadratic form `a_form`
+    and int |u|^{p+1} = `b_pot`; returns t and the two values for t u."""
+    if b_pot < 1e-280 or not np.isfinite(b_pot):
+        raise CollapseError("nonlinear mass vanished; field collapsed to zero")
+    t = (a_form / b_pot) ** (1.0 / (p - 1.0))
+    return t, t * t * a_form, t ** (p + 1.0) * b_pot
 
 
 def nehari_project(u: Field, params: ModelParams) -> Field:
@@ -119,12 +155,194 @@ def nehari_project(u: Field, params: ModelParams) -> Field:
     t* = (quadratic form / int |u|^{p+1})^{1/(p-1)}; t* u satisfies
     N(t* u) = 0 identically.
     """
-    a = fl.quadratic_action_form(u, params)
-    b = fl.lp1_power(u, params.p)
-    if b < 1e-280 or not np.isfinite(b):
-        raise CollapseError("nonlinear mass vanished; field collapsed to zero")
-    t = (a / b) ** (1.0 / (params.p - 1.0))
+    t, _, _ = _nehari_scale(fl.quadratic_action_form(u, params),
+                            fl.lp1_power(u, params.p), params.p)
     return Field(u.grid, t * sp.to_physical(u).values, sp.PHYSICAL)
+
+
+def _redot(a: np.ndarray, b: np.ndarray) -> float:
+    """re sum conj(a) b (2-D, contiguous last axis).  einsum, not BLAS: no BLAS
+    worker spins on a core a threaded FFT needs, and the sum ignores the thread count."""
+    if np.iscomplexobj(a):
+        a, b = a.view(np.float64), b.view(np.float64)
+    return float(np.einsum("ij,ij->", a, b))
+
+
+@dataclass(frozen=True)
+class _Spectra:
+    """Transforms and L2 inner products on the spectra the descent runs on:
+    rfft2 half spectra for real fields, where Parseval weighs the columns
+    (1, 2, ..., 2, 1), full spectra otherwise.  `aq` is the
+    action-quadratic symbol on the same spectra, `w` the cell area."""
+
+    shape: tuple[int, int]
+    w: float
+    aq: np.ndarray
+    real: bool
+
+    def fwd(self, vals: np.ndarray) -> np.ndarray:
+        return sp._rfft2(vals) if self.real else sp._fft2(vals)
+
+    def inv(self, hat: np.ndarray) -> np.ndarray:
+        return sp._irfft2(hat, self.shape) if self.real else sp._ifft2(hat)
+
+    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
+        """re int conj(f) g for the fields f, g whose spectra are a, b."""
+        total = _redot(a, b)
+        if self.real:
+            total = 2.0 * total - _redot(a[:, :1], b[:, :1]) - _redot(a[:, -1:], b[:, -1:])
+        return total * self.w
+
+    def gradient(self, u: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, float]:
+        """Spectra of u and of grad S(u) = aq * hat(u) - hat(|u|^{p-1} u),
+        and int |u|^{p+1}; two transforms."""
+        nl = fl._density(u) ** ((p - 1.0) / 2.0) * u
+        b_pot = _redot(u, nl) * self.w
+        ghat = self.fwd(nl)
+        del nl
+        hat = self.fwd(u)
+        np.subtract(self.aq * hat, ghat, out=ghat)
+        return hat, ghat, b_pot
+
+
+def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float,
+             max_iter: int, memory: int, floor_rule: bool) -> tuple[np.ndarray, dict, float]:
+    """Projected, preconditioned L-BFGS descent of the action on the Nehari manifold.
+
+    `u` (float64: half spectra, complex128: full spectra) is overwritten
+    and returned as the final iterate, with the SolitarySolution fields
+    the descent fixes and ||u||.  Per iteration: u and |u|^{p-1} u forward,
+    the two-loop recursion on up to `memory` spectral pairs seeded with
+    1/aq, the direction d back; Armijo trials along u - alpha d, each
+    rescaled onto the Nehari manifold, need no transform.  `floor_rule`
+    accepts a full step that fails the Armijo test near the action floor
+    if it cuts the gradient norm by 0.1%.
+    """
+    spec = _Spectra(grid.shape, grid.cell_area, aq, real=not np.iscomplexobj(u))
+
+    def action_of(a_form, b_pot):
+        return 0.5 * a_form - b_pot / (p + 1.0)
+
+    def measure(state):
+        # the Nehari functional N(u) = <grad S(u), u> = a(u) - int |u|^{p+1}
+        hat, ghat, b_pot = state or spec.gradient(u, p)
+        return (hat, ghat, spec.dot(ghat, hat), b_pot,
+                math.sqrt(spec.dot(ghat, ghat)), math.sqrt(spec.dot(hat, hat)))
+
+    hat = spec.fwd(u)
+    b_pot = float(np.sum(fl._density(u) ** ((p + 1.0) / 2.0))) * spec.w
+    t, a_form, b_pot = _nehari_scale(spec.dot(hat, aq * hat), b_pot, p)
+    del hat
+    u *= t
+    action_history = [action_of(a_form, b_pot)]
+    history: list[IterationRecord] = []
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
+    hat_prev = ghat_prev = carried = None
+    iterations = 0
+
+    for iterations in range(1, max_iter + 1):
+        hat, ghat, n_u, b_u, grad_norm, u_norm = measure(carried)
+        carried = None
+        a_u = n_u + b_u
+        s_val = action_of(*_nehari_scale(a_u, b_u, p)[1:])
+        if grad_norm <= tol * u_norm:
+            history.append(IterationRecord(s_val, grad_norm / u_norm, 0.0, 0, False))
+            break
+        if hat_prev is not None:
+            s_vec = hat - hat_prev
+            y_vec = ghat - ghat_prev
+            sy = spec.dot(s_vec, y_vec)
+            if sy > 1e-12 * math.sqrt(spec.dot(s_vec, s_vec) * spec.dot(y_vec, y_vec)):
+                pairs.append((s_vec, y_vec, 1.0 / sy))
+                if len(pairs) > memory:
+                    pairs.pop(0)
+        if memory:
+            hat_prev, ghat_prev = hat, ghat
+
+        # Two-loop recursion; the inverse quadratic symbol seeds the metric.
+        q_vec = ghat.copy() if pairs else ghat
+        corr = []
+        for s_vec, y_vec, rho in reversed(pairs):
+            a_i = rho * spec.dot(s_vec, q_vec)
+            corr.append(a_i)
+            q_vec -= a_i * y_vec
+        dhat = q_vec / aq
+        del q_vec
+        for (s_vec, y_vec, rho), a_i in zip(pairs, reversed(corr)):
+            b_i = rho * spec.dot(y_vec, dhat)
+            dhat += (a_i - b_i) * s_vec
+
+        slope = spec.dot(dhat, ghat)
+        restart = bool(pairs) and slope <= 1e-14 * grad_norm * math.sqrt(spec.dot(dhat, dhat))
+        if restart:
+            pairs.clear()  # curvature memory turned uphill
+            dhat = ghat / aq
+            slope = spec.dot(dhat, ghat)
+        del ghat
+        adhat = aq * dhat
+        au_d, a_d = spec.dot(hat, adhat), spec.dot(dhat, adhat)
+        del hat, adhat
+        d = spec.inv(dhat)
+        del dhat
+        floor = floor_rule and ARMIJO_C * slope <= 1e3 * np.finfo(float).eps * abs(s_val)
+        alpha = 1.0
+        backtracks = 0
+        accepted = False
+        while alpha > 1e-14:
+            d_a = -alpha * (2.0 * au_d - alpha * a_d)
+            d_b = _lp1_change(u, d, alpha, p) * spec.w
+            t = _nehari_scale(a_u + d_a, b_u + d_b, p)[0]
+            # S = (p-1)/(2(p+1)) a^{(p+1)/(p-1)} b^{-2/(p-1)} on the Nehari manifold:
+            # its change from the relative changes of a and b resolves
+            # decreases below the ulp of S.
+            d_s = s_val * math.expm1(((p + 1.0) * math.log1p(d_a / a_u)
+                                      - 2.0 * math.log1p(d_b / b_u)) / (p - 1.0))
+            if d_s <= -ARMIJO_C * alpha * slope:
+                accepted = True
+                u -= alpha * d
+                u *= t
+            elif floor and alpha == 1.0:
+                trial = t * (u - d)
+                carried = spec.gradient(trial, p)
+                accepted = (math.sqrt(spec.dot(carried[1], carried[1]))
+                            <= grad_norm * (1.0 - 1e-3))
+                if accepted:
+                    np.copyto(u, trial)
+                else:
+                    carried = None
+                del trial
+            if accepted:
+                action_history.append(s_val + d_s)
+                break
+            backtracks += 1
+            alpha *= 0.5
+        del d
+        retry = not accepted and bool(pairs)
+        if retry:
+            pairs.clear()  # retry from the same iterate without memory
+            hat_prev = ghat_prev = None
+        history.append(IterationRecord(s_val + d_s if accepted else s_val, grad_norm / u_norm,
+                                       alpha if accepted else 0.0, backtracks, restart or retry))
+        if not (accepted or retry):
+            break  # plain descent line search exhausted
+    else:
+        # budget spent: measure the last accepted iterate
+        hat, ghat, n_u, b_u, grad_norm, u_norm = measure(carried)
+    return u, dict(action_value=action_of(*_nehari_scale(n_u + b_u, b_u, p)[1:]),
+                   nehari_residual=abs(n_u), gradient_residual=grad_norm,
+                   iterations=iterations, action_history=action_history,
+                   history=history), u_norm
+
+
+def _solution(params: ModelParams, q: Field, stats: dict, u_norm: float,
+              tol: float) -> SolitarySolution:
+    out = SolitarySolution(params=params, q=q, tail_mass_fraction=sp.tail_mass_fraction(q),
+                           **stats)
+    if out.gradient_residual > tol * u_norm:
+        raise ConvergenceError(
+            f"no convergence in {out.iterations} iterations; gradient residual "
+            f"{out.gradient_residual:.3e} vs target {tol * u_norm:.3e}", solution=out)
+    return out
 
 
 def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
@@ -140,9 +358,10 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
     final value is a certified upper bound for the minimum.  The memory
     restarts whenever the quasi-Newton direction stops pointing
     downhill.  Terminates when ||grad S(u)||_{L2} <= tol * ||u||_{L2}.
-    For v = 0 and a real initial guess the iteration runs in real
-    arithmetic on half spectra; otherwise in complex arithmetic, with
-    the v = 0 result rotated onto the real axis afterwards.
+    An iteration costs three transforms, its line-search trials none.
+    For v = 0 and a real initial guess it runs in real arithmetic on
+    half spectra; otherwise on full spectra, with the v = 0 result
+    rotated onto the real axis.  `history`: one IterationRecord per iteration.
     """
     if init is None:
         init = default_initial_guess(grid, params, kind=init_kind, seed=seed)
@@ -151,134 +370,25 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
     if sp.l2_norm_sq(init) == 0.0:
         raise CollapseError("initial guess is identically zero")
 
-    w = grid.cell_area
-    p = params.p
     u0 = sp.to_physical(init).values
-    if params.v == 0.0 and not np.any(u0.imag):
-        # Real ground state: iterate in real arithmetic on half spectra.
-        u0 = u0.real.copy()
-        aq = sp.action_quadratic(params.omega).values(grid, half=True)
-        aq_sum = aq * sp._half_weights(grid.ny)
-        fwd = sp._rfft2
-
-        def inv(hat):
-            return sp._irfft2(hat, grid.shape)
-    else:
-        aq = aq_sum = sp.action_quadratic(params.omega, params.v).values(grid)
-        fwd, inv = sp._fft2, sp._ifft2
-    inv_aq = 1.0 / aq
-
-    def project(vals):
-        hat = fwd(vals)
-        a = float(np.sum(aq_sum * (hat.real ** 2 + hat.imag ** 2))) * w
-        b = _lp1_power_vals(vals, p, w)
-        if b < 1e-280 or not np.isfinite(b):
-            raise CollapseError("nonlinear mass vanished; field collapsed to zero")
-        t = (a / b) ** (1.0 / (p - 1.0))
-        return t * vals, t * t * a, t ** (p + 1.0) * b
-
-    def action_of(a_form, b_pot):
-        return 0.5 * a_form - b_pot / (p + 1.0)
-
-    def inner(a, b) -> float:
-        return float(np.vdot(a, b).real) * w
-
-    def precondition(vals):
-        return inv(inv_aq * fwd(vals))
-
-    u, a_form, b_pot = project(u0)
-    s_val = action_of(a_form, b_pot)
-    history = [s_val]
-    grad_norm = math.inf
-    iterations = 0
-    converged = False
-
-    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
-    u_prev = None
-    grad_prev = None
-
-    for iterations in range(1, max_iter + 1):
-        grad = inv(aq * fwd(u)) - fl._density(u) ** ((p - 1.0) / 2.0) * u
-        grad_norm = math.sqrt(inner(grad, grad))
-        u_norm = math.sqrt(inner(u, u))
-        if grad_norm <= tol * u_norm:
-            converged = True
-            break
-        if u_prev is not None:
-            s_vec = u - u_prev
-            y_vec = grad - grad_prev
-            sy = inner(s_vec, y_vec)
-            if sy > 1e-12 * math.sqrt(inner(s_vec, s_vec) * inner(y_vec, y_vec)):
-                pairs.append((s_vec, y_vec, 1.0 / sy))
-                if len(pairs) > memory:
-                    pairs.pop(0)
-        u_prev, grad_prev = u, grad
-
-        # Two-loop recursion; the inverse quadratic symbol seeds the metric.
-        q_vec = grad.copy()
-        corr = []
-        for s_vec, y_vec, rho in reversed(pairs):
-            a_i = rho * inner(s_vec, q_vec)
-            corr.append(a_i)
-            q_vec -= a_i * y_vec
-        direction = precondition(q_vec)
-        for (s_vec, y_vec, rho), a_i in zip(pairs, reversed(corr)):
-            b_i = rho * inner(y_vec, direction)
-            direction += (a_i - b_i) * s_vec
-
-        slope = inner(direction, grad)
-        if slope <= 1e-14 * grad_norm * math.sqrt(inner(direction, direction)):
-            pairs.clear()  # curvature memory turned uphill; restart
-            direction = precondition(grad)
-            slope = inner(direction, grad)
-        alpha = 1.0
-        accepted = False
-        while alpha > 1e-14:
-            trial, a_t, b_t = project(u - alpha * direction)
-            s_trial = action_of(a_t, b_t)
-            if s_trial <= s_val - ARMIJO_C * alpha * slope:
-                u, a_form, b_pot, s_val = trial, a_t, b_t, s_trial
-                history.append(s_val)
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            if pairs:
-                pairs.clear()  # retry from the same iterate without memory
-                u_prev = grad_prev = None
-                continue
-            break  # plain descent line search exhausted; residual reported below
-
+    real = params.v == 0.0 and not np.any(u0.imag)
+    aq = sp.action_quadratic(params.omega, params.v).values(grid, half=real)
+    u, stats, u_norm = _descent(u0.real.copy() if real else u0.copy(), aq, params.p,
+                                grid, tol, max_iter, memory, floor_rule=False)
     if params.v == 0.0:
-        # Phase freedom: rotate to the real axis, keep the nonnegative sign.
-        if np.iscomplexobj(u):
+        if not real:
+            # Phase freedom: rotate to the real axis and reproject.
             phase = np.vdot(np.abs(u), u)
             if abs(phase) > 0.0:
-                u = (u * (np.conj(phase) / abs(phase))).real.astype(np.complex128)
-            u, a_form, b_pot = project(u)
-            s_val = action_of(a_form, b_pot)
+                u = (u * (np.conj(phase) / abs(phase))).real
+            q = nehari_project(Field(grid, u, sp.PHYSICAL), params)
+            stats.update(action_value=fl.action(q, params),
+                         nehari_residual=abs(fl.nehari(q, params)),
+                         gradient_residual=sp.l2_norm(fl.action_gradient(q, params)))
+            u, u_norm = q.values, sp.l2_norm(q)
         if float(np.sum(u.real)) < 0.0:
-            u = -u
-
-    q = Field(grid, u, sp.PHYSICAL)
-    g_final = fl.action_gradient(q, params)
-    grad_norm = sp.l2_norm(g_final)
-    sol = SolitarySolution(
-        params=params,
-        q=q,
-        action_value=s_val,
-        nehari_residual=abs(fl.nehari(q, params)),
-        gradient_residual=grad_norm,
-        iterations=iterations,
-        tail_mass_fraction=sp.tail_mass_fraction(q),
-        action_history=history,
-    )
-    if grad_norm > tol * sp.l2_norm(q):
-        raise ConvergenceError(
-            f"no convergence in {iterations} iterations; "
-            f"gradient residual {grad_norm:.3e} vs target {tol * sp.l2_norm(q):.3e}",
-            solution=sol)
-    return sol
+            u = -u  # keep the nonnegative sign
+    return _solution(params, Field(grid, u, sp.PHYSICAL), stats, u_norm, tol)
 
 
 def extend_ground_state(sol: SolitarySolution, grid: Grid,
@@ -289,11 +399,11 @@ def extend_ground_state(sol: SolitarySolution, grid: Grid,
     profile R1) converge slowly in the box height because the profile
     only decays algebraically in y; the boxes they need do not fit in
     memory with the complex solver.  This routine zero-pads a converged
-    v = 0 solution in y and polishes it with the same projected descent
-    as solve_nehari, but in real arithmetic on half spectra, which
-    halves the footprint.  Near the action floor, where the Armijo test
-    drowns in rounding noise, a full step is accepted whenever it still
-    reduces the gradient norm.
+    v = 0 solution in y and polishes it with the descent core of
+    solve_nehari on half spectra, without quasi-Newton memory (no
+    previous iterate or gradient is held), at three transforms per
+    iteration.  Near the action floor, where the Armijo test drowns in
+    rounding noise, a full step is accepted if it still cuts the gradient.
 
     The target grid must match nx and lx, keep the same dy, and differ
     from the source by an even number of y rows.
@@ -309,103 +419,15 @@ def extend_ground_state(sol: SolitarySolution, grid: Grid,
     if grid.ny < g0.ny or (grid.ny - g0.ny) % 2:
         raise ValueError("target ny must exceed the source by an even count")
 
-    p = params.p
-    nx, ny = grid.nx, grid.ny
-    w = grid.cell_area
     offset = (grid.ny - g0.ny) // 2
-    u = np.zeros((nx, ny), dtype=np.float64)
+    u = np.zeros(grid.shape, dtype=np.float64)
     u[:, offset:offset + g0.ny] = sp.to_physical(sol.q).values.real
-
-    aq_h = sp.action_quadratic(params.omega).values(grid, half=True)
-    mult = sp._half_weights(ny)
-
-    def project(vals):
-        hat = sp._rfft2(vals)
-        a = w * float(np.einsum("ij,ij,j->", aq_h, hat.real ** 2 + hat.imag ** 2, mult))
-        b = w * float(np.sum(np.abs(vals) ** (p + 1.0)))
-        if b < 1e-280 or not np.isfinite(b):
-            raise CollapseError("nonlinear mass vanished; field collapsed to zero")
-        t = (a / b) ** (1.0 / (p - 1.0))
-        vals = t * vals
-        return vals, t * t * a, t ** (p + 1.0) * b
-
-    def gradient(vals):
-        hat = sp._rfft2(vals)
-        hat *= aq_h
-        out = sp._irfft2(hat, (nx, ny))
-        out -= np.abs(vals) ** (p - 1.0) * vals
-        return out
-
-    u, a_form, b_pot = project(u)
-    s_val = 0.5 * a_form - b_pot / (p + 1.0)
-    history = [s_val]
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        grad = gradient(u)
-        grad_norm = math.sqrt(w * float(np.sum(grad * grad)))
-        u_norm = math.sqrt(w * float(np.sum(u * u)))
-        if grad_norm <= tol * u_norm:
-            break
-        ghat = sp._rfft2(grad)
-        ghat /= aq_h
-        direction = sp._irfft2(ghat, (nx, ny))
-        del ghat
-        slope = w * float(np.sum(direction * grad))
-        del grad
-        floor = ARMIJO_C * slope <= 1e3 * np.finfo(float).eps * abs(s_val)
-        alpha = 1.0
-        accepted = False
-        while alpha > 1e-14:
-            trial, a_t, b_t = project(u - alpha * direction)
-            s_t = 0.5 * a_t - b_t / (p + 1.0)
-            if s_t <= s_val - ARMIJO_C * alpha * slope:
-                accepted = True
-            elif floor and alpha == 1.0:
-                g_t = gradient(trial)
-                gn_t = math.sqrt(w * float(np.sum(g_t * g_t)))
-                del g_t
-                accepted = gn_t <= grad_norm * (1.0 - 1e-3)
-            if accepted:
-                u, a_form, b_pot, s_val = trial, a_t, b_t, s_t
-                history.append(s_val)
-                break
-            del trial
-            alpha *= 0.5
-        del direction
-        if not accepted:
-            break
-
-    # Final diagnostics stay in real arithmetic; the complex helpers
-    # would double the footprint on grids this large.
-    grad = gradient(u)
-    grad_norm = math.sqrt(w * float(np.sum(grad * grad)))
-    del grad
-    u_norm = math.sqrt(w * float(np.sum(u * u)))
-    dens = u * u
-    total = float(np.sum(dens))
-    edge_x = np.abs(grid.x) > 0.9 * (grid.lx / 2.0)
-    edge_y = np.abs(grid.y) > 0.9 * (grid.ly / 2.0)
-    tail = (float(np.sum(dens[edge_x, :])) + float(np.sum(dens[:, edge_y]))
-            - float(np.sum(dens[np.ix_(edge_x, edge_y)])))
-    del dens
+    aq = sp.action_quadratic(params.omega).values(grid, half=True)
+    u, stats, u_norm = _descent(u, aq, params.p, grid, tol, max_iter, memory=0,
+                                floor_rule=True)
     q = Field(grid, u.astype(np.complex128), sp.PHYSICAL)
     del u
-    out = SolitarySolution(
-        params=params,
-        q=q,
-        action_value=s_val,
-        nehari_residual=abs(a_form - b_pot),
-        gradient_residual=grad_norm,
-        iterations=iterations,
-        tail_mass_fraction=tail / total,
-        action_history=history,
-    )
-    if grad_norm > tol * u_norm:
-        raise ConvergenceError(
-            f"no convergence in {iterations} iterations; "
-            f"gradient residual {grad_norm:.3e} vs target {tol * u_norm:.3e}",
-            solution=out)
-    return out
+    return _solution(params, q, stats, u_norm, tol)
 
 
 def solve_mass_constrained(grid: Grid, mu: float, p: float,
@@ -447,7 +469,7 @@ def solve_mass_constrained(grid: Grid, mu: float, p: float,
     def energy_of(vals):
         hat = sp._fft2(vals)
         quad = float(np.sum(lin * (hat.real ** 2 + hat.imag ** 2))) * w
-        return 0.5 * quad - _lp1_power_vals(vals, p, w) / (p + 1.0)
+        return 0.5 * quad - float(np.sum(fl._density(vals) ** ((p + 1.0) / 2.0))) * w / (p + 1.0)
 
     def gradient(vals):
         return sp._ifft2(lin * sp._fft2(vals)) - fl._density(vals) ** ((p - 1.0) / 2.0) * vals
@@ -536,46 +558,36 @@ def mass_centroid(u: Field) -> tuple[float, float]:
     return (cx, cy)
 
 
-def _eval_matrix(n: int, length: float, origin: float, targets: np.ndarray) -> np.ndarray:
-    """Unitary trigonometric evaluation matrix at arbitrary points.
-
-    Row i reconstructs the interpolant at targets[i] from unitary FFT
-    coefficients; the Nyquist column is symmetrized to its cosine part
-    so real fields stay real.  O(n^2); the chirp transform below does
-    the same job in O(n log n) for equally spaced targets.
-    """
-    freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
-    phase = np.exp(1j * np.outer(targets - origin, freqs))
-    phase[:, n // 2] = np.cos(freqs[n // 2] * (targets - origin))
-    return phase / math.sqrt(n)
-
-
 def _czt_eval_axis(coef: np.ndarray, axis: int, n: int, length: float,
                    origin: float, start: float, step: float) -> np.ndarray:
     """Trig interpolant on an arithmetic progression of points, one axis.
 
     `coef` holds unitary FFT coefficients along `axis`; returns samples
     at origin-relative points start + j*step, j = 0..n-1, via the chirp
-    z-transform, matching _eval_matrix (cosine Nyquist) to rounding.
+    z-transform, with the Nyquist coefficient symmetrized to its cosine
+    part so real fields stay real.  Runs over blocks of lines (small
+    chirp-z buffers); lines are independent, so blocking changes no bit.
     """
     phi0 = (2.0 * np.pi / length) * (start - origin)
     delta = (2.0 * np.pi / length) * step
-    theta = phi0 + delta * np.arange(n)
-    r = np.arange(n)
-    shape = [1] * coef.ndim
+    half = 0.5 * n * (phi0 + delta * np.arange(n))
+    shape = [1, 1]
     shape[axis] = n
-    pre = np.exp(1j * phi0 * r).reshape(shape)
-    shifted = np.fft.fftshift(coef, axes=axis)
-    inner = signal.czt(shifted * pre, m=n, w=np.exp(1j * delta), a=1.0 + 0.0j,
-                       axis=axis)
-    half = 0.5 * n * theta
-    out = np.exp(-1j * half).reshape(shape) * inner
+    pre = np.exp(1j * phi0 * np.arange(n)).reshape(shape)
+    phase = np.exp(-1j * half).reshape(shape)
     # Nyquist row was summed as exp(-i n/2 theta); restore its cosine part.
-    nyq_index = tuple(slice(None) if ax != axis else 0
-                      for ax in range(coef.ndim))
-    nyq = shifted[nyq_index]
-    out += (1j * np.sin(half)).reshape(shape) * np.expand_dims(nyq, axis)
-    return out / math.sqrt(n)
+    nyq_phase = (1j * np.sin(half)).reshape(shape)
+    shifted = np.fft.fftshift(coef, axes=axis)
+    del coef  # freed here when the caller holds no reference
+    nyq = np.take(shifted, [0], axis=axis)
+    out = np.empty_like(shifted)
+    for blk in _slices(shifted.shape[1 - axis], n):
+        idx = (slice(None), blk) if axis == 0 else (blk, slice(None))
+        part = phase * signal.czt(shifted[idx] * pre, m=n, w=np.exp(1j * delta),
+                                  a=1.0 + 0.0j, axis=axis)
+        part += nyq_phase * nyq[idx]
+        out[idx] = part / math.sqrt(n)
+    return out
 
 
 def _wrap_corrupt(coords: np.ndarray, c: float, rate: float,
@@ -610,11 +622,11 @@ def t_lambda(u: Field, lam: float, center: tuple[float, float] = (0.0, 0.0),
         _check_tail(phys, tail_tol, "t_lambda")
     cx, cy = center
     rx = math.sqrt(lam)
-    hat = sp._fft2(phys.values)
-    part = _czt_eval_axis(hat, 0, g.nx, g.lx, g.x[0],
+    part = _czt_eval_axis(sp._fft2(phys.values), 0, g.nx, g.lx, g.x[0],
                           cx + rx * (g.x[0] - cx), rx * g.dx)
     vals = _czt_eval_axis(part, 1, g.ny, g.ly, g.y[0],
                           cy + lam * (g.y[0] - cy), lam * g.dy)
+    del part
     if lam > 1.0:
         # targets whose source left the box read the periodized image;
         # that is still a certified-tail value unless the image lands in
@@ -715,12 +727,12 @@ def r1_diagnostics(q1: Field, p: float, tail_tol: float = 1e-8) -> R1Diagnostics
     """
     phys = sp.to_physical(q1)
     g = q1.grid
-    if not np.any(phys.values.imag):
-        return _r1_diagnostics_real(phys, p, tail_tol)
     _check_tail(phys, tail_tol, "r1_diagnostics")
     cx, cy = mass_centroid(phys)
     X = (g.x - cx)[:, None]
     Y = (g.y - cy)[None, :]
+    if not np.any(phys.values.imag):
+        return _r1_diagnostics_real(phys, p, X, Y)
     qx = sp.dx_field(phys).values
     qy = sp.dy_field(phys).values
     r1 = phys.values / (p - 1.0) + 0.5 * X * qx + Y * qy
@@ -748,29 +760,13 @@ def r1_diagnostics(q1: Field, p: float, tail_tol: float = 1e-8) -> R1Diagnostics
                          phi_max=phi_max)
 
 
-def _r1_diagnostics_real(phys: Field, p: float, tail_tol: float) -> R1Diagnostics:
+def _r1_diagnostics_real(phys: Field, p: float, X: np.ndarray, Y: np.ndarray) -> R1Diagnostics:
     # Real-arithmetic twin of the pipeline above on half spectra; the
     # box-extension grids only fit in memory this way.
     g = phys.grid
     nx, ny = g.nx, g.ny
     re = phys.values.real
     w = g.cell_area
-
-    dens = re * re
-    total = float(np.sum(dens))
-    edge_x = np.abs(g.x) > 0.9 * (g.lx / 2.0)
-    edge_y = np.abs(g.y) > 0.9 * (g.ly / 2.0)
-    frac = (float(np.sum(dens[edge_x, :])) + float(np.sum(dens[:, edge_y]))
-            - float(np.sum(dens[np.ix_(edge_x, edge_y)]))) / total
-    if frac > tail_tol:
-        raise TailMassError(
-            f"r1_diagnostics: outer-annulus mass fraction {frac:.3e} exceeds "
-            f"{tail_tol:.3e}; enlarge the box or relax tail_tol")
-    cx = float(np.einsum("ij,i->", dens, g.x)) / total
-    cy = float(np.einsum("ij,j->", dens, g.y)) / total
-    del dens
-    X = (g.x - cx)[:, None]
-    Y = (g.y - cy)[None, :]
 
     hat = sp._rfft2(re)
     qx = sp._irfft2(1j * g.xi_odd[:, None] * hat, (nx, ny))

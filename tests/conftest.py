@@ -1,0 +1,31 @@
+"""Shared fixtures and the hypothesis profile of the test suite."""
+
+import collections
+
+import pytest
+import scipy.fft
+from hypothesis import settings
+
+# Derandomized and bounded, so the property tests draw the same examples
+# on every run and the suite stays reproducible and quick.
+settings.register_profile("hwlab", derandomize=True, max_examples=40,
+                          deadline=None, database=None)
+settings.load_profile("hwlab")
+
+TRANSFORMS = ("fft2", "ifft2", "rfft2", "irfft2")
+
+
+@pytest.fixture
+def transform_count(monkeypatch):
+    """Counter of the 2-D scipy.fft transforms called while the test runs.
+
+    hwlab.spectral looks the scipy.fft functions up at call time, so
+    wrapping the module attributes sees every transform hwlab makes.
+    """
+    counts = collections.Counter()
+    for name in TRANSFORMS:
+        def counted(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, counted)
+    return counts

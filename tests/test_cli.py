@@ -134,6 +134,12 @@ def test_cli_ground_state_and_evolve(tmp_path, capsys):
     rep = _report(capsys)
     assert rep["converged"] is True
     assert rep["nehari_residual"] <= 1e-10
+    # one convergence-history entry per iteration, no timings
+    hist = rep["history"]
+    assert len(hist) == rep["iterations"]
+    assert set(hist[0]) == {"action", "gradient_residual", "step", "backtracks", "restart"}
+    assert hist[-1]["gradient_residual"] <= 1e-5 < hist[0]["gradient_residual"]
+    assert hist[-1]["action"] == pytest.approx(rep["m_value"], rel=1e-12)
     snap = rep["snapshot"]
     q, params = load_snapshot(snap)
     assert params.p == 2.0
@@ -218,6 +224,7 @@ def test_cli_sweep_velocity_deterministic(tmp_path, capsys):
     rep = _report(capsys)
     assert rep["completed"] == 2
     assert rep["trend_non_increasing"] is True
+    assert "history" not in rep
     first = (tmp_path / "sweep_velocity.csv").read_bytes()
 
     assert main(argv) == EXIT_OK

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hwlab import functionals as fl
 from hwlab import spectral as sp
@@ -89,6 +90,76 @@ def test_solver_real_complex_parity(p2_state):
         <= 1e-9 * np.max(np.abs(p2_state.q.values))
 
 
+@pytest.mark.parametrize("shape, box, v", [((64, 64), (40.0, 40.0), 0.0),
+                                           ((32, 64), (20.0, 40.0), 0.5)])
+def test_solver_three_transforms_per_iteration(transform_count, shape, box, v):
+    # u and |u|^{p-1} u forward, the direction back; line-search trials
+    # and their backtracks cost no transform
+    g = sp.make_grid(*shape, *box)
+    par = ModelParams(p=2.0, v=v)
+    s = sol.solve_nehari(g, par, tol=1e-7)
+    assert sum(r.backtracks for r in s.history) > 0
+    assert len(s.history) == s.iterations
+    assert sum(transform_count.values()) == 3 * s.iterations
+    assert set(transform_count) == ({"rfft2", "irfft2"} if v == 0.0 else {"fft2", "ifft2"})
+    transform_count.clear()
+    with pytest.raises(sol.ConvergenceError):
+        sol.solve_nehari(g, par, tol=1e-12, max_iter=6)
+    # a spent budget adds the gradient of the last iterate
+    assert sum(transform_count.values()) == 3 * 6 + 3
+
+
+def _random_field(grid, rng, real):
+    vals = rng.standard_normal(grid.shape)
+    if not real:
+        vals = vals + 1j * rng.standard_normal(grid.shape)
+    return vals * np.exp(-(grid.x[:, None] / grid.lx) ** 2 - (grid.y[None, :] / grid.ly) ** 2)
+
+
+grids = st.builds(sp.make_grid, st.integers(4, 24).map(lambda k: 2 * k),
+                  st.integers(4, 24).map(lambda k: 2 * k),
+                  st.floats(5.0, 40.0), st.floats(5.0, 40.0))
+
+
+@given(grid=grids, p=st.floats(1.1, 4.9), omega=st.floats(0.1, 3.0),
+       v=st.sampled_from([0.0, -0.9, 0.3, 0.99]), alpha=st.floats(-2.0, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_line_search_forms_match_transforms(grid, p, omega, v, alpha, seed):
+    # a(u - alpha d) = a(u) - 2 alpha <Au, d> + alpha^2 a(d), and the
+    # summed power change, against fresh transforms of u - alpha d
+    rng = np.random.default_rng(seed)
+    real = v == 0.0
+    par = ModelParams(p=p, omega=omega, v=v)
+    u, d = _random_field(grid, rng, real), _random_field(grid, rng, real)
+    aq = sp.action_quadratic(omega, v).values(grid, half=real)
+    spec = sol._Spectra(grid.shape, grid.cell_area, aq, real)
+    hat, dhat = spec.fwd(u), spec.fwd(d)
+    a_u, au_d, a_d = (spec.dot(hat, aq * hat), spec.dot(hat, aq * dhat),
+                      spec.dot(dhat, aq * dhat))
+    trial = sp.physical_field(grid, u - alpha * d)
+    assert a_u == pytest.approx(fl.quadratic_action_form(sp.physical_field(grid, u), par),
+                                rel=1e-12)
+    assert a_u - 2.0 * alpha * au_d + alpha ** 2 * a_d == pytest.approx(
+        fl.quadratic_action_form(trial, par), rel=1e-12)
+    b_u = fl.lp1_power(sp.physical_field(grid, u), p)
+    d_b = sol._lp1_change(u, d, alpha, p) * grid.cell_area
+    assert b_u + d_b == pytest.approx(fl.lp1_power(trial, p), rel=1e-12)
+
+
+@given(grid=grids, real=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_spectral_inner_product_matches_physical(grid, real, seed):
+    # Parseval on half spectra needs the (1, 2, ..., 2, 1) column weights
+    rng = np.random.default_rng(seed)
+    f, g = _random_field(grid, rng, real), _random_field(grid, rng, real)
+    aq = sp.action_quadratic(1.0).values(grid, half=real)
+    spec = sol._Spectra(grid.shape, grid.cell_area, aq, real)
+    physical = float(np.vdot(f, g).real) * grid.cell_area
+    scale = math.sqrt(float(np.vdot(f, f).real) * float(np.vdot(g, g).real)) * grid.cell_area
+    assert abs(spec.dot(spec.fwd(f), spec.fwd(g)) - physical) <= 1e-12 * scale
+    assert spec.dot(spec.fwd(f), spec.fwd(f)) == pytest.approx(
+        float(np.vdot(f, f).real) * grid.cell_area, rel=1e-12)
+
+
 def test_solver_converges_with_one_blas_thread():
     # The returned iterate must be the one that passed the convergence
     # test; a post-hoc phase rotation used to push this case over tol.
@@ -141,6 +212,19 @@ def test_mass_centroid_tracks_shift():
     assert cy == pytest.approx(-2.0, abs=1e-9)
 
 
+def _eval_matrix(n, length, origin, targets):
+    """Unitary trigonometric evaluation matrix at arbitrary points, O(n^2).
+
+    Row i reconstructs the interpolant at targets[i] from unitary FFT
+    coefficients; the Nyquist column is symmetrized to its cosine part
+    so real fields stay real.
+    """
+    freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
+    phase = np.exp(1j * np.outer(targets - origin, freqs))
+    phase[:, n // 2] = np.cos(freqs[n // 2] * (targets - origin))
+    return phase / math.sqrt(n)
+
+
 def test_t_lambda_matches_dense_resampling():
     # white-box oracle: dense trigonometric evaluation matrices
     g = sp.make_grid(32, 48, 12.0, 18.0)
@@ -152,14 +236,30 @@ def test_t_lambda_matches_dense_resampling():
     hat = np.fft.fft2(u.values, norm="ortho")
     sx = cx + math.sqrt(lam) * (g.x - cx)
     sy = cy + lam * (g.y - cy)
-    ex = sol._eval_matrix(g.nx, g.lx, g.x[0], sx)
-    ey = sol._eval_matrix(g.ny, g.ly, g.y[0], sy)
+    ex = _eval_matrix(g.nx, g.lx, g.x[0], sx)
+    ey = _eval_matrix(g.ny, g.ly, g.y[0], sy)
     dense = lam ** 0.75 * (ex @ hat @ ey.T)
     # sources that wrap into the bulk are zeroed, not read periodically
     dense[sol._wrap_corrupt(g.x, cx, math.sqrt(lam), g.lx), :] = 0.0
     dense[:, sol._wrap_corrupt(g.y, cy, lam, g.ly)] = 0.0
     fast = sol.t_lambda(u, lam, center=(cx, cy), tail_tol=np.inf)
     assert np.max(np.abs(fast.values - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_chirp_z_blocks_bit_identical(monkeypatch, axis):
+    # each 1-D line is transformed on its own, so blocking changes no bit
+    rng = np.random.default_rng(4)
+    coef = rng.standard_normal((48, 80)) + 1j * rng.standard_normal((48, 80))
+    n = coef.shape[axis]
+    args = (coef, axis, n, 12.0, -6.0, -4.5, 0.8 * 12.0 / n)
+    monkeypatch.setattr(sol, "_BLOCK_ELEMS", 4 * n)  # blocks of 4 lines
+    assert len(sol._slices(coef.shape[1 - axis], n)) > 1
+    blocked = sol._czt_eval_axis(*args)
+    monkeypatch.setattr(sol, "_BLOCK_ELEMS", coef.size)  # one signal.czt pass
+    assert len(sol._slices(coef.shape[1 - axis], n)) == 1
+    whole = sol._czt_eval_axis(*args)
+    assert np.array_equal(blocked, whole)
 
 
 def test_t_lambda_isometry_and_potential_scaling():
@@ -254,11 +354,15 @@ def test_r1_diagnostics_real_complex_parity(p3_state):
         assert a <= 1.0 + 1e-12  # multipliers bounded by max(1, 1/omega)
 
 
-def test_extend_ground_state_widens_box(p2_state):
+def test_extend_ground_state_widens_box(p2_state, transform_count):
     g0 = sp.make_grid(64, 128, 20.0, 20.0)
     base = sol.solve_nehari(g0, ModelParams(p=2.0), tol=1e-7)
     g1 = sp.make_grid(64, 512, 20.0, 80.0)
+    transform_count.clear()
     ext = sol.extend_ground_state(base, g1, tol=5e-7)
+    # the descent core of solve_nehari: three real transforms per iteration
+    assert sum(transform_count.values()) == 3 * ext.iterations
+    assert set(transform_count) == {"rfft2", "irfft2"}
     assert ext.q.grid == g1
     assert ext.gradient_residual <= 5e-7 * sp.l2_norm(ext.q)
     assert ext.tail_mass_fraction < base.tail_mass_fraction
