@@ -2,10 +2,14 @@
 
 The linear group S(t) = exp(it(dxx - |D_y|)) is exact in Fourier space,
 so Strang splitting alternates exact sub-flows: a half-step phase
-rotation by the nonlinearity, the full linear multiplier, and the
-second half rotation.  The scheme conserves mass to round-off and is
-time reversible.  The integral (Duhamel) formulation is iterated to a
-fixed point as an independent oracle for short times.
+rotation u -> u exp(i tau |u|^(p-1)), the full linear multiplier, and
+the second half rotation.  The rotation keeps |u|, so the closing half
+rotation of one step and the opening one of the next merge exactly into
+one full rotation: k steps in a row take k + 1 rotations and k FFT
+pairs, dealiased or not (the mask is folded into the propagator).  The
+scheme conserves mass to round-off and is time reversible.  The
+integral (Duhamel) formulation is iterated to a fixed point as an
+independent oracle for short times.
 """
 
 from __future__ import annotations
@@ -34,24 +38,52 @@ def linear_propagate(u: Field, t: float) -> Field:
     return sp.apply_symbol(u, sp.halfwave_group(t))
 
 
-def _nonlinear_phase(vals: np.ndarray, half_dt: float, p: float,
-                     sign: float) -> np.ndarray:
-    dens = np.clip(vals.real ** 2 + vals.imag ** 2, 0.0, None)
-    return vals * np.exp(1j * sign * half_dt * dens ** ((p - 1.0) / 2.0))
+def _rotate(vals: np.ndarray, tau: float, p: float) -> np.ndarray:
+    """vals * exp(i tau |vals|^(p-1)), a pointwise rotation that keeps |vals|."""
+    angle = tau * (vals.real ** 2 + vals.imag ** 2) ** (0.5 * (p - 1.0))
+    rot = np.empty_like(vals)
+    np.cos(angle, out=rot.real)
+    np.sin(angle, out=rot.imag)
+    rot *= vals
+    return rot
+
+
+def _propagator(grid: sp.Grid, dt: float, dealias: bool) -> np.ndarray:
+    """Multiplier of one linear sub-step, with the dealiasing mask folded in."""
+    prop = sp.halfwave_group(dt).values(grid)
+    if dealias:
+        prop *= sp.dealias_mask(grid)
+    return prop
+
+
+def _linear(vals: np.ndarray, prop: np.ndarray) -> np.ndarray:
+    """The linear sub-step: one FFT pair around the multiplier prop."""
+    hat = sp._fft2(vals)
+    hat *= prop
+    return sp._ifft2(hat)
+
+
+def _strang(vals: np.ndarray, k: int, dt: float, p: float, sign: float,
+            prop: np.ndarray) -> np.ndarray:
+    """k Strang steps, adjacent half rotations merged into full ones."""
+    tau = sign * dt
+    vals = _rotate(vals, 0.5 * tau, p)
+    for _ in range(k - 1):
+        vals = _rotate(_linear(vals, prop), tau, p)
+    return _rotate(_linear(vals, prop), 0.5 * tau, p)
 
 
 def strang_step(u: Field, dt: float, p: float, focusing: bool = True,
                 dealias: bool = False) -> Field:
-    """One Strang step: half nonlinear phase, full linear, half nonlinear."""
-    sign = 1.0 if focusing else -1.0
-    g = u.grid
-    phase = np.exp(1j * dt * (-(g.xi[:, None] ** 2) - np.abs(g.eta)[None, :]))
-    vals = _nonlinear_phase(sp.to_physical(u).values, 0.5 * dt, p, sign)
-    if dealias:
-        vals = sp._ifft2(sp._fft2(vals) * sp.dealias_mask(g))
-    vals = sp._ifft2(phase * sp._fft2(vals))
-    vals = _nonlinear_phase(vals, 0.5 * dt, p, sign)
-    return Field(g, vals, sp.PHYSICAL)
+    """One Strang step: half nonlinear phase, full linear, half nonlinear.
+
+    One FFT pair, with or without dealiasing (the mask is folded into the
+    propagator).  `evolve` merges the half rotations of adjacent steps,
+    which is exact because the rotation keeps |u|.
+    """
+    vals = _strang(sp.to_physical(u).values, 1, dt, p, 1.0 if focusing else -1.0,
+                   _propagator(u.grid, dt, dealias))
+    return Field(u.grid, vals, sp.PHYSICAL)
 
 
 @dataclass
@@ -91,13 +123,17 @@ def evolve(u0: Field, p: float, T: float, dt: float, sample_stride: int = 10,
     relative.  `distance_stop` ends the run once the orbital distance
     reaches that value (experiment early exit); `extra_monitor` is an
     optional callable Field -> float sampled alongside the built-ins.
+    Between two samples the steps run merged: the closing half rotation
+    of a step and the opening one of the next become one rotation, which
+    is exact because the rotation keeps |u|, and each step costs one FFT
+    pair, dealiased or not.
     """
     if T <= 0.0 or dt <= 0.0:
         raise ValueError("T and dt must be positive")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     g = u0.grid
-    lin_sym = (g.xi[:, None] ** 2) + np.abs(g.eta)[None, :]
+    lin_sym = sp.action_quadratic(0.0).values(g)
     max_phase = float(np.max(lin_sym))
     if enforce_dt_limit and dt * max_phase > 0.5 + 1e-12:
         raise ValueError(
@@ -108,104 +144,69 @@ def evolve(u0: Field, p: float, T: float, dt: float, sample_stride: int = 10,
         raise ValueError("T shorter than one step")
 
     sign = 1.0 if focusing else -1.0
-    phase_full = np.exp(-1j * dt * lin_sym)
-    mask = sp.dealias_mask(g) if dealias else None
+    prop = _propagator(g, dt, dealias)
     w = g.cell_area
     hs_weight = (1.0 + g.eta[None, :] ** 2) ** s_monitor
 
-    ref_hat = None
-    if reference is not None:
-        if reference.grid != g:
-            raise ValueError("reference lives on a different grid")
-        ref_hat = sp.to_spectral(reference).values
+    if reference is not None and reference.grid != g:
+        raise ValueError("reference lives on a different grid")
+    ref = None if reference is None else sp.to_spectral(reference)
 
     def monitors(vals):
         hat = sp._fft2(vals)
         power = hat.real ** 2 + hat.imag ** 2
         m = 0.5 * float(np.sum(power)) * w
         quad = 0.5 * float(np.sum(lin_sym * power)) * w
-        pot = float(np.sum(
-            np.clip(vals.real ** 2 + vals.imag ** 2, 0.0, None) ** ((p + 1.0) / 2.0))) * w
+        pot = float(np.sum(fl._density(vals) ** ((p + 1.0) / 2.0))) * w
         ham = quad - sign * pot / (p + 1.0)
         mixed = math.sqrt(float(np.sum(hs_weight * power)) * w)
         peak = float(np.max(np.abs(vals)))
         ph = dist = ext = None
-        if ref_hat is not None or extra_monitor is not None:
-            fld = Field(g, vals, sp.PHYSICAL)
-            if ref_hat is not None:
-                dist = sol.orbital_fit(fld, reference, refine=refine_fit).distance
-                ph = float(np.angle(np.vdot(ref_hat, hat)))
-            if extra_monitor is not None:
-                ext = float(extra_monitor(fld))
+        if ref is not None:
+            # spectral fields spare the fit two of its three transforms
+            dist = sol.orbital_fit(Field(g, hat, sp.SPECTRAL), ref, refine=refine_fit).distance
+            ph = float(np.angle(np.vdot(ref.values, hat)))
+        if extra_monitor is not None:
+            ext = float(extra_monitor(Field(g, vals, sp.PHYSICAL)))
         return m, ham, mixed, peak, dist, ph, ext
 
-    times, ms, hs, mixeds, peaks = [], [], [], [], []
-    dists = [] if reference is not None else None
-    phases = [] if reference is not None else None
-    extras = [] if extra_monitor is not None else None
-
     vals = sp.to_physical(u0).values.copy()
-    first = monitors(vals)
-    m0, h0, mixed0 = first[0], first[1], first[2]
-    mass_ok = True
-    blown_up = False
-    abort = None
-
-    def record(t, mons):
-        m, ham, mixed, peak, dist, ph, ext = mons
-        times.append(t)
-        ms.append(m)
-        hs.append(ham)
-        mixeds.append(mixed)
-        peaks.append(peak)
-        if dists is not None:
-            dists.append(dist)
-            phases.append(ph)
-        if extras is not None:
-            extras.append(ext)
-
-    record(0.0, first)
-    h_scale = max(abs(h0), 1e-30)
-    m_scale = max(m0, 1e-30)
+    rows = [(0.0,) + monitors(vals)]  # (t, mass, ham, mixed, peak, dist, phase, extra)
+    m0, h0, mixed0 = rows[0][1:4]
+    m_scale, h_scale = max(m0, 1e-30), max(abs(h0), 1e-30)
+    mass_ok, blown_up, abort = True, False, None
 
     step = 0
     while step < n_steps:
-        vals = _nonlinear_phase(vals, 0.5 * dt, p, sign)
-        if mask is not None:
-            vals = sp._ifft2(sp._fft2(vals) * mask)
-        vals = sp._ifft2(phase_full * sp._fft2(vals))
-        vals = _nonlinear_phase(vals, 0.5 * dt, p, sign)
-        step += 1
-        if step % sample_stride == 0 or step == n_steps:
-            mons = monitors(vals)
-            record(step * dt, mons)
-            m, ham, mixed, dist = mons[0], mons[1], mons[2], mons[4]
-            if not np.isfinite(mixed) or not np.isfinite(ham):
-                abort = "non-finite values"
-                blown_up = True
-                break
-            if abs(m - m0) / m_scale > mass_drift_tol:
-                mass_ok = False
-            if mixed > blowup_factor * max(mixed0, 1e-300):
-                abort = "mixed-norm blow-up monitor"
-                blown_up = True
-                break
-            if abs(ham - h0) / h_scale > ham_drift_abort:
-                abort = "hamiltonian drift"
-                break
-            if distance_stop is not None and dist is not None and dist >= distance_stop:
-                abort = "distance threshold"
-                break
+        # up to the next multiple of the stride, or to the last step
+        k = min(sample_stride - step % sample_stride, n_steps - step)
+        vals = _strang(vals, k, dt, p, sign, prop)
+        step += k
+        rows.append((step * dt,) + monitors(vals))
+        m, ham, mixed, _, dist = rows[-1][1:6]
+        if not np.isfinite(mixed) or not np.isfinite(ham):
+            abort = "non-finite values"
+            blown_up = True
+            break
+        if abs(m - m0) / m_scale > mass_drift_tol:
+            mass_ok = False
+        if mixed > blowup_factor * max(mixed0, 1e-300):
+            abort = "mixed-norm blow-up monitor"
+            blown_up = True
+            break
+        if abs(ham - h0) / h_scale > ham_drift_abort:
+            abort = "hamiltonian drift"
+            break
+        if distance_stop is not None and dist is not None and dist >= distance_stop:
+            abort = "distance threshold"
+            break
 
+    cols = [np.asarray(c) for c in zip(*rows)]
     return EvolutionTrace(
-        times=np.asarray(times),
-        mass=np.asarray(ms),
-        hamiltonian=np.asarray(hs),
-        l2x_hsy=np.asarray(mixeds),
-        linf=np.asarray(peaks),
-        orbital_distance=None if dists is None else np.asarray(dists),
-        phase=None if phases is None else np.asarray(phases),
-        extra=None if extras is None else np.asarray(extras),
+        times=cols[0], mass=cols[1], hamiltonian=cols[2], l2x_hsy=cols[3], linf=cols[4],
+        orbital_distance=None if reference is None else cols[5],
+        phase=None if reference is None else cols[6],
+        extra=None if extra_monitor is None else cols[7],
         final=Field(g, vals, sp.PHYSICAL),
         dt=dt,
         n_steps=step,
@@ -240,19 +241,15 @@ def picard_solve(u0: Field, p: float, T: float, n_steps: int = 64,
     g = u0.grid
     dt = T / n_steps
     w = g.cell_area
-    phase = np.exp(1j * dt * (-(g.xi[:, None] ** 2) - np.abs(g.eta)[None, :]))
-
-    def prop(vals):
-        return sp._ifft2(phase * sp._fft2(vals))
+    prop = _propagator(g, dt, False)
 
     def nonlinearity(vals):
-        dens = np.clip(vals.real ** 2 + vals.imag ** 2, 0.0, None)
-        return nl_coeff * dens ** ((p - 1.0) / 2.0) * vals
+        return nl_coeff * fl._density(vals) ** ((p - 1.0) / 2.0) * vals
 
     u0_vals = sp.to_physical(u0).values
     linear = [u0_vals]
     for _ in range(n_steps):
-        linear.append(prop(linear[-1]))
+        linear.append(_linear(linear[-1], prop))
     iterate = [v.copy() for v in linear]
 
     scale = math.sqrt(float(np.vdot(u0_vals, u0_vals).real) * w)
@@ -267,7 +264,7 @@ def picard_solve(u0: Field, p: float, T: float, n_steps: int = 64,
         dist = 0.0
         for j in range(1, n_steps + 1):
             nl_j = nonlinearity(iterate[j])
-            integral = prop(integral + 0.5 * dt * nl_prev) + 0.5 * dt * nl_j
+            integral = _linear(integral + 0.5 * dt * nl_prev, prop) + 0.5 * dt * nl_j
             uj = linear[j] + 1j * integral
             diff = uj - iterate[j]
             dist = max(dist, math.sqrt(float(np.vdot(diff, diff).real) * w))

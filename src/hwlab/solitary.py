@@ -860,7 +860,10 @@ def orbital_fit(u: Field, q: Field, refine: bool = True) -> OrbitalFit:
     the weighted coefficient product; the peak is then polished off the
     lattice by Newton steps on |c(tau)|^2, whose gradient and Hessian
     are the correlation sum weighted by -i xi and -i eta, and the phase
-    is the closed-form argument of the correlation.
+    is the closed-form argument of the correlation.  The distance is
+    the X norm of the residual u - e^{i theta} q(. + tau), summed over
+    its spectrum, so an exact match reads zero to round-off.  Fields
+    passed in the spectral representation cost no transform.
     """
     if u.grid != q.grid:
         raise ValueError("fields live on different grids")
@@ -878,10 +881,12 @@ def orbital_fit(u: Field, q: Field, refine: bool = True) -> OrbitalFit:
         tau = _refine_peak(coef, g, tau)
     c_best = _corr_derivatives(coef, g.xi, g.eta, tau)[0]
     theta = float(np.angle(c_best))
-    x_sq = [float(np.sum(w * (h.real ** 2 + h.imag ** 2))) * g.cell_area for h in (uh, qh)]
-    dist_sq = x_sq[0] + x_sq[1] - 2.0 * abs(c_best)
+    # spectrum of e^{i theta} q(. + tau): qh times e^{i(theta + xi tau1 + eta tau2)}
+    shift = np.exp(1j * (theta + g.xi * tau[0]))[:, None] * np.exp(1j * g.eta * tau[1])[None, :]
+    res = uh - shift * qh
+    dist_sq = float(np.sum(w * (res.real ** 2 + res.imag ** 2))) * g.cell_area
     return OrbitalFit(theta=theta, tau1=float(tau[0]), tau2=float(tau[1]),
-                      distance=math.sqrt(max(dist_sq, 0.0)))
+                      distance=math.sqrt(dist_sq))
 
 
 @dataclass(frozen=True)

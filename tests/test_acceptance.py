@@ -272,6 +272,7 @@ def test_criterion_14_velocity_degeneration(p2_128):
     assert mono_i
 
 
+@pytest.mark.slow
 def test_criterion_08_linearized_profile_formulas():
     # needs dy = 1/96 out to ly = 2048: solve small, then extend
     ly_small = 2048.0 * 16384.0 / 196608.0

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import hwlab.evolution as ev
 import hwlab.solitary as sol
@@ -74,6 +75,66 @@ def test_strang_step_dealias_small_on_bandlimited_data():
     masked = ev.strang_step(u, 2e-3, 3.0, dealias=True)
     assert np.max(np.abs(plain.values - masked.values)) <= 1e-7
     assert sp.l2_norm_sq(masked) == pytest.approx(sp.l2_norm_sq(u), rel=1e-10)
+
+
+grids = st.builds(sp.make_grid, st.sampled_from([16, 24, 32]), st.sampled_from([16, 32]),
+                  st.floats(8.0, 30.0), st.floats(8.0, 30.0))
+
+
+def _smooth_field(g, seed):
+    """Random complex field of unit size: a few low modes under a Gaussian."""
+    rng = np.random.default_rng(seed)
+    hat = np.zeros(g.shape, dtype=complex)
+    hat[:3, :3] = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    env = np.exp(-(g.x[:, None] ** 2 / g.lx + g.y[None, :] ** 2 / g.ly))
+    vals = env * sp.to_physical(sp.spectral_field(g, hat)).values
+    return sp.physical_field(g, vals / np.max(np.abs(vals)))
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@given(grid=grids, p=st.floats(1.5, 4.5), dt=st.floats(1e-4, 1e-2), k=st.integers(1, 6),
+       focusing=st.booleans(), dealias=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_merged_steps_match_single_steps(grid, p, dt, k, focusing, dealias, seed):
+    u = _smooth_field(grid, seed)
+    single = u
+    for _ in range(k):
+        single = ev.strang_step(single, dt, p, focusing=focusing, dealias=dealias)
+    merged = ev.evolve(u, p, k * dt, dt, sample_stride=k, focusing=focusing,
+                       dealias=dealias, enforce_dt_limit=False)
+    assert merged.n_steps == k
+    assert _rel(merged.final.values, single.values) <= 1e-12
+
+
+@given(grid=grids, p=st.floats(1.5, 4.5), dt=st.floats(1e-4, 1e-2), k=st.integers(1, 6),
+       focusing=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_merged_steps_reversible_and_mass_preserving(grid, p, dt, k, focusing, seed):
+    u = _smooth_field(grid, seed).values
+    sign = 1.0 if focusing else -1.0
+    fwd = ev._strang(u, k, dt, p, sign, ev._propagator(grid, dt, False))
+    back = ev._strang(fwd, k, -dt, p, sign, ev._propagator(grid, -dt, False))
+    assert _rel(back, u) <= 1e-12
+    mass = np.vdot(u, u).real
+    assert abs(np.vdot(fwd, fwd).real - mass) <= 1e-12 * mass
+
+
+@pytest.mark.parametrize("dealias", [False, True])
+@pytest.mark.parametrize("with_reference", [False, True])
+def test_evolve_transform_budget(p2_state, transform_count, dealias, with_reference):
+    # one FFT pair per step, one forward transform per monitor sample and
+    # per fit correlation, one for the reference spectrum
+    q = p2_state.q
+    tr = ev.evolve(q, p=2.0, T=0.03, dt=2e-3, sample_stride=4, dealias=dealias,
+                   reference=q if with_reference else None, ham_drift_abort=np.inf)
+    steps, samples = 15, 5
+    assert tr.n_steps == steps
+    assert np.allclose(tr.times, [0.0, 8e-3, 16e-3, 24e-3, 30e-3], rtol=0, atol=1e-15)
+    fits = samples if with_reference else 0
+    assert transform_count["fft2"] == steps + samples + fits + int(with_reference)
+    assert transform_count["ifft2"] == steps
+    assert sum(transform_count.values()) == 2 * steps + samples + fits + int(with_reference)
 
 
 def test_evolve_standing_wave_conservation(p2_state):

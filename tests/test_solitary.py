@@ -393,10 +393,25 @@ def test_orbital_fit_recovers_gauge(p2_state):
     assert fit.theta == pytest.approx(np.pi / 3.0, abs=1e-8)
     assert fit.tau1 == pytest.approx(-5 * g.dx, abs=1e-8)
     assert fit.tau2 == pytest.approx(3 * g.dy, abs=1e-8)
-    # self-fit hits the sqrt-of-cancellation floor of the distance formula
+    # the distance is the norm of the residual, so a self-fit reads round-off
     trivial = sol.orbital_fit(q, q)
-    assert trivial.distance <= 1e-6 * fl.x_norm(q)
+    assert trivial.distance <= 1e-12 * fl.x_norm(q)
     assert abs(trivial.theta) <= 1e-10
+
+
+@given(shift=st.tuples(st.integers(-32, 31), st.integers(-32, 31)),
+       theta=st.floats(-np.pi, np.pi), seed=st.integers(0, 2 ** 32 - 1))
+def test_orbital_fit_exact_orbit_members(p2_state, shift, theta, seed):
+    # lattice-shifted, rotated copies of q, perturbed in their last bits
+    q = p2_state.q
+    g = q.grid
+    noise = 2.0 ** -52 * np.random.default_rng(seed).standard_normal(g.shape)
+    vals = np.exp(1j * theta) * np.roll(q.values, shift, axis=(0, 1)) * (1.0 + noise)
+    fit = sol.orbital_fit(sp.physical_field(g, vals), q)
+    assert fit.distance <= 1e-12 * fl.x_norm(q)
+    assert abs(np.angle(np.exp(1j * (fit.theta - theta)))) <= 1e-8
+    for tau, s, d, length in ((fit.tau1, shift[0], g.dx, g.lx), (fit.tau2, shift[1], g.dy, g.ly)):
+        assert abs((tau + s * d + length / 2.0) % length - length / 2.0) <= 1e-8
 
 
 def test_orbital_fit_perturbation_bound(p2_state):
