@@ -164,8 +164,9 @@ def evolve(u0: Field, p: float, T: float, dt: float, sample_stride: int = 10,
         ph = dist = ext = None
         if ref is not None:
             # spectral fields spare the fit two of its three transforms
-            dist = sol.orbital_fit(Field(g, hat, sp.SPECTRAL), ref, refine=refine_fit).distance
-            ph = float(np.angle(np.vdot(ref.values, hat)))
+            spec = Field(g, hat, sp.SPECTRAL)
+            dist = sol.orbital_fit(spec, ref, refine=refine_fit).distance
+            ph = float(np.angle(sp.l2_inner(spec, ref)))
         if extra_monitor is not None:
             ext = float(extra_monitor(Field(g, vals, sp.PHYSICAL)))
         return m, ham, mixed, peak, dist, ph, ext
@@ -252,7 +253,7 @@ def picard_solve(u0: Field, p: float, T: float, n_steps: int = 64,
         linear.append(_linear(linear[-1], prop))
     iterate = [v.copy() for v in linear]
 
-    scale = math.sqrt(float(np.vdot(u0_vals, u0_vals).real) * w)
+    scale = math.sqrt(sp._redot(u0_vals, u0_vals) * w)
     floor = 1e-13 * max(scale, 1e-300)
     distances = []
     converged = False
@@ -267,7 +268,7 @@ def picard_solve(u0: Field, p: float, T: float, n_steps: int = 64,
             integral = _linear(integral + 0.5 * dt * nl_prev, prop) + 0.5 * dt * nl_j
             uj = linear[j] + 1j * integral
             diff = uj - iterate[j]
-            dist = max(dist, math.sqrt(float(np.vdot(diff, diff).real) * w))
+            dist = max(dist, math.sqrt(sp._redot(diff, diff) * w))
             new.append(uj)
             nl_prev = nl_j
         iterate = new

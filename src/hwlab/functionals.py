@@ -8,8 +8,8 @@ on the periodic box.  This module evaluates mass, Hamiltonian, the
 action S_{omega,v} and its Nehari derivative pairing, the anisotropic
 Sobolev X norm, and the Gagliardo-Nirenberg quotient, all through the
 multiplier calculus of `spectral`.  Nonlinear powers are computed as
-(|u|^2)^{(p+1)/2} in physical space with the square clipped at zero so
-fractional p never sees a negative base.
+(|u|^2)^{(p+1)/2} in physical space; the square is a sum of two squares,
+never below +0, so fractional p never sees a negative base.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class ModelParams:
 def _density(u: np.ndarray) -> np.ndarray:
     if not np.iscomplexobj(u):
         return u * u
-    return np.clip(u.real ** 2 + u.imag ** 2, 0.0, None)
+    return u.real ** 2 + u.imag ** 2
 
 
 def mass(u: Field) -> float:

@@ -29,7 +29,8 @@ from .functionals import ModelParams
 from .spectral import Field, Grid
 
 ARMIJO_C = 1e-4
-_BLOCK_ELEMS = 1 << 20  # entries per block of the blocked elementwise passes
+_BLOCK_ELEMS = 1 << 20  # entries per block of the chirp-z resampling
+_FUSE_ELEMS = 1 << 14  # entries per row block of the descent's fused, cache-sized passes
 
 
 class ConvergenceError(RuntimeError):
@@ -123,20 +124,34 @@ def default_initial_guess(grid: Grid, params: ModelParams, kind: str = "gaussian
     return Field(grid, vals, sp.PHYSICAL)
 
 
-def _slices(count: int, per: int) -> list[slice]:
-    """Slices of range(count) spanning about _BLOCK_ELEMS entries at `per` per item."""
-    step = max(1, _BLOCK_ELEMS // max(1, per))
-    return [slice(i, i + step) for i in range(0, count, step)]
+def _slices(count: int, per: int, elems: int) -> list[slice]:
+    """Slices of range(count) spanning about `elems` entries at `per` per item."""
+    step = max(1, elems // max(1, per))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
+def _power(dens: np.ndarray, e: float) -> np.ndarray:
+    """dens ** e for dens >= 0; dens * sqrt(dens) for e = 1.5, which numpy's
+    ** computes without a fast path."""
+    return dens * np.sqrt(dens) if e == 1.5 else dens ** e
+
+
+def _lp1_sum(u: np.ndarray, p: float) -> float:
+    """sum |u|^{p+1} by cache-sized row blocks."""
+    e = (p + 1.0) / 2.0
+    return sum(float(np.sum(_power(fl._density(u[rows]), e)))
+               for rows in _slices(*u.shape, _FUSE_ELEMS))
 
 
 def _lp1_change(u: np.ndarray, d: np.ndarray, alpha: float, p: float) -> float:
     """sum (|u - alpha d|^{p+1} - |u|^{p+1}), accurate far below the rounding
-    level of either sum; by row blocks, so a trial needs no full-size temporary."""
-    q = (p + 1.0) / 2.0
+    level of either sum; by cache-sized row blocks, with no full-size temporary."""
+    e = (p + 1.0) / 2.0
     total = 0.0
-    for rows in _slices(*u.shape):
+    for rows in _slices(*u.shape, _FUSE_ELEMS):
         blk = u[rows]
-        total += float(np.sum(fl._density(blk - alpha * d[rows]) ** q - fl._density(blk) ** q))
+        total += float(np.sum(_power(fl._density(blk - alpha * d[rows]), e)
+                              - _power(fl._density(blk), e)))
     return total
 
 
@@ -160,25 +175,42 @@ def nehari_project(u: Field, params: ModelParams) -> Field:
     return Field(u.grid, t * sp.to_physical(u).values, sp.PHYSICAL)
 
 
-def _redot(a: np.ndarray, b: np.ndarray) -> float:
-    """re sum conj(a) b (2-D, contiguous last axis).  einsum, not BLAS: no BLAS
-    worker spins on a core a threaded FFT needs, and the sum ignores the thread count."""
-    if np.iscomplexobj(a):
-        a, b = a.view(np.float64), b.view(np.float64)
-    return float(np.einsum("ij,ij->", a, b))
+def _advance(u: np.ndarray, d: np.ndarray, alpha: float, t: float) -> None:
+    """u <- t (u - alpha d) in place, by cache-sized row blocks."""
+    for rows in _slices(*u.shape, _FUSE_ELEMS):
+        blk = u[rows]
+        blk -= alpha * d[rows]
+        blk *= t
 
 
-@dataclass(frozen=True)
+def _edge(a: np.ndarray) -> np.ndarray:
+    """First and last column: on a half spectrum, the ones Parseval counts once."""
+    return a[:, ::a.shape[1] - 1]
+
+
 class _Spectra:
-    """Transforms and L2 inner products on the spectra the descent runs on:
-    rfft2 half spectra for real fields, where Parseval weighs the columns
-    (1, 2, ..., 2, 1), full spectra otherwise.  `aq` is the
-    action-quadratic symbol on the same spectra, `w` the cell area."""
+    """Transforms, L2 inner products and the fused passes of the descent on
+    its spectra: rfft2 half spectra for real fields, where Parseval weighs
+    the columns (1, 2, ..., 2, 1), full spectra otherwise.  `aq` is the
+    action-quadratic symbol on the same spectra, `w` the cell area.
 
-    shape: tuple[int, int]
-    w: float
-    aq: np.ndarray
-    real: bool
+    A fused pass walks the spectra in row blocks of about _FUSE_ELEMS
+    entries, which stay in cache: each block is updated and then feeds
+    every inner product of the pass before the next block is read.  The
+    block sums are plain; the half-spectrum column weights are applied
+    per pass from the edge columns.  Block bounds depend on the shape
+    only, so no sum depends on a thread count.
+    """
+
+    def __init__(self, shape: tuple[int, int], w: float, aq: np.ndarray, real: bool):
+        self.shape, self.w, self.aq, self.real = shape, w, aq, real
+        self.rows = _slices(*aq.shape, _FUSE_ELEMS)
+        block = (self.rows[0].stop, aq.shape[1])
+        self._tmp = np.empty(block, np.complex128), np.empty(block, np.complex128)
+        # 1/aq block by block: a full-size copy would cost 251 MB on the
+        # 320x98305 half spectra of criterion 08, the block division 0.2 ms
+        # an iteration on 256x1024
+        self._inv = np.empty(block)
 
     def fwd(self, vals: np.ndarray) -> np.ndarray:
         return sp._rfft2(vals) if self.real else sp._fft2(vals)
@@ -186,23 +218,131 @@ class _Spectra:
     def inv(self, hat: np.ndarray) -> np.ndarray:
         return sp._irfft2(hat, self.shape) if self.real else sp._ifft2(hat)
 
-    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
-        """re int conj(f) g for the fields f, g whose spectra are a, b."""
-        total = _redot(a, b)
+    def _total(self, total: float, ea: np.ndarray, eb: np.ndarray) -> float:
+        """re int conj(f) g from `total`, the plain sum of re conj(a) b over
+        the spectra a, b of f, g, and their edge columns ea, eb."""
         if self.real:
-            total = 2.0 * total - _redot(a[:, :1], b[:, :1]) - _redot(a[:, -1:], b[:, -1:])
+            total = 2.0 * total - float(np.sum(ea.real * eb.real + ea.imag * eb.imag))
         return total * self.w
 
-    def gradient(self, u: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """Spectra of u and of grad S(u) = aq * hat(u) - hat(|u|^{p-1} u),
-        and int |u|^{p+1}; two transforms."""
-        nl = fl._density(u) ** ((p - 1.0) / 2.0) * u
-        b_pot = _redot(u, nl) * self.w
+    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
+        """re int conj(f) g for the fields f, g whose spectra are a, b."""
+        return self._total(sp._redot(a, b), _edge(a), _edge(b))
+
+    def gradient(self, u: np.ndarray, hat: np.ndarray, p: float, d: np.ndarray | None = None,
+                 dhat: np.ndarray | None = None, t: float = 1.0) -> tuple:
+        """Spectrum ghat = aq hat(v) - hat(|v|^{p-1} v) of grad S(v), one transform,
+        for v = u with spectrum hat, or for the trial v = t (u - d), whose
+        spectrum t (hat - dhat) is formed block by block.  Returns ghat and
+        int |v|^{p+1}, <grad S(v), v>, ||grad S(v)||^2, ||v||^2."""
+        e = (p - 1.0) / 2.0
+        nl = np.empty_like(u)
+        b_pot = 0.0
+        for rows in _slices(*u.shape, _FUSE_ELEMS):
+            v = u[rows] if d is None else (u[rows] - d[rows]) * t
+            dens = fl._density(v)
+            pw = _power(dens, e)
+            b_pot += sp._redot(dens, pw)
+            np.multiply(v, pw, out=nl[rows])
         ghat = self.fwd(nl)
         del nl
-        hat = self.fwd(u)
-        np.subtract(self.aq * hat, ghat, out=ghat)
-        return hat, ghat, b_pot
+        gh = hh = gg = 0.0
+        trial, prod = self._tmp
+        for rows in self.rows:
+            n = rows.stop - rows.start
+            h = hat[rows]
+            if dhat is not None:
+                h = np.subtract(h, dhat[rows], out=trial[:n])
+                h *= t
+            g = ghat[rows]
+            np.subtract(np.multiply(h, self.aq[rows], out=prod[:n]), g, out=g)
+            gh += sp._redot(g, h)
+            gg += sp._redot(g, g)
+            hh += sp._redot(h, h)
+        eh = _edge(hat) if dhat is None else (_edge(hat) - _edge(dhat)) * t
+        eg = _edge(ghat)
+        return (ghat, b_pot * self.w, self._total(gh, eg, eh), self._total(gg, eg, eg),
+                self._total(hh, eh, eh))
+
+    def pair(self, hat: np.ndarray, hat_prev: np.ndarray, ghat: np.ndarray,
+             ghat_prev: np.ndarray) -> tuple:
+        """Quasi-Newton pair s = hat - hat_prev, y = ghat - ghat_prev, written
+        over the previous spectra, with <s, y>, ||s||^2, ||y||^2 from the same pass."""
+        sy = ss = yy = 0.0
+        for rows in self.rows:
+            s = np.subtract(hat[rows], hat_prev[rows], out=hat_prev[rows])
+            y = np.subtract(ghat[rows], ghat_prev[rows], out=ghat_prev[rows])
+            sy += sp._redot(s, y)
+            ss += sp._redot(s, s)
+            yy += sp._redot(y, y)
+        es, ey = _edge(hat_prev), _edge(ghat_prev)
+        return (hat_prev, ghat_prev, self._total(sy, es, ey), self._total(ss, es, es),
+                self._total(yy, ey, ey))
+
+    def _pass(self, out: np.ndarray, src: np.ndarray | None = None, add: tuple | None = None,
+              seed: bool = False, dots: tuple = (), aq_dots: tuple = ()) -> list[float]:
+        """One fused pass: out <- src (or out) + c x for add = (c, x), times
+        1/aq if `seed`; then <y, out> for y in `dots` and <y, aq out> for y
+        in `aq_dots`, each block while it is in cache."""
+        sums = [0.0] * (len(dots) + len(aq_dots))
+        scaled, prod = self._tmp
+        for rows in self.rows:
+            n = rows.stop - rows.start
+            o = out[rows]
+            if add is not None:
+                # c x on float views: a real scalar times complex entries
+                c, x = add
+                of = o.view(np.float64)
+                of += np.multiply(x[rows].view(np.float64), c, out=scaled[:n].view(np.float64))
+            base = o if src is None else src[rows]
+            if seed:
+                np.multiply(base, np.divide(1.0, self.aq[rows], out=self._inv[:n]), out=o)
+            elif src is not None:
+                np.copyto(o, base)
+            for j, y in enumerate(dots):
+                sums[j] += sp._redot(y[rows], o)
+            if aq_dots:
+                ao = np.multiply(o, self.aq[rows], out=prod[:n])
+                for j, y in enumerate(aq_dots, len(dots)):
+                    sums[j] += sp._redot(y[rows], ao)
+        eo, eao = _edge(out), _edge(self.aq) * _edge(out)
+        return ([self._total(sums[j], _edge(y), eo) for j, y in enumerate(dots)]
+                + [self._total(sums[j], _edge(y), eao) for j, y in enumerate(aq_dots, len(dots))])
+
+    def step(self, hat: np.ndarray, dhat: np.ndarray, alpha: float, t: float) -> np.ndarray:
+        """Spectrum t (hat - alpha dhat) of an accepted step, written over dhat."""
+        for rows in self.rows:
+            blk = dhat[rows].view(np.float64)
+            blk *= -alpha
+            blk += hat[rows].view(np.float64)
+            blk *= t
+        return dhat
+
+    def direction(self, ghat: np.ndarray, hat: np.ndarray, pairs: list,
+                  out: np.ndarray | None = None) -> tuple:
+        """Quasi-Newton direction dhat = H ghat by the two-loop recursion
+        (Nocedal, Math. Comp. 35, 1980) over the pairs (s, y, 1/<s, y>),
+        oldest first, seeded with the metric 1/aq, written into `out`.
+        Each update shares its pass with the product the next one needs,
+        and the seed with the first product of the second loop, so m pairs
+        take 2m + 1 passes.  Returns dhat, <d, grad>, ||d||^2, <Au, d>, <Ad, d>."""
+        if out is None:
+            out = np.empty_like(ghat)
+        last = dict(dots=(ghat, out), aq_dots=(hat, out))
+        if not pairs:
+            return (out, *self._pass(out, src=ghat, seed=True, **last))
+        k = len(pairs)
+        coef = [0.0] * k
+        (prod,) = self._pass(out, src=ghat, dots=(pairs[-1][0],))
+        for i in reversed(range(k)):
+            coef[i] = pairs[i][2] * prod
+            nxt = pairs[i - 1][0] if i else pairs[0][1]
+            (prod,) = self._pass(out, add=(-coef[i], pairs[i][1]), seed=i == 0, dots=(nxt,))
+        for i in range(k - 1):
+            (prod,) = self._pass(out, add=(coef[i] - pairs[i][2] * prod, pairs[i][0]),
+                                 dots=(pairs[i + 1][1],))
+        return (out, *self._pass(out, add=(coef[-1] - pairs[-1][2] * prod, pairs[-1][0]),
+                                 **last))
 
 
 def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float,
@@ -211,29 +351,26 @@ def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float,
 
     `u` (float64: half spectra, complex128: full spectra) is overwritten
     and returned as the final iterate, with the SolitarySolution fields
-    the descent fixes and ||u||.  Per iteration: u and |u|^{p-1} u forward,
-    the two-loop recursion on up to `memory` spectral pairs seeded with
-    1/aq, the direction d back; Armijo trials along u - alpha d, each
-    rescaled onto the Nehari manifold, need no transform.  `floor_rule`
-    accepts a full step that fails the Armijo test near the action floor
-    if it cuts the gradient norm by 0.1%.
+    the descent fixes and ||u||.  The spectrum of the iterate is carried
+    along: an accepted step u <- t (u - alpha d) sets it to
+    t (hat - alpha dhat) in the direction's buffer.  So an iteration costs
+    two transforms, |u|^{p-1} u forward and the direction d back, and the
+    start one more; the physical u feeds the nonlinear sums.  The
+    two-loop recursion on up to `memory` spectral pairs, seeded with 1/aq,
+    runs in fused cache-sized passes (`_Spectra`).  Armijo trials along
+    u - alpha d, each rescaled onto the Nehari manifold, need no
+    transform.  `floor_rule` accepts a full step that fails the Armijo
+    test near the action floor if it cuts the gradient norm by 0.1%.
     """
     spec = _Spectra(grid.shape, grid.cell_area, aq, real=not np.iscomplexobj(u))
 
     def action_of(a_form, b_pot):
         return 0.5 * a_form - b_pot / (p + 1.0)
 
-    def measure(state):
-        # the Nehari functional N(u) = <grad S(u), u> = a(u) - int |u|^{p+1}
-        hat, ghat, b_pot = state or spec.gradient(u, p)
-        return (hat, ghat, spec.dot(ghat, hat), b_pot,
-                math.sqrt(spec.dot(ghat, ghat)), math.sqrt(spec.dot(hat, hat)))
-
     hat = spec.fwd(u)
-    b_pot = float(np.sum(fl._density(u) ** ((p + 1.0) / 2.0))) * spec.w
-    t, a_form, b_pot = _nehari_scale(spec.dot(hat, aq * hat), b_pot, p)
-    del hat
+    t, a_form, b_pot = _nehari_scale(spec.dot(hat, aq * hat), _lp1_sum(u, p) * spec.w, p)
     u *= t
+    hat *= t
     action_history = [action_of(a_form, b_pot)]
     history: list[IterationRecord] = []
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
@@ -241,49 +378,33 @@ def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float,
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        hat, ghat, n_u, b_u, grad_norm, u_norm = measure(carried)
+        # the Nehari functional N(u) = <grad S(u), u> = a(u) - int |u|^{p+1}
+        ghat, b_u, n_u, g_sq, u_sq = carried or spec.gradient(u, hat, p)
         carried = None
+        grad_norm, u_norm = math.sqrt(g_sq), math.sqrt(u_sq)
         a_u = n_u + b_u
         s_val = action_of(*_nehari_scale(a_u, b_u, p)[1:])
         if grad_norm <= tol * u_norm:
             history.append(IterationRecord(s_val, grad_norm / u_norm, 0.0, 0, False))
             break
         if hat_prev is not None:
-            s_vec = hat - hat_prev
-            y_vec = ghat - ghat_prev
-            sy = spec.dot(s_vec, y_vec)
-            if sy > 1e-12 * math.sqrt(spec.dot(s_vec, s_vec) * spec.dot(y_vec, y_vec)):
+            s_vec, y_vec, sy, ss, yy = spec.pair(hat, hat_prev, ghat, ghat_prev)
+            if sy > 1e-12 * math.sqrt(ss * yy):
                 pairs.append((s_vec, y_vec, 1.0 / sy))
                 if len(pairs) > memory:
                     pairs.pop(0)
+            del s_vec, y_vec
         if memory:
             hat_prev, ghat_prev = hat, ghat
 
         # Two-loop recursion; the inverse quadratic symbol seeds the metric.
-        q_vec = ghat.copy() if pairs else ghat
-        corr = []
-        for s_vec, y_vec, rho in reversed(pairs):
-            a_i = rho * spec.dot(s_vec, q_vec)
-            corr.append(a_i)
-            q_vec -= a_i * y_vec
-        dhat = q_vec / aq
-        del q_vec
-        for (s_vec, y_vec, rho), a_i in zip(pairs, reversed(corr)):
-            b_i = rho * spec.dot(y_vec, dhat)
-            dhat += (a_i - b_i) * s_vec
-
-        slope = spec.dot(dhat, ghat)
-        restart = bool(pairs) and slope <= 1e-14 * grad_norm * math.sqrt(spec.dot(dhat, dhat))
+        dhat, slope, d_sq, au_d, a_d = spec.direction(ghat, hat, pairs)
+        restart = bool(pairs) and slope <= 1e-14 * grad_norm * math.sqrt(d_sq)
         if restart:
             pairs.clear()  # curvature memory turned uphill
-            dhat = ghat / aq
-            slope = spec.dot(dhat, ghat)
+            dhat, slope, d_sq, au_d, a_d = spec.direction(ghat, hat, pairs, out=dhat)
         del ghat
-        adhat = aq * dhat
-        au_d, a_d = spec.dot(hat, adhat), spec.dot(dhat, adhat)
-        del hat, adhat
         d = spec.inv(dhat)
-        del dhat
         floor = floor_rule and ARMIJO_C * slope <= 1e3 * np.finfo(float).eps * abs(s_val)
         alpha = 1.0
         backtracks = 0
@@ -299,24 +420,20 @@ def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float,
                                       - 2.0 * math.log1p(d_b / b_u)) / (p - 1.0))
             if d_s <= -ARMIJO_C * alpha * slope:
                 accepted = True
-                u -= alpha * d
-                u *= t
             elif floor and alpha == 1.0:
-                trial = t * (u - d)
-                carried = spec.gradient(trial, p)
-                accepted = (math.sqrt(spec.dot(carried[1], carried[1]))
-                            <= grad_norm * (1.0 - 1e-3))
-                if accepted:
-                    np.copyto(u, trial)
-                else:
+                carried = spec.gradient(u, hat, p, d, dhat, t)
+                accepted = math.sqrt(carried[3]) <= grad_norm * (1.0 - 1e-3)
+                if not accepted:
                     carried = None
-                del trial
             if accepted:
+                # a floor trial's carried gradient saw exactly these values
+                _advance(u, d, alpha, t)
+                hat = spec.step(hat, dhat, alpha, t)
                 action_history.append(s_val + d_s)
                 break
             backtracks += 1
             alpha *= 0.5
-        del d
+        del d, dhat
         retry = not accepted and bool(pairs)
         if retry:
             pairs.clear()  # retry from the same iterate without memory
@@ -327,7 +444,8 @@ def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float,
             break  # plain descent line search exhausted
     else:
         # budget spent: measure the last accepted iterate
-        hat, ghat, n_u, b_u, grad_norm, u_norm = measure(carried)
+        _, b_u, n_u, g_sq, u_sq = carried or spec.gradient(u, hat, p)
+        grad_norm, u_norm = math.sqrt(g_sq), math.sqrt(u_sq)
     return u, dict(action_value=action_of(*_nehari_scale(n_u + b_u, b_u, p)[1:]),
                    nehari_residual=abs(n_u), gradient_residual=grad_norm,
                    iterations=iterations, action_history=action_history,
@@ -358,7 +476,9 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
     final value is a certified upper bound for the minimum.  The memory
     restarts whenever the quasi-Newton direction stops pointing
     downhill.  Terminates when ||grad S(u)||_{L2} <= tol * ||u||_{L2}.
-    An iteration costs three transforms, its line-search trials none.
+    An iteration costs two transforms, its line-search trials none: the
+    spectrum of the iterate is carried along, not recomputed, and the
+    two-loop recursion runs in fused cache-sized passes.
     For v = 0 and a real initial guess it runs in real arithmetic on
     half spectra; otherwise on full spectra, with the v = 0 result
     rotated onto the real axis.  `history`: one IterationRecord per iteration.
@@ -378,7 +498,8 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
     if params.v == 0.0:
         if not real:
             # Phase freedom: rotate to the real axis and reproject.
-            phase = np.vdot(np.abs(u), u)
+            mod = np.abs(u)
+            phase = complex(sp._redot(mod, u.real), sp._redot(mod, u.imag))
             if abs(phase) > 0.0:
                 u = (u * (np.conj(phase) / abs(phase))).real
             q = nehari_project(Field(grid, u, sp.PHYSICAL), params)
@@ -401,7 +522,7 @@ def extend_ground_state(sol: SolitarySolution, grid: Grid,
     memory with the complex solver.  This routine zero-pads a converged
     v = 0 solution in y and polishes it with the descent core of
     solve_nehari on half spectra, without quasi-Newton memory (no
-    previous iterate or gradient is held), at three transforms per
+    previous iterate or gradient is held), at two transforms per
     iteration.  Near the action floor, where the Armijo test drowns in
     rounding noise, a full step is accepted if it still cuts the gradient.
 
@@ -461,7 +582,7 @@ def solve_mass_constrained(grid: Grid, mu: float, p: float,
     lin = (grid.xi[:, None] ** 2) + np.abs(grid.eta)[None, :]
 
     def renorm(vals):
-        m = 0.5 * float(np.vdot(vals, vals).real) * w
+        m = 0.5 * sp._redot(vals, vals) * w
         if m <= 0.0 or not np.isfinite(m):
             raise CollapseError("mass vanished during the flow")
         return vals * math.sqrt(mu / m)
@@ -486,9 +607,9 @@ def solve_mass_constrained(grid: Grid, mu: float, p: float,
         hat_u = sp._fft2(u)
         # lambda(u) = -<u, H'(u)> / ||u||^2, the multiplier that makes the
         # step tangent to the mass sphere (equals omega at convergence)
-        norm_sq = float(np.vdot(u, u).real)
+        norm_sq = sp._redot(u, u)
         quad = float(np.sum(lin * (hat_u.real ** 2 + hat_u.imag ** 2)))
-        lam = (float(np.vdot(u, nl).real) - quad) / norm_sq
+        lam = (sp._redot(u, nl) - quad) / norm_sq
         hat = hat_u + dt * (sp._fft2(nl) - lam * hat_u)
         trial = renorm(sp._ifft2(hat / (1.0 + dt * lin)))
         h_trial = energy_of(trial)
@@ -500,7 +621,8 @@ def solve_mass_constrained(grid: Grid, mu: float, p: float,
             if dt < 1e-9:
                 break
             continue
-        step_norm = math.sqrt(float(np.vdot(trial - u, trial - u).real) * w)
+        step = trial - u
+        step_norm = math.sqrt(sp._redot(step, step) * w)
         u, h_val = trial, h_trial
         history.append(h_val)
         streak += 1
@@ -511,16 +633,16 @@ def solve_mass_constrained(grid: Grid, mu: float, p: float,
             streak = 0
         if iterations % 5 == 0 or step_norm <= 1e-14:
             g = gradient(u)
-            radial = float(np.vdot(u, g).real) / float(np.vdot(u, u).real)
+            radial = sp._redot(u, g) / sp._redot(u, u)
             resid = g - radial * u
-            rnorm = math.sqrt(float(np.vdot(resid, resid).real) * w)
+            rnorm = math.sqrt(sp._redot(resid, resid) * w)
             if rnorm <= tol * math.sqrt(2.0 * mu):
                 converged = True
                 break
 
     minimizer = Field(grid, u, sp.PHYSICAL)
     g = gradient(u)
-    omega_mult = float(np.vdot(u, g).real) * w / (-2.0 * mu)
+    omega_mult = sp._redot(u, g) * w / (-2.0 * mu)
     result = MassMinimizer(mu=mu, minimizer=minimizer, energy=h_val,
                            omega_multiplier=omega_mult, iterations=iterations,
                            energy_history=history)
@@ -581,7 +703,7 @@ def _czt_eval_axis(coef: np.ndarray, axis: int, n: int, length: float,
     del coef  # freed here when the caller holds no reference
     nyq = np.take(shifted, [0], axis=axis)
     out = np.empty_like(shifted)
-    for blk in _slices(shifted.shape[1 - axis], n):
+    for blk in _slices(shifted.shape[1 - axis], n, _BLOCK_ELEMS):
         idx = (slice(None), blk) if axis == 0 else (blk, slice(None))
         part = phase * signal.czt(shifted[idx] * pre, m=n, w=np.exp(1j * delta),
                                   a=1.0 + 0.0j, axis=axis)
@@ -741,13 +863,13 @@ def r1_diagnostics(q1: Field, p: float, tail_tol: float = 1e-8) -> R1Diagnostics
     lin_applied = sp._ifft2(lin_symbol * sp._fft2(r1))
     defect = lin_applied - p * fl._density(phys.values) ** ((p - 1.0) / 2.0) * r1 + phys.values
     q_norm = sp.l2_norm(phys)
-    lin_res = math.sqrt(float(np.vdot(defect, defect).real) * g.cell_area) / q_norm
+    lin_res = math.sqrt(sp._redot(defect, defect) * g.cell_area) / q_norm
 
     phi1 = 1.0 / lin_symbol
     roundtrip = sp._ifft2(phi1 * sp._fft2(lin_applied))
-    r1_norm = math.sqrt(float(np.vdot(r1, r1).real) * g.cell_area)
-    rt_err = math.sqrt(float(np.vdot(roundtrip - r1, roundtrip - r1).real)
-                       * g.cell_area) / r1_norm
+    r1_norm = math.sqrt(sp._redot(r1, r1) * g.cell_area)
+    roundtrip -= r1
+    rt_err = math.sqrt(sp._redot(roundtrip, roundtrip) * g.cell_area) / r1_norm
 
     xi2 = g.xi[:, None] ** 2
     abs_eta = np.abs(g.eta)[None, :]

@@ -12,8 +12,8 @@ representations.
 
 Every 2-D transform in the package goes through the private helpers
 `_fft2`, `_ifft2`, `_rfft2` and `_irfft2`, which call `scipy.fft`
-(pocketfft).  Real fields use half spectra (`rfft2` along y) with the
-Parseval column weights of `_half_weights`.  A transform runs on
+(pocketfft).  Real fields use half spectra (`rfft2` along y), on which
+Parseval weighs the columns (1, 2, ..., 2, 1).  A transform runs on
 `len(os.sched_getaffinity(0))` threads (the usable cores) when its
 real-space array has at least 2**22 points and on one thread
 otherwise, where thread start-up eats the gain.  On a 2-core Xeon, an
@@ -21,6 +21,11 @@ r2c pair with 1 -> 2 threads takes 0.20 -> 0.21 ms at 128x128,
 31 -> 30 ms at 128x8192 and 132 -> 89 ms at 128x32768.  pocketfft
 hands whole 1-D lines to the threads, so the output is bit-identical
 for any thread count.
+
+Every full-array inner product in the package is `_redot`, an einsum on
+float views.  BLAS is kept out of it: OpenBLAS workers left spinning
+after a `np.vdot` slowed the next 2-thread transform about 1.6x, and an
+einsum sum does not depend on any thread count.
 """
 
 from __future__ import annotations
@@ -66,12 +71,12 @@ def _irfft2(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return scipy.fft.irfft2(a, s=shape, norm="ortho", workers=_workers(shape[0] * shape[1]))
 
 
-def _half_weights(ny: int) -> np.ndarray:
-    """Parseval multiplicities (1, 2, ..., 2, 1) of the rfft columns for even ny."""
-    mult = np.full(ny // 2 + 1, 2.0)
-    mult[0] = 1.0
-    mult[-1] = 1.0
-    return mult
+def _redot(a: np.ndarray, b: np.ndarray) -> float:
+    """re sum conj(a) b over two 2-D arrays of one shape and dtype (complex
+    ones with a contiguous last axis), by einsum on float views."""
+    if np.iscomplexobj(a):
+        a, b = a.view(np.float64), b.view(np.float64)
+    return float(np.einsum("ij,ij->", a, b))
 
 
 class RepresentationError(ValueError):
@@ -288,12 +293,13 @@ def l2_inner(f: Field, g: Field):
         raise ValueError("fields live on different grids")
     if f.rep != g.rep:
         raise RepresentationError("fields must share a representation")
-    return np.vdot(g.values, f.values) * f.grid.cell_area
+    a, b = g.values, f.values
+    # im sum conj(a) b = re sum conj(i a) b
+    return complex(_redot(a, b), _redot(1j * a, b)) * f.grid.cell_area
 
 
 def l2_norm_sq(f: Field) -> float:
-    v = f.values
-    return float(np.vdot(v, v).real) * f.grid.cell_area
+    return _redot(f.values, f.values) * f.grid.cell_area
 
 
 def l2_norm(f: Field) -> float:

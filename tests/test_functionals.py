@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hwlab import functionals as fl
 from hwlab import spectral as sp
@@ -163,3 +164,21 @@ def test_functional_report_consistency(grid):
         }
         for name, value in separate.items():
             assert getattr(rep, name) == pytest.approx(value, rel=1e-12, abs=0.0), name
+
+
+_specials = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160,
+                             -1e-160, 1.5e154, 1e200, np.inf, -np.inf, np.nan])
+
+
+@given(re_part=st.lists(st.one_of(_specials, st.floats()), min_size=1, max_size=24),
+       im_part=st.lists(st.one_of(_specials, st.floats()), min_size=1, max_size=24))
+def test_density_bit_identical_to_clipped(re_part, im_part):
+    # a sum of two squares is never below +0: the clip that used to guard
+    # fractional powers changed no bit, including -0.0, subnormals, inf, NaN
+    n = min(len(re_part), len(im_part))
+    u = np.empty(n, dtype=np.complex128)
+    u.real, u.imag = re_part[:n], im_part[:n]  # -0.0, inf and NaN parts kept exactly
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = fl._density(u)
+        want = np.clip(u.real ** 2 + u.imag ** 2, 0.0, None)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hwlab import functionals as fl
 from hwlab import spectral as sp
@@ -92,21 +92,23 @@ def test_solver_real_complex_parity(p2_state):
 
 @pytest.mark.parametrize("shape, box, v", [((64, 64), (40.0, 40.0), 0.0),
                                            ((32, 64), (20.0, 40.0), 0.5)])
-def test_solver_three_transforms_per_iteration(transform_count, shape, box, v):
-    # u and |u|^{p-1} u forward, the direction back; line-search trials
-    # and their backtracks cost no transform
+def test_solver_two_transforms_per_iteration(transform_count, shape, box, v):
+    # |u|^{p-1} u forward and the direction back; the spectrum of u is
+    # transformed once at the start and then carried along, and the
+    # converged iterate needs no direction.  Line-search trials and their
+    # backtracks cost no transform.
     g = sp.make_grid(*shape, *box)
     par = ModelParams(p=2.0, v=v)
     s = sol.solve_nehari(g, par, tol=1e-7)
     assert sum(r.backtracks for r in s.history) > 0
     assert len(s.history) == s.iterations
-    assert sum(transform_count.values()) == 3 * s.iterations
+    assert sum(transform_count.values()) == 2 * s.iterations
     assert set(transform_count) == ({"rfft2", "irfft2"} if v == 0.0 else {"fft2", "ifft2"})
     transform_count.clear()
     with pytest.raises(sol.ConvergenceError):
         sol.solve_nehari(g, par, tol=1e-12, max_iter=6)
     # a spent budget adds the gradient of the last iterate
-    assert sum(transform_count.values()) == 3 * 6 + 3
+    assert sum(transform_count.values()) == 1 + 2 * 6 + 1
 
 
 def _random_field(grid, rng, real):
@@ -158,6 +160,92 @@ def test_spectral_inner_product_matches_physical(grid, real, seed):
     assert abs(spec.dot(spec.fwd(f), spec.fwd(g)) - physical) <= 1e-12 * scale
     assert spec.dot(spec.fwd(f), spec.fwd(f)) == pytest.approx(
         float(np.vdot(f, f).real) * grid.cell_area, rel=1e-12)
+
+
+def _plain_two_loop(spec, ghat, pairs):
+    """Textbook two-loop recursion with full-array products (the oracle)."""
+    q = ghat.copy()
+    coef = []
+    for s, y, rho in reversed(pairs):
+        coef.append(rho * spec.dot(s, q))
+        q -= coef[-1] * y
+    d = q / spec.aq
+    for (s, y, rho), a in zip(pairs, reversed(coef)):
+        d += (a - rho * spec.dot(y, d)) * s
+    return d
+
+
+@given(grid=grids, real=st.booleans(), k=st.integers(0, 8), block_rows=st.integers(1, 50),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(grid=sp.make_grid(10, 16, 10.0, 10.0), real=True, k=8, block_rows=3, seed=1)
+@example(grid=sp.make_grid(10, 16, 10.0, 10.0), real=False, k=8, block_rows=1, seed=2)
+@example(grid=sp.make_grid(10, 16, 10.0, 10.0), real=True, k=3, block_rows=10, seed=3)
+def test_fused_two_loop_matches_plain(grid, real, k, block_rows, seed):
+    # blocks of 1 row up to the whole array, with a short last block when
+    # the block does not divide the rows, on half and full spectra
+    rng = np.random.default_rng(seed)
+    aq = sp.action_quadratic(1.3, 0.0 if real else 0.4).values(grid, half=real)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sol, "_FUSE_ELEMS", block_rows * aq.shape[1])
+        spec = sol._Spectra(grid.shape, grid.cell_area, aq, real)
+    assert len(spec.rows) == -(-grid.nx // min(block_rows, grid.nx))
+    hat, ghat = (spec.fwd(_random_field(grid, rng, real)) for _ in range(2))
+    pairs = []
+    for _ in range(k):
+        s = spec.fwd(_random_field(grid, rng, real))
+        y = aq * s + 0.1 * spec.fwd(_random_field(grid, rng, real))
+        pairs.append((s, y, 1.0 / spec.dot(s, y)))
+    want = _plain_two_loop(spec, ghat, pairs)
+    dhat, slope, d_sq, au_d, a_d = spec.direction(ghat, hat, pairs)
+    assert np.linalg.norm(dhat - want) <= 1e-12 * np.linalg.norm(want)
+    assert slope == pytest.approx(spec.dot(want, ghat), rel=1e-12)
+    assert d_sq == pytest.approx(spec.dot(want, want), rel=1e-12)
+    a_form = spec.dot(hat, aq * hat)
+    assert abs(au_d - spec.dot(hat, aq * want)) <= 1e-12 * math.sqrt(a_form * a_d)
+    assert a_d == pytest.approx(spec.dot(want, aq * want), rel=1e-12)
+
+
+@given(grid=grids, real=st.booleans(), p=st.floats(1.1, 4.9), t=st.floats(0.5, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fused_gradient_and_step_match_transforms(grid, real, p, t, seed):
+    # the gradient at u and at the trial t (u - d), whose spectrum is formed
+    # block by block, against fresh transforms; the step's spectrum too
+    rng = np.random.default_rng(seed)
+    par = ModelParams(p=p, v=0.0 if real else 0.3)
+    aq = sp.action_quadratic(par.omega, par.v).values(grid, half=real)
+    spec = sol._Spectra(grid.shape, grid.cell_area, aq, real)
+    u, d = _random_field(grid, rng, real), _random_field(grid, rng, real)
+    hat, dhat = spec.fwd(u), spec.fwd(d)
+    for v, args in ((u, ()), (t * (u - d), (d, dhat, t))):
+        field = sp.physical_field(grid, v)
+        grad = fl.action_gradient(field, par).values
+        ghat, b_pot, n_v, g_sq, v_sq = spec.gradient(u, hat, p, *args)
+        want = spec.fwd(grad.real if real else grad)
+        assert np.linalg.norm(ghat - want) <= 1e-12 * np.linalg.norm(want)
+        assert b_pot == pytest.approx(fl.lp1_power(field, p), rel=1e-12)
+        assert abs(n_v - fl.nehari(field, par)) <= 1e-12 * fl.quadratic_action_form(field, par)
+        assert g_sq == pytest.approx(sp.l2_norm_sq(sp.physical_field(grid, grad)), rel=1e-12)
+        assert v_sq == pytest.approx(sp.l2_norm_sq(field), rel=1e-12)
+    step = spec.step(hat, dhat.copy(), 0.3, t)
+    assert np.linalg.norm(step - spec.fwd(t * (u - 0.3 * d))) <= 1e-12 * np.linalg.norm(step)
+
+
+@pytest.mark.parametrize("case", ["real", "complex", "extend"])
+def test_reported_residuals_match_recomputed(p2_state, case):
+    # the descent reports residuals from the spectrum it carries along;
+    # fresh transforms of the returned q must agree
+    if case == "real":
+        s = p2_state
+    elif case == "complex":
+        s = sol.solve_nehari(sp.make_grid(32, 64, 20.0, 40.0), ModelParams(p=2.0, v=0.5),
+                             tol=1e-7)
+    else:
+        base = sol.solve_nehari(sp.make_grid(64, 128, 20.0, 20.0), ModelParams(p=2.0), tol=1e-7)
+        s = sol.extend_ground_state(base, sp.make_grid(64, 256, 20.0, 40.0), tol=5e-7)
+    assert np.any(s.q.values.imag) == (case == "complex")
+    bound = 1e-12 * sp.l2_norm(s.q)
+    assert abs(s.gradient_residual - sp.l2_norm(fl.action_gradient(s.q, s.params))) <= bound
+    assert abs(s.nehari_residual - abs(fl.nehari(s.q, s.params))) <= bound
 
 
 def test_solver_converges_with_one_blas_thread():
@@ -254,10 +342,10 @@ def test_chirp_z_blocks_bit_identical(monkeypatch, axis):
     n = coef.shape[axis]
     args = (coef, axis, n, 12.0, -6.0, -4.5, 0.8 * 12.0 / n)
     monkeypatch.setattr(sol, "_BLOCK_ELEMS", 4 * n)  # blocks of 4 lines
-    assert len(sol._slices(coef.shape[1 - axis], n)) > 1
+    assert len(sol._slices(coef.shape[1 - axis], n, sol._BLOCK_ELEMS)) > 1
     blocked = sol._czt_eval_axis(*args)
     monkeypatch.setattr(sol, "_BLOCK_ELEMS", coef.size)  # one signal.czt pass
-    assert len(sol._slices(coef.shape[1 - axis], n)) == 1
+    assert len(sol._slices(coef.shape[1 - axis], n, sol._BLOCK_ELEMS)) == 1
     whole = sol._czt_eval_axis(*args)
     assert np.array_equal(blocked, whole)
 
@@ -360,8 +448,8 @@ def test_extend_ground_state_widens_box(p2_state, transform_count):
     g1 = sp.make_grid(64, 512, 20.0, 80.0)
     transform_count.clear()
     ext = sol.extend_ground_state(base, g1, tol=5e-7)
-    # the descent core of solve_nehari: three real transforms per iteration
-    assert sum(transform_count.values()) == 3 * ext.iterations
+    # the descent core of solve_nehari: two real transforms per iteration
+    assert sum(transform_count.values()) == 2 * ext.iterations
     assert set(transform_count) == {"rfft2", "irfft2"}
     assert ext.q.grid == g1
     assert ext.gradient_residual <= 5e-7 * sp.l2_norm(ext.q)

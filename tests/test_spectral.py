@@ -18,6 +18,14 @@ def random_field(grid, seed=0):
     return sp.physical_field(grid, vals)
 
 
+def _half_weights(ny):
+    """Parseval multiplicities (1, 2, ..., 2, 1) of the rfft columns for even ny."""
+    mult = np.full(ny // 2 + 1, 2.0)
+    mult[0] = 1.0
+    mult[-1] = 1.0
+    return mult
+
+
 @pytest.fixture
 def grid():
     return sp.make_grid(32, 32, 10.0, 10.0)
@@ -164,7 +172,7 @@ def test_half_spectrum_symbols(grid):
     for sym in (sp.transport(0.5), sp.halfwave_group(0.1), sp.action_quadratic(1.0, 0.5)):
         with pytest.raises(ValueError):
             sym.values(grid, half=True)
-    w = sp._half_weights(grid.ny)
+    w = _half_weights(grid.ny)
     u = random_field(grid, 3).values.real
     hat = sp._rfft2(u)
     assert np.sum(w * np.abs(hat) ** 2) == pytest.approx(np.sum(u * u), rel=1e-13)
@@ -204,6 +212,42 @@ def test_two_dimensional_transforms_only_in_spectral():
                 offenders.extend(f"{path.name}:{node.lineno} import {alias.name}"
                                  for alias in node.names if transform.match(alias.name))
     assert not offenders, offenders
+
+
+def test_inner_products_only_in_spectral_helper():
+    # BLAS products next to threaded transforms slow them down, and their
+    # sums may depend on the BLAS thread count: spectral._redot (einsum)
+    # is the one full-array inner product of the package
+    blas = {"vdot", "dot", "inner"}
+    package = pathlib.Path(sp.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "spectral.py":
+            helper = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "_redot")
+            allowed = {id(node) for node in ast.walk(helper)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in blas and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("np", "numpy")):
+                offenders.append(f"{path.name}:{node.lineno} np.{node.func.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                offenders.extend(f"{path.name}:{node.lineno} import {alias.name}"
+                                 for alias in node.names if alias.name in blas)
+    assert not offenders, offenders
+
+
+def test_l2_inner_matches_vdot(grid):
+    f, g = random_field(grid, 1), random_field(grid, 2)
+    want = np.vdot(g.values, f.values) * grid.cell_area
+    got = sp.l2_inner(f, g)
+    assert abs(got - want) <= 1e-13 * abs(want)
+    assert sp.l2_norm_sq(f) == pytest.approx(np.vdot(f.values, f.values).real * grid.cell_area,
+                                             rel=1e-13)
 
 
 def test_derivatives_match_analytic():
