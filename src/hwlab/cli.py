@@ -7,7 +7,8 @@ sweep-velocity, verify.  Any schema key can be overridden from the
 command line with a --section.key flag.  Exit codes: 0 success, 1
 numerical failure, 2 usage error.  All randomness is seeded from
 solver.seed, so identical config and seed give byte-identical CSV and
-snapshot outputs.
+snapshot outputs.  Every output file is written to a temporary file and
+moved into place (`snapshots.atomic_open`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import solitary as sol
 from . import spectral as sp
 from .config import COMMANDS, ConfigError, ExperimentConfig, load_config, _ORDER
 from .functionals import ModelParams
-from .snapshots import SnapshotError, load_snapshot, save_snapshot
+from .snapshots import SnapshotError, atomic_open, load_snapshot, save_snapshot
 from .spectral import Field, Grid
 
 EXIT_OK = 0
@@ -45,7 +46,7 @@ def _write_csv(path: str, columns, rows, cfg: ExperimentConfig) -> None:
     lines = [f"# config_sha256 = {cfg.config_hash()}", ",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -53,7 +54,7 @@ def _emit_report(cfg: ExperimentConfig, report: dict) -> None:
     out_dir = cfg["output.out_dir"]
     report = {"config_sha256": cfg.config_hash(), **report}
     text = json.dumps(report, indent=2, default=float)
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     print(text)
 

@@ -74,7 +74,8 @@ class SolitarySolution:
 @dataclass(frozen=True)
 class IterationRecord:
     """One descent iteration: action after it, ||grad S(u)|| / ||u|| before it,
-    accepted step (0 if none), rejected trials, quasi-Newton memory cleared."""
+    accepted step (0 if none), rejected trials, quasi-Newton memory or
+    conjugate direction dropped for P g."""
 
     action: float
     gradient_residual: float
@@ -202,8 +203,10 @@ class _Spectra:
     only, so no sum depends on a thread count.
     """
 
-    def __init__(self, shape: tuple[int, int], w: float, aq: np.ndarray, real: bool):
+    def __init__(self, shape: tuple[int, int], w: float, aq: np.ndarray, real: bool,
+                 conjugate: bool = False):
         self.shape, self.w, self.aq, self.real = shape, w, aq, real
+        self.conjugate = conjugate  # the gradient pass also sums <g, P g>
         self.rows = _slices(*aq.shape, _FUSE_ELEMS)
         block = (self.rows[0].stop, aq.shape[1])
         self._tmp = np.empty(block, np.complex128), np.empty(block, np.complex128)
@@ -211,6 +214,10 @@ class _Spectra:
         # 320x98305 half spectra of criterion 08, the block division 0.2 ms
         # an iteration on 256x1024
         self._inv = np.empty(block)
+
+    def _recip(self, rows: slice) -> np.ndarray:
+        """1/aq on a row block, the metric P."""
+        return np.divide(1.0, self.aq[rows], out=self._inv[:rows.stop - rows.start])
 
     def fwd(self, vals: np.ndarray) -> np.ndarray:
         return sp._rfft2(vals) if self.real else sp._fft2(vals)
@@ -234,7 +241,8 @@ class _Spectra:
         """Spectrum ghat = aq hat(v) - hat(|v|^{p-1} v) of grad S(v), one transform,
         for v = u with spectrum hat, or for the trial v = t (u - d), whose
         spectrum t (hat - dhat) is formed block by block.  Returns ghat and
-        int |v|^{p+1}, <grad S(v), v>, ||grad S(v)||^2, ||v||^2."""
+        int |v|^{p+1}, <grad S(v), v>, ||grad S(v)||^2, ||v||^2 and, for
+        `conjugate` spectra, <grad S(v), P grad S(v)> with P = 1/aq (else None)."""
         e = (p - 1.0) / 2.0
         nl = np.empty_like(u)
         b_pot = 0.0
@@ -246,7 +254,7 @@ class _Spectra:
             np.multiply(v, pw, out=nl[rows])
         ghat = self.fwd(nl)
         del nl
-        gh = hh = gg = 0.0
+        gh = hh = gg = gpg = 0.0
         trial, prod = self._tmp
         for rows in self.rows:
             n = rows.stop - rows.start
@@ -259,10 +267,13 @@ class _Spectra:
             gh += sp._redot(g, h)
             gg += sp._redot(g, g)
             hh += sp._redot(h, h)
+            if self.conjugate:
+                gpg += sp._redot(g, np.multiply(g, self._recip(rows), out=prod[:n]))
         eh = _edge(hat) if dhat is None else (_edge(hat) - _edge(dhat)) * t
         eg = _edge(ghat)
         return (ghat, b_pot * self.w, self._total(gh, eg, eh), self._total(gg, eg, eg),
-                self._total(hh, eh, eh))
+                self._total(hh, eh, eh),
+                self._total(gpg, eg, eg / _edge(self.aq)) if self.conjugate else None)
 
     def pair(self, hat: np.ndarray, hat_prev: np.ndarray, ghat: np.ndarray,
              ghat_prev: np.ndarray) -> tuple:
@@ -280,23 +291,28 @@ class _Spectra:
                 self._total(yy, ey, ey))
 
     def _pass(self, out: np.ndarray, src: np.ndarray | None = None, add: tuple | None = None,
-              seed: bool = False, dots: tuple = (), aq_dots: tuple = ()) -> list[float]:
+              seed: bool = False, keep: float = 0.0, dots: tuple = (),
+              aq_dots: tuple = ()) -> list[float]:
         """One fused pass: out <- src (or out) + c x for add = (c, x), times
-        1/aq if `seed`; then <y, out> for y in `dots` and <y, aq out> for y
-        in `aq_dots`, each block while it is in cache."""
+        1/aq if `seed`; with `keep` != 0 and `src`, out <- keep out + src / aq
+        instead.  Then <y, out> for y in `dots` and <y, aq out> for y in
+        `aq_dots`, each block while it is in cache."""
         sums = [0.0] * (len(dots) + len(aq_dots))
         scaled, prod = self._tmp
         for rows in self.rows:
             n = rows.stop - rows.start
             o = out[rows]
+            # real scalars times complex entries on float views
+            of = o.view(np.float64)
             if add is not None:
-                # c x on float views: a real scalar times complex entries
                 c, x = add
-                of = o.view(np.float64)
                 of += np.multiply(x[rows].view(np.float64), c, out=scaled[:n].view(np.float64))
             base = o if src is None else src[rows]
-            if seed:
-                np.multiply(base, np.divide(1.0, self.aq[rows], out=self._inv[:n]), out=o)
+            if keep:
+                of *= keep
+                o += np.multiply(base, self._recip(rows), out=scaled[:n])
+            elif seed:
+                np.multiply(base, self._recip(rows), out=o)
             elif src is not None:
                 np.copyto(o, base)
             for j, y in enumerate(dots):
@@ -309,28 +325,36 @@ class _Spectra:
         return ([self._total(sums[j], _edge(y), eo) for j, y in enumerate(dots)]
                 + [self._total(sums[j], _edge(y), eao) for j, y in enumerate(aq_dots, len(dots))])
 
-    def step(self, hat: np.ndarray, dhat: np.ndarray, alpha: float, t: float) -> np.ndarray:
-        """Spectrum t (hat - alpha dhat) of an accepted step, written over dhat."""
+    def step(self, hat: np.ndarray, dhat: np.ndarray, alpha: float, t: float,
+             out: np.ndarray) -> np.ndarray:
+        """Spectrum t (hat - alpha dhat) of an accepted step, written over
+        `out`, which is hat or dhat."""
+        scaled = self._tmp[0]
         for rows in self.rows:
-            blk = dhat[rows].view(np.float64)
-            blk *= -alpha
-            blk += hat[rows].view(np.float64)
+            n = rows.stop - rows.start
+            blk = out[rows].view(np.float64)
+            np.subtract(hat[rows].view(np.float64),
+                        np.multiply(dhat[rows].view(np.float64), alpha,
+                                    out=scaled[:n].view(np.float64)), out=blk)
             blk *= t
-        return dhat
+        return out
 
     def direction(self, ghat: np.ndarray, hat: np.ndarray, pairs: list,
-                  out: np.ndarray | None = None) -> tuple:
-        """Quasi-Newton direction dhat = H ghat by the two-loop recursion
-        (Nocedal, Math. Comp. 35, 1980) over the pairs (s, y, 1/<s, y>),
-        oldest first, seeded with the metric 1/aq, written into `out`.
-        Each update shares its pass with the product the next one needs,
-        and the seed with the first product of the second loop, so m pairs
-        take 2m + 1 passes.  Returns dhat, <d, grad>, ||d||^2, <Au, d>, <Ad, d>."""
+                  out: np.ndarray | None = None, beta: float = 0.0) -> tuple:
+        """Descent direction dhat, written into `out`.  With quasi-Newton
+        pairs (s, y, 1/<s, y>), oldest first, dhat = H ghat by the two-loop
+        recursion (Nocedal, Math. Comp. 35, 1980) seeded with the metric
+        P = 1/aq: each update shares its pass with the product the next one
+        needs, and the seed with the first product of the second loop, so
+        m pairs take 2m + 1 passes.  Without pairs, the conjugate direction
+        dhat = P ghat + beta out in one pass over the previous direction in
+        `out` (beta = 0: P ghat).  Returns dhat, <d, grad>, ||d||^2,
+        <Au, d>, <Ad, d>."""
         if out is None:
             out = np.empty_like(ghat)
         last = dict(dots=(ghat, out), aq_dots=(hat, out))
         if not pairs:
-            return (out, *self._pass(out, src=ghat, seed=True, **last))
+            return (out, *self._pass(out, src=ghat, seed=True, keep=beta, **last))
         k = len(pairs)
         coef = [0.0] * k
         (prod,) = self._pass(out, src=ghat, dots=(pairs[-1][0],))
@@ -347,22 +371,45 @@ class _Spectra:
 
 def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float,
              max_iter: int, memory: int, floor_rule: bool) -> tuple[np.ndarray, dict, float]:
-    """Projected, preconditioned L-BFGS descent of the action on the Nehari manifold.
+    """Projected, preconditioned descent of the action on the Nehari manifold:
+    L-BFGS with up to `memory` pairs, Fletcher-Reeves CG for `memory` = 0.
 
     `u` (float64: half spectra, complex128: full spectra) is overwritten
     and returned as the final iterate, with the SolitarySolution fields
     the descent fixes and ||u||.  The spectrum of the iterate is carried
     along: an accepted step u <- t (u - alpha d) sets it to
-    t (hat - alpha dhat) in the direction's buffer.  So an iteration costs
-    two transforms, |u|^{p-1} u forward and the direction d back, and the
-    start one more; the physical u feeds the nonlinear sums.  The
-    two-loop recursion on up to `memory` spectral pairs, seeded with 1/aq,
-    runs in fused cache-sized passes (`_Spectra`).  Armijo trials along
-    u - alpha d, each rescaled onto the Nehari manifold, need no
-    transform.  `floor_rule` accepts a full step that fails the Armijo
-    test near the action floor if it cuts the gradient norm by 0.1%.
+    t (hat - alpha dhat), in the direction's buffer for L-BFGS, which
+    keeps the old hat for its next pair, and over hat for CG, which keeps
+    dhat as its previous direction.  So an iteration costs two
+    transforms, |u|^{p-1} u forward and the direction d back, and the
+    start one more; the physical u feeds the nonlinear sums.
+
+    Both rules use the metric P = 1/aq and run in fused cache-sized
+    passes (`_Spectra`).  L-BFGS is the two-loop recursion on spectral
+    pairs, seeded with P.  CG (the preconditioned Riemannian CG of
+    Antoine, Levitt and Tang, J. Comput. Phys. 343, 2017) takes
+    d = P g + beta d_prev, beta = <g, P g> / <g_prev, P g_prev>, built
+    over d_prev in one pass that also yields the line-search products;
+    <g, P g> comes from the gradient's pass.  It holds the previous
+    direction and one scalar, no previous iterate or gradient.
+    Polak-Ribiere+ is no better here than steepest descent: consecutive
+    gradients are nearly parallel, so its beta was 0 at every step.
+    Either rule restarts from P g when its direction is not clearly
+    downhill, and a failed line search retries once from P g at the same
+    iterate.  CG stops only after a step along P g: an iterate that meets
+    the tolerance after a conjugate step takes one more.  Where |u|^{p-1}
+    is negligible, far out in the tail, P is the inverse Hessian and that
+    step clears the residual which the beta d_prev terms leave there;
+    the y-weighted R1 diagnostics amplify it (criterion 08: linearized
+    residual 1.29e-4 without the step, 6.12e-5 with it).
+
+    Armijo trials along u - alpha d, each rescaled onto the Nehari
+    manifold, need no transform.  `floor_rule` accepts a full step that
+    fails the Armijo test near the action floor if it cuts the gradient
+    norm by 0.1%.
     """
-    spec = _Spectra(grid.shape, grid.cell_area, aq, real=not np.iscomplexobj(u))
+    spec = _Spectra(grid.shape, grid.cell_area, aq, real=not np.iscomplexobj(u),
+                    conjugate=not memory)
 
     def action_of(a_form, b_pot):
         return 0.5 * a_form - b_pot / (p + 1.0)
@@ -374,19 +421,23 @@ def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float,
     action_history = [action_of(a_form, b_pot)]
     history: list[IterationRecord] = []
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
-    hat_prev = ghat_prev = carried = None
+    hat_prev = ghat_prev = carried = dhat = None
+    gpg_prev = 0.0  # <g, P g> at the last iterate; 0 restarts the CG direction
+    conj = False  # the last direction was a conjugate one
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
         # the Nehari functional N(u) = <grad S(u), u> = a(u) - int |u|^{p+1}
-        ghat, b_u, n_u, g_sq, u_sq = carried or spec.gradient(u, hat, p)
+        ghat, b_u, n_u, g_sq, u_sq, gpg = carried or spec.gradient(u, hat, p)
         carried = None
         grad_norm, u_norm = math.sqrt(g_sq), math.sqrt(u_sq)
         a_u = n_u + b_u
         s_val = action_of(*_nehari_scale(a_u, b_u, p)[1:])
         if grad_norm <= tol * u_norm:
-            history.append(IterationRecord(s_val, grad_norm / u_norm, 0.0, 0, False))
-            break
+            if not conj:
+                history.append(IterationRecord(s_val, grad_norm / u_norm, 0.0, 0, False))
+                break
+            gpg_prev = 0.0  # CG ends with a step along P g
         if hat_prev is not None:
             s_vec, y_vec, sy, ss, yy = spec.pair(hat, hat_prev, ghat, ghat_prev)
             if sy > 1e-12 * math.sqrt(ss * yy):
@@ -397,12 +448,18 @@ def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float,
         if memory:
             hat_prev, ghat_prev = hat, ghat
 
-        # Two-loop recursion; the inverse quadratic symbol seeds the metric.
-        dhat, slope, d_sq, au_d, a_d = spec.direction(ghat, hat, pairs)
-        restart = bool(pairs) and slope <= 1e-14 * grad_norm * math.sqrt(d_sq)
+        # Two-loop recursion, or Fletcher-Reeves CG without memory; the
+        # inverse quadratic symbol is the metric of both.
+        beta = gpg / gpg_prev if gpg_prev else 0.0
+        dhat, slope, d_sq, au_d, a_d = spec.direction(ghat, hat, pairs, dhat, beta)
+        restart = bool(pairs or beta) and slope <= 1e-14 * grad_norm * math.sqrt(d_sq)
         if restart:
-            pairs.clear()  # curvature memory turned uphill
-            dhat, slope, d_sq, au_d, a_d = spec.direction(ghat, hat, pairs, out=dhat)
+            pairs.clear()  # curvature memory or conjugate direction turned uphill
+            beta = 0.0
+            dhat, slope, d_sq, au_d, a_d = spec.direction(ghat, hat, pairs, dhat)
+        if not memory:
+            gpg_prev = gpg
+        conj = beta > 0.0
         del ghat
         d = spec.inv(dhat)
         floor = floor_rule and ARMIJO_C * slope <= 1e3 * np.finfo(float).eps * abs(s_val)
@@ -428,23 +485,27 @@ def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float,
             if accepted:
                 # a floor trial's carried gradient saw exactly these values
                 _advance(u, d, alpha, t)
-                hat = spec.step(hat, dhat, alpha, t)
+                # L-BFGS keeps hat as hat_prev; CG keeps dhat as the previous direction
+                hat = spec.step(hat, dhat, alpha, t, out=dhat if memory else hat)
                 action_history.append(s_val + d_s)
                 break
             backtracks += 1
             alpha *= 0.5
-        del d, dhat
-        retry = not accepted and bool(pairs)
+        del d
+        if memory:
+            dhat = None  # the new hat, or spent
+        retry = not accepted and bool(pairs or beta)
         if retry:
-            pairs.clear()  # retry from the same iterate without memory
+            pairs.clear()  # retry from the same iterate along P g
             hat_prev = ghat_prev = None
+            gpg_prev = 0.0
         history.append(IterationRecord(s_val + d_s if accepted else s_val, grad_norm / u_norm,
                                        alpha if accepted else 0.0, backtracks, restart or retry))
         if not (accepted or retry):
             break  # plain descent line search exhausted
     else:
         # budget spent: measure the last accepted iterate
-        _, b_u, n_u, g_sq, u_sq = carried or spec.gradient(u, hat, p)
+        _, b_u, n_u, g_sq, u_sq, _ = carried or spec.gradient(u, hat, p)
         grad_norm, u_norm = math.sqrt(g_sq), math.sqrt(u_sq)
     return u, dict(action_value=action_of(*_nehari_scale(n_u + b_u, b_u, p)[1:]),
                    nehari_residual=abs(n_u), gradient_residual=grad_norm,
@@ -475,7 +536,8 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
     step, so accepted action values decrease monotonically and the
     final value is a certified upper bound for the minimum.  The memory
     restarts whenever the quasi-Newton direction stops pointing
-    downhill.  Terminates when ||grad S(u)||_{L2} <= tol * ||u||_{L2}.
+    downhill; `memory` = 0 selects preconditioned Fletcher-Reeves CG
+    instead (see `_descent`).  Terminates when ||grad S(u)||_{L2} <= tol * ||u||_{L2}.
     An iteration costs two transforms, its line-search trials none: the
     spectrum of the iterate is carried along, not recomputed, and the
     two-loop recursion runs in fused cache-sized passes.
@@ -521,10 +583,14 @@ def extend_ground_state(sol: SolitarySolution, grid: Grid,
     only decays algebraically in y; the boxes they need do not fit in
     memory with the complex solver.  This routine zero-pads a converged
     v = 0 solution in y and polishes it with the descent core of
-    solve_nehari on half spectra, without quasi-Newton memory (no
-    previous iterate or gradient is held), at two transforms per
-    iteration.  Near the action floor, where the Armijo test drowns in
-    rounding noise, a full step is accepted if it still cuts the gradient.
+    solve_nehari on half spectra, by preconditioned Fletcher-Reeves CG
+    instead of L-BFGS: it holds one previous direction spectrum and one
+    scalar, no quasi-Newton pairs, and takes about half the iterations
+    of preconditioned steepest descent (14 instead of 27 from 128x8192
+    to 128x32768 at p = 3, the last along P g), at two transforms per
+    iteration.  Near the
+    action floor, where the Armijo test drowns in rounding noise, a full
+    step is accepted if it still cuts the gradient.
 
     The target grid must match nx and lx, keep the same dy, and differ
     from the source by an even number of y rows.

@@ -103,8 +103,8 @@ class Grid:
             raise ValueError(f"nx must be an even integer >= {_MIN_MODES}, got {nx}")
         if ny < _MIN_MODES or ny % 2:
             raise ValueError(f"ny must be an even integer >= {_MIN_MODES}, got {ny}")
-        if not (lx > 0 and ly > 0):
-            raise ValueError(f"box lengths must be positive, got lx={lx}, ly={ly}")
+        if not (0 < lx < math.inf and 0 < ly < math.inf):
+            raise ValueError(f"box lengths must be positive and finite, got lx={lx}, ly={ly}")
         self.nx, self.ny = int(nx), int(ny)
         self.lx, self.ly = float(lx), float(ly)
         self.dx = self.lx / self.nx

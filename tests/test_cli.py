@@ -1,17 +1,21 @@
 """Tests for the config format, snapshot files, and the hwlab CLI."""
 
 import json
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import hwlab.spectral as sp
 from hwlab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
-from hwlab.config import (COMMANDS, ConfigError, ExperimentConfig,
+from hwlab.config import (_SCHEMA, COMMANDS, ConfigError, ExperimentConfig,
                           load_config, parse_config)
 from hwlab.functionals import ModelParams
-from hwlab.snapshots import SnapshotError, load_snapshot, save_snapshot
+from hwlab.snapshots import (_HEADER, MAGIC, VERSION, SnapshotError, atomic_open,
+                             load_snapshot, save_snapshot)
 
 TINY = ["--grid.nx", "32", "--grid.ny", "32",
         "--grid.lx", "20", "--grid.ly", "20",
@@ -66,6 +70,60 @@ def test_config_hash_order_independent():
 def test_config_rejects_malformed(text):
     with pytest.raises(ConfigError):
         parse_config(text)
+
+
+_floats = st.floats(width=64)
+_RAW_VALUES = {
+    "int": st.integers(-10 ** 9, 10 ** 9).map(lambda n: f" {n:+d} "),
+    "float": _floats.map(repr) | _floats.map(lambda x: f"{x:.17g}"),
+    "floats": st.lists(_floats, max_size=4).map(lambda xs: ", ".join(map(repr, xs))),
+    # any one-line text: '#' starts a comment, the value is stripped
+    "str": st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12),
+}
+
+
+@st.composite
+def _config_texts(draw):
+    lines = []
+    for key, kind, _ in draw(st.lists(st.sampled_from(_SCHEMA), max_size=10)):
+        raw = draw(st.sampled_from(COMMANDS) if key == "command" else _RAW_VALUES[kind])
+        lines.append(f"{key} = {raw}")
+        lines.extend(draw(st.sampled_from([[], [""], ["  # a comment"]])))
+    return "\n".join(lines)
+
+
+@given(text=_config_texts())
+@example(text="output.out_dir = a#b\nexperiment.v_list = nan, -0.0, inf\ngrid.nx = 64")
+def test_config_parse_canonical_parse_property(text):
+    cfg = parse_config(text)
+    again = parse_config(cfg.canonical_text())
+    assert again.canonical_text() == cfg.canonical_text()
+    assert again.config_hash() == cfg.config_hash()
+
+
+_config_lines = (st.text(max_size=60)
+                 | st.builds("{} = {}".format, st.sampled_from([k for k, _, _ in _SCHEMA]),
+                             st.text(max_size=30)))
+
+
+@given(text=st.lists(_config_lines, max_size=6).map("\n".join), raw=st.binary(max_size=40))
+@example(text="grid.nx = 1e3", raw=b"\xff\xfegrid.nx = 8")
+def test_config_fuzz_raises_only_config_error(text, raw):
+    # malformed text, and bytes that need not be UTF-8 read from a file
+    for parse in (lambda: parse_config(text), lambda: _load_config_bytes(raw)):
+        try:
+            cfg = parse()
+        except ConfigError:
+            continue
+        assert isinstance(cfg, ExperimentConfig)
+
+
+def _load_config_bytes(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.cfg")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        return load_config(path)
 
 
 def test_config_unknown_key_access():
@@ -125,6 +183,93 @@ def test_snapshot_corruption_detected(tmp_path):
 
     with pytest.raises(SnapshotError, match="cannot read"):
         load_snapshot(str(tmp_path / "absent.hwsf"))
+
+
+_SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308]
+
+
+@given(nx=st.integers(4, 12).map(lambda k: 2 * k), ny=st.integers(4, 12).map(lambda k: 2 * k),
+       lx=st.floats(0.5, 200.0), ly=st.floats(0.5, 200.0), p=st.floats(1.01, 4.99),
+       omega=st.floats(0.01, 10.0), v=st.floats(-0.99, 0.99), seed=st.integers(0, 2 ** 32 - 1),
+       special=st.lists(st.sampled_from(_SPECIAL), max_size=6))
+def test_snapshot_save_load_property(nx, ny, lx, ly, p, omega, v, seed, special):
+    # values (NaN, infinities, -0.0 and subnormals included) and params come
+    # back bit for bit, and the file holds the version-1 layout: the packed
+    # header, then the little-endian complex128 samples
+    g = sp.make_grid(nx, ny, lx, ly)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    flat = vals.view(np.float64).reshape(-1)
+    flat[rng.choice(flat.size, len(special), replace=False)] = special
+    params = ModelParams(p=p, omega=omega, v=v)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.hwsf")
+        save_snapshot(path, sp.physical_field(g, vals), params)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        loaded, lp = load_snapshot(path, expect_grid=g)
+        assert os.listdir(tmp) == ["state.hwsf"]
+    assert raw == (_HEADER.pack(MAGIC, VERSION, nx, ny, g.lx, g.ly, p, omega, v)
+                   + vals.astype("<c16").tobytes())
+    assert loaded.grid == g
+    assert np.array_equal(loaded.values.view(np.uint64), vals.view(np.uint64))
+    assert (lp.p, lp.omega, lp.v) == (p, omega, v)
+
+
+_header_fields = st.tuples(
+    st.sampled_from([MAGIC]) | st.binary(min_size=4, max_size=4),
+    st.sampled_from([VERSION]) | st.integers(0, 2 ** 32 - 1),
+    st.sampled_from([8, 16]) | st.integers(0, 2 ** 64 - 1),
+    st.sampled_from([8, 16]) | st.integers(0, 2 ** 64 - 1),
+    *[st.sampled_from([10.0, 2.0, 1.0, 0.0]) | st.floats(width=64)] * 5)
+
+
+@given(fields=_header_fields, payload=st.sampled_from([64 * 16, 128 * 16, 256 * 16])
+       | st.integers(0, 4200), flips=st.lists(st.tuples(st.integers(0, _HEADER.size - 1),
+                                                          st.integers(0, 255)), max_size=4),
+       cut=st.none() | st.integers(0, _HEADER.size + 64))
+@example(fields=(MAGIC, VERSION, 2 ** 63, 0, 10.0, 10.0, 2.0, 1.0, 0.0), payload=0, flips=[],
+         cut=None)
+@example(fields=(MAGIC, VERSION, 8, 8, 10.0, 10.0, 7.0, 1.0, 0.0), payload=64 * 16, flips=[],
+         cut=None)
+@example(fields=(MAGIC, VERSION, 8, 8, np.inf, 10.0, 2.0, 1.0, 0.0), payload=64 * 16,
+         flips=[], cut=None)
+def test_snapshot_corrupt_header_raises_only_snapshot_error(fields, payload, flips, cut):
+    # a header packed from arbitrary values, with bytes flipped and the file
+    # cut short; the size check precedes the grid, so no field is allocated
+    # for a size the file does not hold
+    raw = bytearray(_HEADER.pack(*fields) + bytes(payload))
+    for pos, byte in flips:
+        raw[pos] = byte
+    if cut is not None:
+        raw = raw[:cut]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.hwsf")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            field, params = load_snapshot(path)
+        except SnapshotError:
+            return
+    assert field.values.size * 16 + _HEADER.size == len(raw)
+    assert 1.0 < params.p < 5.0
+
+
+def test_atomic_open_keeps_old_file_on_error(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(str(path), "w") as fh:
+            fh.write("partial")
+            raise RuntimeError("interrupted")
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["report.json"]
+    # the CLI writes its report and snapshot the same way
+    out = tmp_path / "run"
+    out.mkdir()
+    assert main(["ground-state", *TINY, "--out", str(out)]) == EXIT_OK
+    assert sorted(os.listdir(out)) == ["ground_state.hwsf", "report.json"]
+    assert json.loads((out / "report.json").read_text()) == _report(capsys)
 
 
 def test_cli_ground_state_and_evolve(tmp_path, capsys):

@@ -205,6 +205,48 @@ def test_fused_two_loop_matches_plain(grid, real, k, block_rows, seed):
     assert a_d == pytest.approx(spec.dot(want, aq * want), rel=1e-12)
 
 
+def _plain_dot(grid, real, a, b):
+    """re int conj(f) g for the fields f, g with spectra a, b, by plain numpy
+    inverse transforms and a physical-space sum (the oracle)."""
+    if real:
+        f, g = (np.fft.irfft2(x, s=grid.shape, norm="ortho") for x in (a, b))
+    else:
+        f, g = (np.fft.ifft2(x, norm="ortho") for x in (a, b))
+    return float(np.vdot(f, g).real) * grid.cell_area
+
+
+@given(grid=grids, real=st.booleans(), beta=st.floats(0.0, 4.0), block_rows=st.integers(1, 50),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(grid=sp.make_grid(10, 16, 10.0, 10.0), real=True, beta=0.7, block_rows=3, seed=1)
+@example(grid=sp.make_grid(10, 16, 10.0, 10.0), real=False, beta=1.3, block_rows=4, seed=2)
+@example(grid=sp.make_grid(10, 16, 10.0, 10.0), real=True, beta=0.0, block_rows=10, seed=3)
+@example(grid=sp.make_grid(10, 16, 10.0, 10.0), real=False, beta=0.0, block_rows=1, seed=4)
+def test_fused_conjugate_direction_matches_plain(grid, real, beta, block_rows, seed):
+    # d = P g + beta d_prev, P = 1/aq, written over d_prev in one pass with
+    # <d, g>, ||d||^2, <Au, d> and <Ad, d>, against plain numpy; blocks of 1
+    # row up to the whole array, with a short last block when the block does
+    # not divide the rows, on half and full spectra.  beta = 0 must not read
+    # the buffer, which then holds NaN.
+    rng = np.random.default_rng(seed)
+    aq = sp.action_quadratic(1.3, 0.0 if real else 0.4).values(grid, half=real)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sol, "_FUSE_ELEMS", block_rows * aq.shape[1])
+        spec = sol._Spectra(grid.shape, grid.cell_area, aq, real, conjugate=True)
+    assert len(spec.rows) == -(-grid.nx // min(block_rows, grid.nx))
+    hat, ghat, prev = (spec.fwd(_random_field(grid, rng, real)) for _ in range(3))
+    want = ghat / aq + beta * prev
+    out = prev.copy() if beta else np.full_like(prev, np.nan)
+    dhat, slope, d_sq, au_d, a_d = spec.direction(ghat, hat, [], out, beta)
+    assert dhat is out
+    assert np.linalg.norm(dhat - want) <= 1e-12 * np.linalg.norm(want)
+    g_sq, a_u = _plain_dot(grid, real, ghat, ghat), _plain_dot(grid, real, hat, aq * hat)
+    want_sq, want_a = _plain_dot(grid, real, want, want), _plain_dot(grid, real, want, aq * want)
+    assert abs(slope - _plain_dot(grid, real, ghat, want)) <= 1e-12 * math.sqrt(g_sq * want_sq)
+    assert d_sq == pytest.approx(want_sq, rel=1e-12)
+    assert abs(au_d - _plain_dot(grid, real, hat, aq * want)) <= 1e-12 * math.sqrt(a_u * want_a)
+    assert a_d == pytest.approx(want_a, rel=1e-12)
+
+
 @given(grid=grids, real=st.booleans(), p=st.floats(1.1, 4.9), t=st.floats(0.5, 2.0),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_fused_gradient_and_step_match_transforms(grid, real, p, t, seed):
@@ -213,21 +255,27 @@ def test_fused_gradient_and_step_match_transforms(grid, real, p, t, seed):
     rng = np.random.default_rng(seed)
     par = ModelParams(p=p, v=0.0 if real else 0.3)
     aq = sp.action_quadratic(par.omega, par.v).values(grid, half=real)
-    spec = sol._Spectra(grid.shape, grid.cell_area, aq, real)
+    spec = sol._Spectra(grid.shape, grid.cell_area, aq, real, conjugate=True)
     u, d = _random_field(grid, rng, real), _random_field(grid, rng, real)
     hat, dhat = spec.fwd(u), spec.fwd(d)
     for v, args in ((u, ()), (t * (u - d), (d, dhat, t))):
         field = sp.physical_field(grid, v)
         grad = fl.action_gradient(field, par).values
-        ghat, b_pot, n_v, g_sq, v_sq = spec.gradient(u, hat, p, *args)
+        ghat, b_pot, n_v, g_sq, v_sq, gpg = spec.gradient(u, hat, p, *args)
         want = spec.fwd(grad.real if real else grad)
         assert np.linalg.norm(ghat - want) <= 1e-12 * np.linalg.norm(want)
         assert b_pot == pytest.approx(fl.lp1_power(field, p), rel=1e-12)
         assert abs(n_v - fl.nehari(field, par)) <= 1e-12 * fl.quadratic_action_form(field, par)
         assert g_sq == pytest.approx(sp.l2_norm_sq(sp.physical_field(grid, grad)), rel=1e-12)
         assert v_sq == pytest.approx(sp.l2_norm_sq(field), rel=1e-12)
-    step = spec.step(hat, dhat.copy(), 0.3, t)
-    assert np.linalg.norm(step - spec.fwd(t * (u - 0.3 * d))) <= 1e-12 * np.linalg.norm(step)
+        assert gpg == pytest.approx(_plain_dot(grid, real, want, want / aq), rel=1e-12)
+    # the step over hat (conjugate gradients) and over dhat (L-BFGS)
+    want = spec.fwd(t * (u - 0.3 * d))
+    for into_hat in (False, True):
+        h, dh = hat.copy(), dhat.copy()
+        step = spec.step(h, dh, 0.3, t, out=h if into_hat else dh)
+        assert step is (h if into_hat else dh)
+        assert np.linalg.norm(step - want) <= 1e-12 * np.linalg.norm(step)
 
 
 @pytest.mark.parametrize("case", ["real", "complex", "extend"])
@@ -450,6 +498,8 @@ def test_extend_ground_state_widens_box(p2_state, transform_count):
     ext = sol.extend_ground_state(base, g1, tol=5e-7)
     # the descent core of solve_nehari: two real transforms per iteration
     assert sum(transform_count.values()) == 2 * ext.iterations
+    # Fletcher-Reeves CG takes 20 iterations here, steepest descent 42
+    assert ext.iterations <= 20
     assert set(transform_count) == {"rfft2", "irfft2"}
     assert ext.q.grid == g1
     assert ext.gradient_residual <= 5e-7 * sp.l2_norm(ext.q)
@@ -458,6 +508,52 @@ def test_extend_ground_state_widens_box(p2_state, transform_count):
     direct = sol.solve_nehari(g1, ModelParams(p=2.0), tol=1e-7)
     assert ext.action_value == pytest.approx(direct.action_value, rel=1e-6)
     assert sol.orbital_fit(ext.q, direct.q).distance <= 1e-4 * fl.x_norm(direct.q)
+    # CG ends with a step along P g, Newton's step where |Q|^{p-1} is
+    # negligible: outside the source box the residual is 9e-11 ||q||, not
+    # the 1e-8 that the last beta d_prev term leaves there, which the
+    # y-weighted R1 diagnostics would amplify
+    far = np.abs(g1.y) > g0.ly / 2.0
+    resid = fl.action_gradient(ext.q, ext.params).values[:, far]
+    assert math.sqrt(float(np.vdot(resid, resid).real) * g1.cell_area) \
+        <= 1e-9 * sp.l2_norm(ext.q)
+
+
+@pytest.mark.parametrize("fault", ["uphill", "failed_search"])
+def test_conjugate_direction_restart_and_retry(monkeypatch, transform_count, fault):
+    # The first three conjugate directions (beta > 0) are spoiled.  Reversed
+    # ("uphill"), each is replaced by P g within its iteration.  With a slope
+    # of 1e30 reported ("failed_search"), no trial meets the Armijo test, and
+    # the iteration is retried from P g.  Either way the accepted action
+    # decreases monotonically, the budget stays at two transforms per
+    # iteration and the extension converges.
+    base = sol.solve_nehari(sp.make_grid(64, 128, 20.0, 20.0), ModelParams(p=2.0), tol=1e-7)
+    plain = sol._Spectra.direction
+    faults = []
+
+    def reversed_cg(self, ghat, hat, pairs, out=None, beta=0.0):
+        dhat, slope, d_sq, au_d, a_d = plain(self, ghat, hat, pairs, out, beta)
+        if beta and len(faults) < 3:
+            faults.append(beta)
+            if fault == "failed_search":
+                return dhat, 1e30, d_sq, au_d, a_d
+            dhat *= -1.0
+            return dhat, -slope, d_sq, -au_d, a_d
+        return dhat, slope, d_sq, au_d, a_d
+
+    monkeypatch.setattr(sol._Spectra, "direction", reversed_cg)
+    transform_count.clear()
+    ext = sol.extend_ground_state(base, sp.make_grid(64, 512, 20.0, 80.0), tol=5e-7)
+    assert len(faults) == 3
+    flagged = [r for r in ext.history if r.restart]
+    assert len(flagged) == 3
+    if fault == "uphill":
+        assert all(r.step > 0.0 and r.backtracks == 0 for r in flagged)
+    else:
+        assert all(r.step == 0.0 and r.backtracks > 0 for r in flagged)
+        assert len(ext.action_history) == ext.iterations - 3
+    assert np.all(np.diff(ext.action_history) <= 0.0)
+    assert sum(transform_count.values()) == 2 * ext.iterations
+    assert ext.gradient_residual <= 5e-7 * sp.l2_norm(ext.q)
 
 
 def test_extend_ground_state_validation(p2_state):
