@@ -329,8 +329,8 @@ def cmd_sweep_velocity(cfg: ExperimentConfig) -> int:
 
 def _random_smooth(grid: Grid, rng: np.random.Generator) -> Field:
     coef = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    kx = np.abs(np.fft.fftfreq(grid.nx) * grid.nx)[:, None]
-    ky = np.abs(np.fft.fftfreq(grid.ny) * grid.ny)[None, :]
+    kx = sp.mode_numbers(grid.nx)[:, None]
+    ky = sp.mode_numbers(grid.ny)[None, :]
     envelope = np.exp(-(kx ** 2 + ky ** 2) / (grid.nx / 8.0) ** 2)
     return Field(grid, sp._ifft2(coef * envelope), sp.PHYSICAL)
 
@@ -380,9 +380,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
           1e-12)
 
     v_test = 0.7
-    b_mult = np.broadcast_to(np.abs(grid.eta)[None, :]
-                             - v_test * grid.eta_odd[None, :], grid.shape)
-    b_form = sp.quadratic_form(u, b_mult)
+    b_form = sp.quadratic_form(u, np.abs(grid.eta)[None, :] - v_test * grid.eta_odd[None, :])
     dy_form = fl.dy_half_norm_sq(u)
     check("transport_coercivity",
           (1.0 - abs(v_test)) * dy_form - b_form, 1e-12 * sp.l2_norm_sq(u))

@@ -157,7 +157,7 @@ def evolve(u0: Field, p: float, T: float, dt: float, sample_stride: int = 10,
         power = hat.real ** 2 + hat.imag ** 2
         m = 0.5 * float(np.sum(power)) * w
         quad = 0.5 * float(np.sum(lin_sym * power)) * w
-        pot = float(np.sum(fl._density(vals) ** ((p + 1.0) / 2.0))) * w
+        pot = fl._lp1_sum(vals, p) * w
         ham = quad - sign * pot / (p + 1.0)
         mixed = math.sqrt(float(np.sum(hs_weight * power)) * w)
         peak = float(np.max(np.abs(vals)))
@@ -312,7 +312,7 @@ def dispersive_decay_probe(profile: np.ndarray, lx: float, times,
     if t_arr.size < 2 or np.any(t_arr <= 0.0) or np.any(np.diff(t_arr) <= 0.0):
         raise ValueError("need at least two increasing positive times")
     n = g.size
-    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=lx / n)
+    xi = sp.wavenumbers(n, lx)
     ghat = np.fft.fft(g, norm="ortho")
     peak0 = float(np.max(np.abs(g)))
     if peak0 == 0.0:

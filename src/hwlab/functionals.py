@@ -64,10 +64,22 @@ def mass(u: Field) -> float:
     return 0.5 * sp.l2_norm_sq(u)
 
 
+def _power(dens: np.ndarray, e: float) -> np.ndarray:
+    """dens ** e for dens >= 0; dens * sqrt(dens) for e = 1.5, which numpy's
+    ** computes without a fast path."""
+    return dens * np.sqrt(dens) if e == 1.5 else dens ** e
+
+
+def _lp1_sum(u: np.ndarray, p: float) -> float:
+    """sum |u|^{p+1} by cache-sized row blocks."""
+    e = (p + 1.0) / 2.0
+    return sum(float(np.sum(_power(_density(u[rows]), e)))
+               for rows in sp._slices(*u.shape, sp._FUSE_ELEMS))
+
+
 def lp1_power(u: Field, p: float) -> float:
-    """int |u|^{p+1}, via (|u|^2)^{(p+1)/2} in physical space."""
-    vals = sp.to_physical(u).values
-    return float(np.sum(_density(vals) ** ((p + 1.0) / 2.0))) * u.grid.cell_area
+    """int |u|^{p+1}, via (|u|^2)^{(p+1)/2} in physical space, by row blocks."""
+    return _lp1_sum(sp.to_physical(u).values, p) * u.grid.cell_area
 
 
 def lp1_norm(u: Field, p: float) -> float:
@@ -75,20 +87,20 @@ def lp1_norm(u: Field, p: float) -> float:
 
 
 def dx_norm_sq(u: Field) -> float:
-    g = u.grid
-    return sp.quadratic_form(u, np.broadcast_to(g.xi[:, None] ** 2, g.shape))
+    return sp.quadratic_form(u, u.grid.xi[:, None] ** 2)
 
 
 def dy_half_norm_sq(u: Field) -> float:
     """|| |D_y|^{1/2} u ||^2 = <|D_y| u, u>."""
-    g = u.grid
-    return sp.quadratic_form(u, np.broadcast_to(np.abs(g.eta)[None, :], g.shape))
+    return sp.quadratic_form(u, np.abs(u.grid.eta)[None, :])
 
 
 def quadratic_action_form(u: Field, params: ModelParams) -> float:
-    """<(-dxx + |D_y| + i v dy + omega) u, u>, the action's quadratic part."""
-    mult = sp.action_quadratic(params.omega, params.v).values(u.grid)
-    return sp.quadratic_form(u, mult)
+    """<(-dxx + |D_y| + i v dy + omega) u, u>, the action's quadratic part;
+    its symbol is xi^2 plus a row, so no full-size multiplier is built."""
+    spec = sp.to_spectral(u)
+    row = np.abs(u.grid.eta) - params.v * u.grid.eta_odd + params.omega
+    return dx_norm_sq(spec) + sp.quadratic_form(spec, row[None, :])
 
 
 def hamiltonian(u: Field, p: float) -> float:

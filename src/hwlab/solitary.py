@@ -26,11 +26,10 @@ from scipy import signal
 from . import functionals as fl
 from . import spectral as sp
 from .functionals import ModelParams
-from .spectral import Field, Grid
+from .spectral import _FUSE_ELEMS, _slices, Field, Grid
 
 ARMIJO_C = 1e-4
-_BLOCK_ELEMS = 1 << 20  # entries per block of the chirp-z resampling
-_FUSE_ELEMS = 1 << 14  # entries per row block of the descent's fused, cache-sized passes
+_BLOCK_ELEMS = 1 << 18  # complex entries per block of the chirp-z resampling (4 MB)
 
 
 class ConvergenceError(RuntimeError):
@@ -125,35 +124,13 @@ def default_initial_guess(grid: Grid, params: ModelParams, kind: str = "gaussian
     return Field(grid, vals, sp.PHYSICAL)
 
 
-def _slices(count: int, per: int, elems: int) -> list[slice]:
-    """Slices of range(count) spanning about `elems` entries at `per` per item."""
-    step = max(1, elems // max(1, per))
-    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
-
-
-def _power(dens: np.ndarray, e: float) -> np.ndarray:
-    """dens ** e for dens >= 0; dens * sqrt(dens) for e = 1.5, which numpy's
-    ** computes without a fast path."""
-    return dens * np.sqrt(dens) if e == 1.5 else dens ** e
-
-
-def _lp1_sum(u: np.ndarray, p: float) -> float:
-    """sum |u|^{p+1} by cache-sized row blocks."""
-    e = (p + 1.0) / 2.0
-    return sum(float(np.sum(_power(fl._density(u[rows]), e)))
-               for rows in _slices(*u.shape, _FUSE_ELEMS))
-
-
 def _lp1_change(u: np.ndarray, d: np.ndarray, alpha: float, p: float) -> float:
     """sum (|u - alpha d|^{p+1} - |u|^{p+1}), accurate far below the rounding
     level of either sum; by cache-sized row blocks, with no full-size temporary."""
     e = (p + 1.0) / 2.0
-    total = 0.0
-    for rows in _slices(*u.shape, _FUSE_ELEMS):
-        blk = u[rows]
-        total += float(np.sum(_power(fl._density(blk - alpha * d[rows]), e)
-                              - _power(fl._density(blk), e)))
-    return total
+    return sum(float(np.sum(fl._power(fl._density(u[r] - alpha * d[r]), e)
+                            - fl._power(fl._density(u[r]), e)))
+               for r in _slices(*u.shape, _FUSE_ELEMS))
 
 
 def _nehari_scale(a_form: float, b_pot: float, p: float) -> tuple[float, float, float]:
@@ -190,8 +167,8 @@ def _edge(a: np.ndarray) -> np.ndarray:
 
 
 class _Spectra:
-    """Transforms, L2 inner products and the fused passes of the descent on
-    its spectra: rfft2 half spectra for real fields, where Parseval weighs
+    """L2 inner products and the fused passes of the descent on its spectra
+    (`sp._fwd`): rfft2 half spectra for real fields, where Parseval weighs
     the columns (1, 2, ..., 2, 1), full spectra otherwise.  `aq` is the
     action-quadratic symbol on the same spectra, `w` the cell area.
 
@@ -203,9 +180,8 @@ class _Spectra:
     only, so no sum depends on a thread count.
     """
 
-    def __init__(self, shape: tuple[int, int], w: float, aq: np.ndarray, real: bool,
-                 conjugate: bool = False):
-        self.shape, self.w, self.aq, self.real = shape, w, aq, real
+    def __init__(self, w: float, aq: np.ndarray, real: bool, conjugate: bool = False):
+        self.w, self.aq, self.real = w, aq, real
         self.conjugate = conjugate  # the gradient pass also sums <g, P g>
         self.rows = _slices(*aq.shape, _FUSE_ELEMS)
         block = (self.rows[0].stop, aq.shape[1])
@@ -218,12 +194,6 @@ class _Spectra:
     def _recip(self, rows: slice) -> np.ndarray:
         """1/aq on a row block, the metric P."""
         return np.divide(1.0, self.aq[rows], out=self._inv[:rows.stop - rows.start])
-
-    def fwd(self, vals: np.ndarray) -> np.ndarray:
-        return sp._rfft2(vals) if self.real else sp._fft2(vals)
-
-    def inv(self, hat: np.ndarray) -> np.ndarray:
-        return sp._irfft2(hat, self.shape) if self.real else sp._ifft2(hat)
 
     def _total(self, total: float, ea: np.ndarray, eb: np.ndarray) -> float:
         """re int conj(f) g from `total`, the plain sum of re conj(a) b over
@@ -249,10 +219,10 @@ class _Spectra:
         for rows in _slices(*u.shape, _FUSE_ELEMS):
             v = u[rows] if d is None else (u[rows] - d[rows]) * t
             dens = fl._density(v)
-            pw = _power(dens, e)
+            pw = fl._power(dens, e)
             b_pot += sp._redot(dens, pw)
             np.multiply(v, pw, out=nl[rows])
-        ghat = self.fwd(nl)
+        ghat = sp._fwd(nl)
         del nl
         gh = hh = gg = gpg = 0.0
         trial, prod = self._tmp
@@ -408,14 +378,13 @@ def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float,
     fails the Armijo test near the action floor if it cuts the gradient
     norm by 0.1%.
     """
-    spec = _Spectra(grid.shape, grid.cell_area, aq, real=not np.iscomplexobj(u),
-                    conjugate=not memory)
+    spec = _Spectra(grid.cell_area, aq, real=not np.iscomplexobj(u), conjugate=not memory)
 
     def action_of(a_form, b_pot):
         return 0.5 * a_form - b_pot / (p + 1.0)
 
-    hat = spec.fwd(u)
-    t, a_form, b_pot = _nehari_scale(spec.dot(hat, aq * hat), _lp1_sum(u, p) * spec.w, p)
+    hat = sp._fwd(u)
+    t, a_form, b_pot = _nehari_scale(spec.dot(hat, aq * hat), fl._lp1_sum(u, p) * spec.w, p)
     u *= t
     hat *= t
     action_history = [action_of(a_form, b_pot)]
@@ -461,7 +430,7 @@ def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float,
             gpg_prev = gpg
         conj = beta > 0.0
         del ghat
-        d = spec.inv(dhat)
+        d = sp._inv(dhat, grid.shape)
         floor = floor_rule and ARMIJO_C * slope <= 1e3 * np.finfo(float).eps * abs(s_val)
         alpha = 1.0
         backtracks = 0
@@ -656,7 +625,7 @@ def solve_mass_constrained(grid: Grid, mu: float, p: float,
     def energy_of(vals):
         hat = sp._fft2(vals)
         quad = float(np.sum(lin * (hat.real ** 2 + hat.imag ** 2))) * w
-        return 0.5 * quad - float(np.sum(fl._density(vals) ** ((p + 1.0) / 2.0))) * w / (p + 1.0)
+        return 0.5 * quad - fl._lp1_sum(vals, p) * w / (p + 1.0)
 
     def gradient(vals):
         return sp._ifft2(lin * sp._fft2(vals)) - fl._density(vals) ** ((p - 1.0) / 2.0) * vals
@@ -736,14 +705,11 @@ def rescale_omega(q1: Field, omega: float, p: float) -> Field:
 
 
 def mass_centroid(u: Field) -> tuple[float, float]:
-    vals = sp.to_physical(u).values
-    dens = vals.real ** 2 + vals.imag ** 2
-    total = float(np.sum(dens))
+    rows, cols = sp._marginals(sp.to_physical(u).values)
+    total = float(np.sum(rows))
     if total == 0.0:
         return (0.0, 0.0)
-    cx = float(np.sum(dens.sum(axis=1) * u.grid.x)) / total
-    cy = float(np.sum(dens.sum(axis=0) * u.grid.y)) / total
-    return (cx, cy)
+    return (float(np.sum(rows * u.grid.x)) / total, float(np.sum(cols * u.grid.y)) / total)
 
 
 def _czt_eval_axis(coef: np.ndarray, axis: int, n: int, length: float,
@@ -786,6 +752,26 @@ def _wrap_corrupt(coords: np.ndarray, c: float, rate: float,
     return (np.abs(src) > length / 2.0) & (np.abs(img) < 0.9 * (length / 2.0))
 
 
+def _lines(blk: slice, axis: int) -> tuple[slice, slice]:
+    return (slice(None), blk) if axis == 0 else (blk, slice(None))
+
+
+def _resample_lines(src: np.ndarray, dst: np.ndarray, axis: int, n: int, length: float,
+                    origin: float, start: float, step: float, scale: float = 1.0) -> None:
+    """dst = scale * src resampled along `axis` by `_czt_eval_axis`, a block
+    of lines at a time; dst may be src.  The map is complex linear and real,
+    so real lines j and j + lines/2 (Grid counts are even) go as one a + i b."""
+    count = src.shape[1 - axis] // 2
+    for blk in _slices(count, n, _BLOCK_ELEMS):
+        a = _lines(blk, axis)
+        b = _lines(slice(blk.start + count, blk.stop + count), axis)
+        z = np.empty(src[a].shape, np.complex128)
+        z.real, z.imag = src[a], src[b]
+        res = _czt_eval_axis(sp._fft(z, axis), axis, n, length, origin, start, step)
+        np.multiply(res.real, scale, out=dst[a])
+        np.multiply(res.imag, scale, out=dst[b])
+
+
 def t_lambda(u: Field, lam: float, center: tuple[float, float] = (0.0, 0.0),
              tail_tol: float = 1e-8) -> Field:
     """L2-isometric anisotropic scaling T_lambda on a fixed grid.
@@ -799,6 +785,10 @@ def t_lambda(u: Field, lam: float, center: tuple[float, float] = (0.0, 0.0),
     the bulk (as lambda approaches 2 the image at the target edge hits
     the core).  Corrupted targets are zeroed, the honest stand-in for
     the certified-negligible tail value.
+
+    T_lambda is real, so it acts on the real and imaginary parts: a y
+    pass, then an x pass over its output, on packed line pairs in blocks
+    of _BLOCK_ELEMS entries (`_resample_lines`); no full spectrum, no BLAS.
     """
     if not lam > 0.0:
         raise ValueError("lambda must be positive")
@@ -810,11 +800,12 @@ def t_lambda(u: Field, lam: float, center: tuple[float, float] = (0.0, 0.0),
         _check_tail(phys, tail_tol, "t_lambda")
     cx, cy = center
     rx = math.sqrt(lam)
-    part = _czt_eval_axis(sp._fft2(phys.values), 0, g.nx, g.lx, g.x[0],
-                          cx + rx * (g.x[0] - cx), rx * g.dx)
-    vals = _czt_eval_axis(part, 1, g.ny, g.ly, g.y[0],
-                          cy + lam * (g.y[0] - cy), lam * g.dy)
-    del part
+    vals = np.zeros(g.shape, np.complex128)
+    parts = ((phys.values.real, vals.real), (phys.values.imag, vals.imag))
+    for src, buf in parts[:2 if np.any(phys.values.imag) else 1]:
+        _resample_lines(src, buf, 1, g.ny, g.ly, g.y[0], cy + lam * (g.y[0] - cy), lam * g.dy)
+        _resample_lines(buf, buf, 0, g.nx, g.lx, g.x[0], cx + rx * (g.x[0] - cx), rx * g.dx,
+                        lam ** 0.75)
     if lam > 1.0:
         # targets whose source left the box read the periodized image;
         # that is still a certified-tail value unless the image lands in
@@ -822,7 +813,24 @@ def t_lambda(u: Field, lam: float, center: tuple[float, float] = (0.0, 0.0),
         # which case the honest value is the (negligible) tail: zero it
         vals[_wrap_corrupt(g.x, cx, rx, g.lx), :] = 0.0
         vals[:, _wrap_corrupt(g.y, cy, lam, g.ly)] = 0.0
-    return Field(g, lam ** 0.75 * vals, sp.PHYSICAL)
+    return Field(g, vals, sp.PHYSICAL)
+
+
+def _generator(vals: np.ndarray, g: Grid, c0: float, center: tuple[float, float]) -> np.ndarray:
+    """c0 q + (x/2) dx q + y dy q about `center` (Nyquist mode of the
+    derivatives zeroed); float64 `vals` run on half spectra, one rfft2
+    and two irfft2, and give float64."""
+    hat = sp._fwd(vals)
+    qx = sp._inv(hat * (1j * g.xi_odd)[:, None], g.shape)
+    hat *= 1j * g.eta_odd[:hat.shape[1]]
+    qy = sp._inv(hat, g.shape)
+    del hat
+    qx *= 0.5 * (g.x - center[0])[:, None]
+    qy *= (g.y - center[1])[None, :]
+    qx += qy
+    del qy
+    qx += c0 * vals
+    return qx
 
 
 def psi_omega(q: Field, center: tuple[float, float] | None = None,
@@ -831,19 +839,13 @@ def psi_omega(q: Field, center: tuple[float, float] | None = None,
 
     Equals d/dlambda T_lambda q at lambda = 1; coordinates are measured
     from the mass centroid unless a center is supplied.  L2-orthogonal
-    to q because T_lambda is an L2 isometry.
+    to q because T_lambda is an L2 isometry.  Real q: half spectra, no BLAS.
     """
     phys = sp.to_physical(q)
     _check_tail(phys, tail_tol, "psi_omega")
-    if center is None:
-        center = mass_centroid(phys)
-    cx, cy = center
-    X = (q.grid.x - cx)[:, None]
-    Y = (q.grid.y - cy)[None, :]
-    qx = sp.dx_field(phys).values
-    qy = sp.dy_field(phys).values
-    vals = 0.75 * phys.values + 0.5 * X * qx + Y * qy
-    return Field(q.grid, vals, sp.PHYSICAL)
+    center = mass_centroid(phys) if center is None else center
+    vals = phys.values if np.any(phys.values.imag) else phys.values.real
+    return Field(q.grid, _generator(vals, q.grid, 0.75, center), sp.PHYSICAL)
 
 
 @dataclass(frozen=True)
@@ -911,88 +913,33 @@ def r1_diagnostics(q1: Field, p: float, tail_tol: float = 1e-8) -> R1Diagnostics
     through the reciprocal multiplier Phi1 and compares with R1, an
     algebraic identity of the discrete calculus.  phi_max reports the
     sup of the three resolvent multipliers Phi1 = 1/(xi^2 + |eta| + 1),
-    Phi2 = -xi^2 * Phi1, Phi3 = |eta| * Phi1.
+    Phi2 = -xi^2 * Phi1, Phi3 = |eta| * Phi1, on the half spectrum (the
+    symbols are even).  A real Q1 runs in real arithmetic on half spectra
+    (`_generator`), freeing each temporary after use; no BLAS call is made.
     """
     phys = sp.to_physical(q1)
     g = q1.grid
     _check_tail(phys, tail_tol, "r1_diagnostics")
-    cx, cy = mass_centroid(phys)
-    X = (g.x - cx)[:, None]
-    Y = (g.y - cy)[None, :]
-    if not np.any(phys.values.imag):
-        return _r1_diagnostics_real(phys, p, X, Y)
-    qx = sp.dx_field(phys).values
-    qy = sp.dy_field(phys).values
-    r1 = phys.values / (p - 1.0) + 0.5 * X * qx + Y * qy
-
-    lin_symbol = sp.action_quadratic(1.0, 0.0).values(g)
-    lin_applied = sp._ifft2(lin_symbol * sp._fft2(r1))
-    defect = lin_applied - p * fl._density(phys.values) ** ((p - 1.0) / 2.0) * r1 + phys.values
-    q_norm = sp.l2_norm(phys)
-    lin_res = math.sqrt(sp._redot(defect, defect) * g.cell_area) / q_norm
-
-    phi1 = 1.0 / lin_symbol
-    roundtrip = sp._ifft2(phi1 * sp._fft2(lin_applied))
-    r1_norm = math.sqrt(sp._redot(r1, r1) * g.cell_area)
-    roundtrip -= r1
-    rt_err = math.sqrt(sp._redot(roundtrip, roundtrip) * g.cell_area) / r1_norm
-
-    xi2 = g.xi[:, None] ** 2
-    abs_eta = np.abs(g.eta)[None, :]
-    phi_max = (float(np.max(np.abs(phi1))),
-               float(np.max(xi2 * phi1)),
-               float(np.max(abs_eta * phi1)))
-    return R1Diagnostics(r1=Field(g, r1, sp.PHYSICAL),
-                         linearized_residual=lin_res,
-                         multiplier_roundtrip_error=rt_err,
-                         phi_max=phi_max)
-
-
-def _r1_diagnostics_real(phys: Field, p: float, X: np.ndarray, Y: np.ndarray) -> R1Diagnostics:
-    # Real-arithmetic twin of the pipeline above on half spectra; the
-    # box-extension grids only fit in memory this way.
-    g = phys.grid
-    nx, ny = g.nx, g.ny
-    re = phys.values.real
-    w = g.cell_area
-
-    hat = sp._rfft2(re)
-    qx = sp._irfft2(1j * g.xi_odd[:, None] * hat, (nx, ny))
-    qy = sp._irfft2(1j * g.eta_odd[None, :ny // 2 + 1] * hat, (nx, ny))
-    del hat
-    r1 = re / (p - 1.0)
-    qx *= 0.5 * X
-    r1 += qx
-    del qx
-    qy *= Y
-    r1 += qy
-    del qy
-
-    aq_h = sp.action_quadratic(1.0).values(g, half=True)
-    lin_applied = sp._irfft2(aq_h * sp._rfft2(r1), (nx, ny))
-    defect = lin_applied - p * np.abs(re) ** (p - 1.0) * r1 + re
-    q_norm = math.sqrt(w * float(np.sum(re * re)))
-    lin_res = math.sqrt(w * float(np.sum(defect * defect))) / q_norm
+    q = phys.values if np.any(phys.values.imag) else phys.values.real
+    r1 = _generator(q, g, 1.0 / (p - 1.0), mass_centroid(phys))
+    aq = sp.action_quadratic(1.0).values(g, half=not np.iscomplexobj(q))
+    lin_applied = sp._inv(aq * sp._fwd(r1), g.shape)
+    defect = lin_applied - p * fl._density(q) ** ((p - 1.0) / 2.0) * r1 + q
+    lin_res = math.sqrt(sp._redot(defect, defect) * g.cell_area) / sp.l2_norm(phys)
     del defect
 
-    back = sp._rfft2(lin_applied)
+    back = sp._fwd(lin_applied)
     del lin_applied
-    back /= aq_h
-    roundtrip = sp._irfft2(back, (nx, ny))
+    roundtrip = sp._inv(np.divide(back, aq, out=back), g.shape)
     del back
-    r1_norm_sq = float(np.sum(r1 * r1))
     roundtrip -= r1
-    rt_err = math.sqrt(float(np.sum(roundtrip * roundtrip)) / r1_norm_sq)
+    rt_err = math.sqrt(sp._redot(roundtrip, roundtrip) / sp._redot(r1, r1))
     del roundtrip
 
-    phi1_h = 1.0 / aq_h
-    phi_max = (float(np.max(phi1_h)),
-               float(np.max((g.xi ** 2)[:, None] * phi1_h)),
-               float(np.max(np.abs(g.eta[:ny // 2 + 1])[None, :] * phi1_h)))
-    return R1Diagnostics(r1=Field(g, r1, sp.PHYSICAL),
-                         linearized_residual=lin_res,
-                         multiplier_roundtrip_error=rt_err,
-                         phi_max=phi_max)
+    phi1 = 1.0 / aq[:, :g.ny // 2 + 1]
+    phi_max = tuple(float(np.max(m * phi1))
+                    for m in (1.0, (g.xi ** 2)[:, None], np.abs(g.eta[:g.ny // 2 + 1])))
+    return R1Diagnostics(Field(g, r1, sp.PHYSICAL), lin_res, rt_err, phi_max)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ Transforms use the unitary normalization, so the discrete Parseval
 identity holds with the same quadrature weight dx*dy in both
 representations.
 
-Every 2-D transform in the package goes through the private helpers
-`_fft2`, `_ifft2`, `_rfft2` and `_irfft2`, which call `scipy.fft`
+Every 2-D transform in the package goes through `_fft2`, `_ifft2`,
+`_rfft2` or `_irfft2` (`_fwd` and `_inv` pick by dtype), the line
+transforms of T_lambda through `_fft`; all call `scipy.fft`
 (pocketfft).  Real fields use half spectra (`rfft2` along y), on which
 Parseval weighs the columns (1, 2, ..., 2, 1).  A transform runs on
 `len(os.sched_getaffinity(0))` threads (the usable cores) when its
@@ -40,6 +41,13 @@ from scipy import integrate
 
 _MIN_MODES = 8
 _THREADED_POINTS = 1 << 22
+_FUSE_ELEMS = 1 << 14  # entries per cache-sized row block of a fused pass or a sum
+
+
+def _slices(count: int, per: int, elems: int) -> list[slice]:
+    """Slices of range(count) spanning about `elems` entries at `per` per item."""
+    step = max(1, elems // max(1, per))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 def _workers(points: int) -> int:
@@ -53,6 +61,11 @@ def _workers(points: int) -> int:
 
 # scipy.fft is looked up at call time so that wrappers installed on the
 # module (profilers, tracers) see every transform.
+def _fft(a: np.ndarray, axis: int) -> np.ndarray:
+    """Unitary 1-D FFT of every line of `a` along `axis`."""
+    return scipy.fft.fft(a, axis=axis, norm="ortho", workers=_workers(a.size))
+
+
 def _fft2(a: np.ndarray, norm: str = "ortho") -> np.ndarray:
     return scipy.fft.fft2(a, norm=norm, workers=_workers(a.size))
 
@@ -71,12 +84,32 @@ def _irfft2(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return scipy.fft.irfft2(a, s=shape, norm="ortho", workers=_workers(shape[0] * shape[1]))
 
 
+def _fwd(vals: np.ndarray) -> np.ndarray:
+    """Unitary spectrum of a 2-D array: the half spectrum of a real one."""
+    return _fft2(vals) if np.iscomplexobj(vals) else _rfft2(vals)
+
+
+def _inv(hat: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The `shape` array whose `_fwd` spectrum is `hat`: real for a half spectrum."""
+    return _ifft2(hat) if hat.shape == shape else _irfft2(hat, shape)
+
+
 def _redot(a: np.ndarray, b: np.ndarray) -> float:
     """re sum conj(a) b over two 2-D arrays of one shape and dtype (complex
     ones with a contiguous last axis), by einsum on float views."""
     if np.iscomplexobj(a):
         a, b = a.view(np.float64), b.view(np.float64)
     return float(np.einsum("ij,ij->", a, b))
+
+
+def wavenumbers(n: int, length: float) -> np.ndarray:
+    """Angular wavenumbers of n samples on a period `length`, in FFT order."""
+    return 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
+
+
+def mode_numbers(n: int) -> np.ndarray:
+    """|k| for the n FFT modes k = 0, 1, ..., n/2-1, -n/2, ..., -1."""
+    return np.abs(np.fft.fftfreq(n) * n)
 
 
 class RepresentationError(ValueError):
@@ -111,8 +144,8 @@ class Grid:
         self.dy = self.ly / self.ny
         self.x = -self.lx / 2.0 + self.dx * np.arange(self.nx)
         self.y = -self.ly / 2.0 + self.dy * np.arange(self.ny)
-        self.xi = 2.0 * np.pi * np.fft.fftfreq(self.nx, d=self.dx)
-        self.eta = 2.0 * np.pi * np.fft.fftfreq(self.ny, d=self.dy)
+        self.xi = wavenumbers(self.nx, self.lx)
+        self.eta = wavenumbers(self.ny, self.ly)
         self.xi_odd = self.xi.copy()
         self.xi_odd[self.nx // 2] = 0.0
         self.eta_odd = self.eta.copy()
@@ -307,29 +340,28 @@ def l2_norm(f: Field) -> float:
 
 
 def quadratic_form(f: Field, multiplier: np.ndarray) -> float:
-    """sum multiplier * |fhat|^2 * dx*dy for a real multiplier array."""
+    """sum multiplier * |fhat|^2 * dx*dy for a real multiplier array that
+    broadcasts to the grid shape, by cache-sized row blocks."""
     hat = to_spectral(f).values
-    return float(np.sum(multiplier * (hat.real ** 2 + hat.imag ** 2))) * f.grid.cell_area
+    mult = np.broadcast_to(multiplier, hat.shape)
+    return sum(float(np.sum(mult[r] * (hat[r].real ** 2 + hat[r].imag ** 2)))
+               for r in _slices(*hat.shape, _FUSE_ELEMS)) * f.grid.cell_area
 
 
 def dx_field(f: Field) -> Field:
     """Spectral x-derivative (Nyquist zeroed), physical representation."""
-    hat = to_spectral(f).values
-    out = _ifft2(1j * f.grid.xi_odd[:, None] * hat)
-    return Field(f.grid, out, PHYSICAL)
+    return Field(f.grid, _ifft2(1j * f.grid.xi_odd[:, None] * to_spectral(f).values), PHYSICAL)
 
 
 def dy_field(f: Field) -> Field:
     """Spectral y-derivative (Nyquist zeroed), physical representation."""
-    hat = to_spectral(f).values
-    out = _ifft2(1j * f.grid.eta_odd[None, :] * hat)
-    return Field(f.grid, out, PHYSICAL)
+    return Field(f.grid, _ifft2(1j * f.grid.eta_odd[None, :] * to_spectral(f).values), PHYSICAL)
 
 
 def dealias_mask(grid: Grid) -> np.ndarray:
     """Two-thirds rule mask (True = keep), optional everywhere."""
-    kx = np.abs(np.fft.fftfreq(grid.nx) * grid.nx)
-    ky = np.abs(np.fft.fftfreq(grid.ny) * grid.ny)
+    kx = mode_numbers(grid.nx)
+    ky = mode_numbers(grid.ny)
     return (kx[:, None] <= grid.nx // 3) & (ky[None, :] <= grid.ny // 3)
 
 
@@ -341,6 +373,16 @@ def apply_dealias(f: Field) -> Field:
     return Field(f.grid, _ifft2(hat), PHYSICAL)
 
 
+def _marginals(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column sums of |u|^2, by cache-sized row blocks."""
+    rows, cols = np.empty(u.shape[0]), np.zeros(u.shape[1])
+    for blk in _slices(*u.shape, _FUSE_ELEMS):
+        w = u[blk].real ** 2 + u[blk].imag ** 2
+        rows[blk] = w.sum(axis=1)
+        cols += w.sum(axis=0)
+    return rows, cols
+
+
 def tail_mass_fraction(f: Field, annulus: float = 0.1) -> float:
     """Fraction of ||f||^2 in the outer `annulus` band of the box.
 
@@ -350,14 +392,14 @@ def tail_mass_fraction(f: Field, annulus: float = 0.1) -> float:
     """
     g = f.grid
     u = to_physical(f).values
-    w = u.real ** 2 + u.imag ** 2
-    total = float(np.sum(w))
+    rows = _marginals(u)[0]
+    total = float(np.sum(rows))
     if total == 0.0:
         return 0.0
     edge_x = np.abs(g.x) > (1.0 - annulus) * (g.lx / 2.0)
     edge_y = np.abs(g.y) > (1.0 - annulus) * (g.ly / 2.0)
-    mask = edge_x[:, None] | edge_y[None, :]
-    return float(np.sum(w[mask])) / total
+    side = u[np.ix_(~edge_x, edge_y)]  # the y band outside the x band
+    return (float(np.sum(rows[edge_x])) + float(np.sum(side.real ** 2 + side.imag ** 2))) / total
 
 
 def frac_constant(s: float) -> float:
@@ -491,7 +533,7 @@ def frac_seminorm_identity_check(values: np.ndarray, length: float, s: float,
 
     # Central cell [-dy/2, dy/2]: integrand ~ |h|^{1-2s} * ||u'||^2.
     uhat = np.fft.fft(u, norm="ortho")
-    eta = 2.0 * np.pi * np.fft.fftfreq(n, d=dy)
+    eta = wavenumbers(n, length)
     du_sq = float(np.sum((eta ** 2) * (uhat.real ** 2 + uhat.imag ** 2))) * dy
     lhs += du_sq * 2.0 * half ** (2.0 - two_s) / (2.0 - two_s)
 

@@ -182,3 +182,30 @@ def test_density_bit_identical_to_clipped(re_part, im_part):
         got = fl._density(u)
         want = np.clip(u.real ** 2 + u.imag ** 2, 0.0, None)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@given(nx=st.integers(4, 32).map(lambda k: 2 * k), ny=st.integers(4, 32).map(lambda k: 2 * k),
+       p=st.floats(1.1, 4.9), v=st.sampled_from([0.0, 0.5, -0.99]), real=st.booleans(),
+       block=st.integers(1, 5000), seed=st.integers(0, 2 ** 32 - 1))
+def test_row_blocked_sums_match_unblocked(nx, ny, p, v, real, block, seed):
+    # lp1_power and quadratic_form sum row block by row block; the order
+    # of the partial sums is the only difference from one np.sum
+    g = sp.make_grid(nx, ny, 20.0, 30.0)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(g.shape)
+    if not real:
+        vals = vals + 1j * rng.standard_normal(g.shape)
+    u = sp.physical_field(g, vals)
+    hat = sp.to_spectral(u).values
+    mult = sp.action_quadratic(1.3, v).values(g)
+    par = ModelParams(p=p, omega=1.3, v=v)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sp, "_FUSE_ELEMS", block)
+        lp1 = fl.lp1_power(u, p)
+        quad = sp.quadratic_form(u, mult)
+        quad_action = fl.quadratic_action_form(u, par)
+    dens = vals.real ** 2 + vals.imag ** 2
+    assert lp1 == pytest.approx(np.sum(dens ** ((p + 1.0) / 2.0)) * g.cell_area, rel=1e-13)
+    want = np.sum(mult * np.abs(hat) ** 2) * g.cell_area
+    assert quad == pytest.approx(want, rel=1e-13)
+    assert quad_action == pytest.approx(want, rel=1e-13)

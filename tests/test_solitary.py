@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,8 +135,8 @@ def test_line_search_forms_match_transforms(grid, p, omega, v, alpha, seed):
     par = ModelParams(p=p, omega=omega, v=v)
     u, d = _random_field(grid, rng, real), _random_field(grid, rng, real)
     aq = sp.action_quadratic(omega, v).values(grid, half=real)
-    spec = sol._Spectra(grid.shape, grid.cell_area, aq, real)
-    hat, dhat = spec.fwd(u), spec.fwd(d)
+    spec = sol._Spectra(grid.cell_area, aq, real)
+    hat, dhat = sp._fwd(u), sp._fwd(d)
     a_u, au_d, a_d = (spec.dot(hat, aq * hat), spec.dot(hat, aq * dhat),
                       spec.dot(dhat, aq * dhat))
     trial = sp.physical_field(grid, u - alpha * d)
@@ -154,11 +155,11 @@ def test_spectral_inner_product_matches_physical(grid, real, seed):
     rng = np.random.default_rng(seed)
     f, g = _random_field(grid, rng, real), _random_field(grid, rng, real)
     aq = sp.action_quadratic(1.0).values(grid, half=real)
-    spec = sol._Spectra(grid.shape, grid.cell_area, aq, real)
+    spec = sol._Spectra(grid.cell_area, aq, real)
     physical = float(np.vdot(f, g).real) * grid.cell_area
     scale = math.sqrt(float(np.vdot(f, f).real) * float(np.vdot(g, g).real)) * grid.cell_area
-    assert abs(spec.dot(spec.fwd(f), spec.fwd(g)) - physical) <= 1e-12 * scale
-    assert spec.dot(spec.fwd(f), spec.fwd(f)) == pytest.approx(
+    assert abs(spec.dot(sp._fwd(f), sp._fwd(g)) - physical) <= 1e-12 * scale
+    assert spec.dot(sp._fwd(f), sp._fwd(f)) == pytest.approx(
         float(np.vdot(f, f).real) * grid.cell_area, rel=1e-12)
 
 
@@ -187,13 +188,13 @@ def test_fused_two_loop_matches_plain(grid, real, k, block_rows, seed):
     aq = sp.action_quadratic(1.3, 0.0 if real else 0.4).values(grid, half=real)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sol, "_FUSE_ELEMS", block_rows * aq.shape[1])
-        spec = sol._Spectra(grid.shape, grid.cell_area, aq, real)
+        spec = sol._Spectra(grid.cell_area, aq, real)
     assert len(spec.rows) == -(-grid.nx // min(block_rows, grid.nx))
-    hat, ghat = (spec.fwd(_random_field(grid, rng, real)) for _ in range(2))
+    hat, ghat = (sp._fwd(_random_field(grid, rng, real)) for _ in range(2))
     pairs = []
     for _ in range(k):
-        s = spec.fwd(_random_field(grid, rng, real))
-        y = aq * s + 0.1 * spec.fwd(_random_field(grid, rng, real))
+        s = sp._fwd(_random_field(grid, rng, real))
+        y = aq * s + 0.1 * sp._fwd(_random_field(grid, rng, real))
         pairs.append((s, y, 1.0 / spec.dot(s, y)))
     want = _plain_two_loop(spec, ghat, pairs)
     dhat, slope, d_sq, au_d, a_d = spec.direction(ghat, hat, pairs)
@@ -231,9 +232,9 @@ def test_fused_conjugate_direction_matches_plain(grid, real, beta, block_rows, s
     aq = sp.action_quadratic(1.3, 0.0 if real else 0.4).values(grid, half=real)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sol, "_FUSE_ELEMS", block_rows * aq.shape[1])
-        spec = sol._Spectra(grid.shape, grid.cell_area, aq, real, conjugate=True)
+        spec = sol._Spectra(grid.cell_area, aq, real, conjugate=True)
     assert len(spec.rows) == -(-grid.nx // min(block_rows, grid.nx))
-    hat, ghat, prev = (spec.fwd(_random_field(grid, rng, real)) for _ in range(3))
+    hat, ghat, prev = (sp._fwd(_random_field(grid, rng, real)) for _ in range(3))
     want = ghat / aq + beta * prev
     out = prev.copy() if beta else np.full_like(prev, np.nan)
     dhat, slope, d_sq, au_d, a_d = spec.direction(ghat, hat, [], out, beta)
@@ -255,14 +256,14 @@ def test_fused_gradient_and_step_match_transforms(grid, real, p, t, seed):
     rng = np.random.default_rng(seed)
     par = ModelParams(p=p, v=0.0 if real else 0.3)
     aq = sp.action_quadratic(par.omega, par.v).values(grid, half=real)
-    spec = sol._Spectra(grid.shape, grid.cell_area, aq, real, conjugate=True)
+    spec = sol._Spectra(grid.cell_area, aq, real, conjugate=True)
     u, d = _random_field(grid, rng, real), _random_field(grid, rng, real)
-    hat, dhat = spec.fwd(u), spec.fwd(d)
+    hat, dhat = sp._fwd(u), sp._fwd(d)
     for v, args in ((u, ()), (t * (u - d), (d, dhat, t))):
         field = sp.physical_field(grid, v)
         grad = fl.action_gradient(field, par).values
         ghat, b_pot, n_v, g_sq, v_sq, gpg = spec.gradient(u, hat, p, *args)
-        want = spec.fwd(grad.real if real else grad)
+        want = sp._fwd(grad.real if real else grad)
         assert np.linalg.norm(ghat - want) <= 1e-12 * np.linalg.norm(want)
         assert b_pot == pytest.approx(fl.lp1_power(field, p), rel=1e-12)
         assert abs(n_v - fl.nehari(field, par)) <= 1e-12 * fl.quadratic_action_form(field, par)
@@ -270,7 +271,7 @@ def test_fused_gradient_and_step_match_transforms(grid, real, p, t, seed):
         assert v_sq == pytest.approx(sp.l2_norm_sq(field), rel=1e-12)
         assert gpg == pytest.approx(_plain_dot(grid, real, want, want / aq), rel=1e-12)
     # the step over hat (conjugate gradients) and over dhat (L-BFGS)
-    want = spec.fwd(t * (u - 0.3 * d))
+    want = sp._fwd(t * (u - 0.3 * d))
     for into_hat in (False, True):
         h, dh = hat.copy(), dhat.copy()
         step = spec.step(h, dh, 0.3, t, out=h if into_hat else dh)
@@ -396,6 +397,63 @@ def test_chirp_z_blocks_bit_identical(monkeypatch, axis):
     assert len(sol._slices(coef.shape[1 - axis], n, sol._BLOCK_ELEMS)) == 1
     whole = sol._czt_eval_axis(*args)
     assert np.array_equal(blocked, whole)
+
+
+@given(grid=grids, lam=st.floats(0.7, 1.4), cx=st.floats(-3.0, 3.0), cy=st.floats(-3.0, 3.0),
+       block_lines=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+@example(grid=sp.make_grid(10, 16, 10.0, 10.0), lam=1.4, cx=0.4, cy=-0.7, block_lines=3, seed=1)
+@example(grid=sp.make_grid(64, 64, 12.0, 20.0), lam=0.7, cx=0.0, cy=0.0, block_lines=1, seed=2)
+def test_t_lambda_real_output_and_complex_linearity(grid, lam, cx, cy, block_lines, seed):
+    # real lines are resampled two at a time, packed as a + i b, and a
+    # complex field as its real and imaginary parts: a real field must stay
+    # exactly real, and t(a + i b) = t(a) + i t(b)
+    rng = np.random.default_rng(seed)
+    a, b = (sp.physical_field(grid, _random_field(grid, rng, True)) for _ in range(2))
+    both = sp.physical_field(grid, a.values + 1j * b.values)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sol, "_BLOCK_ELEMS", block_lines * grid.ny)  # blocks of lines
+        ta, tb, tab = (sol.t_lambda(f, lam, center=(cx, cy), tail_tol=np.inf)
+                       for f in (a, b, both))
+    assert not np.any(ta.values.imag) and not np.any(tb.values.imag)
+    want = ta.values.real + 1j * tb.values.real
+    assert np.max(np.abs(tab.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@given(grid=grids, theta=st.floats(0.0, 2.0 * np.pi), cx=st.floats(-3.0, 3.0),
+       cy=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+@example(grid=sp.make_grid(64, 64, 12.0, 20.0), theta=1.0, cx=0.5, cy=-1.0, seed=3)
+def test_psi_omega_real_and_complex_paths_agree(grid, theta, cx, cy, seed):
+    # a real q runs on half spectra, e^{i theta} q on full ones; psi_omega
+    # commutes with the phase
+    q = sp.physical_field(grid, _random_field(grid, np.random.default_rng(seed), True))
+    rot = sp.physical_field(grid, np.exp(1j * theta) * q.values)
+    psi = sol.psi_omega(q, center=(cx, cy), tail_tol=np.inf).values
+    psi_rot = sol.psi_omega(rot, center=(cx, cy), tail_tol=np.inf).values
+    assert not np.any(psi.imag)
+    want = np.exp(1j * theta) * psi
+    assert np.max(np.abs(psi_rot - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("fn", ["t_lambda", "psi_omega"])
+def test_scaling_apparatus_peak_memory(fn):
+    # tracemalloc sees numpy's arrays but not pocketfft's internal buffers.
+    # Peaks on a real 64x8192 field, in units of its complex128 size: the
+    # full-spectrum pipelines took 8.1 (t_lambda) and 4.0 (psi_omega);
+    # packed line pairs and half spectra take 5.1 and 1.5 (t_lambda's
+    # chirp-z blocks are about half a field here, a sixteenth at 128x32768)
+    g = sp.make_grid(64, 8192, 20.0, 160.0)
+    q = sp.physical_field(g, np.exp(-(g.x[:, None] ** 2) - (g.y[None, :] / 4.0) ** 2))
+    call = {"t_lambda": lambda: sol.t_lambda(q, 1.01, tail_tol=np.inf),
+            "psi_omega": lambda: sol.psi_omega(q, tail_tol=np.inf)}[fn]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.values.dtype == np.complex128
+    assert peak <= {"t_lambda": 6.5, "psi_omega": 2.5}[fn] * q.values.nbytes
 
 
 def test_t_lambda_isometry_and_potential_scaling():

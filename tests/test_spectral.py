@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, strategies as st
 
 from hwlab import spectral as sp
 
@@ -214,6 +215,34 @@ def test_two_dimensional_transforms_only_in_spectral():
     assert not offenders, offenders
 
 
+def test_wavenumbers_only_in_spectral():
+    # spectral owns the wavenumber conventions: no frequency array is
+    # built from fftfreq anywhere else in the package
+    package = pathlib.Path(sp.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr.endswith("fftfreq"):
+                offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.ImportFrom):
+                offenders.extend(f"{path.name}:{node.lineno} import {alias.name}"
+                                 for alias in node.names if alias.name.endswith("fftfreq"))
+    assert not offenders, offenders
+
+
+@pytest.mark.parametrize("n,length", [(8, 1.0), (48, 18.0), (1024, 160.0), (4096, 0.3)])
+def test_wavenumber_helpers_bit_identical(n, length):
+    # the expressions the helpers replaced, so no reported value moves
+    assert np.array_equal(sp.wavenumbers(n, length),
+                          2.0 * np.pi * np.fft.fftfreq(n, d=length / n))
+    assert np.array_equal(sp.mode_numbers(n), np.abs(np.fft.fftfreq(n) * n))
+    g = sp.make_grid(8, n, 3.0, length)
+    assert np.array_equal(g.eta, 2.0 * np.pi * np.fft.fftfreq(n, d=g.dy))
+
+
 def test_inner_products_only_in_spectral_helper():
     # BLAS products next to threaded transforms slow them down, and their
     # sums may depend on the BLAS thread count: spectral._redot (einsum)
@@ -279,6 +308,26 @@ def test_tail_mass_fraction_localized_vs_edge(grid):
     assert sp.tail_mass_fraction(sp.physical_field(grid, shifted)) > 0.1
     zero = sp.physical_field(grid, np.zeros(grid.shape))
     assert sp.tail_mass_fraction(zero) == 0.0
+
+
+@given(nx=st.integers(4, 32).map(lambda k: 2 * k), ny=st.integers(4, 32).map(lambda k: 2 * k),
+       block=st.integers(1, 5000), seed=st.integers(0, 2 ** 32 - 1))
+def test_row_blocked_density_sums_match_full_arrays(nx, ny, block, seed):
+    # tail_mass_fraction (and solitary.mass_centroid) read |u|^2 through
+    # row and column sums taken block by block
+    g = sp.make_grid(nx, ny, 10.0, 14.0)
+    u = random_field(g, seed % 1000).values
+    w = u.real ** 2 + u.imag ** 2
+    edge_x = np.abs(g.x) > 0.9 * (g.lx / 2.0)
+    edge_y = np.abs(g.y) > 0.9 * (g.ly / 2.0)
+    want = np.sum(w[edge_x[:, None] | edge_y[None, :]]) / np.sum(w)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sp, "_FUSE_ELEMS", block)
+        rows, cols = sp._marginals(u)
+        frac = sp.tail_mass_fraction(sp.physical_field(g, u))
+    assert np.allclose(rows, w.sum(axis=1), rtol=1e-13, atol=0.0)
+    assert np.allclose(cols, w.sum(axis=0), rtol=1e-13, atol=0.0)
+    assert frac == pytest.approx(want, rel=1e-13)
 
 
 def test_frac_constant_half_is_two_pi():
