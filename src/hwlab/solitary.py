@@ -73,8 +73,8 @@ class SolitarySolution:
 @dataclass(frozen=True)
 class IterationRecord:
     """One descent iteration: action after it, ||grad S(u)|| / ||u|| before it,
-    accepted step (0 if none), rejected trials, quasi-Newton memory or
-    conjugate direction dropped for P g."""
+    accepted step (0 if none), rejected trials, conjugate direction
+    dropped for P g."""
 
     action: float
     gradient_residual: float
@@ -170,7 +170,8 @@ class _Spectra:
     """L2 inner products and the fused passes of the descent on its spectra
     (`sp._fwd`): rfft2 half spectra for real fields, where Parseval weighs
     the columns (1, 2, ..., 2, 1), full spectra otherwise.  `aq` is the
-    action-quadratic symbol on the same spectra, `w` the cell area.
+    action-quadratic symbol on the same spectra, `w` the cell area, and
+    P = 1/aq the metric of the descent.
 
     A fused pass walks the spectra in row blocks of about _FUSE_ELEMS
     entries, which stay in cache: each block is updated and then feeds
@@ -180,9 +181,8 @@ class _Spectra:
     only, so no sum depends on a thread count.
     """
 
-    def __init__(self, w: float, aq: np.ndarray, real: bool, conjugate: bool = False):
+    def __init__(self, w: float, aq: np.ndarray, real: bool):
         self.w, self.aq, self.real = w, aq, real
-        self.conjugate = conjugate  # the gradient pass also sums <g, P g>
         self.rows = _slices(*aq.shape, _FUSE_ELEMS)
         block = (self.rows[0].stop, aq.shape[1])
         self._tmp = np.empty(block, np.complex128), np.empty(block, np.complex128)
@@ -211,8 +211,8 @@ class _Spectra:
         """Spectrum ghat = aq hat(v) - hat(|v|^{p-1} v) of grad S(v), one transform,
         for v = u with spectrum hat, or for the trial v = t (u - d), whose
         spectrum t (hat - dhat) is formed block by block.  Returns ghat and
-        int |v|^{p+1}, <grad S(v), v>, ||grad S(v)||^2, ||v||^2 and, for
-        `conjugate` spectra, <grad S(v), P grad S(v)> with P = 1/aq (else None)."""
+        int |v|^{p+1}, <grad S(v), v>, ||grad S(v)||^2, ||v||^2 and
+        <grad S(v), P grad S(v)>."""
         e = (p - 1.0) / 2.0
         nl = np.empty_like(u)
         b_pot = 0.0
@@ -237,148 +237,91 @@ class _Spectra:
             gh += sp._redot(g, h)
             gg += sp._redot(g, g)
             hh += sp._redot(h, h)
-            if self.conjugate:
-                gpg += sp._redot(g, np.multiply(g, self._recip(rows), out=prod[:n]))
+            gpg += sp._redot(g, np.multiply(g, self._recip(rows), out=prod[:n]))
         eh = _edge(hat) if dhat is None else (_edge(hat) - _edge(dhat)) * t
         eg = _edge(ghat)
         return (ghat, b_pot * self.w, self._total(gh, eg, eh), self._total(gg, eg, eg),
-                self._total(hh, eh, eh),
-                self._total(gpg, eg, eg / _edge(self.aq)) if self.conjugate else None)
+                self._total(hh, eh, eh), self._total(gpg, eg, eg / _edge(self.aq)))
 
-    def pair(self, hat: np.ndarray, hat_prev: np.ndarray, ghat: np.ndarray,
-             ghat_prev: np.ndarray) -> tuple:
-        """Quasi-Newton pair s = hat - hat_prev, y = ghat - ghat_prev, written
-        over the previous spectra, with <s, y>, ||s||^2, ||y||^2 from the same pass."""
-        sy = ss = yy = 0.0
+    def step(self, hat: np.ndarray, dhat: np.ndarray, alpha: float, t: float) -> None:
+        """Spectrum t (hat - alpha dhat) of an accepted step, written over hat."""
+        scaled = self._tmp[0]
         for rows in self.rows:
-            s = np.subtract(hat[rows], hat_prev[rows], out=hat_prev[rows])
-            y = np.subtract(ghat[rows], ghat_prev[rows], out=ghat_prev[rows])
-            sy += sp._redot(s, y)
-            ss += sp._redot(s, s)
-            yy += sp._redot(y, y)
-        es, ey = _edge(hat_prev), _edge(ghat_prev)
-        return (hat_prev, ghat_prev, self._total(sy, es, ey), self._total(ss, es, es),
-                self._total(yy, ey, ey))
+            n = rows.stop - rows.start
+            blk = hat[rows].view(np.float64)
+            np.subtract(blk, np.multiply(dhat[rows].view(np.float64), alpha,
+                                         out=scaled[:n].view(np.float64)), out=blk)
+            blk *= t
 
-    def _pass(self, out: np.ndarray, src: np.ndarray | None = None, add: tuple | None = None,
-              seed: bool = False, keep: float = 0.0, dots: tuple = (),
-              aq_dots: tuple = ()) -> list[float]:
-        """One fused pass: out <- src (or out) + c x for add = (c, x), times
-        1/aq if `seed`; with `keep` != 0 and `src`, out <- keep out + src / aq
-        instead.  Then <y, out> for y in `dots` and <y, aq out> for y in
-        `aq_dots`, each block while it is in cache."""
-        sums = [0.0] * (len(dots) + len(aq_dots))
+    def direction(self, ghat: np.ndarray, hat: np.ndarray, out: np.ndarray | None = None,
+                  beta: float = 0.0) -> tuple:
+        """Conjugate direction dhat = P ghat + beta out, written over the
+        previous direction in `out` (beta = 0: P ghat, and `out` is not
+        read), in one pass that also sums the line-search products.
+        Returns dhat, <d, grad>, ||d||^2, <Au, d>, <Ad, d>."""
+        if out is None:
+            out = np.empty_like(ghat)
+        dg = dd = ad = dad = 0.0
         scaled, prod = self._tmp
         for rows in self.rows:
             n = rows.stop - rows.start
             o = out[rows]
-            # real scalars times complex entries on float views
-            of = o.view(np.float64)
-            if add is not None:
-                c, x = add
-                of += np.multiply(x[rows].view(np.float64), c, out=scaled[:n].view(np.float64))
-            base = o if src is None else src[rows]
-            if keep:
-                of *= keep
-                o += np.multiply(base, self._recip(rows), out=scaled[:n])
-            elif seed:
-                np.multiply(base, self._recip(rows), out=o)
-            elif src is not None:
-                np.copyto(o, base)
-            for j, y in enumerate(dots):
-                sums[j] += sp._redot(y[rows], o)
-            if aq_dots:
-                ao = np.multiply(o, self.aq[rows], out=prod[:n])
-                for j, y in enumerate(aq_dots, len(dots)):
-                    sums[j] += sp._redot(y[rows], ao)
-        eo, eao = _edge(out), _edge(self.aq) * _edge(out)
-        return ([self._total(sums[j], _edge(y), eo) for j, y in enumerate(dots)]
-                + [self._total(sums[j], _edge(y), eao) for j, y in enumerate(aq_dots, len(dots))])
-
-    def step(self, hat: np.ndarray, dhat: np.ndarray, alpha: float, t: float,
-             out: np.ndarray) -> np.ndarray:
-        """Spectrum t (hat - alpha dhat) of an accepted step, written over
-        `out`, which is hat or dhat."""
-        scaled = self._tmp[0]
-        for rows in self.rows:
-            n = rows.stop - rows.start
-            blk = out[rows].view(np.float64)
-            np.subtract(hat[rows].view(np.float64),
-                        np.multiply(dhat[rows].view(np.float64), alpha,
-                                    out=scaled[:n].view(np.float64)), out=blk)
-            blk *= t
-        return out
-
-    def direction(self, ghat: np.ndarray, hat: np.ndarray, pairs: list,
-                  out: np.ndarray | None = None, beta: float = 0.0) -> tuple:
-        """Descent direction dhat, written into `out`.  With quasi-Newton
-        pairs (s, y, 1/<s, y>), oldest first, dhat = H ghat by the two-loop
-        recursion (Nocedal, Math. Comp. 35, 1980) seeded with the metric
-        P = 1/aq: each update shares its pass with the product the next one
-        needs, and the seed with the first product of the second loop, so
-        m pairs take 2m + 1 passes.  Without pairs, the conjugate direction
-        dhat = P ghat + beta out in one pass over the previous direction in
-        `out` (beta = 0: P ghat).  Returns dhat, <d, grad>, ||d||^2,
-        <Au, d>, <Ad, d>."""
-        if out is None:
-            out = np.empty_like(ghat)
-        last = dict(dots=(ghat, out), aq_dots=(hat, out))
-        if not pairs:
-            return (out, *self._pass(out, src=ghat, seed=True, keep=beta, **last))
-        k = len(pairs)
-        coef = [0.0] * k
-        (prod,) = self._pass(out, src=ghat, dots=(pairs[-1][0],))
-        for i in reversed(range(k)):
-            coef[i] = pairs[i][2] * prod
-            nxt = pairs[i - 1][0] if i else pairs[0][1]
-            (prod,) = self._pass(out, add=(-coef[i], pairs[i][1]), seed=i == 0, dots=(nxt,))
-        for i in range(k - 1):
-            (prod,) = self._pass(out, add=(coef[i] - pairs[i][2] * prod, pairs[i][0]),
-                                 dots=(pairs[i + 1][1],))
-        return (out, *self._pass(out, add=(coef[-1] - pairs[-1][2] * prod, pairs[-1][0]),
-                                 **last))
+            if beta:
+                # a real scalar times complex entries on a float view
+                of = o.view(np.float64)
+                of *= beta
+                o += np.multiply(ghat[rows], self._recip(rows), out=scaled[:n])
+            else:
+                np.multiply(ghat[rows], self._recip(rows), out=o)
+            dg += sp._redot(ghat[rows], o)
+            dd += sp._redot(o, o)
+            ao = np.multiply(o, self.aq[rows], out=prod[:n])
+            ad += sp._redot(hat[rows], ao)
+            dad += sp._redot(o, ao)
+        eo = _edge(out)
+        eao = _edge(self.aq) * eo
+        return (out, self._total(dg, _edge(ghat), eo), self._total(dd, eo, eo),
+                self._total(ad, _edge(hat), eao), self._total(dad, eo, eao))
 
 
 def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float,
-             max_iter: int, memory: int, floor_rule: bool) -> tuple[np.ndarray, dict, float]:
-    """Projected, preconditioned descent of the action on the Nehari manifold:
-    L-BFGS with up to `memory` pairs, Fletcher-Reeves CG for `memory` = 0.
+             max_iter: int, floor_rule: bool) -> tuple[np.ndarray, dict, float]:
+    """Projected, preconditioned Fletcher-Reeves CG descent of the action
+    on the Nehari manifold.
 
     `u` (float64: half spectra, complex128: full spectra) is overwritten
     and returned as the final iterate, with the SolitarySolution fields
     the descent fixes and ||u||.  The spectrum of the iterate is carried
     along: an accepted step u <- t (u - alpha d) sets it to
-    t (hat - alpha dhat), in the direction's buffer for L-BFGS, which
-    keeps the old hat for its next pair, and over hat for CG, which keeps
-    dhat as its previous direction.  So an iteration costs two
-    transforms, |u|^{p-1} u forward and the direction d back, and the
-    start one more; the physical u feeds the nonlinear sums.
+    t (hat - alpha dhat) over hat, and dhat stays as the previous
+    direction.  So an iteration costs two transforms, |u|^{p-1} u forward
+    and the direction d back, and the start one more; the physical u
+    feeds the nonlinear sums.
 
-    Both rules use the metric P = 1/aq and run in fused cache-sized
-    passes (`_Spectra`).  L-BFGS is the two-loop recursion on spectral
-    pairs, seeded with P.  CG (the preconditioned Riemannian CG of
-    Antoine, Levitt and Tang, J. Comput. Phys. 343, 2017) takes
+    The direction is the preconditioned Riemannian CG of Antoine, Levitt
+    and Tang (J. Comput. Phys. 343, 2017) with the metric P = 1/aq:
     d = P g + beta d_prev, beta = <g, P g> / <g_prev, P g_prev>, built
-    over d_prev in one pass that also yields the line-search products;
-    <g, P g> comes from the gradient's pass.  It holds the previous
-    direction and one scalar, no previous iterate or gradient.
-    Polak-Ribiere+ is no better here than steepest descent: consecutive
-    gradients are nearly parallel, so its beta was 0 at every step.
-    Either rule restarts from P g when its direction is not clearly
-    downhill, and a failed line search retries once from P g at the same
-    iterate.  CG stops only after a step along P g: an iterate that meets
-    the tolerance after a conjugate step takes one more.  Where |u|^{p-1}
-    is negligible, far out in the tail, P is the inverse Hessian and that
-    step clears the residual which the beta d_prev terms leave there;
-    the y-weighted R1 diagnostics amplify it (criterion 08: linearized
-    residual 1.29e-4 without the step, 6.12e-5 with it).
+    over d_prev in one fused pass (`_Spectra`) that also yields the
+    line-search products; <g, P g> comes from the gradient's pass.  It
+    holds the previous direction and one scalar, no previous iterate or
+    gradient.  Polak-Ribiere+ is no better here than steepest descent:
+    consecutive gradients are nearly parallel, so its beta was 0 at
+    every step.  A conjugate direction that is not clearly downhill is
+    replaced by P g, and a failed line search along one retries once
+    from P g at the same iterate.  The descent stops only after a step
+    along P g: an iterate that meets the tolerance after a conjugate
+    step takes one more.  Where |u|^{p-1} is negligible, far out in the
+    tail, P is the inverse Hessian and that step clears the residual
+    which the beta d_prev terms leave there; the y-weighted R1
+    diagnostics amplify it (criterion 08: linearized residual 1.29e-4
+    without the step, 6.12e-5 with it).
 
     Armijo trials along u - alpha d, each rescaled onto the Nehari
     manifold, need no transform.  `floor_rule` accepts a full step that
     fails the Armijo test near the action floor if it cuts the gradient
     norm by 0.1%.
     """
-    spec = _Spectra(grid.cell_area, aq, real=not np.iscomplexobj(u), conjugate=not memory)
+    spec = _Spectra(grid.cell_area, aq, real=not np.iscomplexobj(u))
 
     def action_of(a_form, b_pot):
         return 0.5 * a_form - b_pot / (p + 1.0)
@@ -389,9 +332,8 @@ def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float,
     hat *= t
     action_history = [action_of(a_form, b_pot)]
     history: list[IterationRecord] = []
-    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
-    hat_prev = ghat_prev = carried = dhat = None
-    gpg_prev = 0.0  # <g, P g> at the last iterate; 0 restarts the CG direction
+    carried = dhat = None
+    gpg_prev = 0.0  # <g, P g> at the last iterate; 0 restarts from P g
     conj = False  # the last direction was a conjugate one
     iterations = 0
 
@@ -406,28 +348,15 @@ def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float,
             if not conj:
                 history.append(IterationRecord(s_val, grad_norm / u_norm, 0.0, 0, False))
                 break
-            gpg_prev = 0.0  # CG ends with a step along P g
-        if hat_prev is not None:
-            s_vec, y_vec, sy, ss, yy = spec.pair(hat, hat_prev, ghat, ghat_prev)
-            if sy > 1e-12 * math.sqrt(ss * yy):
-                pairs.append((s_vec, y_vec, 1.0 / sy))
-                if len(pairs) > memory:
-                    pairs.pop(0)
-            del s_vec, y_vec
-        if memory:
-            hat_prev, ghat_prev = hat, ghat
+            gpg_prev = 0.0  # end with a step along P g
 
-        # Two-loop recursion, or Fletcher-Reeves CG without memory; the
-        # inverse quadratic symbol is the metric of both.
         beta = gpg / gpg_prev if gpg_prev else 0.0
-        dhat, slope, d_sq, au_d, a_d = spec.direction(ghat, hat, pairs, dhat, beta)
-        restart = bool(pairs or beta) and slope <= 1e-14 * grad_norm * math.sqrt(d_sq)
+        dhat, slope, d_sq, au_d, a_d = spec.direction(ghat, hat, dhat, beta)
+        restart = beta > 0.0 and slope <= 1e-14 * grad_norm * math.sqrt(d_sq)
         if restart:
-            pairs.clear()  # curvature memory or conjugate direction turned uphill
-            beta = 0.0
-            dhat, slope, d_sq, au_d, a_d = spec.direction(ghat, hat, pairs, dhat)
-        if not memory:
-            gpg_prev = gpg
+            beta = 0.0  # the conjugate direction turned uphill
+            dhat, slope, d_sq, au_d, a_d = spec.direction(ghat, hat, dhat)
+        gpg_prev = gpg
         conj = beta > 0.0
         del ghat
         d = sp._inv(dhat, grid.shape)
@@ -454,24 +383,19 @@ def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float,
             if accepted:
                 # a floor trial's carried gradient saw exactly these values
                 _advance(u, d, alpha, t)
-                # L-BFGS keeps hat as hat_prev; CG keeps dhat as the previous direction
-                hat = spec.step(hat, dhat, alpha, t, out=dhat if memory else hat)
+                spec.step(hat, dhat, alpha, t)
                 action_history.append(s_val + d_s)
                 break
             backtracks += 1
             alpha *= 0.5
         del d
-        if memory:
-            dhat = None  # the new hat, or spent
-        retry = not accepted and bool(pairs or beta)
+        retry = not accepted and conj
         if retry:
-            pairs.clear()  # retry from the same iterate along P g
-            hat_prev = ghat_prev = None
-            gpg_prev = 0.0
+            gpg_prev = 0.0  # retry from the same iterate along P g
         history.append(IterationRecord(s_val + d_s if accepted else s_val, grad_norm / u_norm,
                                        alpha if accepted else 0.0, backtracks, restart or retry))
         if not (accepted or retry):
-            break  # plain descent line search exhausted
+            break  # line search along P g exhausted
     else:
         # budget spent: measure the last accepted iterate
         _, b_u, n_u, g_sq, u_sq, _ = carried or spec.gradient(u, hat, p)
@@ -495,21 +419,19 @@ def _solution(params: ModelParams, q: Field, stats: dict, u_norm: float,
 
 def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
                  tol: float = 1e-6, max_iter: int = 5000,
-                 init_kind: str = "gaussian", seed: int = 0,
-                 memory: int = 8) -> SolitarySolution:
+                 init_kind: str = "gaussian", seed: int = 0) -> SolitarySolution:
     """Action minimization over the Nehari manifold.
 
-    Limited-memory quasi-Newton descent, with the inverse quadratic
-    symbol as the seed metric of the two-loop recursion, Armijo
-    backtracking on S, and exact Nehari reprojection after every trial
-    step, so accepted action values decrease monotonically and the
-    final value is a certified upper bound for the minimum.  The memory
-    restarts whenever the quasi-Newton direction stops pointing
-    downhill; `memory` = 0 selects preconditioned Fletcher-Reeves CG
-    instead (see `_descent`).  Terminates when ||grad S(u)||_{L2} <= tol * ||u||_{L2}.
+    Preconditioned Fletcher-Reeves conjugate gradients, with the inverse
+    quadratic symbol as the metric, Armijo backtracking on S, and exact
+    Nehari reprojection after every trial step, so accepted action
+    values decrease monotonically and the final value is a certified
+    upper bound for the minimum.  A conjugate direction that stops
+    pointing downhill is replaced by the preconditioned gradient (see
+    `_descent`).  Terminates when ||grad S(u)||_{L2} <= tol * ||u||_{L2}.
     An iteration costs two transforms, its line-search trials none: the
     spectrum of the iterate is carried along, not recomputed, and the
-    two-loop recursion runs in fused cache-sized passes.
+    direction is built in one fused cache-sized pass.
     For v = 0 and a real initial guess it runs in real arithmetic on
     half spectra; otherwise on full spectra, with the v = 0 result
     rotated onto the real axis.  `history`: one IterationRecord per iteration.
@@ -525,7 +447,7 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
     real = params.v == 0.0 and not np.any(u0.imag)
     aq = sp.action_quadratic(params.omega, params.v).values(grid, half=real)
     u, stats, u_norm = _descent(u0.real.copy() if real else u0.copy(), aq, params.p,
-                                grid, tol, max_iter, memory, floor_rule=False)
+                                grid, tol, max_iter, floor_rule=False)
     if params.v == 0.0:
         if not real:
             # Phase freedom: rotate to the real axis and reproject.
@@ -552,14 +474,13 @@ def extend_ground_state(sol: SolitarySolution, grid: Grid,
     only decays algebraically in y; the boxes they need do not fit in
     memory with the complex solver.  This routine zero-pads a converged
     v = 0 solution in y and polishes it with the descent core of
-    solve_nehari on half spectra, by preconditioned Fletcher-Reeves CG
-    instead of L-BFGS: it holds one previous direction spectrum and one
-    scalar, no quasi-Newton pairs, and takes about half the iterations
-    of preconditioned steepest descent (14 instead of 27 from 128x8192
-    to 128x32768 at p = 3, the last along P g), at two transforms per
-    iteration.  Near the
-    action floor, where the Armijo test drowns in rounding noise, a full
-    step is accepted if it still cuts the gradient.
+    solve_nehari on half spectra, preconditioned Fletcher-Reeves CG: it
+    holds one previous direction spectrum and one scalar, and takes
+    about half the iterations of preconditioned steepest descent (14
+    instead of 27 from 128x8192 to 128x32768 at p = 3, the last along
+    P g), at two transforms per iteration.  Near the action floor,
+    where the Armijo test drowns in rounding noise, a full step is
+    accepted if it still cuts the gradient.
 
     The target grid must match nx and lx, keep the same dy, and differ
     from the source by an even number of y rows.
@@ -579,8 +500,7 @@ def extend_ground_state(sol: SolitarySolution, grid: Grid,
     u = np.zeros(grid.shape, dtype=np.float64)
     u[:, offset:offset + g0.ny] = sp.to_physical(sol.q).values.real
     aq = sp.action_quadratic(params.omega).values(grid, half=True)
-    u, stats, u_norm = _descent(u, aq, params.p, grid, tol, max_iter, memory=0,
-                                floor_rule=True)
+    u, stats, u_norm = _descent(u, aq, params.p, grid, tol, max_iter, floor_rule=True)
     q = Field(grid, u.astype(np.complex128), sp.PHYSICAL)
     del u
     return _solution(params, q, stats, u_norm, tol)
@@ -712,38 +632,6 @@ def mass_centroid(u: Field) -> tuple[float, float]:
     return (float(np.sum(rows * u.grid.x)) / total, float(np.sum(cols * u.grid.y)) / total)
 
 
-def _czt_eval_axis(coef: np.ndarray, axis: int, n: int, length: float,
-                   origin: float, start: float, step: float) -> np.ndarray:
-    """Trig interpolant on an arithmetic progression of points, one axis.
-
-    `coef` holds unitary FFT coefficients along `axis`; returns samples
-    at origin-relative points start + j*step, j = 0..n-1, via the chirp
-    z-transform, with the Nyquist coefficient symmetrized to its cosine
-    part so real fields stay real.  Runs over blocks of lines (small
-    chirp-z buffers); lines are independent, so blocking changes no bit.
-    """
-    phi0 = (2.0 * np.pi / length) * (start - origin)
-    delta = (2.0 * np.pi / length) * step
-    half = 0.5 * n * (phi0 + delta * np.arange(n))
-    shape = [1, 1]
-    shape[axis] = n
-    pre = np.exp(1j * phi0 * np.arange(n)).reshape(shape)
-    phase = np.exp(-1j * half).reshape(shape)
-    # Nyquist row was summed as exp(-i n/2 theta); restore its cosine part.
-    nyq_phase = (1j * np.sin(half)).reshape(shape)
-    shifted = np.fft.fftshift(coef, axes=axis)
-    del coef  # freed here when the caller holds no reference
-    nyq = np.take(shifted, [0], axis=axis)
-    out = np.empty_like(shifted)
-    for blk in _slices(shifted.shape[1 - axis], n, _BLOCK_ELEMS):
-        idx = (slice(None), blk) if axis == 0 else (blk, slice(None))
-        part = phase * signal.czt(shifted[idx] * pre, m=n, w=np.exp(1j * delta),
-                                  a=1.0 + 0.0j, axis=axis)
-        part += nyq_phase * nyq[idx]
-        out[idx] = part / math.sqrt(n)
-    return out
-
-
 def _wrap_corrupt(coords: np.ndarray, c: float, rate: float,
                   length: float) -> np.ndarray:
     """Targets whose scaled source wraps into the inner 90% of the box."""
@@ -758,16 +646,39 @@ def _lines(blk: slice, axis: int) -> tuple[slice, slice]:
 
 def _resample_lines(src: np.ndarray, dst: np.ndarray, axis: int, n: int, length: float,
                     origin: float, start: float, step: float, scale: float = 1.0) -> None:
-    """dst = scale * src resampled along `axis` by `_czt_eval_axis`, a block
-    of lines at a time; dst may be src.  The map is complex linear and real,
-    so real lines j and j + lines/2 (Grid counts are even) go as one a + i b."""
+    """dst = scale * src resampled along `axis`; dst may be src.
+
+    Each line is replaced by its trigonometric interpolant at the
+    origin-relative points start + j*step, j = 0..n-1: the chirp
+    z-transform of its unitary FFT coefficients, with the Nyquist
+    coefficient symmetrized to its cosine part so real lines stay real.
+    One chirp-z plan serves every block of _BLOCK_ELEMS entries; lines
+    are independent, so blocking changes no bit.  The map is complex
+    linear and real, so real lines j and j + lines/2 (Grid counts are
+    even) go as one a + i b.
+    """
+    phi0 = (2.0 * np.pi / length) * (start - origin)
+    delta = (2.0 * np.pi / length) * step
+    half = 0.5 * n * (phi0 + delta * np.arange(n))
+    shape = [1, 1]
+    shape[axis] = n
+    pre = np.exp(1j * phi0 * np.arange(n)).reshape(shape)
+    phase = np.exp(-1j * half).reshape(shape)
+    # Nyquist row was summed as exp(-i n/2 theta); restore its cosine part.
+    nyq_phase = (1j * np.sin(half)).reshape(shape)
+    czt = signal.CZT(n, m=n, w=np.exp(1j * delta), a=1.0 + 0.0j)
     count = src.shape[1 - axis] // 2
     for blk in _slices(count, n, _BLOCK_ELEMS):
         a = _lines(blk, axis)
         b = _lines(slice(blk.start + count, blk.stop + count), axis)
         z = np.empty(src[a].shape, np.complex128)
         z.real, z.imag = src[a], src[b]
-        res = _czt_eval_axis(sp._fft(z, axis), axis, n, length, origin, start, step)
+        shifted = np.fft.fftshift(sp._fft(z, axis), axes=axis)
+        del z
+        res = phase * czt(shifted * pre, axis=axis)
+        res += nyq_phase * np.take(shifted, [0], axis=axis)
+        del shifted
+        res /= math.sqrt(n)
         np.multiply(res.real, scale, out=dst[a])
         np.multiply(res.imag, scale, out=dst[b])
 
