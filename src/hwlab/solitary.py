@@ -4,15 +4,14 @@ Ground states solve
 
     -dxx Q + |D_y| Q + i v dy Q + omega Q = |Q|^{p-1} Q
 
-and are computed two ways: as Nehari-manifold minimizers of the action
-(projected, preconditioned descent with a monotone line search) and,
-for mass-subcritical exponents, as mass-constrained Hamiltonian
-minimizers (semi-implicit normalized gradient flow).  The rest of the
-module implements the anisotropic scaling T_lambda u = lambda^{3/4}
-u(lambda^{1/2} x, lambda y), the generator psi = (3/4) u + (x/2) dx u
-+ y dy u, the omega-rescaling of profiles, diagnostics for the
-linearized resolvent identities, and orbital fitting modulo phase and
-translation.
+and are computed by one projected, preconditioned CG descent under two
+constraints: as Nehari-manifold minimizers of the action and, for
+mass-subcritical exponents, as Hamiltonian minimizers on the mass
+sphere.  The rest of the module implements the anisotropic scaling
+T_lambda u = lambda^{3/4} u(lambda^{1/2} x, lambda y), the generator
+psi = (3/4) u + (x/2) dx u + y dy u, the omega-rescaling of profiles,
+diagnostics for the linearized resolvent identities, and orbital
+fitting modulo phase and translation.
 """
 
 from __future__ import annotations
@@ -258,10 +257,10 @@ class _Spectra:
         """Conjugate direction dhat = P ghat + beta out, written over the
         previous direction in `out` (beta = 0: P ghat, and `out` is not
         read), in one pass that also sums the line-search products.
-        Returns dhat, <d, grad>, ||d||^2, <Au, d>, <Ad, d>."""
+        Returns dhat, <d, grad>, ||d||^2, <Au, d>, <Ad, d>, <u, d>."""
         if out is None:
             out = np.empty_like(ghat)
-        dg = dd = ad = dad = 0.0
+        dg = dd = ad = dad = ud = 0.0
         scaled, prod = self._tmp
         for rows in self.rows:
             n = rows.stop - rows.start
@@ -278,25 +277,42 @@ class _Spectra:
             ao = np.multiply(o, self.aq[rows], out=prod[:n])
             ad += sp._redot(hat[rows], ao)
             dad += sp._redot(o, ao)
+            ud += sp._redot(hat[rows], o)
         eo = _edge(out)
         eao = _edge(self.aq) * eo
         return (out, self._total(dg, _edge(ghat), eo), self._total(dd, eo, eo),
-                self._total(ad, _edge(hat), eao), self._total(dad, eo, eao))
+                self._total(ad, _edge(hat), eao), self._total(dad, eo, eao),
+                self._total(ud, _edge(hat), eo))
+
+    def tangent(self, ghat: np.ndarray, hat: np.ndarray, lam: float) -> tuple[float, float]:
+        """Spectrum of g - lam u written over ghat, the gradient tangent to
+        the sphere for lam = <g, u> / ||u||^2; returns ||g||^2 and <g, P g>."""
+        gg = gpg = 0.0
+        prod = self._tmp[1]
+        for rows in self.rows:
+            n = rows.stop - rows.start
+            g = ghat[rows]
+            g -= np.multiply(hat[rows], lam, out=prod[:n])
+            gg += sp._redot(g, g)
+            gpg += sp._redot(g, np.multiply(g, self._recip(rows), out=prod[:n]))
+        eg = _edge(ghat)
+        return self._total(gg, eg, eg), self._total(gpg, eg, eg / _edge(self.aq))
 
 
-def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float,
-             max_iter: int, floor_rule: bool) -> tuple[np.ndarray, dict, float]:
+def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float, max_iter: int,
+             floor_rule: bool, mass: float | None = None) -> tuple[np.ndarray, dict, float, float]:
     """Projected, preconditioned Fletcher-Reeves CG descent of the action
-    on the Nehari manifold.
+    S = a(u)/2 - int |u|^{p+1}/(p+1), a the quadratic form of `aq`, on the
+    Nehari manifold, or with `mass` on the sphere ||u||^2 = 2 mass.
 
     `u` (float64: half spectra, complex128: full spectra) is overwritten
     and returned as the final iterate, with the SolitarySolution fields
-    the descent fixes and ||u||.  The spectrum of the iterate is carried
-    along: an accepted step u <- t (u - alpha d) sets it to
-    t (hat - alpha dhat) over hat, and dhat stays as the previous
-    direction.  So an iteration costs two transforms, |u|^{p-1} u forward
-    and the direction d back, and the start one more; the physical u
-    feeds the nonlinear sums.
+    the descent fixes, ||u|| and N(u) = <grad S(u), u>.  The spectrum of
+    the iterate is carried along: an accepted step u <- t (u - alpha d)
+    sets it to t (hat - alpha dhat) over hat, and dhat stays as the
+    previous direction.  So an iteration costs two transforms,
+    |u|^{p-1} u forward and the direction d back, and the start one more;
+    the physical u feeds the nonlinear sums.
 
     The direction is the preconditioned Riemannian CG of Antoine, Levitt
     and Tang (J. Comput. Phys. 343, 2017) with the metric P = 1/aq:
@@ -304,30 +320,47 @@ def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float,
     over d_prev in one fused pass (`_Spectra`) that also yields the
     line-search products; <g, P g> comes from the gradient's pass.  It
     holds the previous direction and one scalar, no previous iterate or
-    gradient.  Polak-Ribiere+ is no better here than steepest descent:
-    consecutive gradients are nearly parallel, so its beta was 0 at
-    every step.  A conjugate direction that is not clearly downhill is
-    replaced by P g, and a failed line search along one retries once
-    from P g at the same iterate.  The descent stops only after a step
-    along P g: an iterate that meets the tolerance after a conjugate
-    step takes one more.  Where |u|^{p-1} is negligible, far out in the
-    tail, P is the inverse Hessian and that step clears the residual
-    which the beta d_prev terms leave there; the y-weighted R1
-    diagnostics amplify it (criterion 08: linearized residual 1.29e-4
-    without the step, 6.12e-5 with it).
+    gradient (Polak-Ribiere+ gave beta = 0 at every step: consecutive
+    gradients are nearly parallel).  A conjugate direction that is not
+    clearly downhill is replaced by P g, and a failed line search along
+    one retries once from P g at the same iterate.  The descent stops
+    only after a step along P g: an iterate that meets the tolerance
+    after a conjugate step takes one more.  Where |u|^{p-1} is
+    negligible, far out in the tail, P is the inverse Hessian and that
+    step clears the residual which the beta d_prev terms leave there;
+    the y-weighted R1 diagnostics amplify it (criterion 08: linearized
+    residual 1.29e-4 without the step, 6.12e-5 with it).
 
-    Armijo trials along u - alpha d, each rescaled onto the Nehari
-    manifold, need no transform.  `floor_rule` accepts a full step that
-    fails the Armijo test near the action floor if it cuts the gradient
-    norm by 0.1%.
+    Armijo trials along u - alpha d, each rescaled onto the constraint,
+    need no transform; accepted actions are monotone to the rounding of
+    the recomputed sums.  On the sphere g is its tangential part
+    g - (N(u) / ||u||^2) u, formed in one more pass.  `floor_rule` accepts
+    a full step that fails the Armijo test near the action floor if it
+    cuts the gradient norm by 0.1%.
     """
     spec = _Spectra(grid.cell_area, aq, real=not np.iscomplexobj(u))
 
     def action_of(a_form, b_pot):
         return 0.5 * a_form - b_pot / (p + 1.0)
 
+    def scale(a_form, b_pot, m):
+        """`_nehari_scale`, or the factor onto the sphere for ||u||^2 = m."""
+        if mass is None:
+            return _nehari_scale(a_form, b_pot, p)
+        if not 0.0 < m < math.inf:
+            raise CollapseError("mass vanished; field collapsed to zero")
+        t = math.sqrt(2.0 * mass / m)
+        return t, t * t * a_form, t ** (p + 1.0) * b_pot
+
+    def measure(carried):
+        ghat, b_u, n_u, g_sq, u_sq, gpg = carried or spec.gradient(u, hat, p)
+        if mass is not None:
+            g_sq, gpg = spec.tangent(ghat, hat, n_u / u_sq)
+        return ghat, b_u, n_u, g_sq, u_sq, gpg
+
     hat = sp._fwd(u)
-    t, a_form, b_pot = _nehari_scale(spec.dot(hat, aq * hat), fl._lp1_sum(u, p) * spec.w, p)
+    t, a_form, b_pot = scale(spec.dot(hat, aq * hat), fl._lp1_sum(u, p) * spec.w,
+                             spec.dot(hat, hat))
     u *= t
     hat *= t
     action_history = [action_of(a_form, b_pot)]
@@ -339,11 +372,11 @@ def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float,
 
     for iterations in range(1, max_iter + 1):
         # the Nehari functional N(u) = <grad S(u), u> = a(u) - int |u|^{p+1}
-        ghat, b_u, n_u, g_sq, u_sq, gpg = carried or spec.gradient(u, hat, p)
+        ghat, b_u, n_u, g_sq, u_sq, gpg = measure(carried)
         carried = None
         grad_norm, u_norm = math.sqrt(g_sq), math.sqrt(u_sq)
         a_u = n_u + b_u
-        s_val = action_of(*_nehari_scale(a_u, b_u, p)[1:])
+        s_val = action_of(*scale(a_u, b_u, u_sq)[1:])
         if grad_norm <= tol * u_norm:
             if not conj:
                 history.append(IterationRecord(s_val, grad_norm / u_norm, 0.0, 0, False))
@@ -351,11 +384,11 @@ def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float,
             gpg_prev = 0.0  # end with a step along P g
 
         beta = gpg / gpg_prev if gpg_prev else 0.0
-        dhat, slope, d_sq, au_d, a_d = spec.direction(ghat, hat, dhat, beta)
+        dhat, slope, d_sq, au_d, a_d, u_d = spec.direction(ghat, hat, dhat, beta)
         restart = beta > 0.0 and slope <= 1e-14 * grad_norm * math.sqrt(d_sq)
         if restart:
             beta = 0.0  # the conjugate direction turned uphill
-            dhat, slope, d_sq, au_d, a_d = spec.direction(ghat, hat, dhat)
+            dhat, slope, d_sq, au_d, a_d, u_d = spec.direction(ghat, hat, dhat)
         gpg_prev = gpg
         conj = beta > 0.0
         del ghat
@@ -367,12 +400,15 @@ def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float,
         while alpha > 1e-14:
             d_a = -alpha * (2.0 * au_d - alpha * a_d)
             d_b = _lp1_change(u, d, alpha, p) * spec.w
-            t = _nehari_scale(a_u + d_a, b_u + d_b, p)[0]
-            # S = (p-1)/(2(p+1)) a^{(p+1)/(p-1)} b^{-2/(p-1)} on the Nehari manifold:
-            # its change from the relative changes of a and b resolves
-            # decreases below the ulp of S.
-            d_s = s_val * math.expm1(((p + 1.0) * math.log1p(d_a / a_u)
-                                      - 2.0 * math.log1p(d_b / b_u)) / (p - 1.0))
+            t, a_t, b_t = scale(a_u + d_a, b_u + d_b, u_sq - alpha * (2.0 * u_d - alpha * d_sq))
+            if mass is None:
+                # S = (p-1)/(2(p+1)) a^{(p+1)/(p-1)} b^{-2/(p-1)} on the Nehari
+                # manifold: its change from the relative changes of a and b
+                # resolves decreases below the ulp of S.
+                d_s = s_val * math.expm1(((p + 1.0) * math.log1p(d_a / a_u)
+                                          - 2.0 * math.log1p(d_b / b_u)) / (p - 1.0))
+            else:
+                d_s = action_of(a_t, b_t) - s_val
             if d_s <= -ARMIJO_C * alpha * slope:
                 accepted = True
             elif floor and alpha == 1.0:
@@ -398,23 +434,27 @@ def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float,
             break  # line search along P g exhausted
     else:
         # budget spent: measure the last accepted iterate
-        _, b_u, n_u, g_sq, u_sq, _ = carried or spec.gradient(u, hat, p)
+        _, b_u, n_u, g_sq, u_sq, _ = measure(carried)
         grad_norm, u_norm = math.sqrt(g_sq), math.sqrt(u_sq)
-    return u, dict(action_value=action_of(*_nehari_scale(n_u + b_u, b_u, p)[1:]),
-                   nehari_residual=abs(n_u), gradient_residual=grad_norm,
-                   iterations=iterations, action_history=action_history,
-                   history=history), u_norm
+    return u, dict(action_value=action_of(*scale(n_u + b_u, b_u, u_sq)[1:]),
+                   nehari_residual=abs(n_u), gradient_residual=grad_norm, iterations=iterations,
+                   action_history=action_history, history=history), u_norm, n_u
+
+
+def _converged(out, stats: dict, u_norm: float, tol: float):
+    """`out`, or a ConvergenceError carrying it if the descent stopped short of tol."""
+    if stats["gradient_residual"] > tol * u_norm:
+        raise ConvergenceError(
+            f"no convergence in {stats['iterations']} iterations; gradient residual "
+            f"{stats['gradient_residual']:.3e} vs target {tol * u_norm:.3e}", solution=out)
+    return out
 
 
 def _solution(params: ModelParams, q: Field, stats: dict, u_norm: float,
               tol: float) -> SolitarySolution:
     out = SolitarySolution(params=params, q=q, tail_mass_fraction=sp.tail_mass_fraction(q),
                            **stats)
-    if out.gradient_residual > tol * u_norm:
-        raise ConvergenceError(
-            f"no convergence in {out.iterations} iterations; gradient residual "
-            f"{out.gradient_residual:.3e} vs target {tol * u_norm:.3e}", solution=out)
-    return out
+    return _converged(out, stats, u_norm, tol)
 
 
 def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
@@ -425,16 +465,15 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
     Preconditioned Fletcher-Reeves conjugate gradients, with the inverse
     quadratic symbol as the metric, Armijo backtracking on S, and exact
     Nehari reprojection after every trial step, so accepted action
-    values decrease monotonically and the final value is a certified
-    upper bound for the minimum.  A conjugate direction that stops
-    pointing downhill is replaced by the preconditioned gradient (see
-    `_descent`).  Terminates when ||grad S(u)||_{L2} <= tol * ||u||_{L2}.
-    An iteration costs two transforms, its line-search trials none: the
-    spectrum of the iterate is carried along, not recomputed, and the
-    direction is built in one fused cache-sized pass.
-    For v = 0 and a real initial guess it runs in real arithmetic on
-    half spectra; otherwise on full spectra, with the v = 0 result
-    rotated onto the real axis.  `history`: one IterationRecord per iteration.
+    values are monotone to the rounding of the recomputed sums, and the
+    final value bounds the minimum from above to that rounding.  A
+    conjugate direction that stops pointing downhill is replaced by the
+    preconditioned gradient (see `_descent`).  Terminates when
+    ||grad S(u)||_{L2} <= tol * ||u||_{L2}.  An iteration costs two
+    transforms, its line-search trials none (see `_descent`).  For v = 0
+    and a real initial guess it runs in real arithmetic on half spectra;
+    otherwise on full spectra, with the v = 0 result rotated onto the
+    real axis.  `history`: one IterationRecord per iteration.
     """
     if init is None:
         init = default_initial_guess(grid, params, kind=init_kind, seed=seed)
@@ -446,8 +485,8 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
     u0 = sp.to_physical(init).values
     real = params.v == 0.0 and not np.any(u0.imag)
     aq = sp.action_quadratic(params.omega, params.v).values(grid, half=real)
-    u, stats, u_norm = _descent(u0.real.copy() if real else u0.copy(), aq, params.p,
-                                grid, tol, max_iter, floor_rule=False)
+    u, stats, u_norm, _ = _descent(u0.real.copy() if real else u0.copy(), aq, params.p,
+                                   grid, tol, max_iter, floor_rule=False)
     if params.v == 0.0:
         if not real:
             # Phase freedom: rotate to the real axis and reproject.
@@ -500,112 +539,48 @@ def extend_ground_state(sol: SolitarySolution, grid: Grid,
     u = np.zeros(grid.shape, dtype=np.float64)
     u[:, offset:offset + g0.ny] = sp.to_physical(sol.q).values.real
     aq = sp.action_quadratic(params.omega).values(grid, half=True)
-    u, stats, u_norm = _descent(u, aq, params.p, grid, tol, max_iter, floor_rule=True)
+    u, stats, u_norm, _ = _descent(u, aq, params.p, grid, tol, max_iter, floor_rule=True)
     q = Field(grid, u.astype(np.complex128), sp.PHYSICAL)
     del u
     return _solution(params, q, stats, u_norm, tol)
 
 
-def solve_mass_constrained(grid: Grid, mu: float, p: float,
-                           init: Field | None = None, tol: float = 1e-6,
-                           max_iter: int = 50000, dt0: float = 0.1,
-                           seed: int = 0) -> MassMinimizer:
-    """Hamiltonian minimization at fixed mass (normalized gradient flow).
+def solve_mass_constrained(grid: Grid, mu: float, p: float, init: Field | None = None,
+                           tol: float = 1e-6, max_iter: int = 50000) -> MassMinimizer:
+    """Hamiltonian minimization at fixed mass ||u||^2 / 2 = mu.
 
-    Semi-implicit steps on the tangentially projected gradient: backward
-    Euler on the quadratic part, forward on the nonlinearity minus the
-    Lagrange term lambda(u) u, followed by exact renormalization to mass
-    mu.  Without the Lagrange term the renormalized map has fixed points
-    a dt-proportional residual away from criticality; with it the fixed
-    points are exactly the constrained critical points, and the
-    renormalization is an O(dt^2) correction.  The step size is halved
-    whenever H fails to decrease, which keeps the energy history
-    monotone.  Only defined on the subcritical range 1 < p < 7/3 where
-    the constrained infimum is finite.
+    On the sphere ||u||^2 = 2 mu the Hamiltonian is H = S_1 - mu, with
+    S_1 the omega = 1 action, so this is the descent of `solve_nehari`
+    (`_descent`) with the rescaling onto the sphere in place of the
+    Nehari one and the gradient tangent to it, grad S_1 - lambda u with
+    lambda = <grad S_1(u), u> / ||u||^2: preconditioned CG on the mass
+    sphere (Antoine, Levitt and Tang, J. Comput. Phys. 343, 2017).
+    Accepted energies are monotone to the rounding of the recomputed
+    sums.  omega_multiplier = 1 - lambda, the Lagrange multiplier, is
+    omega at a ground state.  Terminates when the tangential gradient
+    has ||.||_{L2} <= tol * ||u||_{L2}.  Real starts run on half spectra,
+    complex ones on full spectra.  Only defined on the subcritical range
+    1 < p < 7/3, where the constrained infimum is finite.
     """
     if not (1.0 < p < 7.0 / 3.0):
         raise ValueError("mass-constrained minimization needs 1 < p < 7/3")
-    if not mu > 0.0:
-        raise ValueError("mass must be positive")
-    params = ModelParams(p=p, omega=1.0, v=0.0)
+    if not 0.0 < mu < math.inf:
+        raise ValueError("mass must be positive and finite")
     if init is None:
-        init = default_initial_guess(grid, params, seed=seed)
+        init = default_initial_guess(grid, ModelParams(p=p))
     if init.grid != grid:
         raise ValueError("initial guess lives on a different grid")
 
-    w = grid.cell_area
-    lin = (grid.xi[:, None] ** 2) + np.abs(grid.eta)[None, :]
-
-    def renorm(vals):
-        m = 0.5 * sp._redot(vals, vals) * w
-        if m <= 0.0 or not np.isfinite(m):
-            raise CollapseError("mass vanished during the flow")
-        return vals * math.sqrt(mu / m)
-
-    def energy_of(vals):
-        hat = sp._fft2(vals)
-        quad = float(np.sum(lin * (hat.real ** 2 + hat.imag ** 2))) * w
-        return 0.5 * quad - fl._lp1_sum(vals, p) * w / (p + 1.0)
-
-    def gradient(vals):
-        return sp._ifft2(lin * sp._fft2(vals)) - fl._density(vals) ** ((p - 1.0) / 2.0) * vals
-
-    u = renorm(sp.to_physical(init).values)
-    h_val = energy_of(u)
-    history = [h_val]
-    dt = dt0
-    streak = 0
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        nl = fl._density(u) ** ((p - 1.0) / 2.0) * u
-        hat_u = sp._fft2(u)
-        # lambda(u) = -<u, H'(u)> / ||u||^2, the multiplier that makes the
-        # step tangent to the mass sphere (equals omega at convergence)
-        norm_sq = sp._redot(u, u)
-        quad = float(np.sum(lin * (hat_u.real ** 2 + hat_u.imag ** 2)))
-        lam = (sp._redot(u, nl) - quad) / norm_sq
-        hat = hat_u + dt * (sp._fft2(nl) - lam * hat_u)
-        trial = renorm(sp._ifft2(hat / (1.0 + dt * lin)))
-        h_trial = energy_of(trial)
-        if not np.isfinite(h_trial):
-            raise CollapseError("energy lost finiteness during the flow")
-        if h_trial > h_val + 1e-12 * max(1.0, abs(h_val)):
-            dt *= 0.5
-            streak = 0
-            if dt < 1e-9:
-                break
-            continue
-        step = trial - u
-        step_norm = math.sqrt(sp._redot(step, step) * w)
-        u, h_val = trial, h_trial
-        history.append(h_val)
-        streak += 1
-        if streak >= 10:
-            # backward Euler on the quadratic part tolerates large dt; the
-            # monotonicity guard above rejects any overshoot
-            dt = min(dt * 1.2, dt0 * 100.0)
-            streak = 0
-        if iterations % 5 == 0 or step_norm <= 1e-14:
-            g = gradient(u)
-            radial = sp._redot(u, g) / sp._redot(u, u)
-            resid = g - radial * u
-            rnorm = math.sqrt(sp._redot(resid, resid) * w)
-            if rnorm <= tol * math.sqrt(2.0 * mu):
-                converged = True
-                break
-
-    minimizer = Field(grid, u, sp.PHYSICAL)
-    g = gradient(u)
-    omega_mult = sp._redot(u, g) * w / (-2.0 * mu)
-    result = MassMinimizer(mu=mu, minimizer=minimizer, energy=h_val,
-                           omega_multiplier=omega_mult, iterations=iterations,
-                           energy_history=history)
-    if not converged:
-        raise ConvergenceError(
-            f"normalized gradient flow did not converge in {iterations} steps",
-            solution=result)
-    return result
+    u0 = sp.to_physical(init).values
+    real = not np.any(u0.imag)
+    aq = sp.action_quadratic(1.0).values(grid, half=real)
+    u, stats, u_norm, n_u = _descent(u0.real.copy() if real else u0.copy(), aq, p, grid,
+                                     tol, max_iter, floor_rule=False, mass=mu)
+    out = MassMinimizer(mu=mu, minimizer=Field(grid, u, sp.PHYSICAL),
+                        energy=stats["action_value"] - mu,
+                        omega_multiplier=1.0 - n_u / (2.0 * mu), iterations=stats["iterations"],
+                        energy_history=[s - mu for s in stats["action_history"]])
+    return _converged(out, stats, u_norm, tol)
 
 
 def rescale_omega(q1: Field, omega: float, p: float) -> Field:

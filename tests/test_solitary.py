@@ -181,7 +181,7 @@ def _plain_dot(grid, real, a, b):
 @example(grid=sp.make_grid(10, 16, 10.0, 10.0), real=False, beta=0.0, block_rows=1, seed=4)
 def test_fused_conjugate_direction_matches_plain(grid, real, beta, block_rows, seed):
     # d = P g + beta d_prev, P = 1/aq, written over d_prev in one pass with
-    # <d, g>, ||d||^2, <Au, d> and <Ad, d>, against plain numpy; blocks of 1
+    # <d, g>, ||d||^2, <Au, d>, <Ad, d> and <u, d>, against plain numpy; blocks of 1
     # row up to the whole array, with a short last block when the block does
     # not divide the rows, on half and full spectra.  beta = 0 must not read
     # the buffer, which then holds NaN.
@@ -194,7 +194,7 @@ def test_fused_conjugate_direction_matches_plain(grid, real, beta, block_rows, s
     hat, ghat, prev = (sp._fwd(_random_field(grid, rng, real)) for _ in range(3))
     want = ghat / aq + beta * prev
     out = prev.copy() if beta else np.full_like(prev, np.nan)
-    dhat, slope, d_sq, au_d, a_d = spec.direction(ghat, hat, out, beta)
+    dhat, slope, d_sq, au_d, a_d, u_d = spec.direction(ghat, hat, out, beta)
     assert dhat is out
     assert np.linalg.norm(dhat - want) <= 1e-12 * np.linalg.norm(want)
     g_sq, a_u = _plain_dot(grid, real, ghat, ghat), _plain_dot(grid, real, hat, aq * hat)
@@ -203,6 +203,8 @@ def test_fused_conjugate_direction_matches_plain(grid, real, beta, block_rows, s
     assert d_sq == pytest.approx(want_sq, rel=1e-12)
     assert abs(au_d - _plain_dot(grid, real, hat, aq * want)) <= 1e-12 * math.sqrt(a_u * want_a)
     assert a_d == pytest.approx(want_a, rel=1e-12)
+    u_sq = _plain_dot(grid, real, hat, hat)
+    assert abs(u_d - _plain_dot(grid, real, hat, want)) <= 1e-12 * math.sqrt(u_sq * want_sq)
 
 
 @given(grid=grids, real=st.booleans(), p=st.floats(1.1, 4.9), t=st.floats(0.5, 2.0),
@@ -578,14 +580,14 @@ def test_conjugate_direction_restart_and_retry(monkeypatch, transform_count, cas
     faults = []
 
     def reversed_cg(self, ghat, hat, out=None, beta=0.0):
-        dhat, slope, d_sq, au_d, a_d = plain(self, ghat, hat, out, beta)
+        dhat, slope, d_sq, au_d, a_d, u_d = plain(self, ghat, hat, out, beta)
         if beta and len(faults) < 3:
             faults.append(beta)
             if fault == "failed_search":
-                return dhat, 1e30, d_sq, au_d, a_d
+                return dhat, 1e30, d_sq, au_d, a_d, u_d
             dhat *= -1.0
-            return dhat, -slope, d_sq, -au_d, a_d
-        return dhat, slope, d_sq, au_d, a_d
+            return dhat, -slope, d_sq, -au_d, a_d, -u_d
+        return dhat, slope, d_sq, au_d, a_d, u_d
 
     monkeypatch.setattr(sol._Spectra, "direction", reversed_cg)
     transform_count.clear()
@@ -660,11 +662,27 @@ def test_orbital_fit_perturbation_bound(p2_state):
     assert fit.distance > 0
 
 
-def test_mass_constrained_matches_ground_state(p2_state):
+@pytest.mark.parametrize("rotation", [
+    pytest.param(1.0, id="real"),
+    pytest.param(np.exp(0.7j), id="rotated"),
+])
+def test_mass_constrained_matches_ground_state(p2_state, transform_count, rotation):
+    # the descent of solve_nehari on the mass sphere: a real start on half
+    # spectra, a rotated one on full spectra, two transforms per iteration
     g = p2_state.q.grid
     mu = fl.mass(p2_state.q)
-    mm = sol.solve_mass_constrained(g, mu, 2.0, tol=1e-5)
+    par = ModelParams(p=2.0)
+    init = sp.physical_field(g, rotation * sol.default_initial_guess(g, par).values.real)
+    transform_count.clear()
+    mm = sol.solve_mass_constrained(g, mu, 2.0, init=init, tol=1e-5)
+    assert sum(transform_count.values()) == 2 * mm.iterations
+    assert set(transform_count) == ({"rfft2", "irfft2"} if rotation == 1.0 else {"fft2", "ifft2"})
     assert mm.energy < 0
+    # the outputs come from the descent's sums; fresh functionals must agree
+    m = mm.minimizer
+    assert mm.energy == pytest.approx(fl.hamiltonian(m, 2.0), rel=1e-12)
+    omega = (fl.lp1_power(m, 2.0) - fl.dx_norm_sq(m) - fl.dy_half_norm_sq(m)) / (2.0 * mu)
+    assert mm.omega_multiplier == pytest.approx(omega, rel=1e-12)
     assert fl.mass(mm.minimizer) == pytest.approx(mu, rel=1e-12)
     assert mm.omega_multiplier == pytest.approx(1.0, abs=1e-3)
     fit = sol.orbital_fit(mm.minimizer, p2_state.q)
@@ -679,6 +697,14 @@ def test_mass_constrained_rejects_supercritical():
         sol.solve_mass_constrained(g, 1.0, 3.0)
     with pytest.raises(ValueError):
         sol.solve_mass_constrained(g, -1.0, 2.0)
+    with pytest.raises(ValueError):
+        sol.solve_mass_constrained(g, math.inf, 2.0)
+    with pytest.raises(sol.CollapseError):
+        sol.solve_mass_constrained(g, 1.0, 2.0, init=sp.physical_field(g, np.zeros(g.shape)))
+    with pytest.raises(sol.ConvergenceError) as err:
+        sol.solve_mass_constrained(g, 1.0, 2.0, max_iter=3)
+    assert isinstance(err.value.solution, sol.MassMinimizer)
+    assert err.value.solution.iterations == 3
 
 
 def test_travel_probe_degeneration():
