@@ -33,6 +33,12 @@ class PicardContractionError(RuntimeError):
         self.distances = distances or []
 
 
+def _complex(u: Field) -> np.ndarray:
+    """Physical values of u as complex128, the dtype every flow runs in:
+    a real field and its complex-typed copy give the same bits."""
+    return np.asarray(sp.to_physical(u).values, dtype=np.complex128)
+
+
 def linear_propagate(u: Field, t: float) -> Field:
     """Apply the free group S(t); an exact isometry for every t."""
     return sp.apply_symbol(u, sp.halfwave_group(t))
@@ -81,7 +87,7 @@ def strang_step(u: Field, dt: float, p: float, focusing: bool = True,
     propagator).  `evolve` merges the half rotations of adjacent steps,
     which is exact because the rotation keeps |u|.
     """
-    vals = _strang(sp.to_physical(u).values, 1, dt, p, 1.0 if focusing else -1.0,
+    vals = _strang(_complex(u), 1, dt, p, 1.0 if focusing else -1.0,
                    _propagator(u.grid, dt, dealias))
     return Field(u.grid, vals, sp.PHYSICAL)
 
@@ -171,7 +177,7 @@ def evolve(u0: Field, p: float, T: float, dt: float, sample_stride: int = 10,
             ext = float(extra_monitor(Field(g, vals, sp.PHYSICAL)))
         return m, ham, mixed, peak, dist, ph, ext
 
-    vals = sp.to_physical(u0).values.copy()
+    vals = _complex(u0)  # never written in place: each sub-step makes a new array
     rows = [(0.0,) + monitors(vals)]  # (t, mass, ham, mixed, peak, dist, phase, extra)
     m0, h0, mixed0 = rows[0][1:4]
     m_scale, h_scale = max(m0, 1e-30), max(abs(h0), 1e-30)
@@ -247,7 +253,7 @@ def picard_solve(u0: Field, p: float, T: float, n_steps: int = 64,
     def nonlinearity(vals):
         return nl_coeff * fl._density(vals) ** ((p - 1.0) / 2.0) * vals
 
-    u0_vals = sp.to_physical(u0).values
+    u0_vals = _complex(u0)
     linear = [u0_vals]
     for _ in range(n_steps):
         linear.append(_linear(linear[-1], prop))

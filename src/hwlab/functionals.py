@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral as sp
-from .spectral import Field, Grid
+from .spectral import _density, Field, Grid
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,6 @@ class ModelParams:
         return -1.0 / self.s_p
 
 
-def _density(u: np.ndarray) -> np.ndarray:
-    if not np.iscomplexobj(u):
-        return u * u
-    return u.real ** 2 + u.imag ** 2
-
-
 def mass(u: Field) -> float:
     """M(u) = 1/2 ||u||_{L2}^2."""
     return 0.5 * sp.l2_norm_sq(u)
@@ -86,21 +80,36 @@ def lp1_norm(u: Field, p: float) -> float:
     return lp1_power(u, p) ** (1.0 / (p + 1.0))
 
 
+def _dx_sq(hat: np.ndarray, grid: Grid) -> float:
+    return sp._form(hat, grid, grid.xi[:, None] ** 2)
+
+
+def _dy_sq(hat: np.ndarray, grid: Grid) -> float:
+    return sp._form(hat, grid, np.abs(grid.eta)[None, :])
+
+
+def _quad(hat: np.ndarray, grid: Grid, params: ModelParams, dx_sq: float) -> float:
+    """The action's quadratic form from ||dx u||^2 and the row
+    |eta| - v*eta + omega, so no full-size multiplier is built."""
+    row = np.abs(grid.eta) - params.v * grid.eta_odd + params.omega
+    return dx_sq + sp._form(hat, grid, row[None, :])
+
+
 def dx_norm_sq(u: Field) -> float:
-    return sp.quadratic_form(u, u.grid.xi[:, None] ** 2)
+    return _dx_sq(sp._spectrum(u), u.grid)
 
 
 def dy_half_norm_sq(u: Field) -> float:
     """|| |D_y|^{1/2} u ||^2 = <|D_y| u, u>."""
-    return sp.quadratic_form(u, np.abs(u.grid.eta)[None, :])
+    return _dy_sq(sp._spectrum(u), u.grid)
 
 
 def quadratic_action_form(u: Field, params: ModelParams) -> float:
     """<(-dxx + |D_y| + i v dy + omega) u, u>, the action's quadratic part;
-    its symbol is xi^2 plus a row, so no full-size multiplier is built."""
-    spec = sp.to_spectral(u)
-    row = np.abs(u.grid.eta) - params.v * u.grid.eta_odd + params.omega
-    return dx_norm_sq(spec) + sp.quadratic_form(spec, row[None, :])
+    a real field sums over its half spectrum, where the odd transport part
+    adds nothing (`spectral._form`)."""
+    hat = sp._spectrum(u)
+    return _quad(hat, u.grid, params, _dx_sq(hat, u.grid))
 
 
 def hamiltonian(u: Field, p: float) -> float:
@@ -199,13 +208,15 @@ class FunctionalReport:
 
 
 def functional_report(u: Field, params: ModelParams) -> FunctionalReport:
-    """Every functional of u from one transform; equal to the separate functions."""
+    """Every functional of u from one transform, the half spectrum of a real
+    field; equal to the separate functions."""
     p = params.p
-    spec = sp.to_spectral(u)
-    dx_sq = dx_norm_sq(spec)
-    dy_sq = dy_half_norm_sq(spec)
-    quad = quadratic_action_form(spec, params)
-    lp1 = lp1_power(sp.to_physical(u), p)
+    hat = sp._spectrum(u)
+    dx_sq = _dx_sq(hat, u.grid)
+    dy_sq = _dy_sq(hat, u.grid)
+    quad = _quad(hat, u.grid, params, dx_sq)
+    del hat
+    lp1 = lp1_power(u, p)
     l2_sq = sp.l2_norm_sq(u)
     return FunctionalReport(
         mass=0.5 * l2_sq,

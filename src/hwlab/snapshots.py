@@ -11,8 +11,9 @@ Layout, all little-endian:
 
 Loading validates magic, version, payload size, and (optionally) that
 the header grid matches an expected grid; mismatches fail loudly.  The
-payload is read once, straight into the returned array.  Files are
-written through `atomic_open`, so a reader sees the old file or the
+payload is read once, straight into the returned array (complex128,
+also for a field saved from float64 values).  Files are written
+through `atomic_open`, so a reader sees the old file or the
 whole new one, never a partial write.
 """
 
@@ -26,11 +27,12 @@ import uuid
 import numpy as np
 
 from .functionals import ModelParams
-from .spectral import Field, Grid, PHYSICAL, to_physical
+from .spectral import _slices, Field, Grid, PHYSICAL, to_physical
 
 MAGIC = b"HWSF"
 VERSION = 1
 _HEADER = struct.Struct("<4sIQQddddd")
+_WRITE_ELEMS = 1 << 16  # samples per row block written from a real field (1 MB)
 
 
 class SnapshotError(IOError):
@@ -54,13 +56,25 @@ def atomic_open(path: str, mode: str = "wb", **kwargs):
 
 
 def save_snapshot(path: str, field: Field, params: ModelParams) -> None:
+    """Write `field` (physical) and `params` in the version-1 layout.  A
+    real field goes out as complex128 with zero imaginary parts, one row
+    block at a time, so no full complex copy is made; the bytes are those
+    of its complex-typed copy."""
     g = field.grid
-    vals = np.ascontiguousarray(to_physical(field).values, dtype="<c16")
+    vals = to_physical(field).values
     header = _HEADER.pack(MAGIC, VERSION, g.nx, g.ny, g.lx, g.ly,
                           params.p, params.omega, params.v)
     with atomic_open(path) as fh:
         fh.write(header)
-        vals.tofile(fh)
+        if np.iscomplexobj(vals):
+            np.ascontiguousarray(vals, dtype="<c16").tofile(fh)
+            return
+        rows = _slices(g.nx, g.ny, _WRITE_ELEMS)
+        buf = np.zeros((rows[0].stop, g.ny), dtype="<c16")
+        for r in rows:
+            blk = buf[:r.stop - r.start]
+            blk.real = vals[r]
+            blk.tofile(fh)
 
 
 def load_snapshot(path: str, expect_grid: Grid | None = None) -> tuple[Field, ModelParams]:

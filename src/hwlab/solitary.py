@@ -25,7 +25,7 @@ from scipy import signal
 from . import functionals as fl
 from . import spectral as sp
 from .functionals import ModelParams
-from .spectral import _FUSE_ELEMS, _slices, Field, Grid
+from .spectral import _FUSE_ELEMS, _edge, _slices, Field, Grid
 
 ARMIJO_C = 1e-4
 _BLOCK_ELEMS = 1 << 18  # complex entries per block of the chirp-z resampling (4 MB)
@@ -96,18 +96,19 @@ def default_initial_guess(grid: Grid, params: ModelParams, kind: str = "gaussian
                           seed: int = 0) -> Field:
     """Smooth localized starting fields for the solvers.
 
-    gaussian: separable Gaussian, width 2 in x and 4 in y.  For v != 0
-    it is modulated by exp(i eta0 y) with eta0 the first grid frequency
-    on the non-degenerate side of the transport symbol (sign of v).
+    gaussian: separable Gaussian, width 2 in x and 4 in y, real.  For
+    v != 0 it is modulated by exp(i eta0 y) with eta0 the first grid
+    frequency on the non-degenerate side of the transport symbol (sign
+    of v).
     gaussian-wide: an independent shape for restart-agreement checks.
     noise: seeded band-limited noise under a Gaussian envelope.
     """
     X = grid.x[:, None]
     Y = grid.y[None, :]
     if kind == "gaussian":
-        vals = np.exp(-X ** 2 / 8.0 - Y ** 2 / 32.0).astype(np.complex128)
+        vals = np.exp(-X ** 2 / 8.0 - Y ** 2 / 32.0)
     elif kind == "gaussian-wide":
-        vals = 0.6 * np.exp(-X ** 2 / 18.0 - Y ** 2 / 12.5).astype(np.complex128)
+        vals = 0.6 * np.exp(-X ** 2 / 18.0 - Y ** 2 / 12.5)
     elif kind == "noise":
         rng = np.random.default_rng(seed)
         coef = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
@@ -160,39 +161,48 @@ def _advance(u: np.ndarray, d: np.ndarray, alpha: float, t: float) -> None:
         blk *= t
 
 
-def _edge(a: np.ndarray) -> np.ndarray:
-    """First and last column: on a half spectrum, the ones Parseval counts once."""
-    return a[:, ::a.shape[1] - 1]
-
-
 class _Spectra:
     """L2 inner products and the fused passes of the descent on its spectra
     (`sp._fwd`): rfft2 half spectra for real fields, where Parseval weighs
-    the columns (1, 2, ..., 2, 1), full spectra otherwise.  `aq` is the
-    action-quadratic symbol on the same spectra, `w` the cell area, and
-    P = 1/aq the metric of the descent.
+    the columns (1, 2, ..., 2, 1), full spectra otherwise.  aq is the
+    symbol `sym` (action_quadratic) on the same spectra, `w` the cell area,
+    and P = 1/aq the metric of the descent.
 
     A fused pass walks the spectra in row blocks of about _FUSE_ELEMS
     entries, which stay in cache: each block is updated and then feeds
-    every inner product of the pass before the next block is read.  The
-    block sums are plain; the half-spectrum column weights are applied
-    per pass from the edge columns.  Block bounds depend on the shape
-    only, so no sum depends on a thread count.
+    every inner product of the pass before the next block is read.  aq
+    and 1/aq are formed per block in two block buffers (`sp._ActionRows`):
+    full-size copies would cost 251 MB each on the 320x98305 half spectra
+    of criterion 08.  The block sums are plain; the half-spectrum column
+    weights are applied per pass from the edge columns.  Block bounds
+    depend on the shape only, so no sum depends on a thread count.
+    `sphere`: the direction pass also sums <u, d>, which only the mass
+    constraint reads.
     """
 
-    def __init__(self, w: float, aq: np.ndarray, real: bool):
-        self.w, self.aq, self.real = w, aq, real
-        self.rows = _slices(*aq.shape, _FUSE_ELEMS)
-        block = (self.rows[0].stop, aq.shape[1])
+    def __init__(self, grid: Grid, sym: sp.Symbol, real: bool, sphere: bool = False):
+        self.w, self.real, self.sphere = grid.cell_area, real, sphere
+        self._sym = sp._ActionRows(grid, sym.omega, sym.v, half=real)
+        cols = self._sym.shape[1]
+        self.rows = _slices(grid.nx, cols, _FUSE_ELEMS)
+        block = (self.rows[0].stop, cols)
         self._tmp = np.empty(block, np.complex128), np.empty(block, np.complex128)
-        # 1/aq block by block: a full-size copy would cost 251 MB on the
-        # 320x98305 half spectra of criterion 08, the block division 0.2 ms
-        # an iteration on 256x1024
-        self._inv = np.empty(block)
+        self._aq, self._inv = np.empty(block), np.empty(block)
+        self._aq_edge = self._sym(slice(None), np.empty((grid.nx, 2)),
+                                  slice(None, None, cols - 1))
 
-    def _recip(self, rows: slice) -> np.ndarray:
-        """1/aq on a row block, the metric P."""
-        return np.divide(1.0, self.aq[rows], out=self._inv[:rows.stop - rows.start])
+    def _metric(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """aq and the metric P = 1/aq on a row block, in the block buffers."""
+        n = rows.stop - rows.start
+        aq = self._sym(rows, self._aq[:n])
+        return aq, np.divide(1.0, aq, out=self._inv[:n])
+
+    def apply(self, hat: np.ndarray, out: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """aq hat (inverse: hat / aq) written into `out`, which may be hat."""
+        op = np.divide if inverse else np.multiply
+        for rows in self.rows:
+            op(hat[rows], self._sym(rows, self._aq[:rows.stop - rows.start]), out=out[rows])
+        return out
 
     def _total(self, total: float, ea: np.ndarray, eb: np.ndarray) -> float:
         """re int conj(f) g from `total`, the plain sum of re conj(a) b over
@@ -232,15 +242,16 @@ class _Spectra:
                 h = np.subtract(h, dhat[rows], out=trial[:n])
                 h *= t
             g = ghat[rows]
-            np.subtract(np.multiply(h, self.aq[rows], out=prod[:n]), g, out=g)
+            aq, inv = self._metric(rows)
+            np.subtract(np.multiply(h, aq, out=prod[:n]), g, out=g)
             gh += sp._redot(g, h)
             gg += sp._redot(g, g)
             hh += sp._redot(h, h)
-            gpg += sp._redot(g, np.multiply(g, self._recip(rows), out=prod[:n]))
+            gpg += sp._redot(g, np.multiply(g, inv, out=prod[:n]))
         eh = _edge(hat) if dhat is None else (_edge(hat) - _edge(dhat)) * t
         eg = _edge(ghat)
         return (ghat, b_pot * self.w, self._total(gh, eg, eh), self._total(gg, eg, eg),
-                self._total(hh, eh, eh), self._total(gpg, eg, eg / _edge(self.aq)))
+                self._total(hh, eh, eh), self._total(gpg, eg, eg / self._aq_edge))
 
     def step(self, hat: np.ndarray, dhat: np.ndarray, alpha: float, t: float) -> None:
         """Spectrum t (hat - alpha dhat) of an accepted step, written over hat."""
@@ -257,7 +268,8 @@ class _Spectra:
         """Conjugate direction dhat = P ghat + beta out, written over the
         previous direction in `out` (beta = 0: P ghat, and `out` is not
         read), in one pass that also sums the line-search products.
-        Returns dhat, <d, grad>, ||d||^2, <Au, d>, <Ad, d>, <u, d>."""
+        Returns dhat, <d, grad>, ||d||^2, <Au, d>, <Ad, d>, <u, d> (0 unless
+        `sphere`)."""
         if out is None:
             out = np.empty_like(ghat)
         dg = dd = ad = dad = ud = 0.0
@@ -265,21 +277,23 @@ class _Spectra:
         for rows in self.rows:
             n = rows.stop - rows.start
             o = out[rows]
+            aq, inv = self._metric(rows)
             if beta:
                 # a real scalar times complex entries on a float view
                 of = o.view(np.float64)
                 of *= beta
-                o += np.multiply(ghat[rows], self._recip(rows), out=scaled[:n])
+                o += np.multiply(ghat[rows], inv, out=scaled[:n])
             else:
-                np.multiply(ghat[rows], self._recip(rows), out=o)
+                np.multiply(ghat[rows], inv, out=o)
             dg += sp._redot(ghat[rows], o)
             dd += sp._redot(o, o)
-            ao = np.multiply(o, self.aq[rows], out=prod[:n])
+            ao = np.multiply(o, aq, out=prod[:n])
             ad += sp._redot(hat[rows], ao)
             dad += sp._redot(o, ao)
-            ud += sp._redot(hat[rows], o)
+            if self.sphere:
+                ud += sp._redot(hat[rows], o)
         eo = _edge(out)
-        eao = _edge(self.aq) * eo
+        eao = self._aq_edge * eo
         return (out, self._total(dg, _edge(ghat), eo), self._total(dd, eo, eo),
                 self._total(ad, _edge(hat), eao), self._total(dad, eo, eao),
                 self._total(ud, _edge(hat), eo))
@@ -294,16 +308,17 @@ class _Spectra:
             g = ghat[rows]
             g -= np.multiply(hat[rows], lam, out=prod[:n])
             gg += sp._redot(g, g)
-            gpg += sp._redot(g, np.multiply(g, self._recip(rows), out=prod[:n]))
+            gpg += sp._redot(g, np.multiply(g, self._metric(rows)[1], out=prod[:n]))
         eg = _edge(ghat)
-        return self._total(gg, eg, eg), self._total(gpg, eg, eg / _edge(self.aq))
+        return self._total(gg, eg, eg), self._total(gpg, eg, eg / self._aq_edge)
 
 
-def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float, max_iter: int,
+def _descent(u: np.ndarray, sym: sp.Symbol, p: float, grid: Grid, tol: float, max_iter: int,
              floor_rule: bool, mass: float | None = None) -> tuple[np.ndarray, dict, float, float]:
     """Projected, preconditioned Fletcher-Reeves CG descent of the action
-    S = a(u)/2 - int |u|^{p+1}/(p+1), a the quadratic form of `aq`, on the
-    Nehari manifold, or with `mass` on the sphere ||u||^2 = 2 mass.
+    S = a(u)/2 - int |u|^{p+1}/(p+1), a the quadratic form of the symbol
+    `sym` (aq), on the Nehari manifold, or with `mass` on the sphere
+    ||u||^2 = 2 mass.
 
     `u` (float64: half spectra, complex128: full spectra) is overwritten
     and returned as the final iterate, with the SolitarySolution fields
@@ -338,7 +353,7 @@ def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float, ma
     a full step that fails the Armijo test near the action floor if it
     cuts the gradient norm by 0.1%.
     """
-    spec = _Spectra(grid.cell_area, aq, real=not np.iscomplexobj(u))
+    spec = _Spectra(grid, sym, real=not np.iscomplexobj(u), sphere=mass is not None)
 
     def action_of(a_form, b_pot):
         return 0.5 * a_form - b_pot / (p + 1.0)
@@ -359,13 +374,15 @@ def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float, ma
         return ghat, b_u, n_u, g_sq, u_sq, gpg
 
     hat = sp._fwd(u)
-    t, a_form, b_pot = scale(spec.dot(hat, aq * hat), fl._lp1_sum(u, p) * spec.w,
+    # aq hat goes into the buffer the first direction is written over
+    dhat = spec.apply(hat, np.empty_like(hat))
+    t, a_form, b_pot = scale(spec.dot(hat, dhat), fl._lp1_sum(u, p) * spec.w,
                              spec.dot(hat, hat))
     u *= t
     hat *= t
     action_history = [action_of(a_form, b_pot)]
     history: list[IterationRecord] = []
-    carried = dhat = None
+    carried = None
     gpg_prev = 0.0  # <g, P g> at the last iterate; 0 restarts from P g
     conj = False  # the last direction was a conjugate one
     iterations = 0
@@ -441,6 +458,22 @@ def _descent(u: np.ndarray, aq: np.ndarray, p: float, grid: Grid, tol: float, ma
                    action_history=action_history, history=history), u_norm, n_u
 
 
+def _is_real(vals: np.ndarray) -> bool:
+    """Whether the values are real: float64, or complex with zero imaginary part."""
+    return not (np.iscomplexobj(vals) and np.any(vals.imag))
+
+
+def _start(u0: np.ndarray, real: bool) -> np.ndarray:
+    """A fresh copy of the initial values for `_descent`: float64 for a run on
+    half spectra, complex128 (a real warm start cast) for one on full spectra."""
+    return u0.real.copy() if real else u0.astype(np.complex128)
+
+
+def _samples(vals: np.ndarray) -> np.ndarray:
+    """`vals`, or the float64 view of complex values whose imaginary part is zero."""
+    return vals.real if _is_real(vals) else vals
+
+
 def _converged(out, stats: dict, u_norm: float, tol: float):
     """`out`, or a ConvergenceError carrying it if the descent stopped short of tol."""
     if stats["gradient_residual"] > tol * u_norm:
@@ -473,7 +506,9 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
     transforms, its line-search trials none (see `_descent`).  For v = 0
     and a real initial guess it runs in real arithmetic on half spectra;
     otherwise on full spectra, with the v = 0 result rotated onto the
-    real axis.  `history`: one IterationRecord per iteration.
+    real axis.  A v = 0 profile is float64, a traveling one complex128;
+    a real warm start for v != 0 is cast to complex128.  `history`: one
+    IterationRecord per iteration.
     """
     if init is None:
         init = default_initial_guess(grid, params, kind=init_kind, seed=seed)
@@ -483,10 +518,9 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
         raise CollapseError("initial guess is identically zero")
 
     u0 = sp.to_physical(init).values
-    real = params.v == 0.0 and not np.any(u0.imag)
-    aq = sp.action_quadratic(params.omega, params.v).values(grid, half=real)
-    u, stats, u_norm, _ = _descent(u0.real.copy() if real else u0.copy(), aq, params.p,
-                                   grid, tol, max_iter, floor_rule=False)
+    real = params.v == 0.0 and _is_real(u0)
+    u, stats, u_norm, _ = _descent(_start(u0, real), sp.action_quadratic(params.omega, params.v),
+                                   params.p, grid, tol, max_iter, floor_rule=False)
     if params.v == 0.0:
         if not real:
             # Phase freedom: rotate to the real axis and reproject.
@@ -538,11 +572,9 @@ def extend_ground_state(sol: SolitarySolution, grid: Grid,
     offset = (grid.ny - g0.ny) // 2
     u = np.zeros(grid.shape, dtype=np.float64)
     u[:, offset:offset + g0.ny] = sp.to_physical(sol.q).values.real
-    aq = sp.action_quadratic(params.omega).values(grid, half=True)
-    u, stats, u_norm, _ = _descent(u, aq, params.p, grid, tol, max_iter, floor_rule=True)
-    q = Field(grid, u.astype(np.complex128), sp.PHYSICAL)
-    del u
-    return _solution(params, q, stats, u_norm, tol)
+    u, stats, u_norm, _ = _descent(u, sp.action_quadratic(params.omega), params.p, grid, tol,
+                                   max_iter, floor_rule=True)
+    return _solution(params, Field(grid, u, sp.PHYSICAL), stats, u_norm, tol)
 
 
 def solve_mass_constrained(grid: Grid, mu: float, p: float, init: Field | None = None,
@@ -572,10 +604,8 @@ def solve_mass_constrained(grid: Grid, mu: float, p: float, init: Field | None =
         raise ValueError("initial guess lives on a different grid")
 
     u0 = sp.to_physical(init).values
-    real = not np.any(u0.imag)
-    aq = sp.action_quadratic(1.0).values(grid, half=real)
-    u, stats, u_norm, n_u = _descent(u0.real.copy() if real else u0.copy(), aq, p, grid,
-                                     tol, max_iter, floor_rule=False, mass=mu)
+    u, stats, u_norm, n_u = _descent(_start(u0, _is_real(u0)), sp.action_quadratic(1.0), p,
+                                     grid, tol, max_iter, floor_rule=False, mass=mu)
     out = MassMinimizer(mu=mu, minimizer=Field(grid, u, sp.PHYSICAL),
                         energy=stats["action_value"] - mu,
                         omega_multiplier=1.0 - n_u / (2.0 * mu), iterations=stats["iterations"],
@@ -675,6 +705,7 @@ def t_lambda(u: Field, lam: float, center: tuple[float, float] = (0.0, 0.0),
     T_lambda is real, so it acts on the real and imaginary parts: a y
     pass, then an x pass over its output, on packed line pairs in blocks
     of _BLOCK_ELEMS entries (`_resample_lines`); no full spectrum, no BLAS.
+    A real field gives float64 values, a complex one complex128.
     """
     if not lam > 0.0:
         raise ValueError("lambda must be positive")
@@ -686,9 +717,12 @@ def t_lambda(u: Field, lam: float, center: tuple[float, float] = (0.0, 0.0),
         _check_tail(phys, tail_tol, "t_lambda")
     cx, cy = center
     rx = math.sqrt(lam)
-    vals = np.zeros(g.shape, np.complex128)
-    parts = ((phys.values.real, vals.real), (phys.values.imag, vals.imag))
-    for src, buf in parts[:2 if np.any(phys.values.imag) else 1]:
+    u_vals = phys.values
+    vals = np.zeros(g.shape, u_vals.dtype)
+    parts = [(u_vals.real, vals.real)]
+    if not _is_real(u_vals):
+        parts.append((u_vals.imag, vals.imag))
+    for src, buf in parts:
         _resample_lines(src, buf, 1, g.ny, g.ly, g.y[0], cy + lam * (g.y[0] - cy), lam * g.dy)
         _resample_lines(buf, buf, 0, g.nx, g.lx, g.x[0], cx + rx * (g.x[0] - cx), rx * g.dx,
                         lam ** 0.75)
@@ -725,13 +759,13 @@ def psi_omega(q: Field, center: tuple[float, float] | None = None,
 
     Equals d/dlambda T_lambda q at lambda = 1; coordinates are measured
     from the mass centroid unless a center is supplied.  L2-orthogonal
-    to q because T_lambda is an L2 isometry.  Real q: half spectra, no BLAS.
+    to q because T_lambda is an L2 isometry.  Real q: half spectra, no BLAS,
+    float64 values.
     """
     phys = sp.to_physical(q)
     _check_tail(phys, tail_tol, "psi_omega")
     center = mass_centroid(phys) if center is None else center
-    vals = phys.values if np.any(phys.values.imag) else phys.values.real
-    return Field(q.grid, _generator(vals, q.grid, 0.75, center), sp.PHYSICAL)
+    return Field(q.grid, _generator(_samples(phys.values), q.grid, 0.75, center), sp.PHYSICAL)
 
 
 @dataclass(frozen=True)
@@ -801,31 +835,41 @@ def r1_diagnostics(q1: Field, p: float, tail_tol: float = 1e-8) -> R1Diagnostics
     sup of the three resolvent multipliers Phi1 = 1/(xi^2 + |eta| + 1),
     Phi2 = -xi^2 * Phi1, Phi3 = |eta| * Phi1, on the half spectrum (the
     symbols are even).  A real Q1 runs in real arithmetic on half spectra
-    (`_generator`), freeing each temporary after use; no BLAS call is made.
+    (`_generator`) and gives a float64 R1.  The symbol and the defect are
+    formed by row blocks (`_Spectra.apply`), and each full-size temporary is
+    freed after use; no BLAS call is made.
     """
     phys = sp.to_physical(q1)
     g = q1.grid
     _check_tail(phys, tail_tol, "r1_diagnostics")
-    q = phys.values if np.any(phys.values.imag) else phys.values.real
+    q = _samples(phys.values)
     r1 = _generator(q, g, 1.0 / (p - 1.0), mass_centroid(phys))
-    aq = sp.action_quadratic(1.0).values(g, half=not np.iscomplexobj(q))
-    lin_applied = sp._inv(aq * sp._fwd(r1), g.shape)
-    defect = lin_applied - p * fl._density(q) ** ((p - 1.0) / 2.0) * r1 + q
-    lin_res = math.sqrt(sp._redot(defect, defect) * g.cell_area) / sp.l2_norm(phys)
-    del defect
+    spec = _Spectra(g, sp.action_quadratic(1.0), real=not np.iscomplexobj(q))
+    hat = sp._fwd(r1)
+    lin_applied = sp._inv(spec.apply(hat, out=hat), g.shape)
+    del hat
+    defect_sq = 0.0
+    for r in _slices(*g.shape, _FUSE_ELEMS):
+        defect = lin_applied[r] - p * fl._density(q[r]) ** ((p - 1.0) / 2.0) * r1[r] + q[r]
+        defect_sq += sp._redot(defect, defect)
+    lin_res = math.sqrt(defect_sq * g.cell_area) / sp.l2_norm(phys)
 
     back = sp._fwd(lin_applied)
     del lin_applied
-    roundtrip = sp._inv(np.divide(back, aq, out=back), g.shape)
+    roundtrip = sp._inv(spec.apply(back, out=back, inverse=True), g.shape)
     del back
     roundtrip -= r1
     rt_err = math.sqrt(sp._redot(roundtrip, roundtrip) / sp._redot(r1, r1))
     del roundtrip
 
-    phi1 = 1.0 / aq[:, :g.ny // 2 + 1]
-    phi_max = tuple(float(np.max(m * phi1))
-                    for m in (1.0, (g.xi ** 2)[:, None], np.abs(g.eta[:g.ny // 2 + 1])))
-    return R1Diagnostics(Field(g, r1, sp.PHYSICAL), lin_res, rt_err, phi_max)
+    half = sp._ActionRows(g, 1.0, 0.0, half=True)
+    phi_max = np.zeros(3)
+    for r in _slices(*half.shape, _FUSE_ELEMS):
+        phi1 = 1.0 / half(r, np.empty((r.stop - r.start, half.shape[1])))
+        phi_max = np.maximum(phi_max, [np.max(m * phi1)
+                                       for m in (1.0, half.xi2[r], half.abs_eta)])
+    return R1Diagnostics(Field(g, r1, sp.PHYSICAL), lin_res, rt_err,
+                         tuple(float(m) for m in phi_max))
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,20 @@ Transforms use the unitary normalization, so the discrete Parseval
 identity holds with the same quadrature weight dx*dy in both
 representations.
 
+A physical Field holds float64 values when its input is real and
+complex128 otherwise; a spectral Field is always complex128, and
+`to_spectral` gives the full spectrum of either.  Real fields stay real
+through the package: the quadratic forms and the solvers take their
+half spectra (`rfft2` along y), on which Parseval weighs the columns
+(1, 2, ..., 2, 1) and a multiplier counts by its even part.
+
 Every 2-D transform in the package goes through `_fft2`, `_ifft2`,
 `_rfft2` or `_irfft2` (`_fwd` and `_inv` pick by dtype), the line
 transforms of T_lambda through `_fft`; all call `scipy.fft`
-(pocketfft).  Real fields use half spectra (`rfft2` along y), on which
-Parseval weighs the columns (1, 2, ..., 2, 1).  A transform runs on
-`len(os.sched_getaffinity(0))` threads (the usable cores) when its
-real-space array has at least 2**22 points and on one thread
-otherwise, where thread start-up eats the gain.  On a 2-core Xeon, an
+(pocketfft).  A transform runs on `len(os.sched_getaffinity(0))`
+threads (the usable cores) when its real-space array has at least
+2**22 points and on one thread otherwise, where thread start-up eats
+the gain.  On a 2-core Xeon, an
 r2c pair with 1 -> 2 threads takes 0.20 -> 0.21 ms at 128x128,
 31 -> 30 ms at 128x8192 and 132 -> 89 ms at 128x32768.  pocketfft
 hands whole 1-D lines to the threads, so the output is bit-identical
@@ -95,11 +101,21 @@ def _inv(hat: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _redot(a: np.ndarray, b: np.ndarray) -> float:
-    """re sum conj(a) b over two 2-D arrays of one shape and dtype (complex
-    ones with a contiguous last axis), by einsum on float views."""
-    if np.iscomplexobj(a):
+    """re sum conj(a) b over two 2-D arrays of one shape (complex ones with
+    a contiguous last axis), by einsum on float views; a real operand pairs
+    with the real part of a complex one."""
+    if np.iscomplexobj(a) and np.iscomplexobj(b):
         a, b = a.view(np.float64), b.view(np.float64)
+    else:
+        a, b = a.real, b.real
     return float(np.einsum("ij,ij->", a, b))
+
+
+def _density(u: np.ndarray) -> np.ndarray:
+    """|u|^2, squared directly for real u."""
+    if not np.iscomplexobj(u):
+        return u * u
+    return u.real ** 2 + u.imag ** 2
 
 
 def wavenumbers(n: int, length: float) -> np.ndarray:
@@ -182,10 +198,11 @@ SPECTRAL = "spectral"
 
 @dataclass
 class Field:
-    """Complex scalar field on a Grid, tagged with its representation.
+    """Scalar field on a Grid, tagged with its representation.
 
-    values is a C-ordered (nx, ny) complex128 array: x is the slow
-    index, y the fast one.
+    values is a C-ordered (nx, ny) array: x is the slow index, y the
+    fast one.  Physical values are float64 when the input is real and
+    complex128 otherwise; spectral values are always complex128.
     """
 
     grid: Grid
@@ -195,7 +212,8 @@ class Field:
     def __post_init__(self):
         if self.rep not in (PHYSICAL, SPECTRAL):
             raise RepresentationError(f"unknown representation {self.rep!r}")
-        vals = np.ascontiguousarray(self.values, dtype=np.complex128)
+        real = self.rep == PHYSICAL and not np.iscomplexobj(self.values)
+        vals = np.ascontiguousarray(self.values, dtype=np.float64 if real else np.complex128)
         if vals.shape != self.grid.shape:
             raise ValueError(
                 f"values shape {vals.shape} does not match grid {self.grid.shape}")
@@ -218,12 +236,14 @@ def transform(f: Field, direction: str) -> Field:
 
     forward: physical -> spectral, inverse: spectral -> physical.
     Calling with a field already in the target representation is an
-    error; use to_spectral/to_physical for idempotent conversion.
+    error; use to_spectral/to_physical for idempotent conversion.  Real
+    values are transformed as their complex-typed copy, whose spectrum
+    scipy's real-input fft2 does not match bit for bit.
     """
     if direction == "forward":
         if f.rep != PHYSICAL:
             raise RepresentationError("forward transform expects a physical field")
-        return Field(f.grid, _fft2(f.values), SPECTRAL)
+        return Field(f.grid, _fft2(np.asarray(f.values, np.complex128)), SPECTRAL)
     if direction == "inverse":
         if f.rep != SPECTRAL:
             raise RepresentationError("inverse transform expects a spectral field")
@@ -283,9 +303,31 @@ class Symbol:
             return np.broadcast_to(-self.v * grid.eta_odd[None, :], grid.shape).copy()
         if self.kind == "halfwave_group":
             return np.exp(1j * self.t * (-xi2 - abs_eta))
-        # action_quadratic: xi^2 + |eta| - v*eta + omega, strictly positive
-        # for omega > 0 and |v| <= 1.
-        return xi2 + abs_eta - self.v * grid.eta_odd[None, :cols] + self.omega
+        return _ActionRows(grid, self.omega, self.v, half)(slice(None), np.empty(shape))
+
+
+class _ActionRows:
+    """The action_quadratic symbol xi^2 + |eta| - v*eta + omega, strictly
+    positive for omega > 0 and |v| <= 1, by row blocks of the half (half=True)
+    or full spectra, bit for bit its full array, with no full-size array."""
+
+    def __init__(self, grid: Grid, omega: float, v: float, half: bool):
+        if half and v:
+            raise ValueError(f"action symbol with v={v} does not act on half spectra")
+        cols = grid.ny // 2 + 1 if half else grid.ny
+        self.shape = (grid.nx, cols)
+        self.xi2 = grid.xi[:, None] ** 2
+        self.abs_eta = np.abs(grid.eta[:cols])
+        self.v_eta = v * grid.eta_odd[:cols] if v else None
+        self.omega = omega
+
+    def __call__(self, rows: slice, out: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
+        """The symbol on rows x cols, written into `out`."""
+        np.add(self.xi2[rows], self.abs_eta[cols], out=out)
+        if self.v_eta is not None:
+            out -= self.v_eta[cols]
+        out += self.omega
+        return out
 
 
 def dxx() -> Symbol:
@@ -317,7 +359,7 @@ def apply_symbol(f: Field, sym: Symbol) -> Field:
     mult = sym.values(f.grid)
     if f.rep == SPECTRAL:
         return Field(f.grid, mult * f.values, SPECTRAL)
-    return Field(f.grid, _ifft2(mult * _fft2(f.values)), PHYSICAL)
+    return Field(f.grid, _ifft2(mult * to_spectral(f).values), PHYSICAL)
 
 
 def l2_inner(f: Field, g: Field):
@@ -327,8 +369,9 @@ def l2_inner(f: Field, g: Field):
     if f.rep != g.rep:
         raise RepresentationError("fields must share a representation")
     a, b = g.values, f.values
-    # im sum conj(a) b = re sum conj(i a) b
-    return complex(_redot(a, b), _redot(1j * a, b)) * f.grid.cell_area
+    # im sum conj(a) b = re sum conj(i a) b, zero for two real fields
+    im = _redot(1j * a, b) if np.iscomplexobj(a) or np.iscomplexobj(b) else 0.0
+    return complex(_redot(a, b), im) * f.grid.cell_area
 
 
 def l2_norm_sq(f: Field) -> float:
@@ -339,13 +382,44 @@ def l2_norm(f: Field) -> float:
     return math.sqrt(l2_norm_sq(f))
 
 
+def _spectrum(f: Field) -> np.ndarray:
+    """The spectrum the quadratic forms sum over: the `_rfft2` half spectrum
+    of a real physical field, the full spectrum otherwise."""
+    if f.rep == PHYSICAL and not np.iscomplexobj(f.values):
+        return _rfft2(f.values)
+    return to_spectral(f).values
+
+
+def _edge(a: np.ndarray) -> np.ndarray:
+    """First and last column: on a half spectrum, the ones Parseval counts once."""
+    return a[:, ::a.shape[1] - 1]
+
+
+def _form(hat: np.ndarray, grid: Grid, multiplier: np.ndarray) -> float:
+    """sum multiplier * |fhat|^2 * dx*dy over the spectrum `hat` of f
+    (`_spectrum`), for a real multiplier that broadcasts to the grid shape,
+    by cache-sized row blocks.  On a half spectrum the multiplier counts by
+    its even part (m(k) + m(-k))/2, with the column weights (1, 2, ..., 2, 1):
+    an odd part, such as the transport row, sums to zero over a real field."""
+    mult = np.atleast_2d(np.asarray(multiplier, dtype=np.float64))
+    half = hat.shape[1] != grid.ny
+    if half:
+        # m(-k): reversed, then rolled so that index 0 stays in place
+        mult = 0.5 * (mult + np.roll(mult[::-1, ::-1], 1, axis=(0, 1)))
+        mult = mult[:, :hat.shape[1]] if mult.shape[1] > 1 else mult
+    mult = np.broadcast_to(mult, hat.shape)
+    total = sum(float(np.sum(mult[r] * _density(hat[r])))
+                for r in _slices(*hat.shape, _FUSE_ELEMS))
+    if half:
+        total = 2.0 * total - float(np.sum(_edge(mult) * _density(_edge(hat))))
+    return total * grid.cell_area
+
+
 def quadratic_form(f: Field, multiplier: np.ndarray) -> float:
     """sum multiplier * |fhat|^2 * dx*dy for a real multiplier array that
-    broadcasts to the grid shape, by cache-sized row blocks."""
-    hat = to_spectral(f).values
-    mult = np.broadcast_to(multiplier, hat.shape)
-    return sum(float(np.sum(mult[r] * (hat[r].real ** 2 + hat[r].imag ** 2)))
-               for r in _slices(*hat.shape, _FUSE_ELEMS)) * f.grid.cell_area
+    broadcasts to the grid shape, by cache-sized row blocks; a real field
+    sums over its half spectrum (`_form`)."""
+    return _form(_spectrum(f), f.grid, multiplier)
 
 
 def dx_field(f: Field) -> Field:
@@ -377,7 +451,7 @@ def _marginals(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column sums of |u|^2, by cache-sized row blocks."""
     rows, cols = np.empty(u.shape[0]), np.zeros(u.shape[1])
     for blk in _slices(*u.shape, _FUSE_ELEMS):
-        w = u[blk].real ** 2 + u[blk].imag ** 2
+        w = _density(u[blk])
         rows[blk] = w.sum(axis=1)
         cols += w.sum(axis=0)
     return rows, cols
@@ -399,7 +473,7 @@ def tail_mass_fraction(f: Field, annulus: float = 0.1) -> float:
     edge_x = np.abs(g.x) > (1.0 - annulus) * (g.lx / 2.0)
     edge_y = np.abs(g.y) > (1.0 - annulus) * (g.ly / 2.0)
     side = u[np.ix_(~edge_x, edge_y)]  # the y band outside the x band
-    return (float(np.sum(rows[edge_x])) + float(np.sum(side.real ** 2 + side.imag ** 2))) / total
+    return (float(np.sum(rows[edge_x])) + float(np.sum(_density(side)))) / total
 
 
 def frac_constant(s: float) -> float:

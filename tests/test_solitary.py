@@ -135,7 +135,7 @@ def test_line_search_forms_match_transforms(grid, p, omega, v, alpha, seed):
     par = ModelParams(p=p, omega=omega, v=v)
     u, d = _random_field(grid, rng, real), _random_field(grid, rng, real)
     aq = sp.action_quadratic(omega, v).values(grid, half=real)
-    spec = sol._Spectra(grid.cell_area, aq, real)
+    spec = sol._Spectra(grid, sp.action_quadratic(omega, v), real)
     hat, dhat = sp._fwd(u), sp._fwd(d)
     a_u, au_d, a_d = (spec.dot(hat, aq * hat), spec.dot(hat, aq * dhat),
                       spec.dot(dhat, aq * dhat))
@@ -154,8 +154,7 @@ def test_spectral_inner_product_matches_physical(grid, real, seed):
     # Parseval on half spectra needs the (1, 2, ..., 2, 1) column weights
     rng = np.random.default_rng(seed)
     f, g = _random_field(grid, rng, real), _random_field(grid, rng, real)
-    aq = sp.action_quadratic(1.0).values(grid, half=real)
-    spec = sol._Spectra(grid.cell_area, aq, real)
+    spec = sol._Spectra(grid, sp.action_quadratic(1.0), real)
     physical = float(np.vdot(f, g).real) * grid.cell_area
     scale = math.sqrt(float(np.vdot(f, f).real) * float(np.vdot(g, g).real)) * grid.cell_area
     assert abs(spec.dot(sp._fwd(f), sp._fwd(g)) - physical) <= 1e-12 * scale
@@ -186,10 +185,11 @@ def test_fused_conjugate_direction_matches_plain(grid, real, beta, block_rows, s
     # not divide the rows, on half and full spectra.  beta = 0 must not read
     # the buffer, which then holds NaN.
     rng = np.random.default_rng(seed)
-    aq = sp.action_quadratic(1.3, 0.0 if real else 0.4).values(grid, half=real)
+    sym = sp.action_quadratic(1.3, 0.0 if real else 0.4)
+    aq = sym.values(grid, half=real)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sol, "_FUSE_ELEMS", block_rows * aq.shape[1])
-        spec = sol._Spectra(grid.cell_area, aq, real)
+        spec = sol._Spectra(grid, sym, real, sphere=True)
     assert len(spec.rows) == -(-grid.nx // min(block_rows, grid.nx))
     hat, ghat, prev = (sp._fwd(_random_field(grid, rng, real)) for _ in range(3))
     want = ghat / aq + beta * prev
@@ -215,7 +215,7 @@ def test_fused_gradient_and_step_match_transforms(grid, real, p, t, seed):
     rng = np.random.default_rng(seed)
     par = ModelParams(p=p, v=0.0 if real else 0.3)
     aq = sp.action_quadratic(par.omega, par.v).values(grid, half=real)
-    spec = sol._Spectra(grid.cell_area, aq, real)
+    spec = sol._Spectra(grid, sp.action_quadratic(par.omega, par.v), real)
     u, d = _random_field(grid, rng, real), _random_field(grid, rng, real)
     hat, dhat = sp._fwd(u), sp._fwd(d)
     for v, args in ((u, ()), (t * (u - d), (d, dhat, t))):
@@ -392,26 +392,40 @@ def test_psi_omega_real_and_complex_paths_agree(grid, theta, cx, cy, seed):
     assert np.max(np.abs(psi_rot - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("fn", ["t_lambda", "psi_omega"])
+@pytest.mark.parametrize("fn", ["t_lambda", "psi_omega", "r1_diagnostics",
+                                "extend_ground_state"])
 def test_scaling_apparatus_peak_memory(fn):
     # tracemalloc sees numpy's arrays but not pocketfft's internal buffers.
-    # Peaks on a real 64x8192 field, in units of its complex128 size: the
-    # full-spectrum pipelines took 8.1 (t_lambda) and 4.0 (psi_omega);
-    # packed line pairs and half spectra take 5.1 and 1.5 (t_lambda's
-    # chirp-z blocks are about half a field here, a sixteenth at 128x32768)
-    g = sp.make_grid(64, 8192, 20.0, 160.0)
-    q = sp.physical_field(g, np.exp(-(g.x[:, None] ** 2) - (g.y[None, :] / 4.0) ** 2))
-    call = {"t_lambda": lambda: sol.t_lambda(q, 1.01, tail_tol=np.inf),
-            "psi_omega": lambda: sol.psi_omega(q, tail_tol=np.inf)}[fn]
+    # Peaks in units of the complex128 size of the output's grid, whatever
+    # the output dtype.  On a real 64x8192 field the full-spectrum pipelines
+    # took 8.1 (t_lambda) and 4.0 (psi_omega); packed line pairs and half
+    # spectra took 5.1 and 1.5, with a complex128 output 4.1 and 1.5, and
+    # take 3.6 and 1.5 with a float64 one (t_lambda's chirp-z blocks are
+    # about half a field here, a sixteenth at 128x32768).  r1_diagnostics
+    # took 2.25 with a full-size symbol and defect, and takes 1.59 by row
+    # blocks.  The extension from 64x256 to 64x2048 took 3.17 with a
+    # full-size symbol and takes 2.99 with it formed by row blocks.
+    if fn == "extend_ground_state":
+        base = sol.solve_nehari(sp.make_grid(64, 256, 20.0, 40.0), ModelParams(p=2.0), tol=1e-8)
+        g = sp.make_grid(64, 2048, 20.0, 320.0)
+        call = lambda: sol.extend_ground_state(base, g, tol=5e-7).q  # noqa: E731
+    else:
+        g = sp.make_grid(64, 8192, 20.0, 160.0)
+        q = sp.physical_field(g, np.exp(-(g.x[:, None] ** 2) - (g.y[None, :] / 4.0) ** 2))
+        call = {"t_lambda": lambda: sol.t_lambda(q, 1.01, tail_tol=np.inf),
+                "psi_omega": lambda: sol.psi_omega(q, tail_tol=np.inf),
+                "r1_diagnostics": lambda: sol.r1_diagnostics(q, 3.0, tail_tol=np.inf).r1}[fn]
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
+        base_mem = tracemalloc.get_traced_memory()[0]
         out = call()
-        peak = tracemalloc.get_traced_memory()[1] - base
+        peak = tracemalloc.get_traced_memory()[1] - base_mem
     finally:
         tracemalloc.stop()
-    assert out.values.dtype == np.complex128
-    assert peak <= {"t_lambda": 6.5, "psi_omega": 2.5}[fn] * q.values.nbytes
+    assert out.values.dtype == np.float64
+    bound = {"t_lambda": 6.5, "psi_omega": 2.5, "r1_diagnostics": 1.9,
+             "extend_ground_state": 3.08}[fn]
+    assert peak <= bound * g.nx * g.ny * 16
 
 
 @pytest.mark.parametrize("v, bound", [(0.5, 12.0), (0.0, 7.0)])
@@ -431,7 +445,8 @@ def test_solver_peak_memory(v, bound):
     finally:
         tracemalloc.stop()
     assert s.gradient_residual <= 1e-8 * sp.l2_norm(s.q)
-    assert peak <= bound * init.values.nbytes
+    # the complex128 size, also for the float64 guess at v = 0
+    assert peak <= bound * init.values.size * 16
 
 
 def test_t_lambda_isometry_and_potential_scaling():

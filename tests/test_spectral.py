@@ -68,8 +68,12 @@ def test_field_validation(grid):
         sp.physical_field(grid, np.zeros((4, 4)))
     with pytest.raises(sp.RepresentationError):
         sp.Field(grid, np.zeros(grid.shape), "momentum")
+    # real physical values stay float64; spectral values are complex128
     f = sp.physical_field(grid, np.ones(grid.shape, dtype=np.float64))
-    assert f.values.dtype == np.complex128
+    assert f.values.dtype == np.float64
+    assert sp.physical_field(grid, np.ones(grid.shape, dtype=int)).values.dtype == np.float64
+    assert sp.physical_field(grid, np.ones(grid.shape, complex)).values.dtype == np.complex128
+    assert sp.spectral_field(grid, np.ones(grid.shape)).values.dtype == np.complex128
 
 
 def test_transform_roundtrip_and_plancherel(grid):
@@ -173,6 +177,11 @@ def test_half_spectrum_symbols(grid):
     for sym in (sp.transport(0.5), sp.halfwave_group(0.1), sp.action_quadratic(1.0, 0.5)):
         with pytest.raises(ValueError):
             sym.values(grid, half=True)
+    # the action symbol, formed by row blocks, rounds as this expression does
+    for v in (0.0, 0.5):
+        want = (grid.xi[:, None] ** 2 + np.abs(grid.eta)[None, :]
+                - v * grid.eta_odd[None, :] + 1.5)
+        assert np.array_equal(sp.action_quadratic(1.5, v).values(grid), want)
     w = _half_weights(grid.ny)
     u = random_field(grid, 3).values.real
     hat = sp._rfft2(u)
