@@ -64,10 +64,10 @@ def _power(dens: np.ndarray, e: float) -> np.ndarray:
     return dens * np.sqrt(dens) if e == 1.5 else dens ** e
 
 
-def _lp1_sum(u: np.ndarray, p: float) -> float:
-    """sum |u|^{p+1} by cache-sized row blocks."""
+def _lp1_sum(u: np.ndarray, p: float, total=np.sum) -> float:
+    """sum |u|^{p+1} by cache-sized row blocks, each block summed by `total`."""
     e = (p + 1.0) / 2.0
-    return sum(float(np.sum(_power(_density(u[rows]), e)))
+    return sum(float(total(_power(_density(u[rows]), e)))
                for rows in sp._slices(*u.shape, sp._FUSE_ELEMS))
 
 

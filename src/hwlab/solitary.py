@@ -17,6 +17,7 @@ fitting modulo phase and translation.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -124,12 +125,12 @@ def default_initial_guess(grid: Grid, params: ModelParams, kind: str = "gaussian
     return Field(grid, vals, sp.PHYSICAL)
 
 
-def _lp1_change(u: np.ndarray, d: np.ndarray, alpha: float, p: float) -> float:
+def _lp1_change(u: np.ndarray, d: np.ndarray, alpha: float, p: float, total=np.sum) -> float:
     """sum (|u - alpha d|^{p+1} - |u|^{p+1}), accurate far below the rounding
-    level of either sum; by cache-sized row blocks, with no full-size temporary."""
+    level of either sum; by cache-sized row blocks summed by `total`."""
     e = (p + 1.0) / 2.0
-    return sum(float(np.sum(fl._power(fl._density(u[r] - alpha * d[r]), e)
-                            - fl._power(fl._density(u[r]), e)))
+    return sum(float(total(fl._power(fl._density(u[r] - alpha * d[r]), e)
+                           - fl._power(fl._density(u[r]), e)))
                for r in _slices(*u.shape, _FUSE_ELEMS))
 
 
@@ -161,12 +162,86 @@ def _advance(u: np.ndarray, d: np.ndarray, alpha: float, t: float) -> None:
         blk *= t
 
 
+def _reflected(u: np.ndarray) -> np.ndarray:
+    """R u = conj u(-x, -y): entry (i, j) from (-i mod nx, -j mod ny), conjugated."""
+    r = np.roll(u[::-1, ::-1], 1, axis=(0, 1))
+    return np.conjugate(r, out=r)
+
+
+def _rsym_pack(u0: np.ndarray) -> np.ndarray:
+    """The conjugate of columns 0..ny/2 of (u0 + R u0) / 2, complex128."""
+    sym = (u0 + _reflected(u0)) * 0.5
+    return np.conj(sym[:, :u0.shape[1] // 2 + 1]).astype(np.complex128, copy=False)
+
+
+def _rsym_unpack(w: np.ndarray) -> np.ndarray:
+    """The field q with columns 0..ny/2 conj(w) and q[i, ny - j] = conj q[-i, j];
+    the two edge columns are symmetrized, so R q equals q bit for bit."""
+    nx, cols = w.shape
+    rows = -np.arange(nx) % nx
+    q = np.empty((nx, 2 * cols - 2), np.complex128)
+    np.conjugate(w, out=q[:, :cols])
+    edges = _edge(q[:, :cols])
+    edges[...] = 0.5 * (edges + np.conj(edges[rows]))
+    q[:, cols:] = w[rows, cols - 2:0:-1]
+    return q
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """How `_descent` stores a field u and its spectrum, and sums over them.
+
+    `_FULL`: complex128 u, full spectra.  `_REAL`: float64 u, rfft2 half
+    spectra, whose columns Parseval weighs (1, 2, ..., 2, 1).  `_RSYM`, its
+    dual, for u = R u = conj u(-x, -y), which the Nehari descent keeps: real
+    full spectra S and the complex conj u[:, :ny//2 + 1] = rfft2(S), whose
+    columns the physical sums weigh alike; the physical steps commute with
+    conjugation.  `pack` makes the stored values of a full start, `unpack`
+    the full field of stored values.
+    """
+
+    half_spectra: bool
+    half_values: bool
+    fwd: Callable
+    inv: Callable
+    pack: Callable
+    unpack: Callable = lambda u: u
+
+    def total(self, a: np.ndarray) -> float:
+        """Sum of a row block of values to the sum over the field it stands for."""
+        s = float(np.sum(a))
+        return 2.0 * s - float(np.sum(_edge(a))) if self.half_values else s
+
+    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
+        """`sp._redot` of two row blocks of values, as `total` weighs them."""
+        s = sp._redot(a, b)
+        return 2.0 * s - sp._redot(_edge(a), _edge(b)) if self.half_values else s
+
+
+_FULL = _Layout(False, False, lambda u, shape: sp._fft2(u), lambda h, shape: sp._ifft2(h),
+                lambda u0: u0.astype(np.complex128))
+_REAL = _Layout(True, False, lambda u, shape: sp._rfft2(u), sp._irfft2,
+                lambda u0: u0.real.copy())
+_RSYM = _Layout(False, True, sp._irfft2, lambda h, shape: sp._rfft2(h), _rsym_pack,
+                _rsym_unpack)
+
+
+def _layout_of(u0: np.ndarray, v: float) -> _Layout:
+    """The layout of a descent from `u0`: `_REAL` for a real start at v = 0,
+    `_RSYM` at v != 0 if ||u0 - R u0|| <= 1e-12 ||u0|| (in physical space),
+    else `_FULL`."""
+    if v == 0.0:
+        return _REAL if _is_real(u0) else _FULL
+    diff = u0 - _reflected(u0)
+    return _RSYM if sp._redot(diff, diff) <= 1e-24 * sp._redot(u0, u0) else _FULL
+
+
 class _Spectra:
-    """L2 inner products and the fused passes of the descent on its spectra
-    (`sp._fwd`): rfft2 half spectra for real fields, where Parseval weighs
-    the columns (1, 2, ..., 2, 1), full spectra otherwise.  aq is the
-    symbol `sym` (action_quadratic) on the same spectra, `w` the cell area,
-    and P = 1/aq the metric of the descent.
+    """L2 inner products and the fused passes of the descent on the spectra
+    of a `_Layout`: rfft2 half spectra for real fields, where Parseval weighs
+    the columns (1, 2, ..., 2, 1), full spectra otherwise (real ones for an
+    R-symmetric field).  aq is the symbol `sym` (action_quadratic) on the
+    same spectra, `w` the cell area, and P = 1/aq the metric of the descent.
 
     A fused pass walks the spectra in row blocks of about _FUSE_ELEMS
     entries, which stay in cache: each block is updated and then feeds
@@ -180,13 +255,14 @@ class _Spectra:
     constraint reads.
     """
 
-    def __init__(self, grid: Grid, sym: sp.Symbol, real: bool, sphere: bool = False):
-        self.w, self.real, self.sphere = grid.cell_area, real, sphere
-        self._sym = sp._ActionRows(grid, sym.omega, sym.v, half=real)
+    def __init__(self, grid: Grid, sym: sp.Symbol, layout: _Layout, sphere: bool = False):
+        self.w, self.shape, self.layout, self.sphere = grid.cell_area, grid.shape, layout, sphere
+        self._sym = sp._ActionRows(grid, sym.omega, sym.v, half=layout.half_spectra)
         cols = self._sym.shape[1]
         self.rows = _slices(grid.nx, cols, _FUSE_ELEMS)
         block = (self.rows[0].stop, cols)
-        self._tmp = np.empty(block, np.complex128), np.empty(block, np.complex128)
+        dtype = np.float64 if layout.half_values else np.complex128  # the spectra's
+        self._tmp = np.empty(block, dtype), np.empty(block, dtype)
         self._aq, self._inv = np.empty(block), np.empty(block)
         self._aq_edge = self._sym(slice(None), np.empty((grid.nx, 2)),
                                   slice(None, None, cols - 1))
@@ -207,7 +283,7 @@ class _Spectra:
     def _total(self, total: float, ea: np.ndarray, eb: np.ndarray) -> float:
         """re int conj(f) g from `total`, the plain sum of re conj(a) b over
         the spectra a, b of f, g, and their edge columns ea, eb."""
-        if self.real:
+        if self.layout.half_spectra:
             total = 2.0 * total - float(np.sum(ea.real * eb.real + ea.imag * eb.imag))
         return total * self.w
 
@@ -229,9 +305,9 @@ class _Spectra:
             v = u[rows] if d is None else (u[rows] - d[rows]) * t
             dens = fl._density(v)
             pw = fl._power(dens, e)
-            b_pot += sp._redot(dens, pw)
+            b_pot += self.layout.dot(dens, pw)
             np.multiply(v, pw, out=nl[rows])
-        ghat = sp._fwd(nl)
+        ghat = self.layout.fwd(nl, self.shape)
         del nl
         gh = hh = gg = gpg = 0.0
         trial, prod = self._tmp
@@ -314,20 +390,21 @@ class _Spectra:
 
 
 def _descent(u: np.ndarray, sym: sp.Symbol, p: float, grid: Grid, tol: float, max_iter: int,
-             floor_rule: bool, mass: float | None = None) -> tuple[np.ndarray, dict, float, float]:
+             floor_rule: bool, mass: float | None = None,
+             layout: _Layout | None = None) -> tuple[np.ndarray, dict, float, float]:
     """Projected, preconditioned Fletcher-Reeves CG descent of the action
     S = a(u)/2 - int |u|^{p+1}/(p+1), a the quadratic form of the symbol
     `sym` (aq), on the Nehari manifold, or with `mass` on the sphere
     ||u||^2 = 2 mass.
 
-    `u` (float64: half spectra, complex128: full spectra) is overwritten
-    and returned as the final iterate, with the SolitarySolution fields
-    the descent fixes, ||u|| and N(u) = <grad S(u), u>.  The spectrum of
-    the iterate is carried along: an accepted step u <- t (u - alpha d)
-    sets it to t (hat - alpha dhat) over hat, and dhat stays as the
-    previous direction.  So an iteration costs two transforms,
-    |u|^{p-1} u forward and the direction d back, and the start one more;
-    the physical u feeds the nonlinear sums.
+    `u`, stored as `layout` says (`_REAL` for float64 and `_FULL` for
+    complex128 by default), is overwritten and returned as the final
+    iterate, with the SolitarySolution fields the descent fixes, ||u|| and
+    N(u) = <grad S(u), u>.  The spectrum of the iterate is carried along:
+    an accepted step u <- t (u - alpha d) sets it to t (hat - alpha dhat)
+    over hat, and dhat stays as the previous direction.  So an iteration
+    costs two transforms, |u|^{p-1} u forward and the direction d back,
+    and the start one more; the physical u feeds the nonlinear sums.
 
     The direction is the preconditioned Riemannian CG of Antoine, Levitt
     and Tang (J. Comput. Phys. 343, 2017) with the metric P = 1/aq:
@@ -353,7 +430,8 @@ def _descent(u: np.ndarray, sym: sp.Symbol, p: float, grid: Grid, tol: float, ma
     a full step that fails the Armijo test near the action floor if it
     cuts the gradient norm by 0.1%.
     """
-    spec = _Spectra(grid, sym, real=not np.iscomplexobj(u), sphere=mass is not None)
+    layout = layout or (_FULL if np.iscomplexobj(u) else _REAL)
+    spec = _Spectra(grid, sym, layout, sphere=mass is not None)
 
     def action_of(a_form, b_pot):
         return 0.5 * a_form - b_pot / (p + 1.0)
@@ -373,10 +451,10 @@ def _descent(u: np.ndarray, sym: sp.Symbol, p: float, grid: Grid, tol: float, ma
             g_sq, gpg = spec.tangent(ghat, hat, n_u / u_sq)
         return ghat, b_u, n_u, g_sq, u_sq, gpg
 
-    hat = sp._fwd(u)
+    hat = layout.fwd(u, grid.shape)
     # aq hat goes into the buffer the first direction is written over
     dhat = spec.apply(hat, np.empty_like(hat))
-    t, a_form, b_pot = scale(spec.dot(hat, dhat), fl._lp1_sum(u, p) * spec.w,
+    t, a_form, b_pot = scale(spec.dot(hat, dhat), fl._lp1_sum(u, p, layout.total) * spec.w,
                              spec.dot(hat, hat))
     u *= t
     hat *= t
@@ -409,14 +487,14 @@ def _descent(u: np.ndarray, sym: sp.Symbol, p: float, grid: Grid, tol: float, ma
         gpg_prev = gpg
         conj = beta > 0.0
         del ghat
-        d = sp._inv(dhat, grid.shape)
+        d = layout.inv(dhat, grid.shape)
         floor = floor_rule and ARMIJO_C * slope <= 1e3 * np.finfo(float).eps * abs(s_val)
         alpha = 1.0
         backtracks = 0
         accepted = False
         while alpha > 1e-14:
             d_a = -alpha * (2.0 * au_d - alpha * a_d)
-            d_b = _lp1_change(u, d, alpha, p) * spec.w
+            d_b = _lp1_change(u, d, alpha, p, layout.total) * spec.w
             t, a_t, b_t = scale(a_u + d_a, b_u + d_b, u_sq - alpha * (2.0 * u_d - alpha * d_sq))
             if mass is None:
                 # S = (p-1)/(2(p+1)) a^{(p+1)/(p-1)} b^{-2/(p-1)} on the Nehari
@@ -463,12 +541,6 @@ def _is_real(vals: np.ndarray) -> bool:
     return not (np.iscomplexobj(vals) and np.any(vals.imag))
 
 
-def _start(u0: np.ndarray, real: bool) -> np.ndarray:
-    """A fresh copy of the initial values for `_descent`: float64 for a run on
-    half spectra, complex128 (a real warm start cast) for one on full spectra."""
-    return u0.real.copy() if real else u0.astype(np.complex128)
-
-
 def _samples(vals: np.ndarray) -> np.ndarray:
     """`vals`, or the float64 view of complex values whose imaginary part is zero."""
     return vals.real if _is_real(vals) else vals
@@ -503,12 +575,16 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
     conjugate direction that stops pointing downhill is replaced by the
     preconditioned gradient (see `_descent`).  Terminates when
     ||grad S(u)||_{L2} <= tol * ||u||_{L2}.  An iteration costs two
-    transforms, its line-search trials none (see `_descent`).  For v = 0
-    and a real initial guess it runs in real arithmetic on half spectra;
-    otherwise on full spectra, with the v = 0 result rotated onto the
-    real axis.  A v = 0 profile is float64, a traveling one complex128;
-    a real warm start for v != 0 is cast to complex128.  `history`: one
-    IterationRecord per iteration.
+    transforms, its line-search trials none (see `_descent`).  The layout
+    (`_Layout`) follows the start.  For v = 0 and a real initial guess it
+    runs in real arithmetic on half spectra.  For v != 0 and a start with
+    ||u - R u|| <= 1e-12 ||u||, R u = conj u(-x, -y) (the default guesses,
+    the v = 0 profile, an earlier traveling wave), it runs from the half of
+    (u + R u) / 2 on real spectra, with rfft2/irfft2 only, and rebuilds the
+    R-symmetric profile by the mirror q[i, ny - j] = conj q[-i, j].  Other
+    starts run on full complex spectra, with the v = 0 result rotated onto
+    the real axis.  A v = 0 profile is float64, a traveling one complex128.
+    `history`: one IterationRecord per iteration.
     """
     if init is None:
         init = default_initial_guess(grid, params, kind=init_kind, seed=seed)
@@ -518,11 +594,12 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
         raise CollapseError("initial guess is identically zero")
 
     u0 = sp.to_physical(init).values
-    real = params.v == 0.0 and _is_real(u0)
-    u, stats, u_norm, _ = _descent(_start(u0, real), sp.action_quadratic(params.omega, params.v),
-                                   params.p, grid, tol, max_iter, floor_rule=False)
+    layout = _layout_of(u0, params.v)
+    u, stats, u_norm, _ = _descent(layout.pack(u0), sp.action_quadratic(params.omega, params.v),
+                                   params.p, grid, tol, max_iter, floor_rule=False, layout=layout)
+    u = layout.unpack(u)
     if params.v == 0.0:
-        if not real:
+        if layout is _FULL:
             # Phase freedom: rotate to the real axis and reproject.
             mod = np.abs(u)
             phase = complex(sp._redot(mod, u.real), sp._redot(mod, u.imag))
@@ -604,8 +681,9 @@ def solve_mass_constrained(grid: Grid, mu: float, p: float, init: Field | None =
         raise ValueError("initial guess lives on a different grid")
 
     u0 = sp.to_physical(init).values
-    u, stats, u_norm, n_u = _descent(_start(u0, _is_real(u0)), sp.action_quadratic(1.0), p,
-                                     grid, tol, max_iter, floor_rule=False, mass=mu)
+    layout = _layout_of(u0, 0.0)
+    u, stats, u_norm, n_u = _descent(layout.pack(u0), sp.action_quadratic(1.0), p, grid, tol,
+                                     max_iter, floor_rule=False, mass=mu, layout=layout)
     out = MassMinimizer(mu=mu, minimizer=Field(grid, u, sp.PHYSICAL),
                         energy=stats["action_value"] - mu,
                         omega_multiplier=1.0 - n_u / (2.0 * mu), iterations=stats["iterations"],
@@ -844,7 +922,7 @@ def r1_diagnostics(q1: Field, p: float, tail_tol: float = 1e-8) -> R1Diagnostics
     _check_tail(phys, tail_tol, "r1_diagnostics")
     q = _samples(phys.values)
     r1 = _generator(q, g, 1.0 / (p - 1.0), mass_centroid(phys))
-    spec = _Spectra(g, sp.action_quadratic(1.0), real=not np.iscomplexobj(q))
+    spec = _Spectra(g, sp.action_quadratic(1.0), _FULL if np.iscomplexobj(q) else _REAL)
     hat = sp._fwd(r1)
     lin_applied = sp._inv(spec.apply(hat, out=hat), g.shape)
     del hat

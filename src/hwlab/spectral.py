@@ -17,6 +17,11 @@ through the package: the quadratic forms and the solvers take their
 half spectra (`rfft2` along y), on which Parseval weighs the columns
 (1, 2, ..., 2, 1) and a multiplier counts by its even part.
 
+A field with u(x, y) = conj u(-x, -y) (R-symmetric, as a traveling wave
+grown from an R-symmetric start is) has a real spectrum S, and the real
+pair serves it in reverse: the conjugates of its columns 0..ny/2 are
+`_rfft2(S)`, and S is their `_irfft2`.
+
 Every 2-D transform in the package goes through `_fft2`, `_ifft2`,
 `_rfft2` or `_irfft2` (`_fwd` and `_inv` pick by dtype), the line
 transforms of T_lambda through `_fft`; all call `scipy.fft`

@@ -122,7 +122,8 @@ def test_real_snapshot_bytes_match_complex_copy(nx, ny, block, seed, special):
 
 def test_real_warm_start_for_traveling_wave():
     # a float64 start for v != 0 (the v = 0 profile warm-starting the next
-    # speed of a sweep) runs on full spectra, as its complex-typed copy does
+    # speed of a sweep) runs as its complex-typed copy does: both are
+    # R-symmetric, and take the real-spectra path
     g = sp.make_grid(32, 64, 20.0, 40.0)
     par = ModelParams(p=2.0, v=0.5)
     start = sol.solve_nehari(g, ModelParams(p=2.0), tol=1e-7).q

@@ -91,25 +91,50 @@ def test_solver_real_complex_parity(p2_state):
         <= 1e-9 * np.max(np.abs(p2_state.q.values))
 
 
-@pytest.mark.parametrize("shape, box, v", [((64, 64), (40.0, 40.0), 0.0),
-                                           ((32, 64), (20.0, 40.0), 0.5)])
-def test_solver_two_transforms_per_iteration(transform_count, shape, box, v):
+def _rotated_guess(grid, par):
+    """The default guess times exp(0.7i): no longer R-symmetric, u != conj u(-x, -y)."""
+    return sp.physical_field(grid, np.exp(0.7j) * sol.default_initial_guess(grid, par).values)
+
+
+def _check_two_transforms(transform_count, g, par, init, kinds):
     # |u|^{p-1} u forward and the direction back; the spectrum of u is
     # transformed once at the start and then carried along, and the
     # converged iterate needs no direction.  Line-search trials and their
     # backtracks cost no transform.
-    g = sp.make_grid(*shape, *box)
-    par = ModelParams(p=2.0, v=v)
-    s = sol.solve_nehari(g, par, tol=1e-7)
+    s = sol.solve_nehari(g, par, init=init, tol=1e-7)
     assert sum(r.backtracks for r in s.history) > 0
     assert len(s.history) == s.iterations
     assert sum(transform_count.values()) == 2 * s.iterations
-    assert set(transform_count) == ({"rfft2", "irfft2"} if v == 0.0 else {"fft2", "ifft2"})
+    assert set(transform_count) == kinds
     transform_count.clear()
     with pytest.raises(sol.ConvergenceError):
-        sol.solve_nehari(g, par, tol=1e-12, max_iter=6)
+        sol.solve_nehari(g, par, init=init, tol=1e-12, max_iter=6)
     # a spent budget adds the gradient of the last iterate
     assert sum(transform_count.values()) == 1 + 2 * 6 + 1
+    assert set(transform_count) == kinds
+
+
+@pytest.mark.parametrize("shape, box, v", [((64, 64), (40.0, 40.0), 0.0),
+                                           ((32, 64), (20.0, 40.0), 0.5)])
+def test_solver_two_transforms_per_iteration(transform_count, shape, box, v):
+    # the real guess at v = 0 runs on half spectra, a rotated one at v != 0
+    # on full spectra
+    g = sp.make_grid(*shape, *box)
+    par = ModelParams(p=2.0, v=v)
+    init = sol.default_initial_guess(g, par) if v == 0.0 else _rotated_guess(g, par)
+    _check_two_transforms(transform_count, g, par, init,
+                          {"rfft2", "irfft2"} if v == 0.0 else {"fft2", "ifft2"})
+
+
+@pytest.mark.parametrize("shape, box, v", [((32, 64), (20.0, 40.0), 0.5),
+                                           ((64, 256), (20.0, 80.0), -0.5)])
+def test_solver_two_transforms_per_iteration_r_symmetric(transform_count, shape, box, v):
+    # an R-symmetric start at v != 0 (the default guess) runs on real
+    # spectra and the conjugated half field: the real pair, in reverse
+    g = sp.make_grid(*shape, *box)
+    par = ModelParams(p=2.0, v=v)
+    _check_two_transforms(transform_count, g, par, sol.default_initial_guess(g, par),
+                          {"rfft2", "irfft2"})
 
 
 def _random_field(grid, rng, real):
@@ -117,6 +142,11 @@ def _random_field(grid, rng, real):
     if not real:
         vals = vals + 1j * rng.standard_normal(grid.shape)
     return vals * np.exp(-(grid.x[:, None] / grid.lx) ** 2 - (grid.y[None, :] / grid.ly) ** 2)
+
+
+def _layout(real):
+    """The descent's layout for a float64 (real) or complex128 field."""
+    return sol._REAL if real else sol._FULL
 
 
 grids = st.builds(sp.make_grid, st.integers(4, 24).map(lambda k: 2 * k),
@@ -135,7 +165,7 @@ def test_line_search_forms_match_transforms(grid, p, omega, v, alpha, seed):
     par = ModelParams(p=p, omega=omega, v=v)
     u, d = _random_field(grid, rng, real), _random_field(grid, rng, real)
     aq = sp.action_quadratic(omega, v).values(grid, half=real)
-    spec = sol._Spectra(grid, sp.action_quadratic(omega, v), real)
+    spec = sol._Spectra(grid, sp.action_quadratic(omega, v), _layout(real))
     hat, dhat = sp._fwd(u), sp._fwd(d)
     a_u, au_d, a_d = (spec.dot(hat, aq * hat), spec.dot(hat, aq * dhat),
                       spec.dot(dhat, aq * dhat))
@@ -154,7 +184,7 @@ def test_spectral_inner_product_matches_physical(grid, real, seed):
     # Parseval on half spectra needs the (1, 2, ..., 2, 1) column weights
     rng = np.random.default_rng(seed)
     f, g = _random_field(grid, rng, real), _random_field(grid, rng, real)
-    spec = sol._Spectra(grid, sp.action_quadratic(1.0), real)
+    spec = sol._Spectra(grid, sp.action_quadratic(1.0), _layout(real))
     physical = float(np.vdot(f, g).real) * grid.cell_area
     scale = math.sqrt(float(np.vdot(f, f).real) * float(np.vdot(g, g).real)) * grid.cell_area
     assert abs(spec.dot(sp._fwd(f), sp._fwd(g)) - physical) <= 1e-12 * scale
@@ -189,7 +219,7 @@ def test_fused_conjugate_direction_matches_plain(grid, real, beta, block_rows, s
     aq = sym.values(grid, half=real)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sol, "_FUSE_ELEMS", block_rows * aq.shape[1])
-        spec = sol._Spectra(grid, sym, real, sphere=True)
+        spec = sol._Spectra(grid, sym, _layout(real), sphere=True)
     assert len(spec.rows) == -(-grid.nx // min(block_rows, grid.nx))
     hat, ghat, prev = (sp._fwd(_random_field(grid, rng, real)) for _ in range(3))
     want = ghat / aq + beta * prev
@@ -215,7 +245,7 @@ def test_fused_gradient_and_step_match_transforms(grid, real, p, t, seed):
     rng = np.random.default_rng(seed)
     par = ModelParams(p=p, v=0.0 if real else 0.3)
     aq = sp.action_quadratic(par.omega, par.v).values(grid, half=real)
-    spec = sol._Spectra(grid, sp.action_quadratic(par.omega, par.v), real)
+    spec = sol._Spectra(grid, sp.action_quadratic(par.omega, par.v), _layout(real))
     u, d = _random_field(grid, rng, real), _random_field(grid, rng, real)
     hat, dhat = sp._fwd(u), sp._fwd(d)
     for v, args in ((u, ()), (t * (u - d), (d, dhat, t))):
@@ -233,6 +263,61 @@ def test_fused_gradient_and_step_match_transforms(grid, real, p, t, seed):
     want = sp._fwd(t * (u - 0.3 * d))
     spec.step(hat, dhat, 0.3, t)
     assert np.linalg.norm(hat - want) <= 1e-12 * np.linalg.norm(hat)
+
+
+def _mirror(u):
+    """R u = conj u(-x, -y) on the grid indices, (i, j) from (-i, -j) mod the shape."""
+    rows, cols = (-np.arange(n) % n for n in u.shape)
+    return np.conj(u[rows][:, cols])
+
+
+@given(grid=grids, p=st.floats(1.1, 4.9), v=st.sampled_from([-0.9, 0.3, 0.99]),
+       alpha=st.floats(-2.0, 2.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_r_symmetric_half_sums_match_full_arrays(grid, p, v, alpha, seed):
+    # int |u|^{p+1}, its line-search change and the gradient pass, summed
+    # over the conjugated columns 0..ny/2 of R-symmetric fields with the
+    # column weights (1, 2, ..., 2, 1), against full arrays
+    rng = np.random.default_rng(seed)
+    u, d = (0.5 * (f + _mirror(f)) for f in (_random_field(grid, rng, False) for _ in range(2)))
+    lay = sol._RSYM
+    uh, dh = lay.pack(u), lay.pack(d)
+    assert np.array_equal(lay.unpack(uh), _mirror(lay.unpack(uh)))
+    assert np.linalg.norm(lay.unpack(uh) - u) <= 1e-15 * np.linalg.norm(u)
+    b_u = fl._lp1_sum(u, p)
+    assert fl._lp1_sum(uh, p, lay.total) == pytest.approx(b_u, rel=1e-12)
+    scale = b_u + fl._lp1_sum(u - alpha * d, p)
+    assert abs(sol._lp1_change(uh, dh, alpha, p, lay.total)
+               - sol._lp1_change(u, d, alpha, p)) <= 1e-12 * scale
+    par = ModelParams(p=p, v=v)
+    field = sp.physical_field(grid, u)
+    spec = sol._Spectra(grid, sp.action_quadratic(par.omega, v), lay)
+    ghat, b_pot, n_u, g_sq, u_sq, _ = spec.gradient(uh, lay.fwd(uh, grid.shape), p)
+    want = sp._fft2(fl.action_gradient(field, par).values)
+    assert np.linalg.norm(ghat - want) <= 1e-12 * np.linalg.norm(want)
+    assert b_pot == pytest.approx(fl.lp1_power(field, p), rel=1e-12)
+    assert abs(n_u - fl.nehari(field, par)) <= 1e-12 * fl.quadratic_action_form(field, par)
+    assert g_sq == pytest.approx(float(np.vdot(want, want).real) * grid.cell_area, rel=1e-12)
+    assert u_sq == pytest.approx(sp.l2_norm_sq(field), rel=1e-12)
+
+
+@pytest.mark.parametrize("shape, box, v", [((32, 64), (20.0, 40.0), 0.5),
+                                           ((64, 256), (20.0, 80.0), 0.9)])
+def test_r_symmetric_path_matches_full_path(transform_count, shape, box, v):
+    # the default guess is R-symmetric: solve_nehari runs on real spectra;
+    # _descent on the complex array runs the full-spectra path from it
+    g = sp.make_grid(*shape, *box)
+    par = ModelParams(p=2.0, v=v)
+    init = sol.default_initial_guess(g, par)
+    dual = sol.solve_nehari(g, par, init=init, tol=1e-8)
+    assert set(transform_count) == {"rfft2", "irfft2"}
+    u, stats, _, _ = sol._descent(init.values.astype(np.complex128),
+                                  sp.action_quadratic(par.omega, v), par.p, g, 1e-8, 5000,
+                                  floor_rule=False)
+    full = sp.physical_field(g, u)
+    assert dual.action_value == pytest.approx(stats["action_value"], rel=1e-10)
+    assert sol.orbital_fit(dual.q, full).distance <= 1e-6 * fl.x_norm(full)
+    assert dual.q.values.dtype == np.complex128
+    assert np.array_equal(dual.q.values, _mirror(dual.q.values))
 
 
 @pytest.mark.parametrize("case", ["real", "complex", "extend"])
@@ -428,15 +513,7 @@ def test_scaling_apparatus_peak_memory(fn):
     assert peak <= bound * g.nx * g.ny * 16
 
 
-@pytest.mark.parametrize("v, bound", [(0.5, 12.0), (0.0, 7.0)])
-def test_solver_peak_memory(v, bound):
-    # tracemalloc sees numpy's arrays but not pocketfft's internal buffers.
-    # Peaks of solve_nehari on 64x512 in units of the complex field: L-BFGS
-    # with 8 pairs took 24.3 (v = 0.5, full spectra) and 13.1 (v = 0, half
-    # spectra); conjugate gradients, one previous direction, take 7.3 and 4.5
-    g = sp.make_grid(64, 512, 20.0, 80.0)
-    par = ModelParams(p=2.0, v=v)
-    init = sol.default_initial_guess(g, par)
+def _solver_peak(g, par, init):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -445,8 +522,27 @@ def test_solver_peak_memory(v, bound):
     finally:
         tracemalloc.stop()
     assert s.gradient_residual <= 1e-8 * sp.l2_norm(s.q)
-    # the complex128 size, also for the float64 guess at v = 0
-    assert peak <= bound * init.values.size * 16
+    return peak / (init.values.size * 16)  # the complex128 size, also for a float64 guess
+
+
+@pytest.mark.parametrize("v, bound", [(0.5, 12.0), (0.0, 7.0)])
+def test_solver_peak_memory(v, bound):
+    # tracemalloc sees numpy's arrays but not pocketfft's internal buffers.
+    # Peaks of solve_nehari on 64x512 in units of the complex field: L-BFGS
+    # with 8 pairs took 24.3 (v = 0.5, full spectra) and 13.1 (v = 0, half
+    # spectra); conjugate gradients, one previous direction, take 7.3 and 4.5
+    g = sp.make_grid(64, 512, 20.0, 80.0)
+    par = ModelParams(p=2.0, v=v)
+    init = sol.default_initial_guess(g, par) if v == 0.0 else _rotated_guess(g, par)
+    assert _solver_peak(g, par, init) <= bound
+
+
+def test_solver_peak_memory_r_symmetric():
+    # an R-symmetric start at v = 0.5 runs in arrays the size of the real
+    # path's, within its bound
+    g = sp.make_grid(64, 512, 20.0, 80.0)
+    par = ModelParams(p=2.0, v=0.5)
+    assert _solver_peak(g, par, sol.default_initial_guess(g, par)) <= 7.0
 
 
 def test_t_lambda_isometry_and_potential_scaling():
@@ -574,6 +670,8 @@ def test_extend_ground_state_widens_box(p2_state, transform_count):
     pytest.param("extend", "failed_search", id="failed_search"),
     pytest.param("solve", "uphill", id="solve-uphill"),
     pytest.param("solve", "failed_search", id="solve-failed_search"),
+    pytest.param("rsym", "uphill", id="rsym-uphill"),
+    pytest.param("rsym", "failed_search", id="rsym-failed_search"),
 ])
 def test_conjugate_direction_restart_and_retry(monkeypatch, transform_count, case, fault):
     # The first three conjugate directions (beta > 0) are spoiled.  Reversed
@@ -581,16 +679,18 @@ def test_conjugate_direction_restart_and_retry(monkeypatch, transform_count, cas
     # of 1e30 reported ("failed_search"), no trial meets the Armijo test, and
     # the iteration is retried from P g.  Either way the accepted action
     # decreases monotonically, the budget stays at two transforms per
-    # iteration and the descent converges: on half spectra (the extension)
-    # and on full ones (a traveling wave).
+    # iteration and the descent converges: on half spectra (the extension),
+    # on full ones (a traveling wave from a rotated start) and on real ones
+    # (from an R-symmetric start).
     if case == "extend":
         base = sol.solve_nehari(sp.make_grid(64, 128, 20.0, 20.0), ModelParams(p=2.0), tol=1e-7)
         tol = 5e-7
         run = lambda: sol.extend_ground_state(base, sp.make_grid(64, 512, 20.0, 80.0), tol=tol)
     else:
         tol = 1e-7
-        run = lambda: sol.solve_nehari(sp.make_grid(32, 64, 20.0, 40.0),
-                                       ModelParams(p=2.0, v=0.5), tol=tol)
+        g, par = sp.make_grid(32, 64, 20.0, 40.0), ModelParams(p=2.0, v=0.5)
+        init = _rotated_guess(g, par) if case == "solve" else sol.default_initial_guess(g, par)
+        run = lambda: sol.solve_nehari(g, par, init=init, tol=tol)
     plain = sol._Spectra.direction
     faults = []
 
@@ -617,7 +717,7 @@ def test_conjugate_direction_restart_and_retry(monkeypatch, transform_count, cas
         assert len(out.action_history) == out.iterations - 3
     assert np.all(np.diff(out.action_history) <= 0.0)
     assert sum(transform_count.values()) == 2 * out.iterations
-    assert set(transform_count) == ({"rfft2", "irfft2"} if case == "extend" else {"fft2", "ifft2"})
+    assert set(transform_count) == ({"fft2", "ifft2"} if case == "solve" else {"rfft2", "irfft2"})
     assert out.gradient_residual <= tol * sp.l2_norm(out.q)
 
 

@@ -189,6 +189,26 @@ def test_half_spectrum_symbols(grid):
     assert np.allclose(sp._irfft2(hat, grid.shape), u, rtol=0.0, atol=1e-13)
 
 
+@given(nx=st.integers(4, 24).map(lambda k: 2 * k), ny=st.integers(4, 24).map(lambda k: 2 * k),
+       seed=st.integers(0, 1000))
+def test_r_symmetric_fields_take_the_real_pair_in_reverse(nx, ny, seed):
+    # u = conj u(-x, -y) has a real spectrum S: it is the irfft2 of the
+    # conjugated columns 0..ny/2 of u, whose rfft2 gives them back
+    g = sp.make_grid(nx, ny, 10.0, 14.0)
+    u = random_field(g, seed).values
+    rows, cols = -np.arange(nx) % nx, -np.arange(ny) % ny
+    u = 0.5 * (u + np.conj(u[rows][:, cols]))
+    half = ny // 2 + 1
+    want = sp._fft2(u)
+    spec = sp._irfft2(np.conj(u[:, :half]), g.shape)
+    assert spec.dtype == np.float64
+    assert np.linalg.norm(spec - want) <= 1e-12 * np.linalg.norm(want)
+    real = np.random.default_rng(seed).standard_normal(g.shape)
+    want = sp._ifft2(real)
+    assert np.linalg.norm(np.conj(sp._rfft2(real)) - want[:, :half]) \
+        <= 1e-12 * np.linalg.norm(want)
+
+
 def test_transforms_bit_identical_across_worker_counts():
     # 2**22 points: the helpers use every usable core here
     shape = (128, 32768)
