@@ -59,14 +59,6 @@ def _emit_report(cfg: ExperimentConfig, report: dict) -> None:
     print(text)
 
 
-def _grid(cfg: ExperimentConfig) -> Grid:
-    return Grid(cfg["grid.nx"], cfg["grid.ny"], cfg["grid.lx"], cfg["grid.ly"])
-
-
-def _params(cfg: ExperimentConfig) -> ModelParams:
-    return ModelParams(p=cfg["model.p"], omega=cfg["model.omega"], v=cfg["model.v"])
-
-
 def _experiment_T(cfg: ExperimentConfig) -> float:
     # Stability/instability experiments default to the long horizon.
     return cfg["evolution.T"] if cfg.was_set("evolution.T") else 20.0
@@ -89,9 +81,8 @@ def _reference_state(cfg: ExperimentConfig, grid: Grid, params: ModelParams):
     return solution.q, params
 
 
-def _solve_command(cfg: ExperimentConfig, default_name: str) -> int:
-    grid = _grid(cfg)
-    params = _params(cfg)
+def _solve_command(cfg: ExperimentConfig, grid: Grid, params: ModelParams,
+                   default_name: str) -> int:
     try:
         solution = _solve_from_config(cfg, grid, params)
     except (sol.ConvergenceError, sol.CollapseError) as exc:
@@ -122,17 +113,15 @@ def _solve_command(cfg: ExperimentConfig, default_name: str) -> int:
     return EXIT_OK
 
 
-def cmd_ground_state(cfg: ExperimentConfig) -> int:
-    return _solve_command(cfg, "ground_state.hwsf")
+def cmd_ground_state(cfg: ExperimentConfig, grid: Grid, params: ModelParams) -> int:
+    return _solve_command(cfg, grid, params, "ground_state.hwsf")
 
 
-def cmd_travel(cfg: ExperimentConfig) -> int:
-    return _solve_command(cfg, "travel.hwsf")
+def cmd_travel(cfg: ExperimentConfig, grid: Grid, params: ModelParams) -> int:
+    return _solve_command(cfg, grid, params, "travel.hwsf")
 
 
-def cmd_evolve(cfg: ExperimentConfig) -> int:
-    grid = _grid(cfg)
-    params = _params(cfg)
+def cmd_evolve(cfg: ExperimentConfig, grid: Grid, params: ModelParams) -> int:
     reference = None
     if cfg["output.snapshot_in"]:
         u0, _ = load_snapshot(cfg["output.snapshot_in"], expect_grid=grid)
@@ -175,9 +164,7 @@ def _band_limited_noise(grid: Grid, rng: np.random.Generator) -> Field:
     return Field(grid, sp._ifft2(coef), sp.PHYSICAL)
 
 
-def cmd_stability(cfg: ExperimentConfig) -> int:
-    grid = _grid(cfg)
-    params = _params(cfg)
+def cmd_stability(cfg: ExperimentConfig, grid: Grid, params: ModelParams) -> int:
     if not (1.0 < params.p < 7.0 / 3.0):
         raise ConfigError("stability experiment needs 1 < p < 7/3")
     try:
@@ -218,9 +205,7 @@ def cmd_stability(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_instability(cfg: ExperimentConfig) -> int:
-    grid = _grid(cfg)
-    params = _params(cfg)
+def cmd_instability(cfg: ExperimentConfig, grid: Grid, params: ModelParams) -> int:
     if not (7.0 / 3.0 < params.p < 5.0):
         raise ConfigError("instability experiment needs 7/3 < p < 5")
     try:
@@ -268,18 +253,12 @@ def cmd_instability(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sweep_velocity(cfg: ExperimentConfig) -> int:
-    grid = _grid(cfg)
-    p, omega = cfg["model.p"], cfg["model.omega"]
-    v_list = cfg["experiment.v_list"]
-    if not v_list:
-        raise ConfigError("experiment.v_list is empty")
+def cmd_sweep_velocity(cfg: ExperimentConfig, grid: Grid, *speeds: ModelParams) -> int:
     rows = []
     failure = None
     warm = None
     last_solution = None
-    for v in v_list:
-        params = ModelParams(p=p, omega=omega, v=float(v))
+    for params in speeds:
         try:
             if warm is None:
                 solution = _solve_from_config(cfg, grid, params)
@@ -288,13 +267,14 @@ def cmd_sweep_velocity(cfg: ExperimentConfig) -> int:
                                             tol=cfg["solver.tol"],
                                             max_iter=cfg["solver.max_iter"])
         except (sol.ConvergenceError, sol.CollapseError) as exc:
-            failure = f"v = {v}: {exc}"
+            failure = f"v = {params.v}: {exc}"
             break
         q = solution.q
         warm = q
         last_solution = solution
-        rows.append((float(v), solution.action_value, sp.l2_norm(q),
-                     math.sqrt(fl.dx_norm_sq(q)), math.sqrt(fl.dy_half_norm_sq(q)),
+        hat = sp._spectrum(q)  # one transform for both norms
+        rows.append((params.v, solution.action_value, sp.l2_norm(q),
+                     math.sqrt(fl._dx_sq(hat, grid)), math.sqrt(fl._dy_sq(hat, grid)),
                      solution.iterations))
     _write_csv(os.path.join(cfg["output.out_dir"], "sweep_velocity.csv"),
                ["v", "m_value", "l2_norm", "dx_norm", "dy_half_norm", "iterations"],
@@ -308,14 +288,14 @@ def cmd_sweep_velocity(cfg: ExperimentConfig) -> int:
 
     report = {
         "command": "sweep-velocity",
-        "v_list": list(v_list),
+        "v_list": list(cfg["experiment.v_list"]),
         "completed": len(rows),
         "trend_non_increasing": trend_ok,
         "trend_slack": slack,
         "failure": failure,
     }
     if cfg["experiment.restart_check"] and last_solution is not None and failure is None:
-        cold = sol.solve_nehari(grid, ModelParams(p=p, omega=omega, v=float(v_list[len(rows) - 1])),
+        cold = sol.solve_nehari(grid, last_solution.params,
                                 tol=cfg["solver.tol"], max_iter=cfg["solver.max_iter"],
                                 init_kind="gaussian-wide", seed=cfg["solver.seed"])
         fit = sol.orbital_fit(cold.q, last_solution.q)
@@ -335,8 +315,7 @@ def _random_smooth(grid: Grid, rng: np.random.Generator) -> Field:
     return Field(grid, sp._ifft2(coef * envelope), sp.PHYSICAL)
 
 
-def cmd_verify(cfg: ExperimentConfig) -> int:
-    grid = _grid(cfg)
+def cmd_verify(cfg: ExperimentConfig, grid: Grid, params: ModelParams) -> int:
     rng = np.random.default_rng(cfg["solver.seed"])
     checks = []
 
@@ -392,7 +371,6 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     frac = sp.frac_seminorm_identity_check(slice_grid, 40.0, 0.5)
     check("frac_identity_gaussian_s_half", frac.relative_error, 1e-2)
 
-    params = ModelParams(p=cfg["model.p"], omega=cfg["model.omega"], v=cfg["model.v"])
     s_val = fl.action(u, params)
     recon = fl.i_value(u, params) + fl.nehari(u, params) / (params.p + 1.0)
     check("action_identity", abs(s_val - recon) / max(1.0, abs(s_val)), 1e-10)
@@ -541,13 +519,21 @@ def main(argv=None) -> int:
         for key in _ORDER:
             if key != "command" and ns.get(key) is not None:
                 cfg.set(key, ns[key])
+        # invalid grid and model values are usage errors, found before any solve
+        grid = Grid(cfg["grid.nx"], cfg["grid.ny"], cfg["grid.lx"], cfg["grid.ly"])
+        speeds = (cfg["experiment.v_list"] if args.command == "sweep-velocity"
+                  else (cfg["model.v"],))
+        if not speeds:
+            raise ConfigError("experiment.v_list is empty")
+        params = [ModelParams(p=cfg["model.p"], omega=cfg["model.omega"], v=float(v))
+                  for v in speeds]
         os.makedirs(cfg["output.out_dir"], exist_ok=True)
     except (ConfigError, ValueError) as exc:
         print(f"hwlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     try:
-        return _HANDLERS[args.command](cfg)
+        return _HANDLERS[args.command](cfg, grid, *params)
     except (ConfigError, SnapshotError) as exc:
         print(f"hwlab: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,7 +21,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import signal
 
 from . import functionals as fl
 from . import spectral as sp
@@ -209,13 +208,20 @@ class _Layout:
 
     def total(self, a: np.ndarray) -> float:
         """Sum of a row block of values to the sum over the field it stands for."""
-        s = float(np.sum(a))
-        return 2.0 * s - float(np.sum(_edge(a))) if self.half_values else s
+        return sp._half_sum(_sum(a), self.half_values, _sum, a)
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """`sp._redot` of two row blocks of values, as `total` weighs them."""
-        s = sp._redot(a, b)
-        return 2.0 * s - sp._redot(_edge(a), _edge(b)) if self.half_values else s
+        return sp._half_sum(sp._redot(a, b), self.half_values, sp._redot, a, b)
+
+
+def _sum(a: np.ndarray) -> float:
+    return float(np.sum(a))
+
+
+def _edge_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """re sum conj(a) b over two edge-column pairs."""
+    return float(np.sum(a.real * b.real + a.imag * b.imag))
 
 
 _FULL = _Layout(False, False, lambda u, shape: sp._fft2(u), lambda h, shape: sp._ifft2(h),
@@ -283,9 +289,7 @@ class _Spectra:
     def _total(self, total: float, ea: np.ndarray, eb: np.ndarray) -> float:
         """re int conj(f) g from `total`, the plain sum of re conj(a) b over
         the spectra a, b of f, g, and their edge columns ea, eb."""
-        if self.layout.half_spectra:
-            total = 2.0 * total - float(np.sum(ea.real * eb.real + ea.imag * eb.imag))
-        return total * self.w
+        return sp._half_sum(total, self.layout.half_spectra, _edge_dot, ea, eb) * self.w
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """re int conj(f) g for the fields f, g whose spectra are a, b."""
@@ -740,6 +744,8 @@ def _resample_lines(src: np.ndarray, dst: np.ndarray, axis: int, n: int, length:
     linear and real, so real lines j and j + lines/2 (Grid counts are
     even) go as one a + i b.
     """
+    from scipy import signal  # not at module level: it and scipy.stats slow `import hwlab`
+
     phi0 = (2.0 * np.pi / length) * (start - origin)
     delta = (2.0 * np.pi / length) * step
     half = 0.5 * n * (phi0 + delta * np.arange(n))
@@ -854,20 +860,20 @@ class SecondVariationScaling:
 
 
 def second_variation_scaling(q: Field, params: ModelParams,
-                             step: float = 1e-2,
                              tail_tol: float = 1e-8) -> SecondVariationScaling:
     """d^2/dlambda^2 S(T_lambda q) at lambda = 1, two independent ways.
 
     analytic: -3 (p-1)(3p-7) / (16 (p+1)) * int |q|^{p+1}, the closed
     form valid at critical points of the action.  numeric: central
-    second difference of lambda -> S(T_lambda q).  The sign changes at
-    p = 7/3.
+    second difference of lambda -> S(T_lambda q) with step 1e-2.  The
+    sign changes at p = 7/3.
     """
     if params.v != 0.0:
         raise ValueError("scaling second variation is defined for v = 0")
     p = params.p
     analytic = -3.0 * (p - 1.0) * (3.0 * p - 7.0) / (16.0 * (p + 1.0)) \
         * fl.lp1_power(q, p)
+    step = 1e-2
     s_plus = fl.action(t_lambda(q, 1.0 + step, tail_tol=tail_tol), params)
     s_mid = fl.action(q, params)
     s_minus = fl.action(t_lambda(q, 1.0 - step, tail_tol=tail_tol), params)
@@ -1027,7 +1033,7 @@ def orbital_fit(u: Field, q: Field, refine: bool = True) -> OrbitalFit:
     # spectrum of e^{i theta} q(. + tau): qh times e^{i(theta + xi tau1 + eta tau2)}
     shift = np.exp(1j * (theta + g.xi * tau[0]))[:, None] * np.exp(1j * g.eta * tau[1])[None, :]
     res = uh - shift * qh
-    dist_sq = float(np.sum(w * (res.real ** 2 + res.imag ** 2))) * g.cell_area
+    dist_sq = float(np.sum(w * sp._density(res))) * g.cell_area
     return OrbitalFit(theta=theta, tau1=float(tau[0]), tau2=float(tau[1]),
                       distance=math.sqrt(dist_sq))
 
@@ -1040,14 +1046,14 @@ class ProbePoint:
 
 
 def travel_upper_bound_probe(grid: Grid, p: float, omega: float,
-                             alpha: float = 3.0,
-                             lams: tuple = (4.0, 8.0, 16.0, 32.0)) -> list[ProbePoint]:
+                             alpha: float = 3.0) -> list[ProbePoint]:
     """Degeneration of the traveling minimization level as v -> 1.
 
     Test fields phi_lambda(x, y) = lambda * phi(x, lambda^alpha y) with
     spectral support in eta >= 0, evaluated at v = 1 - lambda^{-alpha}
-    on box-rescaled grids (exact discrete scaling).  For alpha > 2 the
-    values of I decay like lambda^{2-alpha}, witnessing inf I -> 0.
+    for lambda = 4, 8, 16, 32 on box-rescaled grids (exact discrete
+    scaling).  For alpha > 2 the values of I decay like lambda^{2-alpha},
+    witnessing inf I -> 0.
     """
     if alpha <= 2.0:
         raise ValueError("the degeneration argument needs alpha > 2")
@@ -1059,7 +1065,7 @@ def travel_upper_bound_probe(grid: Grid, p: float, omega: float,
     phi_vals = sp._ifft2(phi_hat)
 
     points = []
-    for lam in lams:
+    for lam in (4.0, 8.0, 16.0, 32.0):
         v = 1.0 - lam ** (-alpha)
         small = Grid(grid.nx, grid.ny, grid.lx, grid.ly / lam ** alpha)
         fld = Field(small, lam * phi_vals, sp.PHYSICAL)

@@ -326,6 +326,12 @@ def test_cli_config_file_and_flag_override(tmp_path, capsys):
     ["instability", *TINY, "--model.p", "2.0"],    # needs 7/3 < p < 5
     ["sweep-velocity", *TINY, "--v-list", ""],
     ["ground-state", "--grid.nx", "not-a-number"],
+    # invalid grid and model values, rejected before any solve
+    ["ground-state", *TINY, "--model.p", "5"],
+    ["ground-state", *TINY, "--grid.nx", "7"],
+    ["ground-state", *TINY, "--model.omega", "-1"],
+    ["travel", *TINY, "--model.v", "1.0"],
+    ["sweep-velocity", *TINY, "--v-list", "0,1.5"],
 ])
 def test_cli_usage_errors(argv, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path)])

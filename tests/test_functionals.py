@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import integrate
 
 from hwlab import functionals as fl
 from hwlab import spectral as sp
@@ -69,7 +70,7 @@ def test_gaussian_dy_half_norm(gauss):
     g = gauss.grid
     eta = np.sort(g.eta)
     # exact spectrum of e^{-y^2/2} in unitary convention carries e^{-eta^2}
-    oracle = np.sqrt(np.pi) * np.trapezoid(np.abs(eta) * np.exp(-eta ** 2), eta)
+    oracle = np.sqrt(np.pi) * integrate.trapezoid(np.abs(eta) * np.exp(-eta ** 2), eta)
     assert fl.dy_half_norm_sq(gauss) == pytest.approx(oracle, rel=1e-6)
 
 

@@ -1,5 +1,8 @@
-"""The package's public namespace."""
+"""The package's public namespace and what importing it costs."""
 
+import os
+import subprocess
+import sys
 import types
 
 import hwlab
@@ -44,3 +47,16 @@ def test_all_is_the_public_namespace():
     namespace = {}
     exec("from hwlab import *", namespace)
     assert set(namespace) - {"__builtins__"} == EXPORTED
+
+
+def test_cli_import_skips_slow_scipy_modules():
+    # scipy.signal, which pulls in scipy.stats, is imported on first use,
+    # and nothing needs scipy.integrate
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hwlab.__file__)))
+    code = ("import sys, hwlab.cli\n"
+            "print(sorted(m for m in ('scipy.signal', 'scipy.integrate') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 """Grid construction, transforms, multipliers, and the fractional identity."""
 
 import ast
+import math
 import os
 import pathlib
 import re
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.fft
 from hypothesis import given, strategies as st
+from scipy import integrate
 
 from hwlab import spectral as sp
 
@@ -299,6 +301,33 @@ def test_inner_products_only_in_spectral_helper():
     assert not offenders, offenders
 
 
+def _is_density(node):
+    """Whether an AST node reads `x.real ** 2 + x.imag ** 2`."""
+    def square_of(term, part):
+        return (isinstance(term, ast.BinOp) and isinstance(term.op, ast.Pow)
+                and isinstance(term.left, ast.Attribute) and term.left.attr == part
+                and isinstance(term.right, ast.Constant) and term.right.value == 2)
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and square_of(node.left, "real") and square_of(node.right, "imag"))
+
+
+def test_density_only_in_spectral_helper():
+    # |z|^2 is spectral._density; every weighted sum of it goes through
+    # that helper or spectral._form, not a hand-written copy
+    package = pathlib.Path(sp.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "spectral.py":
+            helper = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "_density")
+            allowed = {id(node) for node in ast.walk(helper)}
+        offenders.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                         if _is_density(node) and id(node) not in allowed)
+    assert not offenders, offenders
+
+
 def test_l2_inner_matches_vdot(grid):
     f, g = random_field(grid, 1), random_field(grid, 2)
     want = np.vdot(g.values, f.values) * grid.cell_area
@@ -361,6 +390,27 @@ def test_row_blocked_density_sums_match_full_arrays(nx, ny, block, seed):
 
 def test_frac_constant_half_is_two_pi():
     assert sp.frac_constant(0.5) == pytest.approx(2.0 * np.pi, abs=1e-9)
+
+
+def _frac_constant_by_quadrature(s):
+    """C(s) = 2 int_0^inf (2 - 2 cos r) / r^{1+2s} dr: a series on [0, 1],
+    adaptive quadrature on [1, 50], and a cosine-weighted tail."""
+    near, sign, fact = 0.0, 1.0, 1.0
+    for k in range(1, 30):
+        fact *= (2 * k) * (2 * k - 1)
+        near += sign * 2.0 / fact / (2 * k - 2 * s)
+        sign = -sign
+    cut = 50.0
+    mid = integrate.quad(lambda r: (2.0 - 2.0 * math.cos(r)) * r ** (-1.0 - 2.0 * s),
+                         1.0, cut, limit=200)[0]
+    tail_osc = integrate.quad(lambda r: -2.0 * r ** (-1.0 - 2.0 * s), cut, np.inf,
+                              weight="cos", wvar=1.0, limit=200)[0]
+    return 2.0 * (near + mid + cut ** (-2.0 * s) / s + tail_osc)
+
+
+@pytest.mark.parametrize("s", [0.05, 0.25, 0.75, 0.95])
+def test_frac_constant_matches_quadrature(s):
+    assert sp.frac_constant(s) == pytest.approx(_frac_constant_by_quadrature(s), rel=1e-9)
 
 
 def test_frac_constant_validation():
