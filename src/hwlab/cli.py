@@ -199,6 +199,7 @@ def cmd_stability(cfg: ExperimentConfig, grid: Grid, params: ModelParams) -> int
         "distance_factor_threshold": factor,
         "reference_x_norm": q_xnorm,
         "T": float(trace.times[-1]),
+        "steps": trace.n_steps,
         "blown_up": trace.blown_up,
         "abort_reason": trace.abort_reason,
     })
@@ -240,6 +241,7 @@ def cmd_instability(cfg: ExperimentConfig, grid: Grid, params: ModelParams) -> i
             "growth_observed": d_max / d0 if d0 > 0 else math.inf,
             "grew": grew,
             "initial_pairing": float(trace.extra[0]),
+            "steps": trace.n_steps,
             "blown_up": trace.blown_up,
             "abort_reason": trace.abort_reason,
             "csv": name,
@@ -272,10 +274,9 @@ def cmd_sweep_velocity(cfg: ExperimentConfig, grid: Grid, *speeds: ModelParams) 
         q = solution.q
         warm = q
         last_solution = solution
-        hat = sp._spectrum(q)  # one transform for both norms
+        dx_sq, dy_sq = fl._dx_dy_forms(sp._spectrum(q), grid)  # one transform for both norms
         rows.append((params.v, solution.action_value, sp.l2_norm(q),
-                     math.sqrt(fl._dx_sq(hat, grid)), math.sqrt(fl._dy_sq(hat, grid)),
-                     solution.iterations))
+                     math.sqrt(dx_sq), math.sqrt(dy_sq), solution.iterations))
     _write_csv(os.path.join(cfg["output.out_dir"], "sweep_velocity.csv"),
                ["v", "m_value", "l2_norm", "dx_norm", "dy_half_norm", "iterations"],
                rows, cfg)

@@ -120,8 +120,9 @@ def evolve(u0: Field, p: float, T: float, dt: float, sample_stride: int = 10,
            extra_monitor=None) -> EvolutionTrace:
     """Strang-split evolution with conservation and concentration monitors.
 
-    Samples mass, Hamiltonian, the mixed norm L2_x H^s_y (the first and
-    third summed over one spectrum by `spectral._form`), and sup|u| every
+    Samples mass, Hamiltonian, the mixed norm L2_x H^s_y (their quadratic
+    forms summed over one spectrum and one density pass by
+    `spectral._forms`), and sup|u| every
     `sample_stride` steps; when a reference profile is supplied it also
     records the orbital distance (`orbital_fit` with refine) and the
     relative phase.  `mass_ok` turns false once the mass drifts beyond
@@ -161,10 +162,10 @@ def evolve(u0: Field, p: float, T: float, dt: float, sample_stride: int = 10,
 
     def monitors(vals):
         hat = sp._fft2(vals)
-        m = 0.5 * sp._form(hat, g, 1.0)
-        quad = 0.5 * (fl._dx_sq(hat, g) + fl._dy_sq(hat, g))
-        ham = quad - sign * fl._lp1_sum(vals, p) * w / (p + 1.0)
-        mixed = math.sqrt(sp._form(hat, g, hs_weight))
+        dx_sq, dy_sq, l2_sq, hs_sq = fl._dx_dy_forms(hat, g, 1.0, hs_weight)
+        m = 0.5 * l2_sq
+        ham = 0.5 * (dx_sq + dy_sq) - sign * fl._lp1_sum(vals, p) * w / (p + 1.0)
+        mixed = math.sqrt(hs_sq)
         peak = float(np.max(np.abs(vals)))
         ph = dist = ext = None
         if ref is not None:

@@ -80,36 +80,34 @@ def lp1_norm(u: Field, p: float) -> float:
     return lp1_power(u, p) ** (1.0 / (p + 1.0))
 
 
-def _dx_sq(hat: np.ndarray, grid: Grid) -> float:
-    return sp._form(hat, grid, grid.xi[:, None] ** 2)
+def _action_row(grid: Grid, params: ModelParams) -> np.ndarray:
+    """The row |eta| - v*eta + omega: with ||dx u||^2 it makes the action's
+    quadratic form, and no full-size multiplier is built."""
+    return (np.abs(grid.eta) - params.v * grid.eta_odd + params.omega)[None, :]
 
 
-def _dy_sq(hat: np.ndarray, grid: Grid) -> float:
-    return sp._form(hat, grid, np.abs(grid.eta)[None, :])
-
-
-def _quad(hat: np.ndarray, grid: Grid, params: ModelParams, dx_sq: float) -> float:
-    """The action's quadratic form from ||dx u||^2 and the row
-    |eta| - v*eta + omega, so no full-size multiplier is built."""
-    row = np.abs(grid.eta) - params.v * grid.eta_odd + params.omega
-    return dx_sq + sp._form(hat, grid, row[None, :])
+def _dx_dy_forms(hat: np.ndarray, grid: Grid, *multipliers) -> list[float]:
+    """||dx u||^2, || |D_y|^{1/2} u ||^2 and the form of each further
+    multiplier, from one density pass over the spectrum (`spectral._forms`)."""
+    return sp._forms(hat, grid, grid.xi[:, None] ** 2, np.abs(grid.eta)[None, :], *multipliers)
 
 
 def dx_norm_sq(u: Field) -> float:
-    return _dx_sq(sp._spectrum(u), u.grid)
+    return sp._forms(sp._spectrum(u), u.grid, u.grid.xi[:, None] ** 2)[0]
 
 
 def dy_half_norm_sq(u: Field) -> float:
     """|| |D_y|^{1/2} u ||^2 = <|D_y| u, u>."""
-    return _dy_sq(sp._spectrum(u), u.grid)
+    return sp._forms(sp._spectrum(u), u.grid, np.abs(u.grid.eta)[None, :])[0]
 
 
 def quadratic_action_form(u: Field, params: ModelParams) -> float:
     """<(-dxx + |D_y| + i v dy + omega) u, u>, the action's quadratic part;
     a real field sums over its half spectrum, where the odd transport part
-    adds nothing (`spectral._form`)."""
-    hat = sp._spectrum(u)
-    return _quad(hat, u.grid, params, _dx_sq(hat, u.grid))
+    adds nothing (`spectral._forms`)."""
+    dx_sq, row = sp._forms(sp._spectrum(u), u.grid, u.grid.xi[:, None] ** 2,
+                           _action_row(u.grid, params))
+    return dx_sq + row
 
 
 def hamiltonian(u: Field, p: float) -> float:
@@ -209,12 +207,11 @@ class FunctionalReport:
 
 def functional_report(u: Field, params: ModelParams) -> FunctionalReport:
     """Every functional of u from one transform, the half spectrum of a real
-    field; equal to the separate functions."""
+    field, and one density pass over it; equal to the separate functions."""
     p = params.p
     hat = sp._spectrum(u)
-    dx_sq = _dx_sq(hat, u.grid)
-    dy_sq = _dy_sq(hat, u.grid)
-    quad = _quad(hat, u.grid, params, dx_sq)
+    dx_sq, dy_sq, row = _dx_dy_forms(hat, u.grid, _action_row(u.grid, params))
+    quad = dx_sq + row
     del hat
     lp1 = lp1_power(u, p)
     l2_sq = sp.l2_norm_sq(u)

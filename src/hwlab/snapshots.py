@@ -11,8 +11,11 @@ Layout, all little-endian:
 
 Loading validates magic, version, payload size, and (optionally) that
 the header grid matches an expected grid; mismatches fail loudly.  The
-payload is read once, straight into the returned array (complex128,
-also for a field saved from float64 values).  Files are written
+payload is read by row blocks into a float64 array while every
+imaginary part is +0.0, so a field saved from float64 values comes back
+float64 without a full complex copy; at the first other imaginary part
+(-0.0 included) the payload is read again, straight into a complex128
+array.  Files are written
 through `atomic_open`, so a reader sees the old file or the
 whole new one, never a partial write.
 """
@@ -33,6 +36,7 @@ MAGIC = b"HWSF"
 VERSION = 1
 _HEADER = struct.Struct("<4sIQQddddd")
 _WRITE_ELEMS = 1 << 16  # samples per row block written from a real field (1 MB)
+_READ_ELEMS = 1 << 16  # samples per row block read while the payload looks real (1 MB)
 
 
 class SnapshotError(IOError):
@@ -110,7 +114,21 @@ def _read_snapshot(fh, path: str, expect_grid: Grid | None) -> tuple[Field, Mode
     if expect_grid is not None and grid != expect_grid:
         raise SnapshotError(
             f"{path!r}: snapshot grid {grid!r} does not match active {expect_grid!r}")
-    vals = np.fromfile(fh, dtype="<c16", count=count)
-    if vals.size != count:
-        raise SnapshotError(f"{path!r}: payload ended after {vals.size} of {count} samples")
-    return Field(grid, vals.reshape(grid.nx, grid.ny), PHYSICAL), params
+    start = fh.tell()
+    real = np.empty(grid.shape)
+    for r in _slices(grid.nx, grid.ny, _READ_ELEMS):
+        blk = _read_samples(fh, path, (r.stop - r.start) * grid.ny, count)
+        if np.any(blk.imag.view(np.uint64)):  # a bit set: not +0.0
+            del real, blk
+            fh.seek(start)
+            vals = _read_samples(fh, path, count, count)
+            return Field(grid, vals.reshape(grid.shape), PHYSICAL), params
+        real[r] = blk.real.reshape(-1, grid.ny)
+    return Field(grid, real, PHYSICAL), params
+
+
+def _read_samples(fh, path: str, size: int, count: int) -> np.ndarray:
+    vals = np.fromfile(fh, dtype="<c16", count=size)
+    if vals.size != size:
+        raise SnapshotError(f"{path!r}: payload ended short of its {count} samples")
+    return vals

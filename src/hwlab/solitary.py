@@ -186,33 +186,69 @@ def _rsym_unpack(w: np.ndarray) -> np.ndarray:
     return q
 
 
+def _even_pack(u0: np.ndarray) -> np.ndarray:
+    """Rows 0..nx/2 and columns 0..ny/2 of the even part of the real u0:
+    (u + u(-x, .)) / 2, then the same in y, which keeps an even u bit for bit."""
+    u = u0.real
+    m, n = (k // 2 + 1 for k in u.shape)
+    half = (u[:m] + u[-np.arange(m) % u.shape[0]]) * 0.5
+    return (half[:, :n] + half[:, -np.arange(n) % u.shape[1]]) * 0.5
+
+
+def _even_unpack(w: np.ndarray) -> np.ndarray:
+    """The even field whose rows 0..nx/2 and columns 0..ny/2 are `w`: past
+    them, entry (i, j) from (-i mod nx, -j mod ny)."""
+    m, n = w.shape
+    q = np.empty((2 * m - 2, 2 * n - 2))
+    q[:m, :n] = w
+    q[:m, n:] = w[:, n - 2:0:-1]
+    q[m:] = q[m - 2:0:-1]
+    return q
+
+
 @dataclass(frozen=True)
 class _Layout:
     """How `_descent` stores a field u and its spectrum, and sums over them.
 
     `_FULL`: complex128 u, full spectra.  `_REAL`: float64 u, rfft2 half
-    spectra, whose columns Parseval weighs (1, 2, ..., 2, 1).  `_RSYM`, its
-    dual, for u = R u = conj u(-x, -y), which the Nehari descent keeps: real
-    full spectra S and the complex conj u[:, :ny//2 + 1] = rfft2(S), whose
-    columns the physical sums weigh alike; the physical steps commute with
-    conjugation.  `pack` makes the stored values of a full start, `unpack`
-    the full field of stored values.
+    spectra.  `_RSYM`, its dual, for u = R u = conj u(-x, -y), which the
+    Nehari descent keeps: real full spectra S and the complex
+    conj u[:, :ny//2 + 1] = rfft2(S); the physical steps commute with
+    conjugation.  `_EVEN`, for u = u(-x, .) = u(., -y), which the v = 0
+    descent keeps: the float64 quarter u[:nx//2 + 1, :ny//2 + 1] and the
+    quarter of its real, even spectrum, one DCT-I apart (`sp._dct`).
+    `spectra` and `values` name the axes along which the stored arrays hold
+    lines 0..n/2 of ones even about line 0, which Parseval weighs
+    (1, 2, ..., 2, 1) (`sp._mirror_sum`).  `pack` makes the stored values
+    of a full start, `unpack` the full field of stored values.
     """
 
-    half_spectra: bool
-    half_values: bool
+    spectra: tuple[int, ...]
+    values: tuple[int, ...]
     fwd: Callable
     inv: Callable
     pack: Callable
     unpack: Callable = lambda u: u
 
+    def _weigh(self, total: float, shape: tuple[int, int], axis: int, reduce: Callable) -> float:
+        return sp._mirror_sum(total, shape, (axis,) if axis in self.values else (), reduce)
+
     def total(self, a: np.ndarray) -> float:
-        """Sum of a row block of values to the sum over the field it stands for."""
-        return sp._half_sum(_sum(a), self.half_values, _sum, a)
+        """Sum of a row block of values, with the column weights of `values`."""
+        return self._weigh(_sum(a), a.shape, 1, lambda ix: _sum(a[ix]))
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """`sp._redot` of two row blocks of values, as `total` weighs them."""
-        return sp._half_sum(sp._redot(a, b), self.half_values, sp._redot, a, b)
+        return self._weigh(sp._redot(a, b), a.shape, 1, lambda ix: sp._redot(a[ix], b[ix]))
+
+    def weigh_rows(self, reduce: Callable, shape: tuple[int, int],
+                   total: float | None = None) -> float:
+        """The sum over the field of terms whose sum over the stored rows ix,
+        column-weighted as by `total`, is `reduce(ix)` (`total`: over all of
+        them, if known): on a quarter, rows 0 and nx/2 count once."""
+        if total is None:
+            total = reduce((slice(None), slice(None)))
+        return self._weigh(total, shape, 0, reduce)
 
 
 def _sum(a: np.ndarray) -> float:
@@ -220,58 +256,75 @@ def _sum(a: np.ndarray) -> float:
 
 
 def _edge_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """re sum conj(a) b over two edge-column pairs."""
+    """re sum conj(a) b over two edge-line pairs."""
     return float(np.sum(a.real * b.real + a.imag * b.imag))
 
 
-_FULL = _Layout(False, False, lambda u, shape: sp._fft2(u), lambda h, shape: sp._ifft2(h),
+_FULL = _Layout((), (), lambda u, shape: sp._fft2(u), lambda h, shape: sp._ifft2(h),
                 lambda u0: u0.astype(np.complex128))
-_REAL = _Layout(True, False, lambda u, shape: sp._rfft2(u), sp._irfft2,
+_REAL = _Layout((1,), (), lambda u, shape: sp._rfft2(u), sp._irfft2,
                 lambda u0: u0.real.copy())
-_RSYM = _Layout(False, True, sp._irfft2, lambda h, shape: sp._rfft2(h), _rsym_pack,
+_RSYM = _Layout((), (1,), sp._irfft2, lambda h, shape: sp._rfft2(h), _rsym_pack,
                 _rsym_unpack)
+_EVEN = _Layout((0, 1), (0, 1), lambda u, shape: sp._dct(u), lambda h, shape: sp._dct(h),
+                _even_pack, _even_unpack)
+
+
+def _even(u: np.ndarray) -> bool:
+    """||u - u(-x, .)|| and ||u - u(., -y)|| each at most 1e-12 ||u||, for
+    real u, summed by row blocks."""
+    rows, cols = (-np.arange(n) % n for n in u.shape)
+    dx_sq = dy_sq = 0.0
+    for r in _slices(*u.shape, _FUSE_ELEMS):
+        blk = u[r]
+        diff = blk - u[rows[r]]
+        dx_sq += sp._redot(diff, diff)
+        diff = blk - blk[:, cols]
+        dy_sq += sp._redot(diff, diff)
+    return max(dx_sq, dy_sq) <= 1e-24 * sp._redot(u, u)
 
 
 def _layout_of(u0: np.ndarray, v: float) -> _Layout:
-    """The layout of a descent from `u0`: `_REAL` for a real start at v = 0,
-    `_RSYM` at v != 0 if ||u0 - R u0|| <= 1e-12 ||u0|| (in physical space),
-    else `_FULL`."""
+    """The layout of a descent from `u0`, by checks in physical space: at
+    v = 0, `_EVEN` for a real start with ||u0 - u0(-x, .)|| and
+    ||u0 - u0(., -y)|| each at most 1e-12 ||u0||, `_REAL` for another real
+    one; at v != 0, `_RSYM` if ||u0 - R u0|| <= 1e-12 ||u0||; else `_FULL`."""
     if v == 0.0:
-        return _REAL if _is_real(u0) else _FULL
+        if not _is_real(u0):
+            return _FULL
+        return _EVEN if _even(u0.real) else _REAL
     diff = u0 - _reflected(u0)
     return _RSYM if sp._redot(diff, diff) <= 1e-24 * sp._redot(u0, u0) else _FULL
 
 
 class _Spectra:
     """L2 inner products and the fused passes of the descent on the spectra
-    of a `_Layout`: rfft2 half spectra for real fields, where Parseval weighs
-    the columns (1, 2, ..., 2, 1), full spectra otherwise (real ones for an
-    R-symmetric field).  aq is the symbol `sym` (action_quadratic) on the
-    same spectra, `w` the cell area, and P = 1/aq the metric of the descent.
+    of a `_Layout`: rfft2 half spectra for real fields and the quarters of
+    even ones, where Parseval weighs the lines (1, 2, ..., 2, 1), full
+    spectra otherwise (real ones for an R-symmetric field).  aq is the symbol
+    `sym` (action_quadratic) on the same spectra, `w` the cell area, and
+    P = 1/aq the metric of the descent.
 
     A fused pass walks the spectra in row blocks of about _FUSE_ELEMS
     entries, which stay in cache: each block is updated and then feeds
     every inner product of the pass before the next block is read.  aq
     and 1/aq are formed per block in two block buffers (`sp._ActionRows`):
     full-size copies would cost 251 MB each on the 320x98305 half spectra
-    of criterion 08.  The block sums are plain; the half-spectrum column
-    weights are applied per pass from the edge columns.  Block bounds
-    depend on the shape only, so no sum depends on a thread count.
+    of criterion 08.  The block sums are plain; the line weights are
+    applied per pass from the self-mirrored lines.  Block bounds depend on
+    the shape only, so no sum depends on a thread count.
     `sphere`: the direction pass also sums <u, d>, which only the mass
     constraint reads.
     """
 
     def __init__(self, grid: Grid, sym: sp.Symbol, layout: _Layout, sphere: bool = False):
         self.w, self.shape, self.layout, self.sphere = grid.cell_area, grid.shape, layout, sphere
-        self._sym = sp._ActionRows(grid, sym.omega, sym.v, half=layout.half_spectra)
-        cols = self._sym.shape[1]
-        self.rows = _slices(grid.nx, cols, _FUSE_ELEMS)
-        block = (self.rows[0].stop, cols)
-        dtype = np.float64 if layout.half_values else np.complex128  # the spectra's
+        self._sym = sp._ActionRows(grid, sym.omega, sym.v, layout.spectra)
+        self.rows = _slices(*self._sym.shape, _FUSE_ELEMS)
+        block = (self.rows[0].stop, self._sym.shape[1])
+        dtype = np.float64 if layout.values else np.complex128  # the spectra's
         self._tmp = np.empty(block, dtype), np.empty(block, dtype)
         self._aq, self._inv = np.empty(block), np.empty(block)
-        self._aq_edge = self._sym(slice(None), np.empty((grid.nx, 2)),
-                                  slice(None, None, cols - 1))
 
     def _metric(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
         """aq and the metric P = 1/aq on a row block, in the block buffers."""
@@ -286,14 +339,21 @@ class _Spectra:
             op(hat[rows], self._sym(rows, self._aq[:rows.stop - rows.start]), out=out[rows])
         return out
 
-    def _total(self, total: float, ea: np.ndarray, eb: np.ndarray) -> float:
-        """re int conj(f) g from `total`, the plain sum of re conj(a) b over
-        the spectra a, b of f, g, and their edge columns ea, eb."""
-        return sp._half_sum(total, self.layout.half_spectra, _edge_dot, ea, eb) * self.w
+    def _total(self, total: float, a, b, power: int = 0) -> float:
+        """re int conj(f) aq^power g from `total`, the plain sum of its terms
+        over the spectra a, b of f, g, which may be given as functions of an
+        index that yield the spectra there."""
+        def edges(ix):
+            ea, eb = (x(ix) if callable(x) else x[ix] for x in (a, b))
+            if power:
+                aq = self._sym(ix[0], None, ix[1])
+                eb = eb * aq if power > 0 else eb / aq
+            return _edge_dot(ea, eb)
+        return sp._mirror_sum(total, self._sym.shape, self.layout.spectra, edges) * self.w
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """re int conj(f) g for the fields f, g whose spectra are a, b."""
-        return self._total(sp._redot(a, b), _edge(a), _edge(b))
+        return self._total(sp._redot(a, b), a, b)
 
     def gradient(self, u: np.ndarray, hat: np.ndarray, p: float, d: np.ndarray | None = None,
                  dhat: np.ndarray | None = None, t: float = 1.0) -> tuple:
@@ -304,13 +364,20 @@ class _Spectra:
         <grad S(v), P grad S(v)>."""
         e = (p - 1.0) / 2.0
         nl = np.empty_like(u)
-        b_pot = 0.0
-        for rows in _slices(*u.shape, _FUSE_ELEMS):
-            v = u[rows] if d is None else (u[rows] - d[rows]) * t
+
+        def power(ix, out):
+            """|v|^{p-1} v on the stored rows ix, into `out`; returns the sum of |v|^{p+1}."""
+            v = u[ix] if d is None else (u[ix] - d[ix]) * t
             dens = fl._density(v)
             pw = fl._power(dens, e)
-            b_pot += self.layout.dot(dens, pw)
-            np.multiply(v, pw, out=nl[rows])
+            np.multiply(v, pw, out=out)
+            return self.layout.dot(dens, pw)
+
+        b_pot = 0.0
+        for rows in _slices(*u.shape, _FUSE_ELEMS):
+            b_pot += power(rows, nl[rows])
+        b_pot = self.layout.weigh_rows(lambda ix: power(ix, np.empty_like(u[ix])), u.shape,
+                                       b_pot)
         ghat = self.layout.fwd(nl, self.shape)
         del nl
         gh = hh = gg = gpg = 0.0
@@ -328,10 +395,11 @@ class _Spectra:
             gg += sp._redot(g, g)
             hh += sp._redot(h, h)
             gpg += sp._redot(g, np.multiply(g, inv, out=prod[:n]))
-        eh = _edge(hat) if dhat is None else (_edge(hat) - _edge(dhat)) * t
-        eg = _edge(ghat)
-        return (ghat, b_pot * self.w, self._total(gh, eg, eh), self._total(gg, eg, eg),
-                self._total(hh, eh, eh), self._total(gpg, eg, eg / self._aq_edge))
+
+        def h(ix):
+            return hat[ix] if dhat is None else (hat[ix] - dhat[ix]) * t
+        return (ghat, b_pot * self.w, self._total(gh, ghat, h), self._total(gg, ghat, ghat),
+                self._total(hh, h, h), self._total(gpg, ghat, ghat, -1))
 
     def step(self, hat: np.ndarray, dhat: np.ndarray, alpha: float, t: float) -> None:
         """Spectrum t (hat - alpha dhat) of an accepted step, written over hat."""
@@ -372,11 +440,9 @@ class _Spectra:
             dad += sp._redot(o, ao)
             if self.sphere:
                 ud += sp._redot(hat[rows], o)
-        eo = _edge(out)
-        eao = self._aq_edge * eo
-        return (out, self._total(dg, _edge(ghat), eo), self._total(dd, eo, eo),
-                self._total(ad, _edge(hat), eao), self._total(dad, eo, eao),
-                self._total(ud, _edge(hat), eo))
+        return (out, self._total(dg, ghat, out), self._total(dd, out, out),
+                self._total(ad, hat, out, 1), self._total(dad, out, out, 1),
+                self._total(ud, hat, out))
 
     def tangent(self, ghat: np.ndarray, hat: np.ndarray, lam: float) -> tuple[float, float]:
         """Spectrum of g - lam u written over ghat, the gradient tangent to
@@ -389,8 +455,7 @@ class _Spectra:
             g -= np.multiply(hat[rows], lam, out=prod[:n])
             gg += sp._redot(g, g)
             gpg += sp._redot(g, np.multiply(g, self._metric(rows)[1], out=prod[:n]))
-        eg = _edge(ghat)
-        return self._total(gg, eg, eg), self._total(gpg, eg, eg / self._aq_edge)
+        return self._total(gg, ghat, ghat), self._total(gpg, ghat, ghat, -1)
 
 
 def _descent(u: np.ndarray, sym: sp.Symbol, p: float, grid: Grid, tol: float, max_iter: int,
@@ -458,8 +523,8 @@ def _descent(u: np.ndarray, sym: sp.Symbol, p: float, grid: Grid, tol: float, ma
     hat = layout.fwd(u, grid.shape)
     # aq hat goes into the buffer the first direction is written over
     dhat = spec.apply(hat, np.empty_like(hat))
-    t, a_form, b_pot = scale(spec.dot(hat, dhat), fl._lp1_sum(u, p, layout.total) * spec.w,
-                             spec.dot(hat, hat))
+    b_pot = layout.weigh_rows(lambda ix: fl._lp1_sum(u[ix], p, layout.total), u.shape)
+    t, a_form, b_pot = scale(spec.dot(hat, dhat), b_pot * spec.w, spec.dot(hat, hat))
     u *= t
     hat *= t
     action_history = [action_of(a_form, b_pot)]
@@ -498,7 +563,8 @@ def _descent(u: np.ndarray, sym: sp.Symbol, p: float, grid: Grid, tol: float, ma
         accepted = False
         while alpha > 1e-14:
             d_a = -alpha * (2.0 * au_d - alpha * a_d)
-            d_b = _lp1_change(u, d, alpha, p, layout.total) * spec.w
+            d_b = layout.weigh_rows(
+                lambda ix: _lp1_change(u[ix], d[ix], alpha, p, layout.total), u.shape) * spec.w
             t, a_t, b_t = scale(a_u + d_a, b_u + d_b, u_sq - alpha * (2.0 * u_d - alpha * d_sq))
             if mass is None:
                 # S = (p-1)/(2(p+1)) a^{(p+1)/(p-1)} b^{-2/(p-1)} on the Nehari
@@ -581,11 +647,15 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
     ||grad S(u)||_{L2} <= tol * ||u||_{L2}.  An iteration costs two
     transforms, its line-search trials none (see `_descent`).  The layout
     (`_Layout`) follows the start.  For v = 0 and a real initial guess it
-    runs in real arithmetic on half spectra.  For v != 0 and a start with
-    ||u - R u|| <= 1e-12 ||u||, R u = conj u(-x, -y) (the default guesses,
-    the v = 0 profile, an earlier traveling wave), it runs from the half of
-    (u + R u) / 2 on real spectra, with rfft2/irfft2 only, and rebuilds the
-    R-symmetric profile by the mirror q[i, ny - j] = conj q[-i, j].  Other
+    runs in real arithmetic: for a start even in x and in y to 1e-12 (the
+    default guesses) on the quarters of the field and of its spectrum,
+    with one DCT-I each way, and the profile is mirrored from the quarter,
+    even bit for bit; for another real start on half spectra.  For v != 0
+    and a start with ||u - R u|| <= 1e-12 ||u||, R u = conj u(-x, -y) (the
+    default guesses, the v = 0 profile, an earlier traveling wave), it runs
+    from the half of (u + R u) / 2 on real spectra, with rfft2/irfft2 only,
+    and rebuilds the R-symmetric profile by the mirror
+    q[i, ny - j] = conj q[-i, j].  Other
     starts run on full complex spectra, with the v = 0 result rotated onto
     the real axis.  A v = 0 profile is float64, a traveling one complex128.
     `history`: one IterationRecord per iteration.
@@ -599,7 +669,10 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
 
     u0 = sp.to_physical(init).values
     layout = _layout_of(u0, params.v)
-    u, stats, u_norm, _ = _descent(layout.pack(u0), sp.action_quadratic(params.omega, params.v),
+    u = layout.pack(u0)
+    # freed before the descent, a default start leaves its memory to the profile
+    del init, u0
+    u, stats, u_norm, _ = _descent(u, sp.action_quadratic(params.omega, params.v),
                                    params.p, grid, tol, max_iter, floor_rule=False, layout=layout)
     u = layout.unpack(u)
     if params.v == 0.0:
@@ -628,13 +701,16 @@ def extend_ground_state(sol: SolitarySolution, grid: Grid,
     only decays algebraically in y; the boxes they need do not fit in
     memory with the complex solver.  This routine zero-pads a converged
     v = 0 solution in y and polishes it with the descent core of
-    solve_nehari on half spectra, preconditioned Fletcher-Reeves CG: it
-    holds one previous direction spectrum and one scalar, and takes
-    about half the iterations of preconditioned steepest descent (14
-    instead of 27 from 128x8192 to 128x32768 at p = 3, the last along
-    P g), at two transforms per iteration.  Near the action floor,
+    solve_nehari, preconditioned Fletcher-Reeves CG: it holds one previous
+    direction spectrum and one scalar, and takes about half the iterations
+    of preconditioned steepest descent (14 instead of 27 from 128x8192 to
+    128x32768 at p = 3, the last along P g), at two transforms per
+    iteration.  Near the action floor,
     where the Armijo test drowns in rounding noise, a full step is
-    accepted if it still cuts the gradient.
+    accepted if it still cuts the gradient.  An even source (`_layout_of`)
+    is padded symmetrically, half of its edge column y = -ly/2 at each
+    end, so the start is exactly even, and runs on quarters (`_EVEN`);
+    another runs on half spectra.
 
     The target grid must match nx and lx, keep the same dy, and differ
     from the source by an even number of y rows.
@@ -651,11 +727,19 @@ def extend_ground_state(sol: SolitarySolution, grid: Grid,
         raise ValueError("target ny must exceed the source by an even count")
 
     offset = (grid.ny - g0.ny) // 2
-    u = np.zeros(grid.shape, dtype=np.float64)
-    u[:, offset:offset + g0.ny] = sp.to_physical(sol.q).values.real
+    q0 = sp.to_physical(sol.q).values.real
+    layout = _layout_of(q0, 0.0)
+    if layout is _EVEN:
+        u = np.zeros((grid.nx // 2 + 1, grid.ny // 2 + 1))
+        u[:, offset:] = _EVEN.pack(q0)
+        if offset:
+            u[:, offset] *= 0.5  # the other half goes to the mirror column
+    else:
+        u = np.zeros(grid.shape)
+        u[:, offset:offset + g0.ny] = q0
     u, stats, u_norm, _ = _descent(u, sp.action_quadratic(params.omega), params.p, grid, tol,
-                                   max_iter, floor_rule=True)
-    return _solution(params, Field(grid, u, sp.PHYSICAL), stats, u_norm, tol)
+                                   max_iter, floor_rule=True, layout=layout)
+    return _solution(params, Field(grid, layout.unpack(u), sp.PHYSICAL), stats, u_norm, tol)
 
 
 def solve_mass_constrained(grid: Grid, mu: float, p: float, init: Field | None = None,
@@ -671,9 +755,10 @@ def solve_mass_constrained(grid: Grid, mu: float, p: float, init: Field | None =
     Accepted energies are monotone to the rounding of the recomputed
     sums.  omega_multiplier = 1 - lambda, the Lagrange multiplier, is
     omega at a ground state.  Terminates when the tangential gradient
-    has ||.||_{L2} <= tol * ||u||_{L2}.  Real starts run on half spectra,
-    complex ones on full spectra.  Only defined on the subcritical range
-    1 < p < 7/3, where the constrained infimum is finite.
+    has ||.||_{L2} <= tol * ||u||_{L2}.  The layout follows the start, as
+    in `solve_nehari`: even real starts on quarters, other real ones on
+    half spectra, complex ones on full spectra.  Only defined on the
+    subcritical range 1 < p < 7/3, where the constrained infimum is finite.
     """
     if not (1.0 < p < 7.0 / 3.0):
         raise ValueError("mass-constrained minimization needs 1 < p < 7/3")
@@ -688,7 +773,7 @@ def solve_mass_constrained(grid: Grid, mu: float, p: float, init: Field | None =
     layout = _layout_of(u0, 0.0)
     u, stats, u_norm, n_u = _descent(layout.pack(u0), sp.action_quadratic(1.0), p, grid, tol,
                                      max_iter, floor_rule=False, mass=mu, layout=layout)
-    out = MassMinimizer(mu=mu, minimizer=Field(grid, u, sp.PHYSICAL),
+    out = MassMinimizer(mu=mu, minimizer=Field(grid, layout.unpack(u), sp.PHYSICAL),
                         energy=stats["action_value"] - mu,
                         omega_multiplier=1.0 - n_u / (2.0 * mu), iterations=stats["iterations"],
                         energy_history=[s - mu for s in stats["action_history"]])
@@ -946,7 +1031,7 @@ def r1_diagnostics(q1: Field, p: float, tail_tol: float = 1e-8) -> R1Diagnostics
     rt_err = math.sqrt(sp._redot(roundtrip, roundtrip) / sp._redot(r1, r1))
     del roundtrip
 
-    half = sp._ActionRows(g, 1.0, 0.0, half=True)
+    half = sp._ActionRows(g, 1.0, 0.0, (1,))
     phi_max = np.zeros(3)
     for r in _slices(*half.shape, _FUSE_ELEMS):
         phi1 = 1.0 / half(r, np.empty((r.stop - r.start, half.shape[1])))

@@ -22,13 +22,20 @@ grown from an R-symmetric start is) has a real spectrum S, and the real
 pair serves it in reverse: the conjugates of its columns 0..ny/2 are
 `_rfft2(S)`, and S is their `_irfft2`.
 
+A real field even in x and in y, u = u(-x, .) = u(., -y) (a v = 0
+ground state), is fixed by its quarter, indices 0..nx/2 x 0..ny/2, and
+its spectrum is real and even, its quarter the DCT-I of the field's
+(`_dct`, its own inverse).  Parseval weighs a quarter's lines
+(1, 2, ..., 2, 1) along both axes, as a half spectrum's columns along
+one (`_mirror_sum`).
+
 Every 2-D transform in the package goes through `_fft2`, `_ifft2`,
-`_rfft2` or `_irfft2` (`_fwd` and `_inv` pick by dtype), the line
-transforms of T_lambda through `_fft`; all call `scipy.fft`
+`_rfft2`, `_irfft2` (`_fwd` and `_inv` pick by dtype) or `_dct`, the
+line transforms of T_lambda through `_fft`; all call `scipy.fft`
 (pocketfft).  A transform runs on `len(os.sched_getaffinity(0))`
-threads (the usable cores) when its real-space array has at least
-2**22 points and on one thread otherwise, where thread start-up eats
-the gain.  On a 2-core Xeon, an
+threads (the usable cores) when its real-space array, for a quarter the
+full grid it stands for, has at least 2**22 points and on one thread
+otherwise, where thread start-up eats the gain.  On a 2-core Xeon, an
 r2c pair with 1 -> 2 threads takes 0.20 -> 0.21 ms at 128x128,
 31 -> 30 ms at 128x8192 and 132 -> 89 ms at 128x32768.  pocketfft
 hands whole 1-D lines to the threads, so the output is bit-identical
@@ -62,7 +69,8 @@ def _slices(count: int, per: int, elems: int) -> list[slice]:
 
 
 def _workers(points: int) -> int:
-    """FFT thread count for a transform whose real-space array has `points` entries."""
+    """FFT thread count for a transform whose real-space array has (or, for
+    an even field's quarter, stands for) `points` entries."""
     if points < _THREADED_POINTS:
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -93,6 +101,17 @@ def _rfft2(a: np.ndarray) -> np.ndarray:
 def _irfft2(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Real (nx, ny) array from its unitary half spectrum."""
     return scipy.fft.irfft2(a, s=shape, norm="ortho", workers=_workers(shape[0] * shape[1]))
+
+
+def _dct(a: np.ndarray) -> np.ndarray:
+    """Unitary spectrum of an even real field, u = u(-x, .) = u(., -y), from
+    its quarter, indices 0..nx/2 x 0..ny/2, as the quarter of that real, even
+    spectrum, and back: dctn(type=1) times 1/sqrt(nx*ny), its own inverse.
+    The thread rule counts the nx*ny points the quarter stands for."""
+    points = 4 * (a.shape[0] - 1) * (a.shape[1] - 1)
+    out = scipy.fft.dctn(a, type=1, workers=_workers(points))
+    out *= 1.0 / math.sqrt(points)
+    return out
 
 
 def _fwd(vals: np.ndarray) -> np.ndarray:
@@ -308,27 +327,31 @@ class Symbol:
             return np.broadcast_to(-self.v * grid.eta_odd[None, :], grid.shape).copy()
         if self.kind == "halfwave_group":
             return np.exp(1j * self.t * (-xi2 - abs_eta))
-        return _ActionRows(grid, self.omega, self.v, half)(slice(None), np.empty(shape))
+        return _ActionRows(grid, self.omega, self.v, (1,) if half else ())(slice(None))
 
 
 class _ActionRows:
     """The action_quadratic symbol xi^2 + |eta| - v*eta + omega, strictly
-    positive for omega > 0 and |v| <= 1, by row blocks of the half (half=True)
-    or full spectra, bit for bit its full array, with no full-size array."""
+    positive for omega > 0 and |v| <= 1, by row blocks, bit for bit its full
+    array, with no full-size array: on the full spectra, or on lines 0..n/2
+    along the `mirrored` axes (1: the half spectra, (0, 1): an even field's
+    quarter), where the symbol is even for v = 0."""
 
-    def __init__(self, grid: Grid, omega: float, v: float, half: bool):
-        if half and v:
+    def __init__(self, grid: Grid, omega: float, v: float, mirrored: tuple[int, ...] = ()):
+        if mirrored and v:
             raise ValueError(f"action symbol with v={v} does not act on half spectra")
-        cols = grid.ny // 2 + 1 if half else grid.ny
-        self.shape = (grid.nx, cols)
-        self.xi2 = grid.xi[:, None] ** 2
+        rows, cols = (n // 2 + 1 if axis in mirrored else n
+                      for axis, n in enumerate(grid.shape))
+        self.shape = (rows, cols)
+        self.xi2 = grid.xi[:rows, None] ** 2
         self.abs_eta = np.abs(grid.eta[:cols])
         self.v_eta = v * grid.eta_odd[:cols] if v else None
         self.omega = omega
 
-    def __call__(self, rows: slice, out: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
-        """The symbol on rows x cols, written into `out`."""
-        np.add(self.xi2[rows], self.abs_eta[cols], out=out)
+    def __call__(self, rows: slice, out: np.ndarray | None = None,
+                 cols: slice = slice(None)) -> np.ndarray:
+        """The symbol on rows x cols, written into `out` if given."""
+        out = np.add(self.xi2[rows], self.abs_eta[cols], out=out)
         if self.v_eta is not None:
             out -= self.v_eta[cols]
         out += self.omega
@@ -400,38 +423,57 @@ def _edge(a: np.ndarray) -> np.ndarray:
     return a[:, ::a.shape[1] - 1]
 
 
-def _half_sum(total: float, half: bool, reduce: Callable[..., float], *arrays) -> float:
-    """The sum over a full array of terms whose plain sum over the arrays
-    stored is `total`.  On half arrays (columns 0..ny/2), Parseval weighs
-    the columns (1, 2, ..., 2, 1): twice `total`, less `reduce` over the
-    edge columns (`_edge`, which keeps an array of two columns whole)."""
-    return 2.0 * total - reduce(*map(_edge, arrays)) if half else total
+def _mirror_sum(total: float, shape: tuple[int, int], axes: tuple[int, ...],
+                reduce: Callable[[tuple[slice, slice]], float],
+                index: tuple[slice, slice] = (slice(None), slice(None))) -> float:
+    """The sum over the full arrays of terms whose plain sum over the stored
+    arrays of `shape` is `total`.  Along each axis in `axes` the stored
+    arrays hold lines 0..n/2 of arrays even about line 0 (a half spectrum
+    along y, both axes of an even field's quarter), which Parseval weighs
+    (1, 2, ..., 2, 1): twice the sum, less `reduce(ix)`, the plain sum over
+    the two self-mirrored lines ix, first and last, weighed alike along the
+    other axis of `axes`."""
+    if not axes:
+        return total
+    *rest, axis = axes
+    edges = list(index)
+    edges[axis] = slice(None, None, shape[axis] - 1)
+    edges = tuple(edges)
+    return (2.0 * _mirror_sum(total, shape, rest, reduce, index)
+            - _mirror_sum(reduce(edges), shape, rest, reduce, edges))
 
 
-def _form(hat: np.ndarray, grid: Grid, multiplier: np.ndarray | float) -> float:
-    """sum multiplier * |fhat|^2 * dx*dy over the spectrum `hat` of f
-    (`_spectrum`), for a real multiplier that broadcasts to the grid shape,
-    by cache-sized row blocks.  On a half spectrum the multiplier counts by
-    its even part (m(k) + m(-k))/2, with the column weights (1, 2, ..., 2, 1):
-    an odd part, such as the transport row, sums to zero over a real field."""
-    mult = np.atleast_2d(np.asarray(multiplier, dtype=np.float64))
+def _forms(hat: np.ndarray, grid: Grid, *multipliers: np.ndarray | float) -> list[float]:
+    """sum m * |fhat|^2 * dx*dy for each multiplier m, over the spectrum `hat`
+    of f (`_spectrum`), for real multipliers that broadcast to the grid shape,
+    by cache-sized row blocks that form |fhat|^2 once for every multiplier.
+    On a half spectrum a multiplier counts by its even part (m(k) + m(-k))/2,
+    with the column weights (1, 2, ..., 2, 1): an odd part, such as the
+    transport row, sums to zero over a real field."""
     half = hat.shape[1] != grid.ny
-    if half:
-        # m(-k): reversed, then rolled so that index 0 stays in place
-        mult = 0.5 * (mult + np.roll(mult[::-1, ::-1], 1, axis=(0, 1)))
-        mult = mult[:, :hat.shape[1]] if mult.shape[1] > 1 else mult
-    mult = np.broadcast_to(mult, hat.shape)
-    total = sum(float(np.sum(mult[r] * _density(hat[r])))
-                for r in _slices(*hat.shape, _FUSE_ELEMS))
-    return _half_sum(total, half, lambda m, h: float(np.sum(m * _density(h))),
-                     mult, hat) * grid.cell_area
+    mults = []
+    for multiplier in multipliers:
+        mult = np.atleast_2d(np.asarray(multiplier, dtype=np.float64))
+        if half:
+            # m(-k): reversed, then rolled so that index 0 stays in place
+            mult = 0.5 * (mult + np.roll(mult[::-1, ::-1], 1, axis=(0, 1)))
+            mult = mult[:, :hat.shape[1]] if mult.shape[1] > 1 else mult
+        mults.append(np.broadcast_to(mult, hat.shape))
+    totals = [0.0] * len(mults)
+    for r in _slices(*hat.shape, _FUSE_ELEMS):
+        dens = _density(hat[r])
+        totals = [t + float(np.sum(m[r] * dens)) for t, m in zip(totals, mults)]
+    def edges(m):
+        return lambda ix: float(np.sum(m[ix] * _density(hat[ix])))
+    return [_mirror_sum(t, hat.shape, (1,) if half else (), edges(m)) * grid.cell_area
+            for t, m in zip(totals, mults)]
 
 
 def quadratic_form(f: Field, multiplier: np.ndarray) -> float:
     """sum multiplier * |fhat|^2 * dx*dy for a real multiplier array that
     broadcasts to the grid shape, by cache-sized row blocks; a real field
-    sums over its half spectrum (`_form`)."""
-    return _form(_spectrum(f), f.grid, multiplier)
+    sums over its half spectrum (`_forms`)."""
+    return _forms(_spectrum(f), f.grid, multiplier)[0]
 
 
 def dx_field(f: Field) -> Field:

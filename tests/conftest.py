@@ -12,12 +12,13 @@ settings.register_profile("hwlab", derandomize=True, max_examples=40,
                           deadline=None, database=None)
 settings.load_profile("hwlab")
 
-TRANSFORMS = ("fft2", "ifft2", "rfft2", "irfft2")
+TRANSFORMS = ("fft2", "ifft2", "rfft2", "irfft2", "dctn")
 
 
 @pytest.fixture
 def transform_count(monkeypatch):
-    """Counter of the 2-D scipy.fft transforms called while the test runs.
+    """Counter of the 2-D scipy.fft transforms called while the test runs
+    (`dctn` is the DCT-I pair of an even field's quarter).
 
     hwlab.spectral looks the scipy.fft functions up at call time, so
     wrapping the module attributes sees every transform hwlab makes.

@@ -307,6 +307,30 @@ def test_cli_ground_state_and_evolve(tmp_path, capsys):
     assert len(lines) >= 7  # comment, header, t=0 plus 5 samples
 
 
+def test_cli_experiment_reports_carry_steps(tmp_path, capsys):
+    # report.json counts the steps each evolution completed, the abort step
+    # for a run cut short; the CSVs keep their columns
+    out = tmp_path / "stab"
+    assert main(["stability", *TINY, "--out", str(out), "--evolution.T", "0.2",
+                 "--evolution.dt", "1e-2", "--evolution.sample_stride", "5"]) == EXIT_OK
+    rep = _report(capsys)
+    assert rep["abort_reason"] is None and rep["steps"] == 20
+    assert (out / "stability.csv").read_text().splitlines()[1] == "t,orbital_distance"
+    out = tmp_path / "inst"
+    assert main(["instability", *TINY, "--model.p", "3.0", "--out", str(out),
+                 "--evolution.T", "2.0", "--evolution.dt", "1e-2",
+                 "--evolution.sample_stride", "5", "--experiment.growth_factor", "1.2"]) \
+        == EXIT_OK
+    runs = _report(capsys)["runs"]
+    assert any(r["abort_reason"] == "distance threshold" for r in runs)
+    for r in runs:
+        lines = (out / r["csv"]).read_text().splitlines()
+        assert lines[1] == "t,orbital_distance,scaling_pairing"
+        last_t = float(lines[-1].split(",")[0])
+        assert r["steps"] == round(last_t / 1e-2)
+        assert (r["steps"] < 200) == (r["abort_reason"] is not None)
+
+
 def test_cli_config_file_and_flag_override(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(

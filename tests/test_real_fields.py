@@ -120,6 +120,34 @@ def test_real_snapshot_bytes_match_complex_copy(nx, ny, block, seed, special):
     assert len(raw_r) == snapshots._HEADER.size + 16 * vals.size
 
 
+@given(nx=st.integers(4, 40).map(lambda k: 2 * k), ny=st.integers(4, 40).map(lambda k: 2 * k),
+       block=st.integers(1, 5000), seed=st.integers(0, 2 ** 32 - 1),
+       special=st.lists(st.sampled_from(_SPECIAL), max_size=6),
+       imag=st.sampled_from([None, 1e-300, -0.0, np.nan]), where=st.floats(0.0, 1.0))
+@example(nx=10, ny=8, block=24, seed=0, special=[np.nan, -0.0], imag=None, where=0.0)
+@example(nx=10, ny=8, block=24, seed=0, special=[], imag=-0.0, where=1.0)
+def test_snapshot_loads_real_payload_as_float64(nx, ny, block, seed, special, imag, where):
+    # every imaginary part +0.0: float64, bit for bit (NaN, infinities, -0.0
+    # and subnormals included); one other imaginary part (-0.0 too), in any
+    # row block, first or last: complex128, bit for bit
+    g = sp.make_grid(nx, ny, 10.0, 10.0)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(g.shape)
+    vals.reshape(-1)[rng.choice(vals.size, len(special), replace=False)] = special
+    cplx = vals.astype(np.complex128)
+    if imag is not None:
+        cplx.imag.reshape(-1)[min(int(where * vals.size), vals.size - 1)] = imag
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.hwsf")
+        snapshots.save_snapshot(path, sp.physical_field(g, cplx), ModelParams(p=2.0))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(snapshots, "_READ_ELEMS", block)
+            loaded, _ = snapshots.load_snapshot(path, expect_grid=g)
+    want = vals if imag is None else cplx
+    assert loaded.values.dtype == want.dtype
+    assert np.array_equal(loaded.values.view(np.uint64), want.view(np.uint64))
+
+
 def test_real_warm_start_for_traveling_wave():
     # a float64 start for v != 0 (the v = 0 profile warm-starting the next
     # speed of a sweep) runs as its complex-typed copy does: both are

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hwlab import functionals as fl
 from hwlab import spectral as sp
@@ -117,13 +117,26 @@ def _check_two_transforms(transform_count, g, par, init, kinds):
 @pytest.mark.parametrize("shape, box, v", [((64, 64), (40.0, 40.0), 0.0),
                                            ((32, 64), (20.0, 40.0), 0.5)])
 def test_solver_two_transforms_per_iteration(transform_count, shape, box, v):
-    # the real guess at v = 0 runs on half spectra, a rotated one at v != 0
-    # on full spectra
+    # the even real guess at v = 0 runs on quarters, one DCT-I each way; a
+    # rotated one at v != 0 on full spectra
     g = sp.make_grid(*shape, *box)
     par = ModelParams(p=2.0, v=v)
     init = sol.default_initial_guess(g, par) if v == 0.0 else _rotated_guess(g, par)
     _check_two_transforms(transform_count, g, par, init,
-                          {"rfft2", "irfft2"} if v == 0.0 else {"fft2", "ifft2"})
+                          {"dctn"} if v == 0.0 else {"fft2", "ifft2"})
+
+
+def _shifted_guess(grid, par):
+    """The default guess moved by one cell in x: real, but not even."""
+    return sp.physical_field(grid, np.roll(sol.default_initial_guess(grid, par).values, 1, 0))
+
+
+@pytest.mark.parametrize("shape, box", [((64, 64), (40.0, 40.0)), ((32, 128), (20.0, 40.0))])
+def test_solver_two_transforms_per_iteration_real(transform_count, shape, box):
+    # a real start at v = 0 that is not even runs on rfft2 half spectra
+    g = sp.make_grid(*shape, *box)
+    par = ModelParams(p=2.0)
+    _check_two_transforms(transform_count, g, par, _shifted_guess(g, par), {"rfft2", "irfft2"})
 
 
 @pytest.mark.parametrize("shape, box, v", [((32, 64), (20.0, 40.0), 0.5),
@@ -298,6 +311,97 @@ def test_r_symmetric_half_sums_match_full_arrays(grid, p, v, alpha, seed):
     assert abs(n_u - fl.nehari(field, par)) <= 1e-12 * fl.quadratic_action_form(field, par)
     assert g_sq == pytest.approx(float(np.vdot(want, want).real) * grid.cell_area, rel=1e-12)
     assert u_sq == pytest.approx(sp.l2_norm_sq(field), rel=1e-12)
+
+
+def _is_even(u):
+    """u = u(-x, .) = u(., -y) bit for bit."""
+    rows, cols = (-np.arange(n) % n for n in u.shape)
+    return np.array_equal(u, u[rows]) and np.array_equal(u, u[:, cols])
+
+
+@given(grid=grids, p=st.floats(1.1, 4.9), omega=st.floats(0.1, 3.0), alpha=st.floats(-2.0, 2.0),
+       t=st.floats(0.5, 2.0), beta=st.floats(0.0, 4.0), block_rows=st.integers(1, 30),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(grid=sp.make_grid(10, 16, 10.0, 10.0), p=3.0, omega=1.0, alpha=0.5, t=1.2, beta=0.7,
+         block_rows=1, seed=1)
+def test_even_quarter_sums_match_full_arrays(grid, p, omega, alpha, t, beta, block_rows, seed):
+    # int |u|^{p+1}, its line-search change, L2 products and the fused passes,
+    # summed over the quarters of even fields with the weights (1, 2, ..., 2, 1)
+    # along both axes, against full arrays and the half-spectrum passes; row
+    # blocks of one row up to the whole quarter
+    rng = np.random.default_rng(seed)
+    lay = sol._EVEN
+    u, d, g_prev = (lay.unpack(lay.pack(_random_field(grid, rng, True))) for _ in range(3))
+    assert _is_even(u) and _is_even(d)
+    uq, dq = lay.pack(u), lay.pack(d)
+    # pack, then unpack, is bit-exact, and so is the reverse
+    assert np.array_equal(lay.unpack(uq), u) and np.array_equal(lay.pack(lay.unpack(uq)), uq)
+    assert uq.shape == (grid.nx // 2 + 1, grid.ny // 2 + 1)
+    scale = math.sqrt(sp._redot(u, u) * sp._redot(d, d))
+    assert abs(lay.weigh_rows(lambda ix: lay.dot(uq[ix], dq[ix]), uq.shape)
+               - sp._redot(u, d)) <= 1e-12 * scale
+    b_u = fl._lp1_sum(u, p)
+    assert lay.weigh_rows(lambda ix: fl._lp1_sum(uq[ix], p, lay.total),
+                          uq.shape) == pytest.approx(b_u, rel=1e-12)
+    assert abs(lay.weigh_rows(lambda ix: sol._lp1_change(uq[ix], dq[ix], alpha, p, lay.total),
+                              uq.shape) - sol._lp1_change(u, d, alpha, p)) \
+        <= 1e-12 * (b_u + fl._lp1_sum(u - alpha * d, p))
+    sym = sp.action_quadratic(omega)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sol, "_FUSE_ELEMS", block_rows * uq.shape[1])
+        even = sol._Spectra(grid, sym, lay, sphere=True)
+        assert len(even.rows) == -(-uq.shape[0] // min(block_rows, uq.shape[0]))
+        hat, dhat = lay.fwd(uq, grid.shape), lay.fwd(dq, grid.shape)
+        assert abs(even.dot(hat, dhat) - sp._redot(u, d) * grid.cell_area) \
+            <= 1e-12 * scale * grid.cell_area
+        half = sol._Spectra(grid, sym, sol._REAL, sphere=True)
+        uh, dh = sp._rfft2(u), sp._rfft2(d)
+        for args, half_args in (((), ()), ((dq, dhat, t), (d, dh, t))):
+            got = even.gradient(uq, hat, p, *args)
+            want = half.gradient(u, uh, p, *half_args)
+            assert np.linalg.norm(got[0] - want[0][:uq.shape[0]].real) \
+                <= 1e-12 * np.linalg.norm(want[0])
+            b_pot, n_v = want[1:3]
+            assert abs(got[1] - b_pot) <= 1e-12 * b_pot
+            assert abs(got[2] - n_v) <= 1e-12 * (abs(n_v) + 2.0 * b_pot)
+            for a, b in zip(got[3:], want[3:]):
+                assert a == pytest.approx(b, rel=1e-12)
+        ghat, g_sq = got[0], want[3]
+        got = even.direction(ghat, hat, lay.fwd(lay.pack(g_prev), grid.shape), beta)
+        want = half.direction(want[0], uh, sp._rfft2(g_prev), beta)
+        assert np.linalg.norm(got[0] - want[0][:uq.shape[0]].real) \
+            <= 1e-12 * np.linalg.norm(want[0])
+        # <d, g>, ||d||^2, <Au, d>, <Ad, d>, <u, d>, within Cauchy-Schwarz bounds
+        d_sq, a_d = want[2], want[4]
+        a_u = half.dot(uh, sym.values(grid, half=True) * uh)
+        bounds = (math.sqrt(d_sq * g_sq), d_sq, math.sqrt(a_u * a_d), a_d,
+                  math.sqrt(half.dot(uh, uh) * d_sq))
+        for a, b, bound in zip(got[1:], want[1:], bounds):
+            assert abs(a - b) <= 1e-12 * bound
+
+
+@settings(max_examples=8)
+@given(shape=st.sampled_from([(32, 64), (64, 64), (48, 96)]), p=st.floats(1.5, 3.5),
+       omega=st.floats(0.5, 2.0))
+def test_even_descent_matches_real_descent(shape, p, omega):
+    # _EVEN and _REAL runs of _descent from one even start reach the same
+    # ground state: actions to 1e-10, orbits to 1e-6 ||Q||_X, and the even
+    # run's profile is even bit for bit
+    g = sp.make_grid(*shape, 20.0, 40.0)
+    par = ModelParams(p=p, omega=omega)
+    start = sol.default_initial_guess(g, par).values
+    assert sol._layout_of(start, 0.0) is sol._EVEN
+    u0 = sol._EVEN.unpack(sol._EVEN.pack(start))
+    sym = sp.action_quadratic(omega)
+    uq, even, _, _ = sol._descent(sol._EVEN.pack(u0), sym, p, g, 1e-9, 5000, False,
+                                  layout=sol._EVEN)
+    ur, real, _, _ = sol._descent(u0.copy(), sym, p, g, 1e-9, 5000, False, layout=sol._REAL)
+    q = sp.physical_field(g, sol._EVEN.unpack(uq))
+    assert _is_even(q.values)
+    assert even["action_value"] == pytest.approx(real["action_value"], rel=1e-10)
+    assert sol.orbital_fit(q, sp.physical_field(g, ur)).distance <= 1e-6 * fl.x_norm(q)
+    assert even["gradient_residual"] == pytest.approx(
+        sp.l2_norm(fl.action_gradient(q, par)), rel=1e-6, abs=1e-13 * sp.l2_norm(q))
 
 
 @pytest.mark.parametrize("shape, box, v", [((32, 64), (20.0, 40.0), 0.5),
@@ -489,7 +593,8 @@ def test_scaling_apparatus_peak_memory(fn):
     # about half a field here, a sixteenth at 128x32768).  r1_diagnostics
     # took 2.25 with a full-size symbol and defect, and takes 1.59 by row
     # blocks.  The extension from 64x256 to 64x2048 took 3.17 with a
-    # full-size symbol and takes 2.99 with it formed by row blocks.
+    # full-size symbol, 2.99 with it formed by row blocks, and takes 0.99
+    # on the quarters of the even profile.
     if fn == "extend_ground_state":
         base = sol.solve_nehari(sp.make_grid(64, 256, 20.0, 40.0), ModelParams(p=2.0), tol=1e-8)
         g = sp.make_grid(64, 2048, 20.0, 320.0)
@@ -530,7 +635,8 @@ def test_solver_peak_memory(v, bound):
     # tracemalloc sees numpy's arrays but not pocketfft's internal buffers.
     # Peaks of solve_nehari on 64x512 in units of the complex field: L-BFGS
     # with 8 pairs took 24.3 (v = 0.5, full spectra) and 13.1 (v = 0, half
-    # spectra); conjugate gradients, one previous direction, take 7.3 and 4.5
+    # spectra); conjugate gradients, one previous direction, take 7.3 and took
+    # 4.5, and the even start at v = 0 runs on quarters in 1.6
     g = sp.make_grid(64, 512, 20.0, 80.0)
     par = ModelParams(p=2.0, v=v)
     init = sol.default_initial_guess(g, par) if v == 0.0 else _rotated_guess(g, par)
@@ -643,11 +749,13 @@ def test_extend_ground_state_widens_box(p2_state, transform_count):
     g1 = sp.make_grid(64, 512, 20.0, 80.0)
     transform_count.clear()
     ext = sol.extend_ground_state(base, g1, tol=5e-7)
-    # the descent core of solve_nehari: two real transforms per iteration
+    # the descent core of solve_nehari: two transforms per iteration, on the
+    # quarters of the even profile
     assert sum(transform_count.values()) == 2 * ext.iterations
     # Fletcher-Reeves CG takes 20 iterations here, steepest descent 42
     assert ext.iterations <= 20
-    assert set(transform_count) == {"rfft2", "irfft2"}
+    assert set(transform_count) == {"dctn"}
+    assert _is_even(ext.q.values)
     assert ext.q.grid == g1
     assert ext.gradient_residual <= 5e-7 * sp.l2_norm(ext.q)
     assert ext.tail_mass_fraction < base.tail_mass_fraction
@@ -665,9 +773,36 @@ def test_extend_ground_state_widens_box(p2_state, transform_count):
         <= 1e-9 * sp.l2_norm(ext.q)
 
 
+def test_even_extension_matches_real_extension():
+    # an even source is padded symmetrically, half of its edge column
+    # y = -ly/2 at each end, so the start is exactly even; the half-spectrum
+    # descent from that start reaches the same profile
+    g0, g1 = sp.make_grid(64, 128, 20.0, 20.0), sp.make_grid(64, 512, 20.0, 80.0)
+    base = sol.solve_nehari(g0, ModelParams(p=2.0), tol=1e-7)
+    ext = sol.extend_ground_state(base, g1, tol=5e-7)
+    offset = (g1.ny - g0.ny) // 2
+    start = np.zeros(g1.shape)
+    start[:, offset:offset + g0.ny] = base.q.values
+    start[:, offset] *= 0.5
+    start[:, offset + g0.ny] = start[:, offset]
+    assert _is_even(start) and sol._layout_of(start, 0.0) is sol._EVEN
+    with pytest.raises(sol.ConvergenceError) as err:
+        sol.extend_ground_state(base, g1, max_iter=0)
+    first = err.value.solution.q.values  # the start, scaled onto the Nehari manifold
+    t = first.max() / start.max()
+    assert np.max(np.abs(first - t * start)) <= 1e-13 * first.max()
+    u, stats, _, _ = sol._descent(start, sp.action_quadratic(1.0), 2.0, g1, 5e-7, 200,
+                                  floor_rule=True, layout=sol._REAL)
+    assert ext.action_value == pytest.approx(stats["action_value"], rel=1e-10)
+    real = sp.physical_field(g1, u)
+    assert sol.orbital_fit(ext.q, real).distance <= 1e-6 * fl.x_norm(real)
+
+
 @pytest.mark.parametrize("case, fault", [
     pytest.param("extend", "uphill", id="uphill"),
     pytest.param("extend", "failed_search", id="failed_search"),
+    pytest.param("extend-real", "uphill", id="real-uphill"),
+    pytest.param("extend-real", "failed_search", id="real-failed_search"),
     pytest.param("solve", "uphill", id="solve-uphill"),
     pytest.param("solve", "failed_search", id="solve-failed_search"),
     pytest.param("rsym", "uphill", id="rsym-uphill"),
@@ -679,11 +814,14 @@ def test_conjugate_direction_restart_and_retry(monkeypatch, transform_count, cas
     # of 1e30 reported ("failed_search"), no trial meets the Armijo test, and
     # the iteration is retried from P g.  Either way the accepted action
     # decreases monotonically, the budget stays at two transforms per
-    # iteration and the descent converges: on half spectra (the extension),
-    # on full ones (a traveling wave from a rotated start) and on real ones
+    # iteration and the descent converges: on quarters (the extension of an
+    # even profile), on half spectra (the extension of a shifted one), on
+    # full ones (a traveling wave from a rotated start) and on real ones
     # (from an R-symmetric start).
-    if case == "extend":
-        base = sol.solve_nehari(sp.make_grid(64, 128, 20.0, 20.0), ModelParams(p=2.0), tol=1e-7)
+    if case.startswith("extend"):
+        g0, par = sp.make_grid(64, 128, 20.0, 20.0), ModelParams(p=2.0)
+        init = _shifted_guess(g0, par) if case == "extend-real" else None
+        base = sol.solve_nehari(g0, par, init=init, tol=1e-7)
         tol = 5e-7
         run = lambda: sol.extend_ground_state(base, sp.make_grid(64, 512, 20.0, 80.0), tol=tol)
     else:
@@ -717,7 +855,8 @@ def test_conjugate_direction_restart_and_retry(monkeypatch, transform_count, cas
         assert len(out.action_history) == out.iterations - 3
     assert np.all(np.diff(out.action_history) <= 0.0)
     assert sum(transform_count.values()) == 2 * out.iterations
-    assert set(transform_count) == ({"fft2", "ifft2"} if case == "solve" else {"rfft2", "irfft2"})
+    assert set(transform_count) == {"extend": {"dctn"}, "solve": {"fft2", "ifft2"}}.get(
+        case, {"rfft2", "irfft2"})
     assert out.gradient_residual <= tol * sp.l2_norm(out.q)
 
 
@@ -777,21 +916,26 @@ def test_orbital_fit_perturbation_bound(p2_state):
     assert fit.distance > 0
 
 
-@pytest.mark.parametrize("rotation", [
-    pytest.param(1.0, id="real"),
-    pytest.param(np.exp(0.7j), id="rotated"),
+@pytest.mark.parametrize("start", [
+    pytest.param("even", id="real"),
+    pytest.param("rotated", id="rotated"),
+    pytest.param("shifted", id="shifted"),
 ])
-def test_mass_constrained_matches_ground_state(p2_state, transform_count, rotation):
-    # the descent of solve_nehari on the mass sphere: a real start on half
-    # spectra, a rotated one on full spectra, two transforms per iteration
+def test_mass_constrained_matches_ground_state(p2_state, transform_count, start):
+    # the descent of solve_nehari on the mass sphere, two transforms per
+    # iteration: an even start on quarters, a real one that is not even on
+    # half spectra, a rotated one on full spectra
     g = p2_state.q.grid
     mu = fl.mass(p2_state.q)
     par = ModelParams(p=2.0)
-    init = sp.physical_field(g, rotation * sol.default_initial_guess(g, par).values.real)
+    init = {"even": sol.default_initial_guess(g, par), "shifted": _shifted_guess(g, par),
+            "rotated": sp.physical_field(
+                g, np.exp(0.7j) * sol.default_initial_guess(g, par).values)}[start]
     transform_count.clear()
     mm = sol.solve_mass_constrained(g, mu, 2.0, init=init, tol=1e-5)
     assert sum(transform_count.values()) == 2 * mm.iterations
-    assert set(transform_count) == ({"rfft2", "irfft2"} if rotation == 1.0 else {"fft2", "ifft2"})
+    assert set(transform_count) == {"even": {"dctn"}, "shifted": {"rfft2", "irfft2"},
+                                    "rotated": {"fft2", "ifft2"}}[start]
     assert mm.energy < 0
     # the outputs come from the descent's sums; fresh functionals must agree
     m = mm.minimizer

@@ -223,6 +223,14 @@ def test_transforms_bit_identical_across_worker_counts():
     assert np.array_equal(sp._irfft2(half, shape),
                           scipy.fft.irfft2(half, s=shape, norm="ortho", workers=1))
     del half
+    # the DCT-I of an even field's quarter counts the full grid's points
+    quarter = real[:shape[0] // 2 + 1, :shape[1] // 2 + 1]
+    want = scipy.fft.dctn(quarter, type=1, workers=1)
+    assert np.array_equal(scipy.fft.dctn(quarter, type=1,
+                                         workers=len(os.sched_getaffinity(0))), want)
+    want *= 1.0 / math.sqrt(shape[0] * shape[1])
+    assert np.array_equal(sp._dct(quarter), want)
+    del quarter, want
     cplx = real + 1j * rng.standard_normal(shape)
     del real
     assert np.array_equal(sp._fft2(cplx), scipy.fft.fft2(cplx, norm="ortho", workers=1))
@@ -230,7 +238,7 @@ def test_transforms_bit_identical_across_worker_counts():
 
 
 def test_two_dimensional_transforms_only_in_spectral():
-    transform = re.compile(r"^i?r?fft[2n]$")
+    transform = re.compile(r"^(i?r?fft[2n]|i?dctn)$")
     package = pathlib.Path(sp.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):
@@ -313,7 +321,7 @@ def _is_density(node):
 
 def test_density_only_in_spectral_helper():
     # |z|^2 is spectral._density; every weighted sum of it goes through
-    # that helper or spectral._form, not a hand-written copy
+    # that helper or spectral._forms, not a hand-written copy
     package = pathlib.Path(sp.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):
@@ -366,6 +374,68 @@ def test_tail_mass_fraction_localized_vs_edge(grid):
     assert sp.tail_mass_fraction(sp.physical_field(grid, shifted)) > 0.1
     zero = sp.physical_field(grid, np.zeros(grid.shape))
     assert sp.tail_mass_fraction(zero) == 0.0
+
+
+def _even_field(nx, ny, seed):
+    """A random even field, u = u(-x, .) = u(., -y) exactly, and its quarter."""
+    rng = np.random.default_rng(seed)
+    m, n = nx // 2 + 1, ny // 2 + 1
+    quarter = rng.standard_normal((m, n))
+    u = np.empty((nx, ny))
+    u[:m, :n] = quarter
+    u[:m, n:] = quarter[:, n - 2:0:-1]
+    u[m:] = u[m - 2:0:-1]
+    return u, quarter
+
+
+@given(nx=st.integers(4, 32).map(lambda k: 2 * k), ny=st.integers(4, 32).map(lambda k: 2 * k),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_dct_is_the_quarter_of_an_even_spectrum(nx, ny, seed):
+    # an even field's spectrum is real and even; its quarter is the DCT-I of
+    # the field's quarter, and the scaled DCT-I is its own inverse
+    u, quarter = _even_field(nx, ny, seed)
+    assert np.array_equal(u, u[-np.arange(nx) % nx])
+    assert np.array_equal(u, u[:, -np.arange(ny) % ny])
+    full = sp._fft2(u)
+    spec = sp._dct(quarter)
+    assert spec.shape == quarter.shape and spec.dtype == np.float64
+    assert np.max(np.abs(full[:nx // 2 + 1, :ny // 2 + 1] - spec)) <= 1e-13 * np.max(np.abs(full))
+    assert np.max(np.abs(sp._dct(spec) - quarter)) <= 1e-13 * np.max(np.abs(quarter))
+
+
+def _form_one_by_one(hat, grid, multiplier):
+    """sum multiplier * |fhat|^2 * dx*dy as summed with one density pass per
+    multiplier: the row-block sums, then twice them less the edge columns on
+    a half spectrum."""
+    mult = np.atleast_2d(np.asarray(multiplier, dtype=np.float64))
+    half = hat.shape[1] != grid.ny
+    if half:
+        mult = 0.5 * (mult + np.roll(mult[::-1, ::-1], 1, axis=(0, 1)))
+        mult = mult[:, :hat.shape[1]] if mult.shape[1] > 1 else mult
+    mult = np.broadcast_to(mult, hat.shape)
+    total = sum(float(np.sum(mult[r] * sp._density(hat[r])))
+                for r in sp._slices(*hat.shape, sp._FUSE_ELEMS))
+    if half:
+        edge = (slice(None), slice(None, None, hat.shape[1] - 1))
+        total = 2.0 * total - float(np.sum(mult[edge] * sp._density(hat[edge])))
+    return total * grid.cell_area
+
+
+@given(nx=st.integers(4, 32).map(lambda k: 2 * k), ny=st.integers(4, 32).map(lambda k: 2 * k),
+       real=st.booleans(), block=st.integers(1, 5000), seed=st.integers(0, 2 ** 32 - 1))
+def test_forms_share_one_density_bit_for_bit(nx, ny, real, block, seed):
+    # several multipliers summed over one density per row block give each
+    # sum the bits of its own pass
+    g = sp.make_grid(nx, ny, 10.0, 14.0)
+    u = random_field(g, seed % 1000).values
+    hat = sp._rfft2(u.real) if real else sp._fft2(u)
+    mults = (1.0, g.xi[:, None] ** 2, np.abs(g.eta)[None, :] - 0.3 * g.eta_odd[None, :] + 1.5,
+             (1.0 + g.eta[None, :] ** 2) ** 0.6)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sp, "_FUSE_ELEMS", block)
+        got = sp._forms(hat, g, *mults)
+        want = [_form_one_by_one(hat, g, m) for m in mults]
+    assert got == want
 
 
 @given(nx=st.integers(4, 32).map(lambda k: 2 * k), ny=st.integers(4, 32).map(lambda k: 2 * k),
