@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -75,8 +76,7 @@ def _reference_state(cfg: ExperimentConfig, grid: Grid, params: ModelParams):
     """Ground state from snapshot_in when given, else a fresh solve."""
     path = cfg["output.snapshot_in"]
     if path:
-        field, sparams = load_snapshot(path, expect_grid=grid)
-        return field, sparams
+        return load_snapshot(path, expect_grid=grid)
     solution = _solve_from_config(cfg, grid, params)
     return solution.q, params
 
@@ -113,20 +113,11 @@ def _solve_command(cfg: ExperimentConfig, grid: Grid, params: ModelParams,
     return EXIT_OK
 
 
-def cmd_ground_state(cfg: ExperimentConfig, grid: Grid, params: ModelParams) -> int:
-    return _solve_command(cfg, grid, params, "ground_state.hwsf")
-
-
-def cmd_travel(cfg: ExperimentConfig, grid: Grid, params: ModelParams) -> int:
-    return _solve_command(cfg, grid, params, "travel.hwsf")
-
-
 def cmd_evolve(cfg: ExperimentConfig, grid: Grid, params: ModelParams) -> int:
-    reference = None
     if cfg["output.snapshot_in"]:
-        u0, _ = load_snapshot(cfg["output.snapshot_in"], expect_grid=grid)
-        reference = u0
+        reference = u0 = load_snapshot(cfg["output.snapshot_in"], expect_grid=grid)[0]
     else:
+        reference = None
         u0 = sol.default_initial_guess(grid, params, kind=cfg["solver.init_kind"],
                                        seed=cfg["solver.seed"])
     trace = ev.evolve(u0, params.p, cfg["evolution.T"], cfg["evolution.dt"],
@@ -158,10 +149,10 @@ def cmd_evolve(cfg: ExperimentConfig, grid: Grid, params: ModelParams) -> int:
     return EXIT_OK if trace.abort_reason is None else EXIT_NUMERICAL
 
 
-def _band_limited_noise(grid: Grid, rng: np.random.Generator) -> Field:
+def _random_field(grid: Grid, rng: np.random.Generator, filt: np.ndarray) -> Field:
+    """Seeded complex field whose spectrum is white noise times `filt`."""
     coef = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    coef *= sp.dealias_mask(grid)  # top third of each spectral axis zeroed
-    return Field(grid, sp._ifft2(coef), sp.PHYSICAL)
+    return Field(grid, sp._ifft2(coef * filt), sp.PHYSICAL)
 
 
 def cmd_stability(cfg: ExperimentConfig, grid: Grid, params: ModelParams) -> int:
@@ -174,7 +165,7 @@ def cmd_stability(cfg: ExperimentConfig, grid: Grid, params: ModelParams) -> int
         return EXIT_NUMERICAL
 
     rng = np.random.default_rng(cfg["solver.seed"])
-    noise = _band_limited_noise(grid, rng)
+    noise = _random_field(grid, rng, sp.dealias_mask(grid))  # top third of each axis zeroed
     delta = cfg["experiment.delta"]
     q_xnorm = fl.x_norm(q)
     scale = delta * q_xnorm / fl.x_norm(noise)
@@ -258,21 +249,19 @@ def cmd_instability(cfg: ExperimentConfig, grid: Grid, params: ModelParams) -> i
 def cmd_sweep_velocity(cfg: ExperimentConfig, grid: Grid, *speeds: ModelParams) -> int:
     rows = []
     failure = None
-    warm = None
     last_solution = None
     for params in speeds:
         try:
-            if warm is None:
+            if last_solution is None:
                 solution = _solve_from_config(cfg, grid, params)
             else:
-                solution = sol.solve_nehari(grid, params, init=warm,
+                solution = sol.solve_nehari(grid, params, init=last_solution.q,
                                             tol=cfg["solver.tol"],
                                             max_iter=cfg["solver.max_iter"])
         except (sol.ConvergenceError, sol.CollapseError) as exc:
             failure = f"v = {params.v}: {exc}"
             break
         q = solution.q
-        warm = q
         last_solution = solution
         dx_sq, dy_sq = fl._dx_dy_forms(sp._spectrum(q), grid)  # one transform for both norms
         rows.append((params.v, solution.action_value, sp.l2_norm(q),
@@ -296,179 +285,144 @@ def cmd_sweep_velocity(cfg: ExperimentConfig, grid: Grid, *speeds: ModelParams) 
         "failure": failure,
     }
     if cfg["experiment.restart_check"] and last_solution is not None and failure is None:
-        cold = sol.solve_nehari(grid, last_solution.params,
-                                tol=cfg["solver.tol"], max_iter=cfg["solver.max_iter"],
-                                init_kind="gaussian-wide", seed=cfg["solver.seed"])
-        fit = sol.orbital_fit(cold.q, last_solution.q)
-        report["restart_orbit_distance"] = fit.distance
-        report["restart_x_norm"] = fl.x_norm(last_solution.q)
+        try:
+            cold = sol.solve_nehari(grid, last_solution.params,
+                                    tol=cfg["solver.tol"], max_iter=cfg["solver.max_iter"],
+                                    init_kind="gaussian-wide", seed=cfg["solver.seed"])
+        except (sol.ConvergenceError, sol.CollapseError) as exc:
+            report["failure"] = f"restart: {exc}"
+        else:
+            report["restart_orbit_distance"] = sol.orbital_fit(cold.q, last_solution.q).distance
+            report["restart_x_norm"] = fl.x_norm(last_solution.q)
     _emit_report(cfg, report)
-    if failure is not None or not trend_ok:
+    if report["failure"] is not None or not trend_ok:
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
-def _random_smooth(grid: Grid, rng: np.random.Generator) -> Field:
-    coef = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+def _rel(a: Field, b: np.ndarray, ref: float) -> float:
+    """L2 norm of `a - b` over `ref`."""
+    return sp.l2_norm(Field(a.grid, a.values - b, sp.PHYSICAL)) / ref
+
+
+def _checks(cfg: ExperimentConfig, grid: Grid, params: ModelParams):
+    """The self-tests of `verify` in report order: (name, value, threshold),
+    passed when value <= threshold, or (name, value, threshold, passed, detail)."""
+    rng = np.random.default_rng(cfg["solver.seed"])
     kx = sp.mode_numbers(grid.nx)[:, None]
     ky = sp.mode_numbers(grid.ny)[None, :]
-    envelope = np.exp(-(kx ** 2 + ky ** 2) / (grid.nx / 8.0) ** 2)
-    return Field(grid, sp._ifft2(coef * envelope), sp.PHYSICAL)
-
-
-def cmd_verify(cfg: ExperimentConfig, grid: Grid, params: ModelParams) -> int:
-    rng = np.random.default_rng(cfg["solver.seed"])
-    checks = []
-
-    def check(name, value, threshold, passed=None, detail=None):
-        ok = bool(value <= threshold) if passed is None else bool(passed)
-        entry = {"check": name, "value": float(value), "threshold": float(threshold),
-                 "passed": ok}
-        if detail:
-            entry["detail"] = detail
-        checks.append(entry)
-
-    u = _random_smooth(grid, rng)
-    g2 = _random_smooth(grid, rng)
-
-    back = sp.to_physical(sp.to_spectral(u))
-    check("transform_roundtrip",
-          sp.l2_norm(Field(grid, back.values - u.values, sp.PHYSICAL)) / sp.l2_norm(u),
-          1e-12)
-    check("plancherel",
-          abs(sp.l2_norm(sp.to_spectral(u)) - sp.l2_norm(u)) / sp.l2_norm(u), 1e-12)
-
+    smooth = np.exp(-(kx ** 2 + ky ** 2) / (grid.nx / 8.0) ** 2)
+    u = _random_field(grid, rng, smooth)
+    g2 = _random_field(grid, rng, smooth)
+    u_norm = sp.l2_norm(u)
+    yield "transform_roundtrip", _rel(sp.to_physical(sp.to_spectral(u)), u.values, u_norm), 1e-12
+    yield "plancherel", abs(sp.l2_norm(sp.to_spectral(u)) - u_norm) / u_norm, 1e-12
     sym = sp.frac_dy(0.7)
     lin = sp.apply_symbol(Field(grid, 2.0 * u.values - 1.5j * g2.values, sp.PHYSICAL), sym)
     sep = 2.0 * sp.apply_symbol(u, sym).values - 1.5j * sp.apply_symbol(g2, sym).values
-    check("symbol_linearity",
-          sp.l2_norm(Field(grid, lin.values - sep, sp.PHYSICAL)) / sp.l2_norm(lin), 1e-12)
-
+    yield "symbol_linearity", _rel(lin, sep, sp.l2_norm(lin)), 1e-12
     twice = sp.apply_symbol(sp.apply_symbol(u, sp.frac_dy(0.5)), sp.frac_dy(0.5))
     once = sp.apply_symbol(u, sp.abs_dy())
-    denom = max(sp.l2_norm(once), 1e-300)
-    check("frac_half_composition",
-          sp.l2_norm(Field(grid, twice.values - once.values, sp.PHYSICAL)) / denom, 1e-10)
-
+    yield ("frac_half_composition", _rel(twice, once.values, max(sp.l2_norm(once), 1e-300)),
+           1e-10)
     prop = ev.linear_propagate(ev.linear_propagate(u, 0.37), 0.21)
-    direct = ev.linear_propagate(u, 0.58)
-    check("group_law",
-          sp.l2_norm(Field(grid, prop.values - direct.values, sp.PHYSICAL)) / sp.l2_norm(u),
-          1e-12)
-    check("group_isometry",
-          abs(sp.l2_norm(ev.linear_propagate(u, 1.7)) - sp.l2_norm(u)) / sp.l2_norm(u),
-          1e-12)
-
+    yield "group_law", _rel(prop, ev.linear_propagate(u, 0.58).values, u_norm), 1e-12
+    yield ("group_isometry", abs(sp.l2_norm(ev.linear_propagate(u, 1.7)) - u_norm) / u_norm,
+           1e-12)
     v_test = 0.7
     b_form = sp.quadratic_form(u, np.abs(grid.eta)[None, :] - v_test * grid.eta_odd[None, :])
-    dy_form = fl.dy_half_norm_sq(u)
-    check("transport_coercivity",
-          (1.0 - abs(v_test)) * dy_form - b_form, 1e-12 * sp.l2_norm_sq(u))
-
-    c_half = sp.frac_constant(0.5)
-    check("c_star_half_vs_2pi", abs(c_half - 2.0 * math.pi), 1e-3)
-
+    yield ("transport_coercivity", (1.0 - v_test) * fl.dy_half_norm_sq(u) - b_form,
+           1e-12 * sp.l2_norm_sq(u))
+    yield "c_star_half_vs_2pi", abs(sp.frac_constant(0.5) - 2.0 * math.pi), 1e-3
     slice_grid = np.exp(-(np.linspace(-20.0, 20.0, 512, endpoint=False) ** 2) / 8.0)
-    frac = sp.frac_seminorm_identity_check(slice_grid, 40.0, 0.5)
-    check("frac_identity_gaussian_s_half", frac.relative_error, 1e-2)
-
+    yield ("frac_identity_gaussian_s_half",
+           sp.frac_seminorm_identity_check(slice_grid, 40.0, 0.5).relative_error, 1e-2)
     s_val = fl.action(u, params)
     recon = fl.i_value(u, params) + fl.nehari(u, params) / (params.p + 1.0)
-    check("action_identity", abs(s_val - recon) / max(1.0, abs(s_val)), 1e-10)
-
+    yield "action_identity", abs(s_val - recon) / max(1.0, abs(s_val)), 1e-10
     shifted = Field(grid, np.roll(u.values * np.exp(1.3j), (5, -7), axis=(0, 1)),
                     sp.PHYSICAL)
-    check("gauge_translation_invariance",
-          abs(fl.hamiltonian(shifted, params.p) - fl.hamiltonian(u, params.p))
-          / max(1.0, abs(fl.hamiltonian(u, params.p))), 1e-12)
-
-    t_scale = 1.7
-    check("nonlinear_homogeneity",
-          abs(fl.lp1_power(Field(grid, t_scale * u.values, sp.PHYSICAL), params.p)
-              - t_scale ** (params.p + 1.0) * fl.lp1_power(u, params.p))
-          / fl.lp1_power(u, params.p) / t_scale ** (params.p + 1.0), 1e-10)
-
+    h_u = fl.hamiltonian(u, params.p)
+    yield ("gauge_translation_invariance",
+           abs(fl.hamiltonian(shifted, params.p) - h_u) / max(1.0, abs(h_u)), 1e-12)
+    t_pow = 1.7 ** (params.p + 1.0)
+    lp1 = fl.lp1_power(u, params.p)
+    yield ("nonlinear_homogeneity",
+           abs(fl.lp1_power(Field(grid, 1.7 * u.values, sp.PHYSICAL), params.p) - t_pow * lp1)
+           / lp1 / t_pow, 1e-10)
     eps = 1e-5
-    h_dir = g2
-    plus = fl.action(Field(grid, u.values + eps * h_dir.values, sp.PHYSICAL), params)
-    minus = fl.action(Field(grid, u.values - eps * h_dir.values, sp.PHYSICAL), params)
-    fd = (plus - minus) / (2.0 * eps)
-    pairing = sp.l2_inner(fl.action_gradient(u, params), h_dir).real
-    check("action_gradient_fd", abs(fd - pairing) / max(1.0, abs(pairing)), 1e-6)
-
+    plus = fl.action(Field(grid, u.values + eps * g2.values, sp.PHYSICAL), params)
+    minus = fl.action(Field(grid, u.values - eps * g2.values, sp.PHYSICAL), params)
+    pairing = sp.l2_inner(fl.action_gradient(u, params), g2).real
+    yield ("action_gradient_fd",
+           abs((plus - minus) / (2.0 * eps) - pairing) / max(1.0, abs(pairing)), 1e-6)
     box = Grid(256, 256, 40.0, 40.0)
     gauss = Field(box, np.exp(-box.x[:, None] ** 2 - box.y[None, :] ** 2)
                   .astype(np.complex128), sp.PHYSICAL)
-    check("gaussian_mass_quarter_pi", abs(fl.mass(gauss) - math.pi / 4.0), 1e-6)
-
+    yield "gaussian_mass_quarter_pi", abs(fl.mass(gauss) - math.pi / 4.0), 1e-6
     c_p = 0.5 - 1.0 / (params.p + 1.0)
     lower = c_p * (1.0 - abs(params.v)) * (fl.dx_norm_sq(u) + fl.dy_half_norm_sq(u)
                                            + params.omega * sp.l2_norm_sq(u))
-    check("i_value_coercive", lower - fl.i_value(u, params), 1e-10 * max(1.0, lower))
-
-    probe = sol.travel_upper_bound_probe(Grid(64, 64, 20.0, 20.0), params.p, params.omega)
-    vals = [pt.i_value for pt in probe]
-    check("travel_level_degeneration", 0.0, 0.5,
-          passed=all(b < a for a, b in zip(vals, vals[1:])) and vals[-1] > 0.0,
-          detail=f"i_values {vals}")
-
+    yield "i_value_coercive", lower - fl.i_value(u, params), 1e-10 * max(1.0, lower)
     small = Grid(64, 64, 20.0, 20.0)
-    w0 = Field(small, 0.3 * np.exp(-small.x[:, None] ** 2 / 2.0
-                                   - small.y[None, :] ** 2 / 2.0)
+    vals = [pt.i_value for pt in sol.travel_upper_bound_probe(small, params.p, params.omega)]
+    yield ("travel_level_degeneration", 0.0, 0.5,
+           all(b < a for a, b in zip(vals, vals[1:])) and vals[-1] > 0.0, f"i_values {vals}")
+    w0 = Field(small, 0.3 * np.exp(-small.x[:, None] ** 2 / 2.0 - small.y[None, :] ** 2 / 2.0)
                .astype(np.complex128), sp.PHYSICAL)
     pic = ev.picard_solve(w0, params.p, 0.1, n_steps=100)
-    strang_field = w0
-    for _ in range(100):
-        strang_field = ev.strang_step(strang_field, 0.001, params.p)
-    check("picard_vs_strang",
-          sp.l2_norm(Field(small, pic.final.values - strang_field.values, sp.PHYSICAL)),
-          1e-4)
-
     fwd = w0
     for _ in range(100):
-        fwd = ev.strang_step(fwd, 0.002, params.p)
-    for _ in range(100):
-        fwd = ev.strang_step(fwd, -0.002, params.p)
-    check("strang_reversibility",
-          sp.l2_norm(Field(small, fwd.values - w0.values, sp.PHYSICAL)) / sp.l2_norm(w0),
-          1e-8)
-
+        fwd = ev.strang_step(fwd, 0.001, params.p)
+    yield "picard_vs_strang", _rel(pic.final, fwd.values, 1.0), 1e-4
+    fwd = w0
+    for dt in [0.002] * 100 + [-0.002] * 100:
+        fwd = ev.strang_step(fwd, dt, params.p)
+    yield "strang_reversibility", _rel(fwd, w0.values, sp.l2_norm(w0)), 1e-8
     line = np.exp(-np.linspace(-160.0, 160.0, 2048, endpoint=False) ** 2 / 0.5)
     decay = ev.dispersive_decay_probe(line, 320.0, (0.5, 1.0, 1.5, 2.0))
-    check("dispersive_decay_slope", abs(decay.slope + 0.5), 0.05,
-          passed=decay.fit_valid and abs(decay.slope + 0.5) <= 0.05,
-          detail=f"slope {decay.slope:.4f}")
+    err = abs(decay.slope + 0.5)
+    yield ("dispersive_decay_slope", err, 0.05, decay.fit_valid and err <= 0.05,
+           f"slope {decay.slope:.4f}")
 
-    snap_path = cfg["output.snapshot_in"]
-    if snap_path:
-        q, qparams = load_snapshot(snap_path)
-        quad = fl.quadratic_action_form(q, qparams)
-        check("snapshot_nehari_residual", abs(fl.nehari(q, qparams)), 1e-8 * quad)
-        check("snapshot_gradient_residual", sp.l2_norm(fl.action_gradient(q, qparams)),
-              cfg["solver.tol"] * sp.l2_norm(q))
-        try:
-            sv = sol.second_variation_scaling(q, qparams)
-            check("second_variation_scaling", sv.relative_error, 1e-4,
-                  detail=f"analytic {sv.analytic:.6e}, numeric {sv.numeric:.6e}")
-            psi = sol.psi_omega(q)
-            check("psi_orthogonality", abs(sp.l2_inner(q, psi).real),
-                  1e-8 * sp.l2_norm_sq(q))
-            diag = sol.r1_diagnostics(q, qparams.p)
-            check("r1_multiplier_roundtrip", diag.multiplier_roundtrip_error, 1e-8)
-            check("r1_linearized_residual", diag.linearized_residual, 1e-4)
-            bound = max(1.0 / qparams.omega, 1.0)
-            check("phi_multipliers_bounded", max(diag.phi_max), bound + 1e-12)
-        except sol.TailMassError as exc:
-            check("snapshot_tail_mass", 1.0, 0.0, passed=False, detail=str(exc))
+    if not cfg["output.snapshot_in"]:
+        return
+    q, qparams = load_snapshot(cfg["output.snapshot_in"])
+    yield ("snapshot_nehari_residual", abs(fl.nehari(q, qparams)),
+           1e-8 * fl.quadratic_action_form(q, qparams))
+    yield ("snapshot_gradient_residual", sp.l2_norm(fl.action_gradient(q, qparams)),
+           cfg["solver.tol"] * sp.l2_norm(q))
+    try:
+        sv = sol.second_variation_scaling(q, qparams)
+        yield ("second_variation_scaling", sv.relative_error, 1e-4, sv.relative_error <= 1e-4,
+               f"analytic {sv.analytic:.6e}, numeric {sv.numeric:.6e}")
+        yield ("psi_orthogonality", abs(sp.l2_inner(q, sol.psi_omega(q)).real),
+               1e-8 * sp.l2_norm_sq(q))
+        diag = sol.r1_diagnostics(q, qparams.p)
+        yield "r1_multiplier_roundtrip", diag.multiplier_roundtrip_error, 1e-8
+        yield "r1_linearized_residual", diag.linearized_residual, 1e-4
+        yield "phi_multipliers_bounded", max(diag.phi_max), max(1.0 / qparams.omega, 1.0) + 1e-12
+    except sol.TailMassError as exc:
+        yield "snapshot_tail_mass", 1.0, 0.0, False, str(exc)
 
+
+def cmd_verify(cfg: ExperimentConfig, grid: Grid, params: ModelParams) -> int:
+    checks = []
+    for name, value, threshold, *verdict in _checks(cfg, grid, params):
+        passed, detail = verdict or (value <= threshold, None)
+        entry = {"check": name, "value": float(value), "threshold": float(threshold),
+                 "passed": bool(passed)}
+        if detail:
+            entry["detail"] = detail
+        checks.append(entry)
     all_ok = all(c["passed"] for c in checks)
     _emit_report(cfg, {"command": "verify", "passed": all_ok, "checks": checks})
     return EXIT_OK if all_ok else EXIT_NUMERICAL
 
 
 _HANDLERS = {
-    "ground-state": cmd_ground_state,
-    "travel": cmd_travel,
+    "ground-state": functools.partial(_solve_command, default_name="ground_state.hwsf"),
+    "travel": functools.partial(_solve_command, default_name="travel.hwsf"),
     "evolve": cmd_evolve,
     "stability": cmd_stability,
     "instability": cmd_instability,

@@ -176,7 +176,7 @@ def _gn_quotient(lp1: float, dx_sq: float, dy_sq: float, l2_sq: float, p: float)
     return lp1 / denom
 
 
-def action_gradient(u: Field, params: ModelParams, dealias: bool = False) -> Field:
+def action_gradient(u: Field, params: ModelParams) -> Field:
     """L2 gradient of the action under the real pairing re int f conj(g).
 
     grad S(u) = (-dxx + |D_y| + i v dy + omega) u - |u|^{p-1} u.
@@ -184,11 +184,7 @@ def action_gradient(u: Field, params: ModelParams, dealias: bool = False) -> Fie
     lin = sp.apply_symbol(sp.to_spectral(u), sp.action_quadratic(params.omega, params.v))
     phys = sp.to_physical(u).values
     nl = _density(phys) ** ((params.p - 1.0) / 2.0) * phys
-    nl_field = Field(u.grid, nl, sp.PHYSICAL)
-    if dealias:
-        nl_field = sp.apply_dealias(nl_field)
-    out = sp.to_physical(lin).values - nl_field.values
-    return Field(u.grid, out, sp.PHYSICAL)
+    return Field(u.grid, sp.to_physical(lin).values - nl, sp.PHYSICAL)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,10 @@ import pytest
 import scipy.fft
 from hypothesis import settings
 
+from hwlab import solitary as sol
+from hwlab import spectral as sp
+from hwlab.functionals import ModelParams
+
 # Derandomized and bounded, so the property tests draw the same examples
 # on every run and the suite stays reproducible and quick.
 settings.register_profile("hwlab", derandomize=True, max_examples=40,
@@ -30,3 +34,23 @@ def transform_count(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(scipy.fft, name, counted)
     return counts
+
+
+# Ground states shared by several test modules, solved once per session;
+# the tests only read them.
+@pytest.fixture(scope="session")
+def p2_state():
+    grid = sp.make_grid(64, 64, 40.0, 40.0)
+    return sol.solve_nehari(grid, ModelParams(p=2.0), tol=1e-7)
+
+
+@pytest.fixture(scope="session")
+def p3_state():
+    # dy fine enough that resampled scaling curves are alias-free
+    grid = sp.make_grid(128, 2048, 20.0, 40.0)
+    return sol.solve_nehari(grid, ModelParams(p=3.0), tol=1e-7)
+
+
+@pytest.fixture(scope="session")
+def p3_2048(p3_state):
+    return p3_state

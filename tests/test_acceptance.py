@@ -45,12 +45,6 @@ def p3_wide(p3_tall):
     return sol.extend_ground_state(p3_tall, sp.make_grid(128, 65536, 20.0, 1280.0))
 
 
-@pytest.fixture(scope="module")
-def p3_2048():
-    g = sp.make_grid(128, 2048, 20.0, 40.0)
-    return sol.solve_nehari(g, ModelParams(p=3.0), tol=1e-7)
-
-
 def test_criterion_01_transform_plancherel_suite():
     g = sp.make_grid(256, 256, 40.0, 55.0)
     rng = np.random.default_rng(0)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import hwlab.solitary as sol
 import hwlab.spectral as sp
 from hwlab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from hwlab.config import (_SCHEMA, COMMANDS, ConfigError, ExperimentConfig,
@@ -423,6 +424,69 @@ def test_cli_verify_all_green(tmp_path, capsys):
     names = {c["check"] for c in rep["checks"]}
     assert "frac_identity_gaussian_s_half" in names
     assert (tmp_path / "report.json").exists()
+
+
+VERIFY_CHECKS = [
+    "transform_roundtrip", "plancherel", "symbol_linearity", "frac_half_composition",
+    "group_law", "group_isometry", "transport_coercivity", "c_star_half_vs_2pi",
+    "frac_identity_gaussian_s_half", "action_identity", "gauge_translation_invariance",
+    "nonlinear_homogeneity", "action_gradient_fd", "gaussian_mass_quarter_pi",
+    "i_value_coercive", "travel_level_degeneration", "picard_vs_strang",
+    "strang_reversibility", "dispersive_decay_slope"]
+SNAPSHOT_CHECKS = [
+    "snapshot_nehari_residual", "snapshot_gradient_residual", "second_variation_scaling",
+    "psi_orthogonality", "r1_multiplier_roundtrip", "r1_linearized_residual",
+    "phi_multipliers_bounded"]
+
+
+def test_cli_verify_report_contract(tmp_path, capsys, monkeypatch):
+    # check names and order are part of the report format
+    out = str(tmp_path)
+    assert main(["verify", "--out", out]) == EXIT_OK
+    assert [c["check"] for c in _report(capsys)["checks"]] == VERIFY_CHECKS
+
+    # a p = 3 ground state whose y tail is too heavy for the scaling diagnostics
+    assert main(["ground-state", "--grid.nx", "32", "--grid.ny", "1024",
+                 "--grid.lx", "20", "--grid.ly", "160", "--model.p", "3",
+                 "--solver.tol", "1e-7", "--out", out]) == EXIT_OK
+    rep = _report(capsys)
+    assert rep["tail_mass_fraction"] > 1e-8
+    q, params = load_snapshot(rep["snapshot"])
+    with pytest.raises(sol.TailMassError) as err:
+        sol.second_variation_scaling(q, params)
+    argv = ["verify", "--out", out, "--snapshot", rep["snapshot"]]
+    assert main(argv) == EXIT_NUMERICAL
+    rep = _report(capsys)
+    assert rep["passed"] is False
+    assert [c["check"] for c in rep["checks"]] == VERIFY_CHECKS + [
+        "snapshot_nehari_residual", "snapshot_gradient_residual", "snapshot_tail_mass"]
+    assert rep["checks"][-1]["passed"] is False
+    assert rep["checks"][-1]["detail"] == str(err.value)
+
+    # without the tail guard every snapshot check runs; values need not pass
+    monkeypatch.setattr(sol, "_check_tail", lambda *args: 0.0)
+    main(argv)
+    assert [c["check"] for c in _report(capsys)["checks"]] == VERIFY_CHECKS + SNAPSHOT_CHECKS
+
+
+def test_cli_sweep_restart_failure_reported(tmp_path, capsys, monkeypatch):
+    # a failed cold restart is a numerical failure with a report, like a chain failure
+    solve = sol.solve_nehari
+
+    def cold_fails(*args, **kwargs):
+        if kwargs.get("init_kind") == "gaussian-wide":
+            raise sol.ConvergenceError("iteration budget exhausted")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sol, "solve_nehari", cold_fails)
+    assert main(["sweep-velocity", *TINY, "--out", str(tmp_path), "--v-list", "0,0.3",
+                 "--experiment.restart_check", "1"]) == EXIT_NUMERICAL
+    rep = _report(capsys)
+    assert rep["failure"] == "restart: iteration budget exhausted"
+    assert rep["completed"] == 2 and rep["trend_non_increasing"] is True
+    assert "restart_orbit_distance" not in rep
+    assert json.loads((tmp_path / "report.json").read_text()) == rep
+    assert (tmp_path / "sweep_velocity.csv").exists()
 
 
 def test_cli_commands_enumerated():

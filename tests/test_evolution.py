@@ -7,13 +7,6 @@ from hypothesis import given, strategies as st
 import hwlab.evolution as ev
 import hwlab.solitary as sol
 import hwlab.spectral as sp
-from hwlab.functionals import ModelParams
-
-
-@pytest.fixture(scope="module")
-def p2_state():
-    g = sp.make_grid(64, 64, 40.0, 40.0)
-    return sol.solve_nehari(g, ModelParams(p=2.0), tol=1e-7)
 
 
 def _gaussian(g, amp=1.0, width=2.0):

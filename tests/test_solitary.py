@@ -16,19 +16,6 @@ from hwlab import solitary as sol
 from hwlab.functionals import ModelParams
 
 
-@pytest.fixture(scope="module")
-def p2_state():
-    grid = sp.make_grid(64, 64, 40.0, 40.0)
-    return sol.solve_nehari(grid, ModelParams(p=2.0), tol=1e-7)
-
-
-@pytest.fixture(scope="module")
-def p3_state():
-    # dy fine enough that resampled scaling curves are alias-free
-    grid = sp.make_grid(128, 2048, 20.0, 40.0)
-    return sol.solve_nehari(grid, ModelParams(p=3.0), tol=1e-7)
-
-
 def test_initial_guess_kinds():
     g = sp.make_grid(32, 32, 20.0, 20.0)
     par = ModelParams(p=2.0)
