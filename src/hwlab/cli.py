@@ -263,7 +263,7 @@ def cmd_sweep_velocity(cfg: ExperimentConfig, grid: Grid, *speeds: ModelParams) 
             break
         q = solution.q
         last_solution = solution
-        dx_sq, dy_sq = fl._dx_dy_forms(sp._spectrum(q), grid)  # one transform for both norms
+        dx_sq, dy_sq = fl._dx_dy_forms(*sp._spectrum(q), grid)  # one transform for both norms
         rows.append((params.v, solution.action_value, sp.l2_norm(q),
                      math.sqrt(dx_sq), math.sqrt(dy_sq), solution.iterations))
     _write_csv(os.path.join(cfg["output.out_dir"], "sweep_velocity.csv"),

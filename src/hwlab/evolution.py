@@ -162,7 +162,7 @@ def evolve(u0: Field, p: float, T: float, dt: float, sample_stride: int = 10,
 
     def monitors(vals):
         hat = sp._fft2(vals)
-        dx_sq, dy_sq, l2_sq, hs_sq = fl._dx_dy_forms(hat, g, 1.0, hs_weight)
+        dx_sq, dy_sq, l2_sq, hs_sq = fl._dx_dy_forms(hat, sp._FULL, g, 1.0, hs_weight)
         m = 0.5 * l2_sq
         ham = 0.5 * (dx_sq + dy_sq) - sign * fl._lp1_sum(vals, p) * w / (p + 1.0)
         mixed = math.sqrt(hs_sq)
@@ -313,6 +313,8 @@ def dispersive_decay_probe(profile: np.ndarray, lx: float, times) -> DecayProbe:
     g = np.ascontiguousarray(profile, dtype=np.complex128)
     if g.ndim != 1:
         raise ValueError("expected a 1-D profile")
+    if not 0.0 < lx < math.inf:
+        raise ValueError(f"lx must be positive and finite, got {lx}")
     t_arr = np.asarray(times, dtype=float)
     if t_arr.size < 2 or np.any(t_arr <= 0.0) or np.any(np.diff(t_arr) <= 0.0):
         raise ValueError("need at least two increasing positive times")

@@ -86,26 +86,28 @@ def _action_row(grid: Grid, params: ModelParams) -> np.ndarray:
     return (np.abs(grid.eta) - params.v * grid.eta_odd + params.omega)[None, :]
 
 
-def _dx_dy_forms(hat: np.ndarray, grid: Grid, *multipliers) -> list[float]:
+def _dx_dy_forms(hat: np.ndarray, layout: sp._Layout, grid: Grid, *multipliers) -> list[float]:
     """||dx u||^2, || |D_y|^{1/2} u ||^2 and the form of each further
-    multiplier, from one density pass over the spectrum (`spectral._forms`)."""
-    return sp._forms(hat, grid, grid.xi[:, None] ** 2, np.abs(grid.eta)[None, :], *multipliers)
+    multiplier, from one density pass over the spectrum stored as `layout`
+    says (`spectral._forms`)."""
+    return sp._forms(hat, layout, grid, grid.xi[:, None] ** 2, np.abs(grid.eta)[None, :],
+                     *multipliers)
 
 
 def dx_norm_sq(u: Field) -> float:
-    return sp._forms(sp._spectrum(u), u.grid, u.grid.xi[:, None] ** 2)[0]
+    return sp._forms(*sp._spectrum(u), u.grid, u.grid.xi[:, None] ** 2)[0]
 
 
 def dy_half_norm_sq(u: Field) -> float:
     """|| |D_y|^{1/2} u ||^2 = <|D_y| u, u>."""
-    return sp._forms(sp._spectrum(u), u.grid, np.abs(u.grid.eta)[None, :])[0]
+    return sp._forms(*sp._spectrum(u), u.grid, np.abs(u.grid.eta)[None, :])[0]
 
 
 def quadratic_action_form(u: Field, params: ModelParams) -> float:
     """<(-dxx + |D_y| + i v dy + omega) u, u>, the action's quadratic part;
     a real field sums over its half spectrum, where the odd transport part
     adds nothing (`spectral._forms`)."""
-    dx_sq, row = sp._forms(sp._spectrum(u), u.grid, u.grid.xi[:, None] ** 2,
+    dx_sq, row = sp._forms(*sp._spectrum(u), u.grid, u.grid.xi[:, None] ** 2,
                            _action_row(u.grid, params))
     return dx_sq + row
 
@@ -140,8 +142,9 @@ def x_norm(u: Field) -> float:
 
 
 def x_weight(grid: Grid) -> np.ndarray:
-    """Spectral weight 1 + xi^2 + |eta| of the X inner product."""
-    return grid.xi[:, None] ** 2 + np.abs(grid.eta)[None, :] + 1.0
+    """Spectral weight 1 + xi^2 + |eta| of the X inner product: the action
+    symbol at omega = 1, v = 0."""
+    return sp.action_quadratic(1.0).values(grid)
 
 
 def x_inner(u: Field, w: Field):
@@ -205,8 +208,8 @@ def functional_report(u: Field, params: ModelParams) -> FunctionalReport:
     """Every functional of u from one transform, the half spectrum of a real
     field, and one density pass over it; equal to the separate functions."""
     p = params.p
-    hat = sp._spectrum(u)
-    dx_sq, dy_sq, row = _dx_dy_forms(hat, u.grid, _action_row(u.grid, params))
+    hat, layout = sp._spectrum(u)
+    dx_sq, dy_sq, row = _dx_dy_forms(hat, layout, u.grid, _action_row(u.grid, params))
     quad = dx_sq + row
     del hat
     lp1 = lp1_power(u, p)

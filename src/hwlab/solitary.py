@@ -17,7 +17,6 @@ fitting modulo phase and translation.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from . import functionals as fl
 from . import spectral as sp
 from .functionals import ModelParams
-from .spectral import _FUSE_ELEMS, _edge, _slices, Field, Grid
+from .spectral import _FUSE_ELEMS, _slices, Field, Grid
 
 ARMIJO_C = 1e-4
 _BLOCK_ELEMS = 1 << 18  # complex entries per block of the chirp-z resampling (4 MB)
@@ -161,145 +160,14 @@ def _advance(u: np.ndarray, d: np.ndarray, alpha: float, t: float) -> None:
         blk *= t
 
 
-def _reflected(u: np.ndarray) -> np.ndarray:
-    """R u = conj u(-x, -y): entry (i, j) from (-i mod nx, -j mod ny), conjugated."""
-    r = np.roll(u[::-1, ::-1], 1, axis=(0, 1))
-    return np.conjugate(r, out=r)
-
-
-def _rsym_pack(u0: np.ndarray) -> np.ndarray:
-    """The conjugate of columns 0..ny/2 of (u0 + R u0) / 2, complex128."""
-    sym = (u0 + _reflected(u0)) * 0.5
-    return np.conj(sym[:, :u0.shape[1] // 2 + 1]).astype(np.complex128, copy=False)
-
-
-def _rsym_unpack(w: np.ndarray) -> np.ndarray:
-    """The field q with columns 0..ny/2 conj(w) and q[i, ny - j] = conj q[-i, j];
-    the two edge columns are symmetrized, so R q equals q bit for bit."""
-    nx, cols = w.shape
-    rows = -np.arange(nx) % nx
-    q = np.empty((nx, 2 * cols - 2), np.complex128)
-    np.conjugate(w, out=q[:, :cols])
-    edges = _edge(q[:, :cols])
-    edges[...] = 0.5 * (edges + np.conj(edges[rows]))
-    q[:, cols:] = w[rows, cols - 2:0:-1]
-    return q
-
-
-def _even_pack(u0: np.ndarray) -> np.ndarray:
-    """Rows 0..nx/2 and columns 0..ny/2 of the even part of the real u0:
-    (u + u(-x, .)) / 2, then the same in y, which keeps an even u bit for bit."""
-    u = u0.real
-    m, n = (k // 2 + 1 for k in u.shape)
-    half = (u[:m] + u[-np.arange(m) % u.shape[0]]) * 0.5
-    return (half[:, :n] + half[:, -np.arange(n) % u.shape[1]]) * 0.5
-
-
-def _even_unpack(w: np.ndarray) -> np.ndarray:
-    """The even field whose rows 0..nx/2 and columns 0..ny/2 are `w`: past
-    them, entry (i, j) from (-i mod nx, -j mod ny)."""
-    m, n = w.shape
-    q = np.empty((2 * m - 2, 2 * n - 2))
-    q[:m, :n] = w
-    q[:m, n:] = w[:, n - 2:0:-1]
-    q[m:] = q[m - 2:0:-1]
-    return q
-
-
-@dataclass(frozen=True)
-class _Layout:
-    """How `_descent` stores a field u and its spectrum, and sums over them.
-
-    `_FULL`: complex128 u, full spectra.  `_REAL`: float64 u, rfft2 half
-    spectra.  `_RSYM`, its dual, for u = R u = conj u(-x, -y), which the
-    Nehari descent keeps: real full spectra S and the complex
-    conj u[:, :ny//2 + 1] = rfft2(S); the physical steps commute with
-    conjugation.  `_EVEN`, for u = u(-x, .) = u(., -y), which the v = 0
-    descent keeps: the float64 quarter u[:nx//2 + 1, :ny//2 + 1] and the
-    quarter of its real, even spectrum, one DCT-I apart (`sp._dct`).
-    `spectra` and `values` name the axes along which the stored arrays hold
-    lines 0..n/2 of ones even about line 0, which Parseval weighs
-    (1, 2, ..., 2, 1) (`sp._mirror_sum`).  `pack` makes the stored values
-    of a full start, `unpack` the full field of stored values.
-    """
-
-    spectra: tuple[int, ...]
-    values: tuple[int, ...]
-    fwd: Callable
-    inv: Callable
-    pack: Callable
-    unpack: Callable = lambda u: u
-
-    def _weigh(self, total: float, shape: tuple[int, int], axis: int, reduce: Callable) -> float:
-        return sp._mirror_sum(total, shape, (axis,) if axis in self.values else (), reduce)
-
-    def total(self, a: np.ndarray) -> float:
-        """Sum of a row block of values, with the column weights of `values`."""
-        return self._weigh(_sum(a), a.shape, 1, lambda ix: _sum(a[ix]))
-
-    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
-        """`sp._redot` of two row blocks of values, as `total` weighs them."""
-        return self._weigh(sp._redot(a, b), a.shape, 1, lambda ix: sp._redot(a[ix], b[ix]))
-
-    def weigh_rows(self, reduce: Callable, shape: tuple[int, int],
-                   total: float | None = None) -> float:
-        """The sum over the field of terms whose sum over the stored rows ix,
-        column-weighted as by `total`, is `reduce(ix)` (`total`: over all of
-        them, if known): on a quarter, rows 0 and nx/2 count once."""
-        if total is None:
-            total = reduce((slice(None), slice(None)))
-        return self._weigh(total, shape, 0, reduce)
-
-
-def _sum(a: np.ndarray) -> float:
-    return float(np.sum(a))
-
-
 def _edge_dot(a: np.ndarray, b: np.ndarray) -> float:
     """re sum conj(a) b over two edge-line pairs."""
     return float(np.sum(a.real * b.real + a.imag * b.imag))
 
 
-_FULL = _Layout((), (), lambda u, shape: sp._fft2(u), lambda h, shape: sp._ifft2(h),
-                lambda u0: u0.astype(np.complex128))
-_REAL = _Layout((1,), (), lambda u, shape: sp._rfft2(u), sp._irfft2,
-                lambda u0: u0.real.copy())
-_RSYM = _Layout((), (1,), sp._irfft2, lambda h, shape: sp._rfft2(h), _rsym_pack,
-                _rsym_unpack)
-_EVEN = _Layout((0, 1), (0, 1), lambda u, shape: sp._dct(u), lambda h, shape: sp._dct(h),
-                _even_pack, _even_unpack)
-
-
-def _even(u: np.ndarray) -> bool:
-    """||u - u(-x, .)|| and ||u - u(., -y)|| each at most 1e-12 ||u||, for
-    real u, summed by row blocks."""
-    rows, cols = (-np.arange(n) % n for n in u.shape)
-    dx_sq = dy_sq = 0.0
-    for r in _slices(*u.shape, _FUSE_ELEMS):
-        blk = u[r]
-        diff = blk - u[rows[r]]
-        dx_sq += sp._redot(diff, diff)
-        diff = blk - blk[:, cols]
-        dy_sq += sp._redot(diff, diff)
-    return max(dx_sq, dy_sq) <= 1e-24 * sp._redot(u, u)
-
-
-def _layout_of(u0: np.ndarray, v: float) -> _Layout:
-    """The layout of a descent from `u0`, by checks in physical space: at
-    v = 0, `_EVEN` for a real start with ||u0 - u0(-x, .)|| and
-    ||u0 - u0(., -y)|| each at most 1e-12 ||u0||, `_REAL` for another real
-    one; at v != 0, `_RSYM` if ||u0 - R u0|| <= 1e-12 ||u0||; else `_FULL`."""
-    if v == 0.0:
-        if not _is_real(u0):
-            return _FULL
-        return _EVEN if _even(u0.real) else _REAL
-    diff = u0 - _reflected(u0)
-    return _RSYM if sp._redot(diff, diff) <= 1e-24 * sp._redot(u0, u0) else _FULL
-
-
 class _Spectra:
     """L2 inner products and the fused passes of the descent on the spectra
-    of a `_Layout`: rfft2 half spectra for real fields and the quarters of
+    of a `sp._Layout`: rfft2 half spectra for real fields and the quarters of
     even ones, where Parseval weighs the lines (1, 2, ..., 2, 1), full
     spectra otherwise (real ones for an R-symmetric field).  aq is the symbol
     `sym` (action_quadratic) on the same spectra, `w` the cell area, and
@@ -308,20 +176,21 @@ class _Spectra:
     A fused pass walks the spectra in row blocks of about _FUSE_ELEMS
     entries, which stay in cache: each block is updated and then feeds
     every inner product of the pass before the next block is read.  aq
-    and 1/aq are formed per block in two block buffers (`sp._ActionRows`):
-    full-size copies would cost 251 MB each on the 320x98305 half spectra
-    of criterion 08.  The block sums are plain; the line weights are
-    applied per pass from the self-mirrored lines.  Block bounds depend on
-    the shape only, so no sum depends on a thread count.
+    and 1/aq are formed per block in two block buffers by `self.sym`
+    (`sp._ActionRows`): full-size copies would cost 251 MB each on the
+    320x98305 half spectra of criterion 08.  The block sums are plain;
+    the line weights are applied per pass from the self-mirrored lines.
+    Block bounds depend on the shape only, so no sum depends on a thread
+    count.
     `sphere`: the direction pass also sums <u, d>, which only the mass
     constraint reads.
     """
 
-    def __init__(self, grid: Grid, sym: sp.Symbol, layout: _Layout, sphere: bool = False):
+    def __init__(self, grid: Grid, sym: sp.Symbol, layout: sp._Layout, sphere: bool = False):
         self.w, self.shape, self.layout, self.sphere = grid.cell_area, grid.shape, layout, sphere
-        self._sym = sp._ActionRows(grid, sym.omega, sym.v, layout.spectra)
-        self.rows = _slices(*self._sym.shape, _FUSE_ELEMS)
-        block = (self.rows[0].stop, self._sym.shape[1])
+        self.sym = sp._ActionRows(grid, sym.omega, sym.v, layout)
+        self.rows = _slices(*self.sym.shape, _FUSE_ELEMS)
+        block = (self.rows[0].stop, self.sym.shape[1])
         dtype = np.float64 if layout.values else np.complex128  # the spectra's
         self._tmp = np.empty(block, dtype), np.empty(block, dtype)
         self._aq, self._inv = np.empty(block), np.empty(block)
@@ -329,15 +198,8 @@ class _Spectra:
     def _metric(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
         """aq and the metric P = 1/aq on a row block, in the block buffers."""
         n = rows.stop - rows.start
-        aq = self._sym(rows, self._aq[:n])
+        aq = self.sym(rows, self._aq[:n])
         return aq, np.divide(1.0, aq, out=self._inv[:n])
-
-    def apply(self, hat: np.ndarray, out: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """aq hat (inverse: hat / aq) written into `out`, which may be hat."""
-        op = np.divide if inverse else np.multiply
-        for rows in self.rows:
-            op(hat[rows], self._sym(rows, self._aq[:rows.stop - rows.start]), out=out[rows])
-        return out
 
     def _total(self, total: float, a, b, power: int = 0) -> float:
         """re int conj(f) aq^power g from `total`, the plain sum of its terms
@@ -346,10 +208,10 @@ class _Spectra:
         def edges(ix):
             ea, eb = (x(ix) if callable(x) else x[ix] for x in (a, b))
             if power:
-                aq = self._sym(ix[0], None, ix[1])
+                aq = self.sym(ix[0], None, ix[1])
                 eb = eb * aq if power > 0 else eb / aq
             return _edge_dot(ea, eb)
-        return sp._mirror_sum(total, self._sym.shape, self.layout.spectra, edges) * self.w
+        return sp._mirror_sum(total, self.sym.shape, self.layout.spectra, edges) * self.w
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """re int conj(f) g for the fields f, g whose spectra are a, b."""
@@ -459,15 +321,14 @@ class _Spectra:
 
 
 def _descent(u: np.ndarray, sym: sp.Symbol, p: float, grid: Grid, tol: float, max_iter: int,
-             floor_rule: bool, mass: float | None = None,
-             layout: _Layout | None = None) -> tuple[np.ndarray, dict, float, float]:
+             floor_rule: bool, mass: float | None = None, *,
+             layout: sp._Layout) -> tuple[np.ndarray, dict, float, float]:
     """Projected, preconditioned Fletcher-Reeves CG descent of the action
     S = a(u)/2 - int |u|^{p+1}/(p+1), a the quadratic form of the symbol
     `sym` (aq), on the Nehari manifold, or with `mass` on the sphere
     ||u||^2 = 2 mass.
 
-    `u`, stored as `layout` says (`_REAL` for float64 and `_FULL` for
-    complex128 by default), is overwritten and returned as the final
+    `u`, stored as `layout` says, is overwritten and returned as the final
     iterate, with the SolitarySolution fields the descent fixes, ||u|| and
     N(u) = <grad S(u), u>.  The spectrum of the iterate is carried along:
     an accepted step u <- t (u - alpha d) sets it to t (hat - alpha dhat)
@@ -499,7 +360,6 @@ def _descent(u: np.ndarray, sym: sp.Symbol, p: float, grid: Grid, tol: float, ma
     a full step that fails the Armijo test near the action floor if it
     cuts the gradient norm by 0.1%.
     """
-    layout = layout or (_FULL if np.iscomplexobj(u) else _REAL)
     spec = _Spectra(grid, sym, layout, sphere=mass is not None)
 
     def action_of(a_form, b_pot):
@@ -522,7 +382,7 @@ def _descent(u: np.ndarray, sym: sp.Symbol, p: float, grid: Grid, tol: float, ma
 
     hat = layout.fwd(u, grid.shape)
     # aq hat goes into the buffer the first direction is written over
-    dhat = spec.apply(hat, np.empty_like(hat))
+    dhat = spec.sym.apply(hat, np.empty_like(hat))
     b_pot = layout.weigh_rows(lambda ix: fl._lp1_sum(u[ix], p, layout.total), u.shape)
     t, a_form, b_pot = scale(spec.dot(hat, dhat), b_pot * spec.w, spec.dot(hat, hat))
     u *= t
@@ -606,16 +466,6 @@ def _descent(u: np.ndarray, sym: sp.Symbol, p: float, grid: Grid, tol: float, ma
                    action_history=action_history, history=history), u_norm, n_u
 
 
-def _is_real(vals: np.ndarray) -> bool:
-    """Whether the values are real: float64, or complex with zero imaginary part."""
-    return not (np.iscomplexobj(vals) and np.any(vals.imag))
-
-
-def _samples(vals: np.ndarray) -> np.ndarray:
-    """`vals`, or the float64 view of complex values whose imaginary part is zero."""
-    return vals.real if _is_real(vals) else vals
-
-
 def _converged(out, stats: dict, u_norm: float, tol: float):
     """`out`, or a ConvergenceError carrying it if the descent stopped short of tol."""
     if stats["gradient_residual"] > tol * u_norm:
@@ -646,7 +496,7 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
     preconditioned gradient (see `_descent`).  Terminates when
     ||grad S(u)||_{L2} <= tol * ||u||_{L2}.  An iteration costs two
     transforms, its line-search trials none (see `_descent`).  The layout
-    (`_Layout`) follows the start.  For v = 0 and a real initial guess it
+    (`sp._Layout`) follows the start.  For v = 0 and a real initial guess it
     runs in real arithmetic: for a start even in x and in y to 1e-12 (the
     default guesses) on the quarters of the field and of its spectrum,
     with one DCT-I each way, and the profile is mirrored from the quarter,
@@ -668,7 +518,7 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
         raise CollapseError("initial guess is identically zero")
 
     u0 = sp.to_physical(init).values
-    layout = _layout_of(u0, params.v)
+    layout = sp._layout_of(u0, params.v)
     u = layout.pack(u0)
     # freed before the descent, a default start leaves its memory to the profile
     del init, u0
@@ -676,7 +526,7 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
                                    params.p, grid, tol, max_iter, floor_rule=False, layout=layout)
     u = layout.unpack(u)
     if params.v == 0.0:
-        if layout is _FULL:
+        if layout is sp._FULL:
             # Phase freedom: rotate to the real axis and reproject.
             mod = np.abs(u)
             phase = complex(sp._redot(mod, u.real), sp._redot(mod, u.imag))
@@ -707,9 +557,10 @@ def extend_ground_state(sol: SolitarySolution, grid: Grid,
     128x32768 at p = 3, the last along P g), at two transforms per
     iteration.  Near the action floor,
     where the Armijo test drowns in rounding noise, a full step is
-    accepted if it still cuts the gradient.  An even source (`_layout_of`)
-    is padded symmetrically, half of its edge column y = -ly/2 at each
-    end, so the start is exactly even, and runs on quarters (`_EVEN`);
+    accepted if it still cuts the gradient.  An even source
+    (`sp._layout_of`) is padded symmetrically, half of its edge column
+    y = -ly/2 at each end, so the start is exactly even, and runs on
+    quarters (`sp._EVEN`);
     another runs on half spectra.
 
     The target grid must match nx and lx, keep the same dy, and differ
@@ -728,10 +579,10 @@ def extend_ground_state(sol: SolitarySolution, grid: Grid,
 
     offset = (grid.ny - g0.ny) // 2
     q0 = sp.to_physical(sol.q).values.real
-    layout = _layout_of(q0, 0.0)
-    if layout is _EVEN:
+    layout = sp._layout_of(q0, 0.0)
+    if layout is sp._EVEN:
         u = np.zeros((grid.nx // 2 + 1, grid.ny // 2 + 1))
-        u[:, offset:] = _EVEN.pack(q0)
+        u[:, offset:] = sp._EVEN.pack(q0)
         if offset:
             u[:, offset] *= 0.5  # the other half goes to the mirror column
     else:
@@ -770,7 +621,7 @@ def solve_mass_constrained(grid: Grid, mu: float, p: float, init: Field | None =
         raise ValueError("initial guess lives on a different grid")
 
     u0 = sp.to_physical(init).values
-    layout = _layout_of(u0, 0.0)
+    layout = sp._layout_of(u0, 0.0)
     u, stats, u_norm, n_u = _descent(layout.pack(u0), sp.action_quadratic(1.0), p, grid, tol,
                                      max_iter, floor_rule=False, mass=mu, layout=layout)
     out = MassMinimizer(mu=mu, minimizer=Field(grid, layout.unpack(u), sp.PHYSICAL),
@@ -876,8 +727,8 @@ def t_lambda(u: Field, lam: float, center: tuple[float, float] = (0.0, 0.0),
     of _BLOCK_ELEMS entries (`_resample_lines`); no full spectrum, no BLAS.
     A real field gives float64 values, a complex one complex128.
     """
-    if not lam > 0.0:
-        raise ValueError("lambda must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
     g = u.grid
     phys = sp.to_physical(u)
     if lam == 1.0:
@@ -889,7 +740,7 @@ def t_lambda(u: Field, lam: float, center: tuple[float, float] = (0.0, 0.0),
     u_vals = phys.values
     vals = np.zeros(g.shape, u_vals.dtype)
     parts = [(u_vals.real, vals.real)]
-    if not _is_real(u_vals):
+    if not sp._is_real(u_vals):
         parts.append((u_vals.imag, vals.imag))
     for src, buf in parts:
         _resample_lines(src, buf, 1, g.ny, g.ly, g.y[0], cy + lam * (g.y[0] - cy), lam * g.dy)
@@ -905,14 +756,15 @@ def t_lambda(u: Field, lam: float, center: tuple[float, float] = (0.0, 0.0),
     return Field(g, vals, sp.PHYSICAL)
 
 
-def _generator(vals: np.ndarray, g: Grid, c0: float, center: tuple[float, float]) -> np.ndarray:
+def _generator(vals: np.ndarray, layout: sp._Layout, g: Grid, c0: float,
+               center: tuple[float, float]) -> np.ndarray:
     """c0 q + (x/2) dx q + y dy q about `center` (Nyquist mode of the
-    derivatives zeroed); float64 `vals` run on half spectra, one rfft2
-    and two irfft2, and give float64."""
-    hat = sp._fwd(vals)
-    qx = sp._inv(hat * (1j * g.xi_odd)[:, None], g.shape)
-    hat *= 1j * g.eta_odd[:hat.shape[1]]
-    qy = sp._inv(hat, g.shape)
+    derivatives zeroed), one transform forward and two back on the spectra
+    of `layout`: on `sp._REAL`, float64 `vals` give float64."""
+    hat = layout.fwd(vals, g.shape)
+    qx = layout.inv(hat * (1j * g.xi_odd)[:, None], g.shape)
+    hat *= 1j * g.eta_odd[:layout.spectra_shape(g)[1]]
+    qy = layout.inv(hat, g.shape)
     del hat
     qx *= 0.5 * (g.x - center[0])[:, None]
     qy *= (g.y - center[1])[None, :]
@@ -934,7 +786,8 @@ def psi_omega(q: Field, center: tuple[float, float] | None = None,
     phys = sp.to_physical(q)
     _check_tail(phys, tail_tol, "psi_omega")
     center = mass_centroid(phys) if center is None else center
-    return Field(q.grid, _generator(_samples(phys.values), q.grid, 0.75, center), sp.PHYSICAL)
+    return Field(q.grid, _generator(*sp._samples(phys.values), q.grid, 0.75, center),
+                 sp.PHYSICAL)
 
 
 @dataclass(frozen=True)
@@ -1002,20 +855,21 @@ def r1_diagnostics(q1: Field, p: float, tail_tol: float = 1e-8) -> R1Diagnostics
     through the reciprocal multiplier Phi1 and compares with R1, an
     algebraic identity of the discrete calculus.  phi_max reports the
     sup of the three resolvent multipliers Phi1 = 1/(xi^2 + |eta| + 1),
-    Phi2 = -xi^2 * Phi1, Phi3 = |eta| * Phi1, on the half spectrum (the
-    symbols are even).  A real Q1 runs in real arithmetic on half spectra
-    (`_generator`) and gives a float64 R1.  The symbol and the defect are
-    formed by row blocks (`_Spectra.apply`), and each full-size temporary is
-    freed after use; no BLAS call is made.
+    Phi2 = -xi^2 * Phi1, Phi3 = |eta| * Phi1, on the spectra R1 is
+    transformed to (the symbols are even, so a half spectrum has the same
+    sup).  A real Q1 runs in real arithmetic on half spectra (`sp._REAL`)
+    and gives a float64 R1.  The symbol and the defect are formed by row
+    blocks (`sp._ActionRows`), and each full-size temporary is freed after
+    use; no BLAS call is made.
     """
     phys = sp.to_physical(q1)
     g = q1.grid
     _check_tail(phys, tail_tol, "r1_diagnostics")
-    q = _samples(phys.values)
-    r1 = _generator(q, g, 1.0 / (p - 1.0), mass_centroid(phys))
-    spec = _Spectra(g, sp.action_quadratic(1.0), _FULL if np.iscomplexobj(q) else _REAL)
-    hat = sp._fwd(r1)
-    lin_applied = sp._inv(spec.apply(hat, out=hat), g.shape)
+    q, layout = sp._samples(phys.values)
+    r1 = _generator(q, layout, g, 1.0 / (p - 1.0), mass_centroid(phys))
+    aq = sp._ActionRows(g, 1.0, 0.0, layout)
+    hat = layout.fwd(r1, g.shape)
+    lin_applied = layout.inv(aq.apply(hat, out=hat), g.shape)
     del hat
     defect_sq = 0.0
     for r in _slices(*g.shape, _FUSE_ELEMS):
@@ -1023,20 +877,18 @@ def r1_diagnostics(q1: Field, p: float, tail_tol: float = 1e-8) -> R1Diagnostics
         defect_sq += sp._redot(defect, defect)
     lin_res = math.sqrt(defect_sq * g.cell_area) / sp.l2_norm(phys)
 
-    back = sp._fwd(lin_applied)
+    back = layout.fwd(lin_applied, g.shape)
     del lin_applied
-    roundtrip = sp._inv(spec.apply(back, out=back, inverse=True), g.shape)
+    roundtrip = layout.inv(aq.apply(back, out=back, inverse=True), g.shape)
     del back
     roundtrip -= r1
     rt_err = math.sqrt(sp._redot(roundtrip, roundtrip) / sp._redot(r1, r1))
     del roundtrip
 
-    half = sp._ActionRows(g, 1.0, 0.0, (1,))
     phi_max = np.zeros(3)
-    for r in _slices(*half.shape, _FUSE_ELEMS):
-        phi1 = 1.0 / half(r, np.empty((r.stop - r.start, half.shape[1])))
-        phi_max = np.maximum(phi_max, [np.max(m * phi1)
-                                       for m in (1.0, half.xi2[r], half.abs_eta)])
+    for r in _slices(*aq.shape, _FUSE_ELEMS):
+        phi1 = 1.0 / aq(r, np.empty((r.stop - r.start, aq.shape[1])))
+        phi_max = np.maximum(phi_max, [np.max(m * phi1) for m in (1.0, aq.xi2[r], aq.abs_eta)])
     return R1Diagnostics(Field(g, r1, sp.PHYSICAL), lin_res, rt_err,
                          tuple(float(m) for m in phi_max))
 

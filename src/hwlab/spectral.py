@@ -12,34 +12,36 @@ representations.
 
 A physical Field holds float64 values when its input is real and
 complex128 otherwise; a spectral Field is always complex128, and
-`to_spectral` gives the full spectrum of either.  Real fields stay real
-through the package: the quadratic forms and the solvers take their
-half spectra (`rfft2` along y), on which Parseval weighs the columns
-(1, 2, ..., 2, 1) and a multiplier counts by its even part.
+`to_spectral` gives the full spectrum of either.  Inside the package a
+`_Layout` is the one record of how a field and its spectrum are stored;
+its `fwd` and `inv` pick the transforms and its mirrored axes the
+Parseval weights, so no other module looks at a dtype or a spectrum's
+shape to choose either:
 
-A field with u(x, y) = conj u(-x, -y) (R-symmetric, as a traveling wave
-grown from an R-symmetric start is) has a real spectrum S, and the real
-pair serves it in reverse: the conjugates of its columns 0..ny/2 are
-`_rfft2(S)`, and S is their `_irfft2`.
-
-A real field even in x and in y, u = u(-x, .) = u(., -y) (a v = 0
-ground state), is fixed by its quarter, indices 0..nx/2 x 0..ny/2, and
-its spectrum is real and even, its quarter the DCT-I of the field's
-(`_dct`, its own inverse).  Parseval weighs a quarter's lines
-(1, 2, ..., 2, 1) along both axes, as a half spectrum's columns along
-one (`_mirror_sum`).
+- `_FULL`: complex128 values, full spectra.
+- `_REAL`: float64 values, half spectra (`rfft2` along y), on which
+  Parseval weighs the columns (1, 2, ..., 2, 1) and a multiplier counts
+  by its even part (`_spectrum`, `_forms`).
+- `_RSYM`: u(x, y) = conj u(-x, -y) (R-symmetric, as a traveling wave
+  grown from an R-symmetric start is) has a real spectrum S, and the
+  real pair serves it in reverse: the conjugates of its columns
+  0..ny/2 are `_rfft2(S)`, and S is their `_irfft2`.
+- `_EVEN`: a real field even in x and in y, u = u(-x, .) = u(., -y) (a
+  v = 0 ground state), is fixed by its quarter, indices 0..nx/2 x
+  0..ny/2, and its spectrum is real and even, its quarter the DCT-I of
+  the field's (`_dct`, its own inverse).  Parseval weighs a quarter's
+  lines (1, 2, ..., 2, 1) along both axes (`_mirror_sum`).
 
 Every 2-D transform in the package goes through `_fft2`, `_ifft2`,
-`_rfft2`, `_irfft2` (`_fwd` and `_inv` pick by dtype) or `_dct`, the
-line transforms of T_lambda through `_fft`; all call `scipy.fft`
-(pocketfft).  A transform runs on `len(os.sched_getaffinity(0))`
-threads (the usable cores) when its real-space array, for a quarter the
-full grid it stands for, has at least 2**22 points and on one thread
-otherwise, where thread start-up eats the gain.  On a 2-core Xeon, an
-r2c pair with 1 -> 2 threads takes 0.20 -> 0.21 ms at 128x128,
-31 -> 30 ms at 128x8192 and 132 -> 89 ms at 128x32768.  pocketfft
-hands whole 1-D lines to the threads, so the output is bit-identical
-for any thread count.
+`_rfft2`, `_irfft2` or `_dct`, the line transforms of T_lambda through
+`_fft`; all call `scipy.fft` (pocketfft).  A transform runs on
+`len(os.sched_getaffinity(0))` threads (the usable cores) when its
+real-space array, for a quarter the full grid it stands for, has at
+least 2**22 points and on one thread otherwise, where thread start-up
+eats the gain.  On a 2-core Xeon, an r2c pair with 1 -> 2 threads
+takes 0.20 -> 0.21 ms at 128x128, 31 -> 30 ms at 128x8192 and
+132 -> 89 ms at 128x32768.  pocketfft hands whole 1-D lines to the
+threads, so the output is bit-identical for any thread count.
 
 Every full-array inner product in the package is `_redot`, an einsum on
 float views.  BLAS is kept out of it: OpenBLAS workers left spinning
@@ -114,16 +116,6 @@ def _dct(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fwd(vals: np.ndarray) -> np.ndarray:
-    """Unitary spectrum of a 2-D array: the half spectrum of a real one."""
-    return _fft2(vals) if np.iscomplexobj(vals) else _rfft2(vals)
-
-
-def _inv(hat: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """The `shape` array whose `_fwd` spectrum is `hat`: real for a half spectrum."""
-    return _ifft2(hat) if hat.shape == shape else _irfft2(hat, shape)
-
-
 def _redot(a: np.ndarray, b: np.ndarray) -> float:
     """re sum conj(a) b over two 2-D arrays of one shape (complex ones with
     a contiguous last axis), by einsum on float views; a real operand pairs
@@ -140,6 +132,146 @@ def _density(u: np.ndarray) -> np.ndarray:
     if not np.iscomplexobj(u):
         return u * u
     return u.real ** 2 + u.imag ** 2
+
+
+def _reflected(u: np.ndarray) -> np.ndarray:
+    """R u = conj u(-x, -y): entry (i, j) from (-i mod nx, -j mod ny), conjugated."""
+    r = np.roll(u[::-1, ::-1], 1, axis=(0, 1))
+    return np.conjugate(r, out=r)
+
+
+def _rsym_pack(u0: np.ndarray) -> np.ndarray:
+    """The conjugate of columns 0..ny/2 of (u0 + R u0) / 2, complex128."""
+    sym = (u0 + _reflected(u0)) * 0.5
+    return np.conj(sym[:, :u0.shape[1] // 2 + 1]).astype(np.complex128, copy=False)
+
+
+def _rsym_unpack(w: np.ndarray) -> np.ndarray:
+    """The field q with columns 0..ny/2 conj(w) and q[i, ny - j] = conj q[-i, j];
+    the two edge columns are symmetrized, so R q equals q bit for bit."""
+    nx, cols = w.shape
+    rows = -np.arange(nx) % nx
+    q = np.empty((nx, 2 * cols - 2), np.complex128)
+    np.conjugate(w, out=q[:, :cols])
+    edges = q[:, :cols:cols - 1]  # columns 0 and ny/2, their own mirrors
+    edges[...] = 0.5 * (edges + np.conj(edges[rows]))
+    q[:, cols:] = w[rows, cols - 2:0:-1]
+    return q
+
+
+def _even_pack(u0: np.ndarray) -> np.ndarray:
+    """Rows 0..nx/2 and columns 0..ny/2 of the even part of the real u0:
+    (u + u(-x, .)) / 2, then the same in y, which keeps an even u bit for bit."""
+    u = u0.real
+    m, n = (k // 2 + 1 for k in u.shape)
+    half = (u[:m] + u[-np.arange(m) % u.shape[0]]) * 0.5
+    return (half[:, :n] + half[:, -np.arange(n) % u.shape[1]]) * 0.5
+
+
+def _even_unpack(w: np.ndarray) -> np.ndarray:
+    """The even field whose rows 0..nx/2 and columns 0..ny/2 are `w`: past
+    them, entry (i, j) from (-i mod nx, -j mod ny)."""
+    m, n = w.shape
+    q = np.empty((2 * m - 2, 2 * n - 2))
+    q[:m, :n] = w
+    q[:m, n:] = w[:, n - 2:0:-1]
+    q[m:] = q[m - 2:0:-1]
+    return q
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """How a field u and its spectrum are stored (see the module docstring
+    for the four layouts), and how sums over them are weighed.
+
+    `spectra` and `values` name the axes along which the stored arrays hold
+    lines 0..n/2 of ones even about line 0, which Parseval weighs
+    (1, 2, ..., 2, 1) (`_mirror_sum`).  `fwd(u, shape)` and `inv(hat,
+    shape)` are the unitary transforms between the stored arrays of a
+    field of `shape`; `pack` makes the stored values of a full field,
+    `unpack` the full field of stored values.
+    """
+
+    spectra: tuple[int, ...]
+    values: tuple[int, ...]
+    fwd: Callable
+    inv: Callable
+    pack: Callable
+    unpack: Callable = lambda u: u
+
+    def spectra_shape(self, grid: Grid) -> tuple[int, int]:
+        """The shape of the stored spectra of a field on `grid`."""
+        return tuple(n // 2 + 1 if axis in self.spectra else n
+                     for axis, n in enumerate(grid.shape))
+
+    def _weigh(self, total: float, shape: tuple[int, int], axis: int, reduce: Callable) -> float:
+        return _mirror_sum(total, shape, (axis,) if axis in self.values else (), reduce)
+
+    def total(self, a: np.ndarray) -> float:
+        """Sum of a row block of values, with the column weights of `values`."""
+        return self._weigh(_sum(a), a.shape, 1, lambda ix: _sum(a[ix]))
+
+    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
+        """`_redot` of two row blocks of values, as `total` weighs them."""
+        return self._weigh(_redot(a, b), a.shape, 1, lambda ix: _redot(a[ix], b[ix]))
+
+    def weigh_rows(self, reduce: Callable, shape: tuple[int, int],
+                   total: float | None = None) -> float:
+        """The sum over the field of terms whose sum over the stored rows ix,
+        column-weighted as by `total`, is `reduce(ix)` (`total`: over all of
+        them, if known): on a quarter, rows 0 and nx/2 count once."""
+        if total is None:
+            total = reduce((slice(None), slice(None)))
+        return self._weigh(total, shape, 0, reduce)
+
+
+def _sum(a: np.ndarray) -> float:
+    return float(np.sum(a))
+
+
+_FULL = _Layout((), (), lambda u, shape: _fft2(u), lambda h, shape: _ifft2(h),
+                lambda u0: u0.astype(np.complex128))
+_REAL = _Layout((1,), (), lambda u, shape: _rfft2(u), _irfft2, lambda u0: u0.real.copy())
+_RSYM = _Layout((), (1,), _irfft2, lambda h, shape: _rfft2(h), _rsym_pack, _rsym_unpack)
+_EVEN = _Layout((0, 1), (0, 1), lambda u, shape: _dct(u), lambda h, shape: _dct(h),
+                _even_pack, _even_unpack)
+
+
+def _is_real(vals: np.ndarray) -> bool:
+    """Whether the values are real: float64, or complex with zero imaginary part."""
+    return not (np.iscomplexobj(vals) and np.any(vals.imag))
+
+
+def _samples(vals: np.ndarray) -> tuple[np.ndarray, _Layout]:
+    """Real values as their float64 view on `_REAL`, others as they are on `_FULL`."""
+    return (vals.real, _REAL) if _is_real(vals) else (vals, _FULL)
+
+
+def _even(u: np.ndarray) -> bool:
+    """||u - u(-x, .)|| and ||u - u(., -y)|| each at most 1e-12 ||u||, for
+    real u, summed by row blocks."""
+    rows, cols = (-np.arange(n) % n for n in u.shape)
+    dx_sq = dy_sq = 0.0
+    for r in _slices(*u.shape, _FUSE_ELEMS):
+        blk = u[r]
+        diff = blk - u[rows[r]]
+        dx_sq += _redot(diff, diff)
+        diff = blk - blk[:, cols]
+        dy_sq += _redot(diff, diff)
+    return max(dx_sq, dy_sq) <= 1e-24 * _redot(u, u)
+
+
+def _layout_of(u0: np.ndarray, v: float) -> _Layout:
+    """The layout of a descent from `u0`, by checks in physical space: at
+    v = 0, `_EVEN` for a real start with ||u0 - u0(-x, .)|| and
+    ||u0 - u0(., -y)|| each at most 1e-12 ||u0||, `_REAL` for another real
+    one; at v != 0, `_RSYM` if ||u0 - R u0|| <= 1e-12 ||u0||; else `_FULL`."""
+    if v == 0.0:
+        if not _is_real(u0):
+            return _FULL
+        return _EVEN if _even(u0.real) else _REAL
+    diff = u0 - _reflected(u0)
+    return _RSYM if _redot(diff, diff) <= 1e-24 * _redot(u0, u0) else _FULL
 
 
 def wavenumbers(n: int, length: float) -> np.ndarray:
@@ -303,46 +435,34 @@ class Symbol:
         if self.kind == "frac_dy" and not (0.0 < self.s <= 1.0):
             raise ValueError(f"frac_dy order must lie in (0, 1], got {self.s}")
 
-    def values(self, grid: Grid, half: bool = False) -> np.ndarray:
-        """Multiplier values on the grid, shape (nx, ny).
-
-        half=True gives the values on the rfft half spectrum, shape
-        (nx, ny//2 + 1), for the real even symbols that map real fields
-        to real fields.
-        """
-        cols = grid.ny // 2 + 1 if half else grid.ny
-        if half and (self.kind in ("transport", "halfwave_group") or self.v != 0.0):
-            raise ValueError(f"{self.kind} symbol with v={self.v} does not act on half spectra")
-        shape = (grid.nx, cols)
+    def values(self, grid: Grid) -> np.ndarray:
+        """Multiplier values on the grid, shape (nx, ny)."""
         xi2 = grid.xi[:, None] ** 2
-        abs_eta = np.abs(grid.eta[:cols])[None, :]
+        abs_eta = np.abs(grid.eta)[None, :]
         if self.kind == "dxx":
-            return np.broadcast_to(-xi2, shape).copy()
+            return np.broadcast_to(-xi2, grid.shape).copy()
         if self.kind == "abs_dy":
-            return np.broadcast_to(abs_eta, shape).copy()
+            return np.broadcast_to(abs_eta, grid.shape).copy()
         if self.kind == "frac_dy":
-            return np.broadcast_to(abs_eta ** self.s, shape).copy()
+            return np.broadcast_to(abs_eta ** self.s, grid.shape).copy()
         if self.kind == "transport":
             # Nyquist mode zeroed: its frequency sign is ambiguous.
             return np.broadcast_to(-self.v * grid.eta_odd[None, :], grid.shape).copy()
         if self.kind == "halfwave_group":
             return np.exp(1j * self.t * (-xi2 - abs_eta))
-        return _ActionRows(grid, self.omega, self.v, (1,) if half else ())(slice(None))
+        return _ActionRows(grid, self.omega, self.v, _FULL)(slice(None))
 
 
 class _ActionRows:
     """The action_quadratic symbol xi^2 + |eta| - v*eta + omega, strictly
     positive for omega > 0 and |v| <= 1, by row blocks, bit for bit its full
-    array, with no full-size array: on the full spectra, or on lines 0..n/2
-    along the `mirrored` axes (1: the half spectra, (0, 1): an even field's
-    quarter), where the symbol is even for v = 0."""
+    array, with no full-size array, on the spectra of `layout`: lines 0..n/2
+    along its mirrored axes, where the symbol is even for v = 0."""
 
-    def __init__(self, grid: Grid, omega: float, v: float, mirrored: tuple[int, ...] = ()):
-        if mirrored and v:
+    def __init__(self, grid: Grid, omega: float, v: float, layout: _Layout):
+        if layout.spectra and v:
             raise ValueError(f"action symbol with v={v} does not act on half spectra")
-        rows, cols = (n // 2 + 1 if axis in mirrored else n
-                      for axis, n in enumerate(grid.shape))
-        self.shape = (rows, cols)
+        self.shape = rows, cols = layout.spectra_shape(grid)
         self.xi2 = grid.xi[:rows, None] ** 2
         self.abs_eta = np.abs(grid.eta[:cols])
         self.v_eta = v * grid.eta_odd[:cols] if v else None
@@ -355,6 +475,16 @@ class _ActionRows:
         if self.v_eta is not None:
             out -= self.v_eta[cols]
         out += self.omega
+        return out
+
+    def apply(self, hat: np.ndarray, out: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """aq hat (inverse: hat / aq) written into `out`, which may be hat,
+        by cache-sized row blocks."""
+        op = np.divide if inverse else np.multiply
+        blocks = _slices(*self.shape, _FUSE_ELEMS)
+        buf = np.empty((blocks[0].stop, self.shape[1]))
+        for rows in blocks:
+            op(hat[rows], self(rows, buf[:rows.stop - rows.start]), out=out[rows])
         return out
 
 
@@ -410,17 +540,12 @@ def l2_norm(f: Field) -> float:
     return math.sqrt(l2_norm_sq(f))
 
 
-def _spectrum(f: Field) -> np.ndarray:
-    """The spectrum the quadratic forms sum over: the `_rfft2` half spectrum
-    of a real physical field, the full spectrum otherwise."""
+def _spectrum(f: Field) -> tuple[np.ndarray, _Layout]:
+    """The spectrum the quadratic forms sum over and its layout: the half
+    spectrum of a real physical field (`_REAL`), the full one otherwise."""
     if f.rep == PHYSICAL and not np.iscomplexobj(f.values):
-        return _rfft2(f.values)
-    return to_spectral(f).values
-
-
-def _edge(a: np.ndarray) -> np.ndarray:
-    """First and last column: on a half spectrum, the ones Parseval counts once."""
-    return a[:, ::a.shape[1] - 1]
+        return _REAL.fwd(f.values, f.grid.shape), _REAL
+    return to_spectral(f).values, _FULL
 
 
 def _mirror_sum(total: float, shape: tuple[int, int], axes: tuple[int, ...],
@@ -443,29 +568,31 @@ def _mirror_sum(total: float, shape: tuple[int, int], axes: tuple[int, ...],
             - _mirror_sum(reduce(edges), shape, rest, reduce, edges))
 
 
-def _forms(hat: np.ndarray, grid: Grid, *multipliers: np.ndarray | float) -> list[float]:
+def _forms(hat: np.ndarray, layout: _Layout, grid: Grid,
+           *multipliers: np.ndarray | float) -> list[float]:
     """sum m * |fhat|^2 * dx*dy for each multiplier m, over the spectrum `hat`
-    of f (`_spectrum`), for real multipliers that broadcast to the grid shape,
-    by cache-sized row blocks that form |fhat|^2 once for every multiplier.
-    On a half spectrum a multiplier counts by its even part (m(k) + m(-k))/2,
-    with the column weights (1, 2, ..., 2, 1): an odd part, such as the
+    of f stored as `layout` says (`_spectrum`: full or half spectra), for
+    real multipliers that broadcast to the grid shape, by cache-sized row
+    blocks that form |fhat|^2 once for every multiplier.  On a half
+    spectrum a multiplier counts by its even part (m(k) + m(-k))/2, with
+    the column weights (1, 2, ..., 2, 1): an odd part, such as the
     transport row, sums to zero over a real field."""
-    half = hat.shape[1] != grid.ny
+    shape = layout.spectra_shape(grid)
     mults = []
     for multiplier in multipliers:
         mult = np.atleast_2d(np.asarray(multiplier, dtype=np.float64))
-        if half:
+        if layout.spectra:
             # m(-k): reversed, then rolled so that index 0 stays in place
             mult = 0.5 * (mult + np.roll(mult[::-1, ::-1], 1, axis=(0, 1)))
-            mult = mult[:, :hat.shape[1]] if mult.shape[1] > 1 else mult
-        mults.append(np.broadcast_to(mult, hat.shape))
+            mult = mult[:, :shape[1]] if mult.shape[1] > 1 else mult
+        mults.append(np.broadcast_to(mult, shape))
     totals = [0.0] * len(mults)
     for r in _slices(*hat.shape, _FUSE_ELEMS):
         dens = _density(hat[r])
         totals = [t + float(np.sum(m[r] * dens)) for t, m in zip(totals, mults)]
     def edges(m):
         return lambda ix: float(np.sum(m[ix] * _density(hat[ix])))
-    return [_mirror_sum(t, hat.shape, (1,) if half else (), edges(m)) * grid.cell_area
+    return [_mirror_sum(t, hat.shape, layout.spectra, edges(m)) * grid.cell_area
             for t, m in zip(totals, mults)]
 
 
@@ -473,7 +600,7 @@ def quadratic_form(f: Field, multiplier: np.ndarray) -> float:
     """sum multiplier * |fhat|^2 * dx*dy for a real multiplier array that
     broadcasts to the grid shape, by cache-sized row blocks; a real field
     sums over its half spectrum (`_forms`)."""
-    return _forms(_spectrum(f), f.grid, multiplier)[0]
+    return _forms(*_spectrum(f), f.grid, multiplier)[0]
 
 
 def dx_field(f: Field) -> Field:
@@ -578,8 +705,8 @@ def frac_seminorm_identity_check(values: np.ndarray, length: float, s: float,
     n = u.size
     if n < _MIN_MODES or n % 2:
         raise ValueError(f"slice length must be an even integer >= {_MIN_MODES}")
-    if length <= 0:
-        raise ValueError("length must be positive")
+    if not 0.0 < length < math.inf:
+        raise ValueError(f"length must be positive and finite, got {length}")
     dy = length / n
 
     w = _density(u)

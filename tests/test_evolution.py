@@ -1,5 +1,7 @@
 """Tests for split-step evolution, Picard oracle, and decay probes."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -24,17 +26,21 @@ def test_linear_propagate_single_mode_phase():
                        rtol=0, atol=1e-12)
 
 
-def test_linear_propagate_group_law_and_isometry():
-    g = sp.make_grid(32, 32, 15.0, 15.0)
-    rng = np.random.default_rng(5)
-    u = sp.physical_field(g, rng.standard_normal(g.shape)
-                          + 1j * rng.standard_normal(g.shape))
+@given(nx=st.integers(4, 24).map(lambda k: 2 * k), ny=st.integers(4, 24).map(lambda k: 2 * k),
+       real=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_linear_propagate_group_law_and_isometry(nx, ny, real, seed):
+    # a real start's norm is also summed over its half spectrum
+    g = sp.make_grid(nx, ny, 15.0, 15.0)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(g.shape)
+    u = sp.physical_field(g, vals if real else vals + 1j * rng.standard_normal(g.shape))
     once = ev.linear_propagate(u, 0.9)
     twice = ev.linear_propagate(ev.linear_propagate(u, 0.4), 0.5)
     assert np.allclose(once.values, twice.values, rtol=0, atol=1e-13)
     back = ev.linear_propagate(once, -0.9)
     assert np.allclose(back.values, u.values, rtol=0, atol=1e-13)
     assert sp.l2_norm_sq(once) == pytest.approx(sp.l2_norm_sq(u), rel=1e-13)
+    assert sp.quadratic_form(u, 1.0) == pytest.approx(sp.l2_norm_sq(once), rel=1e-13)
 
 
 @pytest.mark.parametrize("focusing,sign", [(True, 1.0), (False, -1.0)])
@@ -283,3 +289,6 @@ def test_dispersive_decay_probe_validation():
         ev.dispersive_decay_probe(np.ones(16), 10.0, [2.0, 1.0])
     with pytest.raises(ValueError):
         ev.dispersive_decay_probe(np.zeros(16), 10.0, [1.0, 2.0])
+    for lx in (0.0, -320.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ev.dispersive_decay_probe(np.ones(16), lx, [1.0, 2.0])

@@ -146,7 +146,17 @@ def _random_field(grid, rng, real):
 
 def _layout(real):
     """The descent's layout for a float64 (real) or complex128 field."""
-    return sol._REAL if real else sol._FULL
+    return sp._REAL if real else sp._FULL
+
+
+def _fwd(vals):
+    """The spectrum of a float64 (half) or complex128 (full) field in its layout."""
+    return _layout(not np.iscomplexobj(vals)).fwd(vals, vals.shape)
+
+
+def _aq(sym, grid, real):
+    """The symbol on the spectra of `_layout(real)`: columns 0..ny/2 for a real field."""
+    return sym.values(grid)[:, :grid.ny // 2 + 1] if real else sym.values(grid)
 
 
 grids = st.builds(sp.make_grid, st.integers(4, 24).map(lambda k: 2 * k),
@@ -164,9 +174,9 @@ def test_line_search_forms_match_transforms(grid, p, omega, v, alpha, seed):
     real = v == 0.0
     par = ModelParams(p=p, omega=omega, v=v)
     u, d = _random_field(grid, rng, real), _random_field(grid, rng, real)
-    aq = sp.action_quadratic(omega, v).values(grid, half=real)
+    aq = _aq(sp.action_quadratic(omega, v), grid, real)
     spec = sol._Spectra(grid, sp.action_quadratic(omega, v), _layout(real))
-    hat, dhat = sp._fwd(u), sp._fwd(d)
+    hat, dhat = _fwd(u), _fwd(d)
     a_u, au_d, a_d = (spec.dot(hat, aq * hat), spec.dot(hat, aq * dhat),
                       spec.dot(dhat, aq * dhat))
     trial = sp.physical_field(grid, u - alpha * d)
@@ -187,8 +197,8 @@ def test_spectral_inner_product_matches_physical(grid, real, seed):
     spec = sol._Spectra(grid, sp.action_quadratic(1.0), _layout(real))
     physical = float(np.vdot(f, g).real) * grid.cell_area
     scale = math.sqrt(float(np.vdot(f, f).real) * float(np.vdot(g, g).real)) * grid.cell_area
-    assert abs(spec.dot(sp._fwd(f), sp._fwd(g)) - physical) <= 1e-12 * scale
-    assert spec.dot(sp._fwd(f), sp._fwd(f)) == pytest.approx(
+    assert abs(spec.dot(_fwd(f), _fwd(g)) - physical) <= 1e-12 * scale
+    assert spec.dot(_fwd(f), _fwd(f)) == pytest.approx(
         float(np.vdot(f, f).real) * grid.cell_area, rel=1e-12)
 
 
@@ -216,12 +226,12 @@ def test_fused_conjugate_direction_matches_plain(grid, real, beta, block_rows, s
     # the buffer, which then holds NaN.
     rng = np.random.default_rng(seed)
     sym = sp.action_quadratic(1.3, 0.0 if real else 0.4)
-    aq = sym.values(grid, half=real)
+    aq = _aq(sym, grid, real)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sol, "_FUSE_ELEMS", block_rows * aq.shape[1])
         spec = sol._Spectra(grid, sym, _layout(real), sphere=True)
     assert len(spec.rows) == -(-grid.nx // min(block_rows, grid.nx))
-    hat, ghat, prev = (sp._fwd(_random_field(grid, rng, real)) for _ in range(3))
+    hat, ghat, prev = (_fwd(_random_field(grid, rng, real)) for _ in range(3))
     want = ghat / aq + beta * prev
     out = prev.copy() if beta else np.full_like(prev, np.nan)
     dhat, slope, d_sq, au_d, a_d, u_d = spec.direction(ghat, hat, out, beta)
@@ -244,15 +254,15 @@ def test_fused_gradient_and_step_match_transforms(grid, real, p, t, seed):
     # block by block, against fresh transforms; the step's spectrum too
     rng = np.random.default_rng(seed)
     par = ModelParams(p=p, v=0.0 if real else 0.3)
-    aq = sp.action_quadratic(par.omega, par.v).values(grid, half=real)
+    aq = _aq(sp.action_quadratic(par.omega, par.v), grid, real)
     spec = sol._Spectra(grid, sp.action_quadratic(par.omega, par.v), _layout(real))
     u, d = _random_field(grid, rng, real), _random_field(grid, rng, real)
-    hat, dhat = sp._fwd(u), sp._fwd(d)
+    hat, dhat = _fwd(u), _fwd(d)
     for v, args in ((u, ()), (t * (u - d), (d, dhat, t))):
         field = sp.physical_field(grid, v)
         grad = fl.action_gradient(field, par).values
         ghat, b_pot, n_v, g_sq, v_sq, gpg = spec.gradient(u, hat, p, *args)
-        want = sp._fwd(grad.real if real else grad)
+        want = _fwd(grad.real if real else grad)
         assert np.linalg.norm(ghat - want) <= 1e-12 * np.linalg.norm(want)
         assert b_pot == pytest.approx(fl.lp1_power(field, p), rel=1e-12)
         assert abs(n_v - fl.nehari(field, par)) <= 1e-12 * fl.quadratic_action_form(field, par)
@@ -260,7 +270,7 @@ def test_fused_gradient_and_step_match_transforms(grid, real, p, t, seed):
         assert v_sq == pytest.approx(sp.l2_norm_sq(field), rel=1e-12)
         assert gpg == pytest.approx(_plain_dot(grid, real, want, want / aq), rel=1e-12)
     # the step, written over hat
-    want = sp._fwd(t * (u - 0.3 * d))
+    want = _fwd(t * (u - 0.3 * d))
     spec.step(hat, dhat, 0.3, t)
     assert np.linalg.norm(hat - want) <= 1e-12 * np.linalg.norm(hat)
 
@@ -279,7 +289,7 @@ def test_r_symmetric_half_sums_match_full_arrays(grid, p, v, alpha, seed):
     # column weights (1, 2, ..., 2, 1), against full arrays
     rng = np.random.default_rng(seed)
     u, d = (0.5 * (f + _mirror(f)) for f in (_random_field(grid, rng, False) for _ in range(2)))
-    lay = sol._RSYM
+    lay = sp._RSYM
     uh, dh = lay.pack(u), lay.pack(d)
     assert np.array_equal(lay.unpack(uh), _mirror(lay.unpack(uh)))
     assert np.linalg.norm(lay.unpack(uh) - u) <= 1e-15 * np.linalg.norm(u)
@@ -317,7 +327,7 @@ def test_even_quarter_sums_match_full_arrays(grid, p, omega, alpha, t, beta, blo
     # along both axes, against full arrays and the half-spectrum passes; row
     # blocks of one row up to the whole quarter
     rng = np.random.default_rng(seed)
-    lay = sol._EVEN
+    lay = sp._EVEN
     u, d, g_prev = (lay.unpack(lay.pack(_random_field(grid, rng, True))) for _ in range(3))
     assert _is_even(u) and _is_even(d)
     uq, dq = lay.pack(u), lay.pack(d)
@@ -341,7 +351,7 @@ def test_even_quarter_sums_match_full_arrays(grid, p, omega, alpha, t, beta, blo
         hat, dhat = lay.fwd(uq, grid.shape), lay.fwd(dq, grid.shape)
         assert abs(even.dot(hat, dhat) - sp._redot(u, d) * grid.cell_area) \
             <= 1e-12 * scale * grid.cell_area
-        half = sol._Spectra(grid, sym, sol._REAL, sphere=True)
+        half = sol._Spectra(grid, sym, sp._REAL, sphere=True)
         uh, dh = sp._rfft2(u), sp._rfft2(d)
         for args, half_args in (((), ()), ((dq, dhat, t), (d, dh, t))):
             got = even.gradient(uq, hat, p, *args)
@@ -360,7 +370,7 @@ def test_even_quarter_sums_match_full_arrays(grid, p, omega, alpha, t, beta, blo
             <= 1e-12 * np.linalg.norm(want[0])
         # <d, g>, ||d||^2, <Au, d>, <Ad, d>, <u, d>, within Cauchy-Schwarz bounds
         d_sq, a_d = want[2], want[4]
-        a_u = half.dot(uh, sym.values(grid, half=True) * uh)
+        a_u = half.dot(uh, _aq(sym, grid, True) * uh)
         bounds = (math.sqrt(d_sq * g_sq), d_sq, math.sqrt(a_u * a_d), a_d,
                   math.sqrt(half.dot(uh, uh) * d_sq))
         for a, b, bound in zip(got[1:], want[1:], bounds):
@@ -377,13 +387,13 @@ def test_even_descent_matches_real_descent(shape, p, omega):
     g = sp.make_grid(*shape, 20.0, 40.0)
     par = ModelParams(p=p, omega=omega)
     start = sol.default_initial_guess(g, par).values
-    assert sol._layout_of(start, 0.0) is sol._EVEN
-    u0 = sol._EVEN.unpack(sol._EVEN.pack(start))
+    assert sp._layout_of(start, 0.0) is sp._EVEN
+    u0 = sp._EVEN.unpack(sp._EVEN.pack(start))
     sym = sp.action_quadratic(omega)
-    uq, even, _, _ = sol._descent(sol._EVEN.pack(u0), sym, p, g, 1e-9, 5000, False,
-                                  layout=sol._EVEN)
-    ur, real, _, _ = sol._descent(u0.copy(), sym, p, g, 1e-9, 5000, False, layout=sol._REAL)
-    q = sp.physical_field(g, sol._EVEN.unpack(uq))
+    uq, even, _, _ = sol._descent(sp._EVEN.pack(u0), sym, p, g, 1e-9, 5000, False,
+                                  layout=sp._EVEN)
+    ur, real, _, _ = sol._descent(u0.copy(), sym, p, g, 1e-9, 5000, False, layout=sp._REAL)
+    q = sp.physical_field(g, sp._EVEN.unpack(uq))
     assert _is_even(q.values)
     assert even["action_value"] == pytest.approx(real["action_value"], rel=1e-10)
     assert sol.orbital_fit(q, sp.physical_field(g, ur)).distance <= 1e-6 * fl.x_norm(q)
@@ -403,7 +413,7 @@ def test_r_symmetric_path_matches_full_path(transform_count, shape, box, v):
     assert set(transform_count) == {"rfft2", "irfft2"}
     u, stats, _, _ = sol._descent(init.values.astype(np.complex128),
                                   sp.action_quadratic(par.omega, v), par.p, g, 1e-8, 5000,
-                                  floor_rule=False)
+                                  floor_rule=False, layout=sp._FULL)
     full = sp.physical_field(g, u)
     assert dual.action_value == pytest.approx(stats["action_value"], rel=1e-10)
     assert sol.orbital_fit(dual.q, full).distance <= 1e-6 * fl.x_norm(full)
@@ -650,8 +660,9 @@ def test_t_lambda_isometry_and_potential_scaling():
             expect = lam ** (3.0 * (p - 1.0) / 4.0) * fl.lp1_power(gauss, p)
             assert fl.lp1_power(scaled, p) == pytest.approx(expect, rel=1e-8)
     assert sol.t_lambda(gauss, 1.0).values is not gauss.values
-    with pytest.raises(ValueError):
-        sol.t_lambda(gauss, 0.0)
+    for lam in (0.0, math.inf):
+        with pytest.raises(ValueError):
+            sol.t_lambda(gauss, lam)
 
 
 def test_t_lambda_tail_guard():
@@ -772,14 +783,14 @@ def test_even_extension_matches_real_extension():
     start[:, offset:offset + g0.ny] = base.q.values
     start[:, offset] *= 0.5
     start[:, offset + g0.ny] = start[:, offset]
-    assert _is_even(start) and sol._layout_of(start, 0.0) is sol._EVEN
+    assert _is_even(start) and sp._layout_of(start, 0.0) is sp._EVEN
     with pytest.raises(sol.ConvergenceError) as err:
         sol.extend_ground_state(base, g1, max_iter=0)
     first = err.value.solution.q.values  # the start, scaled onto the Nehari manifold
     t = first.max() / start.max()
     assert np.max(np.abs(first - t * start)) <= 1e-13 * first.max()
     u, stats, _, _ = sol._descent(start, sp.action_quadratic(1.0), 2.0, g1, 5e-7, 200,
-                                  floor_rule=True, layout=sol._REAL)
+                                  floor_rule=True, layout=sp._REAL)
     assert ext.action_value == pytest.approx(stats["action_value"], rel=1e-10)
     real = sp.physical_field(g1, u)
     assert sol.orbital_fit(ext.q, real).distance <= 1e-6 * fl.x_norm(real)

@@ -12,6 +12,7 @@ import scipy.fft
 from hypothesis import given, strategies as st
 from scipy import integrate
 
+from hwlab import functionals as fl
 from hwlab import spectral as sp
 
 
@@ -78,11 +79,18 @@ def test_field_validation(grid):
     assert sp.spectral_field(grid, np.ones(grid.shape)).values.dtype == np.complex128
 
 
-def test_transform_roundtrip_and_plancherel(grid):
-    f = random_field(grid, seed=1)
+@given(nx=st.integers(4, 32).map(lambda k: 2 * k), ny=st.integers(4, 32).map(lambda k: 2 * k),
+       real=st.booleans(), seed=st.integers(0, 1000))
+def test_transform_roundtrip_and_plancherel(nx, ny, real, seed):
+    # a real field's quadratic forms sum over its half spectrum
+    grid = sp.make_grid(nx, ny, 10.0, 14.0)
+    f = random_field(grid, seed=seed)
+    if real:
+        f = sp.physical_field(grid, f.values.real)
     back = sp.transform(sp.transform(f, "forward"), "inverse")
     assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
     assert sp.l2_norm(sp.to_spectral(f)) == pytest.approx(sp.l2_norm(f), rel=1e-12)
+    assert sp.quadratic_form(f, 1.0) == pytest.approx(sp.l2_norm_sq(f), rel=1e-12)
 
 
 def test_transform_direction_errors(grid):
@@ -174,11 +182,14 @@ def test_transport_coercivity(grid):
 
 def test_half_spectrum_symbols(grid):
     cols = grid.ny // 2 + 1
-    for sym in (sp.dxx(), sp.abs_dy(), sp.frac_dy(0.3), sp.action_quadratic(1.5)):
-        assert np.array_equal(sym.values(grid, half=True), sym.values(grid)[:, :cols])
-    for sym in (sp.transport(0.5), sp.halfwave_group(0.1), sp.action_quadratic(1.0, 0.5)):
-        with pytest.raises(ValueError):
-            sym.values(grid, half=True)
+    assert np.array_equal(sp._ActionRows(grid, 1.5, 0.0, sp._REAL)(slice(None)),
+                          sp.action_quadratic(1.5).values(grid)[:, :cols])
+    with pytest.raises(ValueError):
+        sp._ActionRows(grid, 1.0, 0.5, sp._REAL)
+    # the X weight is the action symbol at omega = 1, bit for bit the sum it replaced
+    for shape in ((8, 8), (128, 128), (256, 1024), (48, 18)):
+        g = sp.make_grid(*shape, 10.0, 12.0)
+        assert np.array_equal(fl.x_weight(g), g.xi[:, None] ** 2 + np.abs(g.eta)[None, :] + 1.0)
     # the action symbol, formed by row blocks, rounds as this expression does
     for v in (0.0, 0.5):
         want = (grid.xi[:, None] ** 2 + np.abs(grid.eta)[None, :]
@@ -336,6 +347,22 @@ def test_density_only_in_spectral_helper():
     assert not offenders, offenders
 
 
+def test_storage_decided_only_in_spectral():
+    # spectral._Layout carries how a field and its spectrum are stored: no
+    # other module tests a dtype to pick a transform or a Parseval weight;
+    # snapshots is exempt, because there the dtype is the file format
+    package = pathlib.Path(sp.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("spectral.py", "snapshots.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                         if isinstance(node, ast.Attribute) and node.attr == "iscomplexobj"
+                         or isinstance(node, ast.Name) and node.id == "iscomplexobj")
+    assert not offenders, offenders
+
+
 def test_l2_inner_matches_vdot(grid):
     f, g = random_field(grid, 1), random_field(grid, 2)
     want = np.vdot(g.values, f.values) * grid.cell_area
@@ -433,7 +460,7 @@ def test_forms_share_one_density_bit_for_bit(nx, ny, real, block, seed):
              (1.0 + g.eta[None, :] ** 2) ** 0.6)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sp, "_FUSE_ELEMS", block)
-        got = sp._forms(hat, g, *mults)
+        got = sp._forms(hat, sp._REAL if real else sp._FULL, g, *mults)
         want = [_form_one_by_one(hat, g, m) for m in mults]
     assert got == want
 
@@ -517,6 +544,9 @@ def test_frac_identity_zero_and_errors():
         sp.frac_seminorm_identity_check(np.zeros(63), 10.0, 0.5)
     with pytest.raises(ValueError):
         sp.frac_seminorm_identity_check(np.zeros((8, 8)), 10.0, 0.5)
+    for length in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            sp.frac_seminorm_identity_check(np.zeros(64), length, 0.5)
 
 
 def test_frac_identity_tail_warning():
