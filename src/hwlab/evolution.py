@@ -40,7 +40,9 @@ def _complex(u: Field) -> np.ndarray:
 
 
 def linear_propagate(u: Field, t: float) -> Field:
-    """Apply the free group S(t); an exact isometry for every t."""
+    """Apply the free group S(t); an exact isometry for every finite t."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     return sp.apply_symbol(u, sp.halfwave_group(t))
 
 
@@ -87,6 +89,8 @@ def strang_step(u: Field, dt: float, p: float, focusing: bool = True,
     propagator).  `evolve` merges the half rotations of adjacent steps,
     which is exact because the rotation keeps |u|.
     """
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
     vals = _strang(_complex(u), 1, dt, p, 1.0 if focusing else -1.0,
                    _propagator(u.grid, dt, dealias))
     return Field(u.grid, vals, sp.PHYSICAL)
@@ -137,8 +141,8 @@ def evolve(u0: Field, p: float, T: float, dt: float, sample_stride: int = 10,
     is exact because the rotation keeps |u|, and each step costs one FFT
     pair, dealiased or not.
     """
-    if T <= 0.0 or dt <= 0.0:
-        raise ValueError("T and dt must be positive")
+    if not (0.0 < T < math.inf and 0.0 < dt < math.inf):
+        raise ValueError(f"T and dt must be positive and finite, got T={T}, dt={dt}")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     g = u0.grid
@@ -243,8 +247,8 @@ def picard_solve(u0: Field, p: float, T: float, n_steps: int = 64,
     above the round-off floor raises PicardContractionError, signalling
     that T is outside the contraction regime.
     """
-    if T <= 0.0 or n_steps < 1:
-        raise ValueError("need T > 0 and n_steps >= 1")
+    if not 0.0 < T < math.inf or n_steps < 1:
+        raise ValueError(f"need a positive, finite T and n_steps >= 1, got {T}, {n_steps}")
     g = u0.grid
     dt = T / n_steps
     w = g.cell_area
@@ -316,11 +320,12 @@ def dispersive_decay_probe(profile: np.ndarray, lx: float, times) -> DecayProbe:
     if not 0.0 < lx < math.inf:
         raise ValueError(f"lx must be positive and finite, got {lx}")
     t_arr = np.asarray(times, dtype=float)
-    if t_arr.size < 2 or np.any(t_arr <= 0.0) or np.any(np.diff(t_arr) <= 0.0):
-        raise ValueError("need at least two increasing positive times")
+    if t_arr.size < 2 or not np.all(np.isfinite(t_arr) & (t_arr > 0.0)) \
+            or np.any(np.diff(t_arr) <= 0.0):
+        raise ValueError("need at least two increasing, positive, finite times")
     n = g.size
     xi = sp.wavenumbers(n, lx)
-    ghat = np.fft.fft(g, norm="ortho")
+    ghat = sp._fft(g)
     peak0 = float(np.max(np.abs(g)))
     if peak0 == 0.0:
         raise ValueError("profile is identically zero")
@@ -329,7 +334,7 @@ def dispersive_decay_probe(profile: np.ndarray, lx: float, times) -> DecayProbe:
     sups = np.empty_like(t_arr)
     valid = True
     for i, t in enumerate(t_arr):
-        ut = np.fft.ifft(np.exp(-1j * t * xi ** 2) * ghat, norm="ortho")
+        ut = sp._ifft(np.exp(-1j * t * xi ** 2) * ghat)
         amp = np.abs(ut)
         sups[i] = float(np.max(amp))
         boundary = max(float(np.max(amp[:edge])), float(np.max(amp[-edge:])))

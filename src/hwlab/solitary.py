@@ -663,49 +663,44 @@ def _wrap_corrupt(coords: np.ndarray, c: float, rate: float,
     return (np.abs(src) > length / 2.0) & (np.abs(img) < 0.9 * (length / 2.0))
 
 
-def _lines(blk: slice, axis: int) -> tuple[slice, slice]:
-    return (slice(None), blk) if axis == 0 else (blk, slice(None))
+def _resample_lines(src: np.ndarray, dst: np.ndarray, length: float, origin: float,
+                    start: float, step: float, scale: float = 1.0) -> None:
+    """dst = scale * src resampled along the last axis; dst may be src.
 
-
-def _resample_lines(src: np.ndarray, dst: np.ndarray, axis: int, n: int, length: float,
-                    origin: float, start: float, step: float, scale: float = 1.0) -> None:
-    """dst = scale * src resampled along `axis`; dst may be src.
-
-    Each line is replaced by its trigonometric interpolant at the
-    origin-relative points start + j*step, j = 0..n-1: the chirp
+    Each line of n points is replaced by its trigonometric interpolant at
+    the origin-relative points start + j*step, j = 0..n-1: the chirp
     z-transform of its unitary FFT coefficients, with the Nyquist
     coefficient symmetrized to its cosine part so real lines stay real.
-    One chirp-z plan serves every block of _BLOCK_ELEMS entries; lines
-    are independent, so blocking changes no bit.  The map is complex
-    linear and real, so real lines j and j + lines/2 (Grid counts are
-    even) go as one a + i b.
+    Bluestein's algorithm makes it a convolution with a chirp: per block
+    of _BLOCK_ELEMS entries, one `sp._fft` and one `sp._ifft` of a
+    power-of-two length >= 2n - 1, against the chirp's spectrum computed
+    once per call.  Lines are independent, so blocking changes no bit.
+    The map is complex linear and real, so real lines j and j + lines/2
+    (Grid counts are even) go as one a + i b.
     """
-    from scipy import signal  # not at module level: it and scipy.stats slow `import hwlab`
-
+    count, n = src.shape[0] // 2, src.shape[1]
     phi0 = (2.0 * np.pi / length) * (start - origin)
     delta = (2.0 * np.pi / length) * step
-    half = 0.5 * n * (phi0 + delta * np.arange(n))
-    shape = [1, 1]
-    shape[axis] = n
-    pre = np.exp(1j * phi0 * np.arange(n)).reshape(shape)
-    phase = np.exp(-1j * half).reshape(shape)
+    k = np.arange(n)
+    half = 0.5 * n * (phi0 + delta * k)
+    pre = np.exp(1j * (phi0 + 0.5 * delta * k) * k)
+    nfft = 1 << (2 * n - 2).bit_length()
+    post = np.exp(1j * (0.5 * delta * k ** 2 - half)) * math.sqrt(nfft / n)
     # Nyquist row was summed as exp(-i n/2 theta); restore its cosine part.
-    nyq_phase = (1j * np.sin(half)).reshape(shape)
-    czt = signal.CZT(n, m=n, w=np.exp(1j * delta), a=1.0 + 0.0j)
-    count = src.shape[1 - axis] // 2
+    nyq_phase = 1j * np.sin(half) / math.sqrt(n)
+    # delta j k = delta (j^2 + k^2 - (j - k)^2) / 2, and |j - k| < n
+    kernel = sp._fft(np.exp(-0.5j * delta * sp.mode_numbers(nfft) ** 2))
     for blk in _slices(count, n, _BLOCK_ELEMS):
-        a = _lines(blk, axis)
-        b = _lines(slice(blk.start + count, blk.stop + count), axis)
-        z = np.empty(src[a].shape, np.complex128)
-        z.real, z.imag = src[a], src[b]
-        shifted = np.fft.fftshift(sp._fft(z, axis), axes=axis)
+        pair = slice(blk.start + count, blk.stop + count)
+        z = np.empty((blk.stop - blk.start, n), np.complex128)
+        z.real, z.imag = src[blk], src[pair]
+        shifted = np.roll(sp._fft(z), n // 2, axis=1)  # k = -n/2 first
         del z
-        res = phase * czt(shifted * pre, axis=axis)
-        res += nyq_phase * np.take(shifted, [0], axis=axis)
+        res = sp._ifft(sp._fft(shifted * pre, nfft) * kernel)[:, :n] * post
+        res += nyq_phase * shifted[:, :1]
         del shifted
-        res /= math.sqrt(n)
-        np.multiply(res.real, scale, out=dst[a])
-        np.multiply(res.imag, scale, out=dst[b])
+        np.multiply(res.real, scale, out=dst[blk])
+        np.multiply(res.imag, scale, out=dst[pair])
 
 
 def t_lambda(u: Field, lam: float, center: tuple[float, float] = (0.0, 0.0),
@@ -723,12 +718,15 @@ def t_lambda(u: Field, lam: float, center: tuple[float, float] = (0.0, 0.0),
     the certified-negligible tail value.
 
     T_lambda is real, so it acts on the real and imaginary parts: a y
-    pass, then an x pass over its output, on packed line pairs in blocks
+    pass, then an x pass over the transpose of its output, each a
+    Bluestein chirp-z along the last axis on packed line pairs in blocks
     of _BLOCK_ELEMS entries (`_resample_lines`); no full spectrum, no BLAS.
     A real field gives float64 values, a complex one complex128.
     """
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lambda must be positive and finite, got {lam}")
+    if not all(map(math.isfinite, center)):
+        raise ValueError(f"center must be finite, got {center}")
     g = u.grid
     phys = sp.to_physical(u)
     if lam == 1.0:
@@ -743,8 +741,8 @@ def t_lambda(u: Field, lam: float, center: tuple[float, float] = (0.0, 0.0),
     if not sp._is_real(u_vals):
         parts.append((u_vals.imag, vals.imag))
     for src, buf in parts:
-        _resample_lines(src, buf, 1, g.ny, g.ly, g.y[0], cy + lam * (g.y[0] - cy), lam * g.dy)
-        _resample_lines(buf, buf, 0, g.nx, g.lx, g.x[0], cx + rx * (g.x[0] - cx), rx * g.dx,
+        _resample_lines(src, buf, g.ly, g.y[0], cy + lam * (g.y[0] - cy), lam * g.dy)
+        _resample_lines(buf.T, buf.T, g.lx, g.x[0], cx + rx * (g.x[0] - cx), rx * g.dx,
                         lam ** 0.75)
     if lam > 1.0:
         # targets whose source left the box read the periodized image;
@@ -786,6 +784,8 @@ def psi_omega(q: Field, center: tuple[float, float] | None = None,
     phys = sp.to_physical(q)
     _check_tail(phys, tail_tol, "psi_omega")
     center = mass_centroid(phys) if center is None else center
+    if not all(map(math.isfinite, center)):
+        raise ValueError(f"center must be finite, got {center}")
     return Field(q.grid, _generator(*sp._samples(phys.values), q.grid, 0.75, center),
                  sp.PHYSICAL)
 
@@ -958,7 +958,7 @@ def orbital_fit(u: Field, q: Field, refine: bool = True) -> OrbitalFit:
     uh = sp.to_spectral(u).values
     qh = sp.to_spectral(q).values
     coef = w * uh * np.conj(qh) * g.cell_area
-    corr = sp._fft2(coef, norm="backward")
+    corr = sp._fft2(coef)
     flat = int(np.argmax(np.abs(corr)))
     j1, j2 = np.unravel_index(flat, corr.shape)
     tau = np.array([((j1 + g.nx // 2) % g.nx - g.nx // 2) * g.dx,

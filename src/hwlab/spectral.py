@@ -32,11 +32,12 @@ shape to choose either:
   the field's (`_dct`, its own inverse).  Parseval weighs a quarter's
   lines (1, 2, ..., 2, 1) along both axes (`_mirror_sum`).
 
-Every 2-D transform in the package goes through `_fft2`, `_ifft2`,
-`_rfft2`, `_irfft2` or `_dct`, the line transforms of T_lambda through
-`_fft`; all call `scipy.fft` (pocketfft).  A transform runs on
-`len(os.sched_getaffinity(0))` threads (the usable cores) when its
-real-space array, for a quarter the full grid it stands for, has at
+Every transform in the package goes through `_fft2`, `_ifft2`, `_rfft2`,
+`_irfft2`, `_dct` or the 1-D `_fft` and `_ifft`, on which T_lambda's
+chirp z-transform runs; all call `scipy.fft` (pocketfft), and no other
+module names `numpy.fft`, `scipy.fft` or `scipy.signal`.  A transform
+runs on `len(os.sched_getaffinity(0))` threads (the usable cores) when
+its real-space array, for a quarter the full grid it stands for, has at
 least 2**22 points and on one thread otherwise, where thread start-up
 eats the gain.  On a 2-core Xeon, an r2c pair with 1 -> 2 threads
 takes 0.20 -> 0.21 ms at 128x128, 31 -> 30 ms at 128x8192 and
@@ -82,17 +83,21 @@ def _workers(points: int) -> int:
 
 # scipy.fft is looked up at call time so that wrappers installed on the
 # module (profilers, tracers) see every transform.
-def _fft(a: np.ndarray, axis: int) -> np.ndarray:
-    """Unitary 1-D FFT of every line of `a` along `axis`."""
-    return scipy.fft.fft(a, axis=axis, norm="ortho", workers=_workers(a.size))
+def _fft(a: np.ndarray, n: int | None = None) -> np.ndarray:
+    """Unitary 1-D FFT along the last axis, of `n` points (zero-padded) if given."""
+    return scipy.fft.fft(a, n, norm="ortho", workers=_workers(a.size))
 
 
-def _fft2(a: np.ndarray, norm: str = "ortho") -> np.ndarray:
-    return scipy.fft.fft2(a, norm=norm, workers=_workers(a.size))
+def _ifft(a: np.ndarray) -> np.ndarray:
+    return scipy.fft.ifft(a, norm="ortho", workers=_workers(a.size))
 
 
-def _ifft2(a: np.ndarray, norm: str = "ortho") -> np.ndarray:
-    return scipy.fft.ifft2(a, norm=norm, workers=_workers(a.size))
+def _fft2(a: np.ndarray) -> np.ndarray:
+    return scipy.fft.fft2(a, norm="ortho", workers=_workers(a.size))
+
+
+def _ifft2(a: np.ndarray) -> np.ndarray:
+    return scipy.fft.ifft2(a, norm="ortho", workers=_workers(a.size))
 
 
 def _rfft2(a: np.ndarray) -> np.ndarray:
@@ -718,8 +723,8 @@ def frac_seminorm_identity_check(values: np.ndarray, length: float, s: float,
         tail_warning = tail / total > tail_tol
 
     # num[j] = dy * sum_y |u(y + j*dy) - u(y)|^2 for every shift at once.
-    spec = np.fft.fft(u)
-    corr = np.fft.ifft(_density(spec)).real
+    power = _density(_fft(u))
+    corr = math.sqrt(n) * _ifft(power).real
     num = dy * 2.0 * (total - corr)
 
     j = np.arange(-(n // 2), n // 2)
@@ -768,7 +773,6 @@ def frac_seminorm_identity_check(values: np.ndarray, length: float, s: float,
     lhs += float(np.sum(num_j * m0 + np.sign(h) * dnum * m1 + 0.5 * d2num * m2))
 
     # Central cell [-dy/2, dy/2]: integrand ~ |h|^{1-2s} * ||u'||^2.
-    power = _density(np.fft.fft(u, norm="ortho"))
     eta = wavenumbers(n, length)
     du_sq = float(np.sum((eta ** 2) * power)) * dy
     lhs += du_sq * 2.0 * half ** (2.0 - two_s) / (2.0 - two_s)

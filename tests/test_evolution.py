@@ -24,6 +24,9 @@ def test_linear_propagate_single_mode_phase():
     # mode (2, 3): symbol xi^2 + |eta| = 4 + 3
     assert np.allclose(out.values, np.exp(-1j * 0.7 * 7.0) * vals,
                        rtol=0, atol=1e-12)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ev.linear_propagate(u, t)
 
 
 @given(nx=st.integers(4, 24).map(lambda k: 2 * k), ny=st.integers(4, 24).map(lambda k: 2 * k),
@@ -61,6 +64,9 @@ def test_strang_step_reversible_and_mass_preserving():
     assert sp.l2_norm_sq(f) == pytest.approx(sp.l2_norm_sq(u), rel=1e-14)
     b = ev.strang_step(f, -4e-3, 3.0)
     assert np.max(np.abs(b.values - u.values)) <= 1e-13
+    for dt in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ev.strang_step(u, dt, 3.0)
 
 
 def test_strang_step_dealias_small_on_bandlimited_data():
@@ -160,6 +166,9 @@ def test_evolve_validation(p2_state):
         ev.evolve(q, p=2.0, T=1.0, dt=0.1)
     with pytest.raises(ValueError, match="one step"):
         ev.evolve(q, p=2.0, T=1e-6, dt=1e-3)
+    for T, dt in ((math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            ev.evolve(q, p=2.0, T=T, dt=dt, enforce_dt_limit=False)
     other = sp.make_grid(32, 32, 40.0, 40.0)
     with pytest.raises(ValueError, match="different grid"):
         ev.evolve(q, p=2.0, T=0.1, dt=1e-3,
@@ -262,6 +271,9 @@ def test_picard_validation():
         ev.picard_solve(u0, p=3.0, T=0.0)
     with pytest.raises(ValueError):
         ev.picard_solve(u0, p=3.0, T=1.0, n_steps=0)
+    for T in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ev.picard_solve(u0, p=3.0, T=T)
 
 
 def test_dispersive_decay_probe_gaussian_slope():
@@ -292,3 +304,7 @@ def test_dispersive_decay_probe_validation():
     for lx in (0.0, -320.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             ev.dispersive_decay_probe(np.ones(16), lx, [1.0, 2.0])
+    line = np.exp(-np.linspace(-160.0, 160.0, 64, endpoint=False) ** 2)
+    for times in ((0.5, math.nan), (0.5, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            ev.dispersive_decay_probe(line, 320.0, times)

@@ -50,11 +50,17 @@ def test_all_is_the_public_namespace():
 
 
 def test_cli_import_skips_slow_scipy_modules():
-    # scipy.signal, which pulls in scipy.stats, is imported on first use,
-    # and nothing needs scipy.integrate
+    # every transform is scipy.fft's, T_lambda's chirp-z included, so neither
+    # importing the package nor resampling loads scipy.signal or the
+    # scipy.stats it pulls in, and nothing needs scipy.integrate
     src = os.path.dirname(os.path.dirname(os.path.abspath(hwlab.__file__)))
-    code = ("import sys, hwlab.cli\n"
-            "print(sorted(m for m in ('scipy.signal', 'scipy.integrate') if m in sys.modules))")
+    code = ("import sys, numpy as np, hwlab.cli\n"
+            "from hwlab import dispersive_decay_probe, make_grid, physical_field, t_lambda\n"
+            "g = make_grid(16, 16, 10.0, 10.0)\n"
+            "t_lambda(physical_field(g, np.exp(-g.x[:, None] ** 2 - g.y ** 2)), 0.9)\n"
+            "dispersive_decay_probe(np.exp(-g.x ** 2), 10.0, [0.1, 0.2])\n"
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.integrate')\n"
+            "             if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)

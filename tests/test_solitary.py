@@ -527,12 +527,15 @@ def test_t_lambda_matches_dense_resampling():
 
 @pytest.mark.parametrize("axis", [0, 1])
 def test_chirp_z_blocks_bit_identical(monkeypatch, axis):
-    # each 1-D line is transformed on its own, with one chirp-z plan for
-    # every block, so blocking changes no bit
+    # each 1-D line is transformed on its own, with one chirp spectrum for
+    # every block, so blocking changes no bit; lines along axis 0 go in
+    # transposed, as in t_lambda's x pass
     src = np.random.default_rng(4).standard_normal((48, 80))
-    n = src.shape[axis]
-    count = src.shape[1 - axis] // 2  # packed line pairs
-    args = (axis, n, 12.0, -6.0, -4.5, 0.8 * 12.0 / n, 1.3)
+    if axis == 0:
+        src = src.T
+    n = src.shape[1]
+    count = src.shape[0] // 2  # packed line pairs
+    args = (12.0, -6.0, -4.5, 0.8 * 12.0 / n, 1.3)
     blocked, whole = np.empty_like(src), np.empty_like(src)
     monkeypatch.setattr(sol, "_BLOCK_ELEMS", 4 * n)  # blocks of 4 line pairs
     assert len(sol._slices(count, n, sol._BLOCK_ELEMS)) > 1
@@ -663,6 +666,20 @@ def test_t_lambda_isometry_and_potential_scaling():
     for lam in (0.0, math.inf):
         with pytest.raises(ValueError):
             sol.t_lambda(gauss, lam)
+    for center in ((math.nan, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="center"):
+            sol.t_lambda(gauss, 0.9, center=center)
+        with pytest.raises(ValueError, match="center"):
+            sol.psi_omega(gauss, center=center)
+    # a tall box, where the chirp's phase delta k^2 / 2 reaches 1e5: formed
+    # as powers of exp(i delta), as scipy.signal.CZT forms it, the chirp
+    # drifts off the unit circle, and the result missed by 5.3e-9 and 1.4e-9
+    g = sp.make_grid(32, 32768, 20.0, 640.0)
+    tall = sp.physical_field(g, np.exp(-g.x[:, None] ** 2 / 4.0 - g.y[None, :] ** 2 / 32.0))
+    for lam in (0.95, 1.05):
+        exact = lam ** 0.75 * np.exp(-lam * g.x[:, None] ** 2 / 4.0
+                                     - (lam * g.y[None, :]) ** 2 / 32.0)
+        assert np.max(np.abs(sol.t_lambda(tall, lam).values - exact)) <= 1e-10
 
 
 def test_t_lambda_tail_guard():

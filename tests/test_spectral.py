@@ -249,7 +249,10 @@ def test_transforms_bit_identical_across_worker_counts():
 
 
 def test_two_dimensional_transforms_only_in_spectral():
-    transform = re.compile(r"^(i?r?fft[2n]|i?dctn)$")
+    # every transform, 1-D or 2-D, and every transform library is named in
+    # spectral only, so its thread rule, normalization and tracer see them all
+    transform = re.compile(r"^(i?r?fft[2n]?|i?dctn|i?fftshift|CZT)$")
+    libraries = {"numpy.fft", "scipy.fft", "scipy.signal"}
     package = pathlib.Path(sp.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):
@@ -259,9 +262,15 @@ def test_two_dimensional_transforms_only_in_spectral():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and transform.match(node.attr):
                 offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("fft"):
+            elif isinstance(node, ast.Import):
                 offenders.extend(f"{path.name}:{node.lineno} import {alias.name}"
-                                 for alias in node.names if transform.match(alias.name))
+                                 for alias in node.names if alias.name in libraries)
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                offenders.extend(f"{path.name}:{node.lineno} from {module} import {alias.name}"
+                                 for alias in node.names
+                                 if module in libraries or f"{module}.{alias.name}" in libraries
+                                 or transform.match(alias.name))
     assert not offenders, offenders
 
 
