@@ -122,6 +122,17 @@ def action(u: Field, params: ModelParams) -> float:
     return 0.5 * quadratic_action_form(u, params) - lp1_power(u, params.p) / (params.p + 1.0)
 
 
+def _stored_action(vals: np.ndarray, layout: sp._Layout, grid: Grid,
+                   params: ModelParams) -> float:
+    """`action` of the field whose physical values are stored as `layout`
+    says (`spectral._Layout`), from one transform of them; on an even
+    field's quarter, with the line weights along both axes."""
+    dx_sq, row = sp._forms(layout.fwd(vals, grid.shape), layout, grid, grid.xi[:, None] ** 2,
+                           _action_row(grid, params))
+    lp1 = layout.weigh_rows(lambda ix: _lp1_sum(vals[ix], params.p, layout.total), vals.shape)
+    return 0.5 * (dx_sq + row) - lp1 * grid.cell_area / (params.p + 1.0)
+
+
 def nehari(u: Field, params: ModelParams) -> float:
     """N(u) = <S'(u), u> = quadratic form - int |u|^{p+1}."""
     return quadratic_action_form(u, params) - lp1_power(u, params.p)

@@ -703,6 +703,59 @@ def _resample_lines(src: np.ndarray, dst: np.ndarray, length: float, origin: flo
         np.multiply(res.imag, scale, out=dst[pair])
 
 
+def _scaled(u: Field, lam: float, center: tuple[float, float],
+            tail_tol: float) -> tuple[np.ndarray, sp._Layout]:
+    """T_lambda u (see `t_lambda`) and the layout it is stored in: for a real
+    u even about (0, 0) the quarter of an exactly even field (`sp._EVEN`),
+    else the full array of u's dtype."""
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
+    if not all(map(math.isfinite, center)):
+        raise ValueError(f"center must be finite, got {center}")
+    g = u.grid
+    phys = sp.to_physical(u)
+    u_vals = phys.values
+    quarter = tuple(center) == (0.0, 0.0) and sp._is_real(u_vals) and sp._even(u_vals.real)
+    layout = sp._EVEN if quarter else sp._stored(u_vals)
+    if lam == 1.0:
+        return layout.pack(u_vals), layout
+    if lam > 1.0:
+        _check_tail(phys, tail_tol, "t_lambda")
+    cx, cy = center
+    rx = math.sqrt(lam)
+    y_pass = (g.ly, g.y[0], cy + lam * (g.y[0] - cy), lam * g.dy)
+    x_pass = (g.lx, g.x[0], cx + rx * (g.x[0] - cx), rx * g.dx, lam ** 0.75)
+    if quarter:
+        # rows 0..nx/2 in y, columns 0..ny/2 mirrored into full x lines (even
+        # counts of lines, as the packed pairs need), rows 0..nx/2 kept
+        m, n = g.nx // 2 + 1, g.ny // 2 + 1
+        buf = np.empty((m + m % 2, g.ny))
+        _resample_lines(u_vals.real[:len(buf)], buf, *y_pass)
+        lines = np.empty((n + n % 2, g.nx))
+        lines[:, :m] = buf[:m, :len(lines)].T
+        lines[:, m:] = buf[m - 2:0:-1, :len(lines)].T
+        del buf
+        _resample_lines(lines, lines, *x_pass)
+        vals = np.ascontiguousarray(lines[:n, :m].T)
+    else:
+        vals = np.zeros(g.shape, u_vals.dtype)
+        parts = [(u_vals.real, vals.real)]
+        if not sp._is_real(u_vals):
+            parts.append((u_vals.imag, vals.imag))
+        for src, buf in parts:
+            _resample_lines(src, buf, *y_pass)
+            _resample_lines(buf.T, buf.T, *x_pass)
+    if lam > 1.0:
+        # targets whose source left the box read the periodized image;
+        # that is still a certified-tail value unless the image lands in
+        # the inner 90% of the box (as lambda -> 2 it hits the core), in
+        # which case the honest value is the (negligible) tail: zero it
+        rows, cols = vals.shape
+        vals[_wrap_corrupt(g.x[:rows], cx, rx, g.lx), :] = 0.0
+        vals[:, _wrap_corrupt(g.y[:cols], cy, lam, g.ly)] = 0.0
+    return vals, layout
+
+
 def t_lambda(u: Field, lam: float, center: tuple[float, float] = (0.0, 0.0),
              tail_tol: float = 1e-8) -> Field:
     """L2-isometric anisotropic scaling T_lambda on a fixed grid.
@@ -721,55 +774,60 @@ def t_lambda(u: Field, lam: float, center: tuple[float, float] = (0.0, 0.0),
     pass, then an x pass over the transpose of its output, each a
     Bluestein chirp-z along the last axis on packed line pairs in blocks
     of _BLOCK_ELEMS entries (`_resample_lines`); no full spectrum, no BLAS.
-    A real field gives float64 values, a complex one complex128.
+    A real field gives float64 values, a complex one complex128.  About
+    (0, 0), T_lambda of a real field even in x and in y (`sp._even`, as
+    every v = 0 ground state is) is even: the passes run on rows and then
+    columns 0..n/2, half the work, and the result is mirrored from its
+    quarter, exactly even.
     """
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"lambda must be positive and finite, got {lam}")
-    if not all(map(math.isfinite, center)):
-        raise ValueError(f"center must be finite, got {center}")
-    g = u.grid
-    phys = sp.to_physical(u)
-    if lam == 1.0:
-        return phys.copy()
-    if lam > 1.0:
-        _check_tail(phys, tail_tol, "t_lambda")
-    cx, cy = center
-    rx = math.sqrt(lam)
-    u_vals = phys.values
-    vals = np.zeros(g.shape, u_vals.dtype)
-    parts = [(u_vals.real, vals.real)]
-    if not sp._is_real(u_vals):
-        parts.append((u_vals.imag, vals.imag))
-    for src, buf in parts:
-        _resample_lines(src, buf, g.ly, g.y[0], cy + lam * (g.y[0] - cy), lam * g.dy)
-        _resample_lines(buf.T, buf.T, g.lx, g.x[0], cx + rx * (g.x[0] - cx), rx * g.dx,
-                        lam ** 0.75)
-    if lam > 1.0:
-        # targets whose source left the box read the periodized image;
-        # that is still a certified-tail value unless the image lands in
-        # the inner 90% of the box (as lambda -> 2 it hits the core), in
-        # which case the honest value is the (negligible) tail: zero it
-        vals[_wrap_corrupt(g.x, cx, rx, g.lx), :] = 0.0
-        vals[:, _wrap_corrupt(g.y, cy, lam, g.ly)] = 0.0
-    return Field(g, vals, sp.PHYSICAL)
+    vals, layout = _scaled(u, lam, center, tail_tol)
+    return Field(u.grid, layout.unpack(vals), sp.PHYSICAL)
 
 
 def _generator(vals: np.ndarray, layout: sp._Layout, g: Grid, c0: float,
                center: tuple[float, float]) -> np.ndarray:
     """c0 q + (x/2) dx q + y dy q about `center` (Nyquist mode of the
     derivatives zeroed), one transform forward and two back on the spectra
-    of `layout`: on `sp._REAL`, float64 `vals` give float64."""
+    of `layout`: on `sp._REAL`, float64 `vals` give float64; on `sp._EVEN`
+    the quarters of an even q and of the result about (0, 0), with mixed
+    DST-I/DCT-I derivatives (`sp._dst_dct`)."""
     hat = layout.fwd(vals, g.shape)
-    qx = layout.inv(hat * (1j * g.xi_odd)[:, None], g.shape)
-    hat *= 1j * g.eta_odd[:layout.spectra_shape(g)[1]]
-    qy = layout.inv(hat, g.shape)
+    rows, cols = vals.shape
+    if layout is sp._EVEN:
+        qx, qy = np.zeros_like(vals), np.zeros_like(vals)
+        qx[1:-1] = sp._dst_dct(g.xi[1:rows - 1, None] * hat[1:-1], 0)
+        qy[:, 1:-1] = sp._dst_dct(hat[:, 1:-1] * g.eta[1:cols - 1], 1)
+    else:
+        qx = layout.inv(hat * (1j * g.xi_odd)[:, None], g.shape)
+        hat *= 1j * g.eta_odd[:layout.spectra_shape(g)[1]]
+        qy = layout.inv(hat, g.shape)
     del hat
-    qx *= 0.5 * (g.x - center[0])[:, None]
-    qy *= (g.y - center[1])[None, :]
+    qx *= 0.5 * (g.x[:rows] - center[0])[:, None]
+    qy *= (g.y[:cols] - center[1])[None, :]
     qx += qy
     del qy
     qx += c0 * vals
     return qx
+
+
+def _apparatus(phys: Field, center: tuple[float, float] | None
+               ) -> tuple[np.ndarray, sp._Layout, tuple[float, float]]:
+    """Stored values, layout and centre of the generator on `phys`.  Centre
+    None is (0, 0) for a field even in x and in y (`sp._even`), else the
+    mass centroid: row 0 and column 0 (x = -lx/2, y = -ly/2) are their own
+    mirrors, so an even field's centroid is off (0, 0) by a tail term (2.7e-6
+    in y on the tests' 128x2048 p = 3 profile; the generator moves by 1.5e-5
+    of its maximum).  About (0, 0) a real even field is stored as its
+    quarter (`sp._EVEN`), another as `sp._samples` stores it."""
+    vals = phys.values
+    even = (center is None or tuple(center) == (0.0, 0.0)) and sp._even(vals)
+    if center is None:
+        center = (0.0, 0.0) if even else mass_centroid(phys)
+    if not all(map(math.isfinite, center)):
+        raise ValueError(f"center must be finite, got {center}")
+    if even and sp._is_real(vals):
+        return sp._EVEN.pack(vals), sp._EVEN, (0.0, 0.0)
+    return (*sp._samples(vals), center)
 
 
 def psi_omega(q: Field, center: tuple[float, float] | None = None,
@@ -777,16 +835,15 @@ def psi_omega(q: Field, center: tuple[float, float] | None = None,
     """Scaling generator (3/4) q + (x/2) dx q + y dy q.
 
     Equals d/dlambda T_lambda q at lambda = 1; coordinates are measured
-    from the mass centroid unless a center is supplied.  L2-orthogonal
-    to q because T_lambda is an L2 isometry.  Real q: half spectra, no BLAS,
-    float64 values.
+    from `center`, by default (0, 0) for a q even in x and in y and the mass
+    centroid for another (`_apparatus`).  L2-orthogonal to q because
+    T_lambda is an L2 isometry.  Real q: no BLAS, float64 values, on
+    quarters for an even q about (0, 0), else on half spectra.
     """
     phys = sp.to_physical(q)
     _check_tail(phys, tail_tol, "psi_omega")
-    center = mass_centroid(phys) if center is None else center
-    if not all(map(math.isfinite, center)):
-        raise ValueError(f"center must be finite, got {center}")
-    return Field(q.grid, _generator(*sp._samples(phys.values), q.grid, 0.75, center),
+    vals, layout, center = _apparatus(phys, center)
+    return Field(q.grid, layout.unpack(_generator(vals, layout, q.grid, 0.75, center)),
                  sp.PHYSICAL)
 
 
@@ -803,8 +860,13 @@ def second_variation_scaling(q: Field, params: ModelParams,
 
     analytic: -3 (p-1)(3p-7) / (16 (p+1)) * int |q|^{p+1}, the closed
     form valid at critical points of the action.  numeric: central
-    second difference of lambda -> S(T_lambda q) with step 1e-2.  The
-    sign changes at p = 7/3.
+    second difference of lambda -> S(T_lambda q) about (0, 0) with step
+    1e-2, summed over T_lambda's quarter for an even q (`_scaled`).  The
+    sign changes at p = 7/3.  The step divides T_lambda's resampling error
+    by 1e-4, so dy must resolve the profile: on p = 3 ground states
+    extended to height 640 the relative error is 1.01 at dy = 0.156
+    (T_1.01 moves the mass by 6.7e-4), 2.9e-2 at dy = 0.039 and 1.5e-5 at
+    dy = 0.0195, with no warning.
     """
     if params.v != 0.0:
         raise ValueError("scaling second variation is defined for v = 0")
@@ -812,9 +874,8 @@ def second_variation_scaling(q: Field, params: ModelParams,
     analytic = -3.0 * (p - 1.0) * (3.0 * p - 7.0) / (16.0 * (p + 1.0)) \
         * fl.lp1_power(q, p)
     step = 1e-2
-    s_plus = fl.action(t_lambda(q, 1.0 + step, tail_tol=tail_tol), params)
-    s_mid = fl.action(q, params)
-    s_minus = fl.action(t_lambda(q, 1.0 - step, tail_tol=tail_tol), params)
+    s_plus, s_mid, s_minus = (fl._stored_action(*_scaled(q, lam, (0.0, 0.0), tail_tol), q.grid,
+                                                params) for lam in (1.0 + step, 1.0, 1.0 - step))
     numeric = (s_plus - 2.0 * s_mid + s_minus) / step ** 2
     scale = max(abs(analytic), abs(numeric), 1e-300)
     return SecondVariationScaling(analytic=analytic, numeric=numeric,
@@ -856,40 +917,45 @@ def r1_diagnostics(q1: Field, p: float, tail_tol: float = 1e-8) -> R1Diagnostics
     algebraic identity of the discrete calculus.  phi_max reports the
     sup of the three resolvent multipliers Phi1 = 1/(xi^2 + |eta| + 1),
     Phi2 = -xi^2 * Phi1, Phi3 = |eta| * Phi1, on the spectra R1 is
-    transformed to (the symbols are even, so a half spectrum has the same
-    sup).  A real Q1 runs in real arithmetic on half spectra (`sp._REAL`)
-    and gives a float64 R1.  The symbol and the defect are formed by row
-    blocks (`sp._ActionRows`), and each full-size temporary is freed after
-    use; no BLAS call is made.
+    transformed to (the symbols are even, so a half spectrum or a quarter
+    has the same sup).  A real Q1 runs in real arithmetic and gives a
+    float64 R1: an even one about (0, 0) on quarters (`sp._EVEN`), with R1
+    unpacked at the end, another about its mass centroid on half spectra
+    (`_apparatus`).  The symbol and the defect are formed by row blocks
+    (`sp._ActionRows`), and each temporary is freed after use; no BLAS.
     """
     phys = sp.to_physical(q1)
     g = q1.grid
     _check_tail(phys, tail_tol, "r1_diagnostics")
-    q, layout = sp._samples(phys.values)
-    r1 = _generator(q, layout, g, 1.0 / (p - 1.0), mass_centroid(phys))
+    q, layout, center = _apparatus(phys, None)
+    r1 = _generator(q, layout, g, 1.0 / (p - 1.0), center)
     aq = sp._ActionRows(g, 1.0, 0.0, layout)
     hat = layout.fwd(r1, g.shape)
     lin_applied = layout.inv(aq.apply(hat, out=hat), g.shape)
     del hat
-    defect_sq = 0.0
-    for r in _slices(*g.shape, _FUSE_ELEMS):
-        defect = lin_applied[r] - p * fl._density(q[r]) ** ((p - 1.0) / 2.0) * r1[r] + q[r]
-        defect_sq += sp._redot(defect, defect)
-    lin_res = math.sqrt(defect_sq * g.cell_area) / sp.l2_norm(phys)
 
+    def defect_sq(ix):
+        defect = lin_applied[ix] - p * fl._density(q[ix]) ** ((p - 1.0) / 2.0) * r1[ix] + q[ix]
+        return layout.dot(defect, defect)
+    total = sum(map(defect_sq, _slices(*q.shape, _FUSE_ELEMS)))
+    total = layout.weigh_rows(defect_sq, q.shape, total)
+    lin_res = math.sqrt(total * g.cell_area) / sp.l2_norm(phys)
+
+    def norm_sq(a):
+        return layout.weigh_rows(lambda ix: layout.dot(a[ix], a[ix]), a.shape)
     back = layout.fwd(lin_applied, g.shape)
     del lin_applied
     roundtrip = layout.inv(aq.apply(back, out=back, inverse=True), g.shape)
     del back
     roundtrip -= r1
-    rt_err = math.sqrt(sp._redot(roundtrip, roundtrip) / sp._redot(r1, r1))
+    rt_err = math.sqrt(norm_sq(roundtrip) / norm_sq(r1))
     del roundtrip
 
     phi_max = np.zeros(3)
     for r in _slices(*aq.shape, _FUSE_ELEMS):
         phi1 = 1.0 / aq(r, np.empty((r.stop - r.start, aq.shape[1])))
         phi_max = np.maximum(phi_max, [np.max(m * phi1) for m in (1.0, aq.xi2[r], aq.abs_eta)])
-    return R1Diagnostics(Field(g, r1, sp.PHYSICAL), lin_res, rt_err,
+    return R1Diagnostics(Field(g, layout.unpack(r1), sp.PHYSICAL), lin_res, rt_err,
                          tuple(float(m) for m in phi_max))
 
 

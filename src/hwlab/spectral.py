@@ -33,7 +33,7 @@ shape to choose either:
   lines (1, 2, ..., 2, 1) along both axes (`_mirror_sum`).
 
 Every transform in the package goes through `_fft2`, `_ifft2`, `_rfft2`,
-`_irfft2`, `_dct` or the 1-D `_fft` and `_ifft`, on which T_lambda's
+`_irfft2`, `_dct`, `_dst_dct` or the 1-D `_fft` and `_ifft`, on which T_lambda's
 chirp z-transform runs; all call `scipy.fft` (pocketfft), and no other
 module names `numpy.fft`, `scipy.fft` or `scipy.signal`.  A transform
 runs on `len(os.sched_getaffinity(0))` threads (the usable cores) when
@@ -118,6 +118,19 @@ def _dct(a: np.ndarray) -> np.ndarray:
     points = 4 * (a.shape[0] - 1) * (a.shape[1] - 1)
     out = scipy.fft.dctn(a, type=1, workers=_workers(points))
     out *= 1.0 / math.sqrt(points)
+    return out
+
+
+def _dst_dct(a: np.ndarray, axis: int) -> np.ndarray:
+    """Lines 1..n/2-1 along `axis` of the derivative along it of an even
+    real field, odd along `axis` (lines 0 and n/2 are zero), from the same
+    lines of its spectrum's quarter times the wavenumber: a DST-I along
+    `axis`, a DCT-I along the other, times -1/sqrt(nx*ny) (the points the
+    thread rule counts)."""
+    points = 4 * (a.shape[axis] + 1) * (a.shape[1 - axis] - 1)
+    out = scipy.fft.dstn(a, type=1, axes=axis, workers=_workers(points))
+    out = scipy.fft.dctn(out, type=1, axes=1 - axis, overwrite_x=True, workers=_workers(points))
+    out *= -1.0 / math.sqrt(points)
     return out
 
 
@@ -253,8 +266,8 @@ def _samples(vals: np.ndarray) -> tuple[np.ndarray, _Layout]:
 
 
 def _even(u: np.ndarray) -> bool:
-    """||u - u(-x, .)|| and ||u - u(., -y)|| each at most 1e-12 ||u||, for
-    real u, summed by row blocks."""
+    """||u - u(-x, .)|| and ||u - u(., -y)|| each at most 1e-12 ||u||,
+    summed by row blocks."""
     rows, cols = (-np.arange(n) % n for n in u.shape)
     dx_sq = dy_sq = 0.0
     for r in _slices(*u.shape, _FUSE_ELEMS):
@@ -545,12 +558,18 @@ def l2_norm(f: Field) -> float:
     return math.sqrt(l2_norm_sq(f))
 
 
+def _stored(vals: np.ndarray) -> _Layout:
+    """The layout of a full physical array as it is: float64 `_REAL`, else `_FULL`."""
+    return _FULL if np.iscomplexobj(vals) else _REAL
+
+
 def _spectrum(f: Field) -> tuple[np.ndarray, _Layout]:
     """The spectrum the quadratic forms sum over and its layout: the half
     spectrum of a real physical field (`_REAL`), the full one otherwise."""
-    if f.rep == PHYSICAL and not np.iscomplexobj(f.values):
-        return _REAL.fwd(f.values, f.grid.shape), _REAL
-    return to_spectral(f).values, _FULL
+    if f.rep == SPECTRAL:
+        return f.values, _FULL
+    layout = _stored(f.values)
+    return layout.fwd(f.values, f.grid.shape), layout
 
 
 def _mirror_sum(total: float, shape: tuple[int, int], axes: tuple[int, ...],
@@ -581,15 +600,17 @@ def _forms(hat: np.ndarray, layout: _Layout, grid: Grid,
     blocks that form |fhat|^2 once for every multiplier.  On a half
     spectrum a multiplier counts by its even part (m(k) + m(-k))/2, with
     the column weights (1, 2, ..., 2, 1): an odd part, such as the
-    transport row, sums to zero over a real field."""
+    transport row, sums to zero over a real field; on a quarter, by its
+    part even in kx and in ky, with those weights along both axes."""
     shape = layout.spectra_shape(grid)
     mults = []
     for multiplier in multipliers:
         mult = np.atleast_2d(np.asarray(multiplier, dtype=np.float64))
-        if layout.spectra:
-            # m(-k): reversed, then rolled so that index 0 stays in place
-            mult = 0.5 * (mult + np.roll(mult[::-1, ::-1], 1, axis=(0, 1)))
-            mult = mult[:, :shape[1]] if mult.shape[1] > 1 else mult
+        # m(-k), then on a quarter m(-kx, ky): reversed, then rolled so that
+        # index 0 stays in place
+        for axes in ((0, 1), (0,))[:len(layout.spectra)]:
+            mult = 0.5 * (mult + np.roll(np.flip(mult, axes), 1, axis=axes))
+        mult = mult[tuple(slice(n) if m > 1 else slice(None) for n, m in zip(shape, mult.shape))]
         mults.append(np.broadcast_to(mult, shape))
     totals = [0.0] * len(mults)
     for r in _slices(*hat.shape, _FUSE_ELEMS):

@@ -16,13 +16,14 @@ settings.register_profile("hwlab", derandomize=True, max_examples=40,
                           deadline=None, database=None)
 settings.load_profile("hwlab")
 
-TRANSFORMS = ("fft2", "ifft2", "rfft2", "irfft2", "dctn")
+TRANSFORMS = ("fft2", "ifft2", "rfft2", "irfft2", "dctn", "dstn")
 
 
 @pytest.fixture
 def transform_count(monkeypatch):
     """Counter of the 2-D scipy.fft transforms called while the test runs
-    (`dctn` is the DCT-I pair of an even field's quarter).
+    (`dctn` is the DCT-I pair of an even field's quarter, `dstn` the DST-I
+    of its derivatives).
 
     hwlab.spectral looks the scipy.fft functions up at call time, so
     wrapping the module attributes sees every transform hwlab makes.

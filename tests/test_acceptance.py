@@ -3,10 +3,11 @@ tolerance.  Run with -v for one pass/fail line per criterion; each test
 also prints the measured values.
 
 The final test polishes a ground state on a 320 x 196608 grid and needs
-about four gigabytes and a few minutes; it is deliberately last.
+about 1.4 GB and half a minute on 2 cores; it is deliberately last.
 """
 
 import math
+import resource
 
 import numpy as np
 import pytest
@@ -274,10 +275,14 @@ def test_criterion_08_linearized_profile_formulas():
                              ModelParams(p=3.0), tol=1e-7)
     wide = sol.extend_ground_state(small, sp.make_grid(320, 196608, 30.0, 2048.0))
     diag = sol.r1_diagnostics(wide.q, p=3.0)
+    # the process's peak RSS, set by R1: 2.5 GB on full arrays, 1.4 GB here
+    # on the quarters of the even profile (320x196608 float64 is 503 MB)
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     bound = max(1.0 / wide.params.omega, 1.0) + 1e-12
     print(f"criterion 08: linearized residual {diag.linearized_residual:.3e} "
           f"(tol 1e-4), multiplier roundtrip {diag.multiplier_roundtrip_error:.3e} "
-          f"(tol 1e-8), phi max {diag.phi_max}")
+          f"(tol 1e-8), phi max {diag.phi_max}, peak RSS {peak_mb:.0f} MB")
     assert diag.linearized_residual <= 1e-4
     assert diag.multiplier_roundtrip_error <= 1e-8
     assert max(diag.phi_max) <= bound
+    assert peak_mb <= 1800.0

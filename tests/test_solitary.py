@@ -505,24 +505,69 @@ def _eval_matrix(n, length, origin, targets):
 
 
 def test_t_lambda_matches_dense_resampling():
-    # white-box oracle: dense trigonometric evaluation matrices
+    # white-box oracle: dense trigonometric evaluation matrices; a complex
+    # field about an off-grid centre, and a real field even in x and in y
+    # about (0, 0), which T_lambda resamples on its quarter
     g = sp.make_grid(32, 48, 12.0, 18.0)
     rng = np.random.default_rng(11)
     vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     env = np.exp(-(g.x[:, None] ** 2) - (g.y[None, :] ** 2) / 4.0)
-    u = sp.physical_field(g, vals * env)
-    lam, cx, cy = 1.3, 0.4, -0.7
-    hat = np.fft.fft2(u.values, norm="ortho")
-    sx = cx + math.sqrt(lam) * (g.x - cx)
-    sy = cy + lam * (g.y - cy)
-    ex = _eval_matrix(g.nx, g.lx, g.x[0], sx)
-    ey = _eval_matrix(g.ny, g.ly, g.y[0], sy)
-    dense = lam ** 0.75 * (ex @ hat @ ey.T)
-    # sources that wrap into the bulk are zeroed, not read periodically
-    dense[sol._wrap_corrupt(g.x, cx, math.sqrt(lam), g.lx), :] = 0.0
-    dense[:, sol._wrap_corrupt(g.y, cy, lam, g.ly)] = 0.0
-    fast = sol.t_lambda(u, lam, center=(cx, cy), tail_tol=np.inf)
-    assert np.max(np.abs(fast.values - dense)) <= 1e-10 * np.max(np.abs(dense))
+    even = sp._EVEN.unpack(sp._EVEN.pack(rng.standard_normal(g.shape))) * env
+    assert _is_even(even)
+    for u_vals, lam, cx, cy in ((vals * env, 1.3, 0.4, -0.7), (even, 1.3, 0.0, 0.0),
+                                (even, 0.9, 0.0, 0.0)):
+        u = sp.physical_field(g, u_vals)
+        hat = np.fft.fft2(u.values, norm="ortho")
+        sx = cx + math.sqrt(lam) * (g.x - cx)
+        sy = cy + lam * (g.y - cy)
+        ex = _eval_matrix(g.nx, g.lx, g.x[0], sx)
+        ey = _eval_matrix(g.ny, g.ly, g.y[0], sy)
+        dense = lam ** 0.75 * (ex @ hat @ ey.T)
+        # sources that wrap into the bulk are zeroed, not read periodically
+        dense[sol._wrap_corrupt(g.x, cx, math.sqrt(lam), g.lx), :] = 0.0
+        dense[:, sol._wrap_corrupt(g.y, cy, lam, g.ly)] = 0.0
+        fast = sol.t_lambda(u, lam, center=(cx, cy), tail_tol=np.inf)
+        assert np.max(np.abs(fast.values - dense)) <= 1e-10 * np.max(np.abs(dense))
+        assert fast.values.dtype == u.values.dtype
+
+
+def test_t_lambda_of_even_profile_is_exactly_even(p3_state):
+    # about (0, 0), T_lambda of an even profile is resampled on its quarter
+    # and mirrored, so it is even bit for bit (on the full array it was off
+    # by 5.9e-12 in x and 4.3e-12 in y, and sp._even rejected it), and the
+    # second variation sums its action over that quarter; the profile moved
+    # by one cell, or a centre off (0, 0), keeps the full array
+    q, par = p3_state.q, ModelParams(p=3.0)
+    scaled = sol.t_lambda(q, 1.05, tail_tol=1e-3)
+    assert _is_even(scaled.values) and sp._even(scaled.values)
+    quarter, layout = sol._scaled(q, 1.05, (0.0, 0.0), 1e-3)
+    assert layout is sp._EVEN and np.array_equal(sp._EVEN.unpack(quarter), scaled.values)
+    assert fl._stored_action(quarter, layout, q.grid, par) == pytest.approx(
+        fl.action(scaled, par), rel=1e-13)
+    shifted = sp.physical_field(q.grid, np.roll(q.values, 1, axis=0))
+    for u, center in ((shifted, (0.0, 0.0)), (q, (0.3, 0.0)), (q, (0.0, -0.2))):
+        assert not _is_even(sol.t_lambda(u, 1.05, center=center, tail_tol=1e-3).values)
+
+
+def test_even_generator_on_quarters(p3_state, transform_count):
+    # the generator of an even q about (0, 0) on its quarter, each derivative
+    # a DST-I along its axis and a DCT-I along the other, against the half
+    # spectra; one quarter psi_omega and one quarter r1_diagnostics make one
+    # DCT-I forward, two mixed pairs and, for R1, two DCT-I pairs more
+    q = p3_state.q
+    g = q.grid
+    quarter = sp._EVEN.unpack(
+        sol._generator(sp._EVEN.pack(q.values), sp._EVEN, g, 0.75, (0.0, 0.0)))
+    half = sol._generator(q.values, sp._REAL, g, 0.75, (0.0, 0.0))
+    assert np.max(np.abs(quarter - half)) <= 1e-12 * np.max(np.abs(half))
+    transform_count.clear()
+    psi = sol.psi_omega(q, tail_tol=1e-3)
+    assert transform_count == {"dctn": 3, "dstn": 2}
+    assert np.array_equal(psi.values, quarter)
+    transform_count.clear()
+    diag = sol.r1_diagnostics(q, 3.0, tail_tol=1e-3)
+    assert transform_count == {"dctn": 7, "dstn": 2}
+    assert _is_even(diag.r1.values)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -581,30 +626,44 @@ def test_psi_omega_real_and_complex_paths_agree(grid, theta, cx, cy, seed):
     assert np.max(np.abs(psi_rot - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("fn", ["t_lambda", "psi_omega", "r1_diagnostics",
-                                "extend_ground_state"])
-def test_scaling_apparatus_peak_memory(fn):
+@pytest.mark.parametrize("fn, even, bound", [
+    pytest.param(fn, even, bound, id=fn + ("-even" if even and fn != "extend_ground_state" else ""))
+    for fn, even, bound in [
+        ("t_lambda", False, 6.5), ("t_lambda", True, 1.85),
+        ("psi_omega", False, 2.5), ("psi_omega", True, 0.85),
+        ("r1_diagnostics", False, 1.9), ("r1_diagnostics", True, 0.85),
+        ("second_variation_scaling", False, 3.4), ("second_variation_scaling", True, 1.85),
+        ("extend_ground_state", True, 3.08)]])
+def test_scaling_apparatus_peak_memory(fn, even, bound):
     # tracemalloc sees numpy's arrays but not pocketfft's internal buffers.
     # Peaks in units of the complex128 size of the output's grid, whatever
     # the output dtype.  On a real 64x8192 field the full-spectrum pipelines
     # took 8.1 (t_lambda) and 4.0 (psi_omega); packed line pairs and half
     # spectra took 5.1 and 1.5, with a complex128 output 4.1 and 1.5, and
-    # take 3.6 and 1.5 with a float64 one (t_lambda's chirp-z blocks are
+    # take 3.1 and 1.5 with a float64 one (t_lambda's chirp-z blocks are
     # about half a field here, a sixteenth at 128x32768).  r1_diagnostics
-    # took 2.25 with a full-size symbol and defect, and takes 1.59 by row
-    # blocks.  The extension from 64x256 to 64x2048 took 3.17 with a
-    # full-size symbol, 2.99 with it formed by row blocks, and takes 0.99
-    # on the quarters of the even profile.
+    # took 2.25 with a full-size symbol and defect, and takes 1.5 by row
+    # blocks; second_variation_scaling takes 3.1.  A Gaussian even about
+    # (0, 0) runs on quarters: 1.69 (t_lambda, second_variation_scaling)
+    # and 0.77 (psi_omega, r1_diagnostics); one moved by a cell in x keeps
+    # the half spectra.  The extension from 64x256 to 64x2048 took 3.17
+    # with a full-size symbol, 2.99 with it formed by row blocks, and takes
+    # 0.99 on the quarters of the even profile.
     if fn == "extend_ground_state":
         base = sol.solve_nehari(sp.make_grid(64, 256, 20.0, 40.0), ModelParams(p=2.0), tol=1e-8)
         g = sp.make_grid(64, 2048, 20.0, 320.0)
         call = lambda: sol.extend_ground_state(base, g, tol=5e-7).q  # noqa: E731
     else:
         g = sp.make_grid(64, 8192, 20.0, 160.0)
-        q = sp.physical_field(g, np.exp(-(g.x[:, None] ** 2) - (g.y[None, :] / 4.0) ** 2))
+        shift = 0.0 if even else g.dx
+        q = sp.physical_field(
+            g, np.exp(-((g.x[:, None] - shift) ** 2) - (g.y[None, :] / 4.0) ** 2))
+        assert sp._even(q.values) == even
         call = {"t_lambda": lambda: sol.t_lambda(q, 1.01, tail_tol=np.inf),
                 "psi_omega": lambda: sol.psi_omega(q, tail_tol=np.inf),
-                "r1_diagnostics": lambda: sol.r1_diagnostics(q, 3.0, tail_tol=np.inf).r1}[fn]
+                "r1_diagnostics": lambda: sol.r1_diagnostics(q, 3.0, tail_tol=np.inf).r1,
+                "second_variation_scaling": lambda: sol.second_variation_scaling(
+                    q, ModelParams(p=3.0), tail_tol=np.inf)}[fn]
     tracemalloc.start()
     try:
         base_mem = tracemalloc.get_traced_memory()[0]
@@ -612,9 +671,8 @@ def test_scaling_apparatus_peak_memory(fn):
         peak = tracemalloc.get_traced_memory()[1] - base_mem
     finally:
         tracemalloc.stop()
-    assert out.values.dtype == np.float64
-    bound = {"t_lambda": 6.5, "psi_omega": 2.5, "r1_diagnostics": 1.9,
-             "extend_ground_state": 3.08}[fn]
+    if isinstance(out, sp.Field):
+        assert out.values.dtype == np.float64
     assert peak <= bound * g.nx * g.ny * 16
 
 

@@ -251,7 +251,7 @@ def test_transforms_bit_identical_across_worker_counts():
 def test_two_dimensional_transforms_only_in_spectral():
     # every transform, 1-D or 2-D, and every transform library is named in
     # spectral only, so its thread rule, normalization and tracer see them all
-    transform = re.compile(r"^(i?r?fft[2n]?|i?dctn|i?fftshift|CZT)$")
+    transform = re.compile(r"^(i?r?fft[2n]?|i?d[cs]tn?|i?fftshift|CZT)$")
     libraries = {"numpy.fft", "scipy.fft", "scipy.signal"}
     package = pathlib.Path(sp.__file__).parent
     offenders = []
