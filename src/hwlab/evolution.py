@@ -3,13 +3,16 @@
 The linear group S(t) = exp(it(dxx - |D_y|)) is exact in Fourier space,
 so Strang splitting alternates exact sub-flows: a half-step phase
 rotation u -> u exp(i tau |u|^(p-1)), the full linear multiplier, and
-the second half rotation.  The rotation keeps |u|, so the closing half
-rotation of one step and the opening one of the next merge exactly into
-one full rotation: k steps in a row take k + 1 rotations and k FFT
-pairs, dealiased or not (the mask is folded into the propagator).  The
-scheme conserves mass to round-off and is time reversible.  The
-integral (Duhamel) formulation is iterated to a fixed point as an
-independent oracle for short times.
+the second half rotation.  The rotation takes its cos and sin from one
+half-angle tangent (`_rotate`): numpy's float64 cos and sin are scalar
+loops, and one call is cheaper than two even where tan is scalar too.
+The rotation keeps |u|, so the closing half rotation of one step and
+the opening one of the next merge exactly into one full rotation: k
+steps in a row take k + 1 rotations and k FFT pairs, dealiased or not
+(the mask is folded into the propagator).  The scheme conserves mass
+to round-off and is time reversible.  The integral (Duhamel)
+formulation is iterated to a fixed point as an independent oracle for
+short times.
 """
 
 from __future__ import annotations
@@ -47,11 +50,26 @@ def linear_propagate(u: Field, t: float) -> Field:
 
 
 def _rotate(vals: np.ndarray, tau: float, p: float) -> np.ndarray:
-    """vals * exp(i tau |vals|^(p-1)), a pointwise rotation that keeps |vals|."""
-    angle = tau * sp._density(vals) ** (0.5 * (p - 1.0))
+    """vals * exp(i tau |vals|^(p-1)), a pointwise rotation that keeps |vals|.
+
+    With theta = tau |vals|^(p-1), t = tan(theta/2) and r = 2 / (1 + t^2),
+    cos theta = r - 1 and sin theta = t r: one transcendental call where
+    cos and sin take two (numpy 2.4's float64 cos and sin are scalar libm
+    loops, its tan a SIMD one), on two float arrays built in place.  No
+    double lies near enough to an odd multiple of pi for t^2 to overflow,
+    so every finite angle gives a finite rotation without a warning; rot
+    differs from the cos/sin rotation by about 5e-16 |vals|.
+    """
+    t = sp._density(vals)
+    t **= 0.5 * (p - 1.0)
+    t *= 0.5 * tau
+    np.tan(t, out=t)
+    r = t * t
+    r += 1.0
+    np.divide(2.0, r, out=r)
     rot = np.empty_like(vals)
-    np.cos(angle, out=rot.real)
-    np.sin(angle, out=rot.imag)
+    np.subtract(r, 1.0, out=rot.real)
+    np.multiply(t, r, out=rot.imag)
     rot *= vals
     return rot
 

@@ -703,19 +703,24 @@ def _resample_lines(src: np.ndarray, dst: np.ndarray, length: float, origin: flo
         np.multiply(res.imag, scale, out=dst[pair])
 
 
-def _scaled(u: Field, lam: float, center: tuple[float, float],
-            tail_tol: float) -> tuple[np.ndarray, sp._Layout]:
-    """T_lambda u (see `t_lambda`) and the layout it is stored in: for a real
-    u even about (0, 0) the quarter of an exactly even field (`sp._EVEN`),
-    else the full array of u's dtype."""
+def _quarter(phys: Field, center: tuple[float, float]) -> bool:
+    """Whether T_lambda about `center` runs on quarters: a real field even
+    about (0, 0) (`sp._even`)."""
+    vals = phys.values
+    return tuple(center) == (0.0, 0.0) and sp._is_real(vals) and sp._even(vals.real)
+
+
+def _scaled(phys: Field, lam: float, center: tuple[float, float], tail_tol: float,
+            quarter: bool) -> tuple[np.ndarray, sp._Layout]:
+    """T_lambda of the physical field `phys` (see `t_lambda`) and the layout
+    it is stored in: with `quarter` (`_quarter`) the quarter of an exactly
+    even field (`sp._EVEN`), else the full array of phys's dtype."""
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lambda must be positive and finite, got {lam}")
     if not all(map(math.isfinite, center)):
         raise ValueError(f"center must be finite, got {center}")
-    g = u.grid
-    phys = sp.to_physical(u)
+    g = phys.grid
     u_vals = phys.values
-    quarter = tuple(center) == (0.0, 0.0) and sp._is_real(u_vals) and sp._even(u_vals.real)
     layout = sp._EVEN if quarter else sp._stored(u_vals)
     if lam == 1.0:
         return layout.pack(u_vals), layout
@@ -780,7 +785,8 @@ def t_lambda(u: Field, lam: float, center: tuple[float, float] = (0.0, 0.0),
     columns 0..n/2, half the work, and the result is mirrored from its
     quarter, exactly even.
     """
-    vals, layout = _scaled(u, lam, center, tail_tol)
+    phys = sp.to_physical(u)
+    vals, layout = _scaled(phys, lam, center, tail_tol, _quarter(phys, center))
     return Field(u.grid, layout.unpack(vals), sp.PHYSICAL)
 
 
@@ -874,8 +880,11 @@ def second_variation_scaling(q: Field, params: ModelParams,
     analytic = -3.0 * (p - 1.0) * (3.0 * p - 7.0) / (16.0 * (p + 1.0)) \
         * fl.lp1_power(q, p)
     step = 1e-2
-    s_plus, s_mid, s_minus = (fl._stored_action(*_scaled(q, lam, (0.0, 0.0), tail_tol), q.grid,
-                                                params) for lam in (1.0 + step, 1.0, 1.0 - step))
+    phys = sp.to_physical(q)
+    quarter = _quarter(phys, (0.0, 0.0))
+    s_plus, s_mid, s_minus = (
+        fl._stored_action(*_scaled(phys, lam, (0.0, 0.0), tail_tol, quarter), q.grid, params)
+        for lam in (1.0 + step, 1.0, 1.0 - step))
     numeric = (s_plus - 2.0 * s_mid + s_minus) / step ** 2
     scale = max(abs(analytic), abs(numeric), 1e-300)
     return SecondVariationScaling(analytic=analytic, numeric=numeric,

@@ -38,11 +38,15 @@ chirp z-transform runs; all call `scipy.fft` (pocketfft), and no other
 module names `numpy.fft`, `scipy.fft` or `scipy.signal`.  A transform
 runs on `len(os.sched_getaffinity(0))` threads (the usable cores) when
 its real-space array, for a quarter the full grid it stands for, has at
-least 2**22 points and on one thread otherwise, where thread start-up
-eats the gain.  On a 2-core Xeon, an r2c pair with 1 -> 2 threads
-takes 0.20 -> 0.21 ms at 128x128, 31 -> 30 ms at 128x8192 and
-132 -> 89 ms at 128x32768.  pocketfft hands whole 1-D lines to the
-threads, so the output is bit-identical for any thread count.
+least 2**20 points and on one thread otherwise, where thread start-up
+eats the gain.  On a shared 2-core Xeon, 1 -> 2 threads take the p = 3
+solve on 128x8192 (2**20 points) from 1.03 to 0.78 s (medians of 5, in
+the tall benchmark body), the DCT-I of a 65x4097 quarter from 6.9 to
+3.6 ms and an r2c pair at 128x32768 from 114 to 82 ms (minima of 15),
+while the 256x1024 solves of a velocity sweep (2**18 points) gain
+nothing (the sweep body takes 3.15 s on one thread, 3.19 s on two,
+medians of 4).  pocketfft hands whole 1-D lines to the threads, so the
+output is bit-identical for any thread count.
 
 Every full-array inner product in the package is `_redot`, an einsum on
 float views.  BLAS is kept out of it: OpenBLAS workers left spinning
@@ -61,7 +65,7 @@ import numpy as np
 import scipy.fft
 
 _MIN_MODES = 8
-_THREADED_POINTS = 1 << 22
+_THREADED_POINTS = 1 << 20
 _FUSE_ELEMS = 1 << 14  # entries per cache-sized row block of a fused pass or a sum
 
 

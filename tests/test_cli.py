@@ -332,6 +332,24 @@ def test_cli_experiment_reports_carry_steps(tmp_path, capsys):
         assert (r["steps"] < 200) == (r["abort_reason"] is not None)
 
 
+def test_cli_stability_outputs_independent_of_fft_threads(tmp_path, capsys, monkeypatch):
+    # pocketfft hands whole lines to its threads, so a run with every
+    # transform on every usable core writes the same bytes as one with every
+    # transform on one thread (32x32 is far below the threading threshold)
+    out = tmp_path / "stab"
+    argv = ["stability", *TINY, "--out", str(out), "--evolution.T", "0.5",
+            "--evolution.dt", "1e-2", "--evolution.sample_stride", "5"]
+    runs = []
+    for threaded in (False, True):
+        if threaded:
+            monkeypatch.setattr(sp, "_THREADED_POINTS", 1)
+            assert sp._workers(32 * 32) == len(os.sched_getaffinity(0))
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        runs.append([(out / name).read_bytes() for name in ("stability.csv", "report.json")])
+    assert runs[0] == runs[1]
+
+
 def test_cli_config_file_and_flag_override(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(

@@ -1,6 +1,7 @@
 """Tests for split-step evolution, Picard oracle, and decay probes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,45 @@ def test_strang_step_constant_field_oracle(focusing, sign):
     out = ev.strang_step(u, 1e-2, 3.0, focusing=focusing)
     expect = c * np.exp(1j * sign * 1e-2 * abs(c) ** 2)
     assert np.max(np.abs(out.values - expect)) <= 1e-14
+
+
+@given(shape=st.tuples(st.integers(1, 24), st.integers(1, 24)), p=st.floats(1.05, 5.0),
+       angle=st.floats(-math.pi, math.pi), real=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rotate_matches_exponential_and_keeps_modulus(shape, p, angle, real, seed):
+    # cos and sin from tan(theta/2); the largest angle in the array is `angle`
+    rng = np.random.default_rng(seed)
+    vals = 3.0 * rng.uniform(size=shape) * np.exp(2j * math.pi * rng.uniform(size=shape))
+    if real:
+        vals = vals.real + 0j
+    vals[0, 0] = 0.0
+    amp = np.abs(vals)
+    tau = angle / max(float(np.max(amp ** (p - 1.0))), 1e-300)
+    rot = ev._rotate(vals, tau, p)
+    assert rot.dtype == np.complex128
+    assert np.all(np.abs(rot - vals * np.exp(1j * tau * amp ** (p - 1.0))) <= 4e-15 * amp)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(np.abs(rot) - amp) <= 4.0 * eps * amp)
+    # the way back reads |rot|, an ulp off |vals|, so its angle is off by an
+    # ulp of theta: within 1e-15 at Strang-step angles, here up to 0.1
+    small = 0.1 * tau / math.pi
+    back = ev._rotate(ev._rotate(vals, small, p), -small, p)
+    assert np.all(np.abs(back - vals) <= 1e-15 * amp)
+
+
+def test_rotate_zero_field_and_large_angles():
+    zero = np.zeros((4, 6), np.complex128)
+    assert np.array_equal(ev._rotate(zero, 1.0, 3.0), zero)
+    # angles up to 1e6; at theta = pi (as a double) tan(theta/2) is 1.6e16
+    vals = np.linspace(0.0, 1e3, 20001).reshape(1, -1) * np.exp(0.3j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rot = ev._rotate(vals, 1.0, 3.0)
+        half_turn = ev._rotate(np.ones((1, 1), np.complex128), math.pi, 2.0)
+    assert np.all(np.isfinite(rot))
+    assert abs(half_turn[0, 0] - np.exp(1j * math.pi)) <= 4e-16
+    amp = np.abs(vals)
+    assert np.all(np.abs(np.abs(rot) - amp) <= 4.0 * np.finfo(float).eps * amp)
 
 
 def test_strang_step_reversible_and_mass_preserving():

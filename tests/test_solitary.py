@@ -540,7 +540,7 @@ def test_t_lambda_of_even_profile_is_exactly_even(p3_state):
     q, par = p3_state.q, ModelParams(p=3.0)
     scaled = sol.t_lambda(q, 1.05, tail_tol=1e-3)
     assert _is_even(scaled.values) and sp._even(scaled.values)
-    quarter, layout = sol._scaled(q, 1.05, (0.0, 0.0), 1e-3)
+    quarter, layout = sol._scaled(q, 1.05, (0.0, 0.0), 1e-3, sol._quarter(q, (0.0, 0.0)))
     assert layout is sp._EVEN and np.array_equal(sp._EVEN.unpack(quarter), scaled.values)
     assert fl._stored_action(quarter, layout, q.grid, par) == pytest.approx(
         fl.action(scaled, par), rel=1e-13)
@@ -776,9 +776,13 @@ def test_scaling_pairing_sign_flip(p3_state):
         sol.scaling_pairing(p3_state.q, ModelParams(p=3.0, v=0.5))
 
 
-def test_second_variation_scaling(p3_state):
+def test_second_variation_scaling(p3_state, monkeypatch):
+    # the evenness of q is decided once for the three scaled actions
+    calls = []
+    monkeypatch.setattr(sp, "_even", lambda u, _even=sp._even: calls.append(1) or _even(u))
     sv = sol.second_variation_scaling(p3_state.q, ModelParams(p=3.0),
                                       tail_tol=1e-3)
+    assert len(calls) == 1
     p = 3.0
     expect = -3.0 * (p - 1.0) * (3.0 * p - 7.0) / (16.0 * (p + 1.0)) \
         * fl.lp1_power(p3_state.q, p)

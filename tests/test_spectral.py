@@ -223,8 +223,8 @@ def test_r_symmetric_fields_take_the_real_pair_in_reverse(nx, ny, seed):
 
 
 def test_transforms_bit_identical_across_worker_counts():
-    # 2**22 points: the helpers use every usable core here
-    shape = (128, 32768)
+    # 2**20 points: the helpers use every usable core here
+    shape = (128, 8192)
     assert sp._workers(shape[0] * shape[1]) == len(os.sched_getaffinity(0))
     assert sp._workers(shape[0] * shape[1] - 1) == 1
     rng = np.random.default_rng(0)
