@@ -34,8 +34,8 @@ class ModelParams:
     def __post_init__(self):
         if not (1.0 < self.p < 5.0):
             raise ValueError(f"p must lie in (1, 5), got {self.p}")
-        if not self.omega > 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
         if not abs(self.v) < 1.0:
             raise ValueError(f"|v| must be < 1, got {self.v}")
 
@@ -72,8 +72,10 @@ def _lp1_sum(u: np.ndarray, p: float, total=np.sum) -> float:
 
 
 def lp1_power(u: Field, p: float) -> float:
-    """int |u|^{p+1}, via (|u|^2)^{(p+1)/2} in physical space, by row blocks."""
-    return _lp1_sum(sp.to_physical(u).values, p) * u.grid.cell_area
+    """int |u|^{p+1}, via (|u|^2)^{(p+1)/2}, by row blocks of the stored array."""
+    f = sp.to_physical(u)
+    return f.layout.weigh_rows(lambda ix: _lp1_sum(f.stored[ix], p, f.layout.total),
+                               f.stored.shape) * u.grid.cell_area
 
 
 def lp1_norm(u: Field, p: float) -> float:
@@ -120,17 +122,6 @@ def hamiltonian(u: Field, p: float) -> float:
 def action(u: Field, params: ModelParams) -> float:
     """S_{omega,v}(u) = 1/2 quadratic form - 1/(p+1) int |u|^{p+1}."""
     return 0.5 * quadratic_action_form(u, params) - lp1_power(u, params.p) / (params.p + 1.0)
-
-
-def _stored_action(vals: np.ndarray, layout: sp._Layout, grid: Grid,
-                   params: ModelParams) -> float:
-    """`action` of the field whose physical values are stored as `layout`
-    says (`spectral._Layout`), from one transform of them; on an even
-    field's quarter, with the line weights along both axes."""
-    dx_sq, row = sp._forms(layout.fwd(vals, grid.shape), layout, grid, grid.xi[:, None] ** 2,
-                           _action_row(grid, params))
-    lp1 = layout.weigh_rows(lambda ix: _lp1_sum(vals[ix], params.p, layout.total), vals.shape)
-    return 0.5 * (dx_sq + row) - lp1 * grid.cell_area / (params.p + 1.0)
 
 
 def nehari(u: Field, params: ModelParams) -> float:
@@ -216,8 +207,9 @@ class FunctionalReport:
 
 
 def functional_report(u: Field, params: ModelParams) -> FunctionalReport:
-    """Every functional of u from one transform, the half spectrum of a real
-    field, and one density pass over it; equal to the separate functions."""
+    """Every functional of u from one transform of its stored array (the
+    half spectrum of a `_REAL` field, the quarter of an `_EVEN` one) and
+    one density pass over it; equal to the separate functions."""
     p = params.p
     hat, layout = sp._spectrum(u)
     dx_sq, dy_sq, row = _dx_dy_forms(hat, layout, u.grid, _action_row(u.grid, params))

@@ -149,7 +149,8 @@ def nehari_project(u: Field, params: ModelParams) -> Field:
     """
     t, _, _ = _nehari_scale(fl.quadratic_action_form(u, params),
                             fl.lp1_power(u, params.p), params.p)
-    return Field(u.grid, t * sp.to_physical(u).values, sp.PHYSICAL)
+    phys = sp.to_physical(u)
+    return Field._of(u.grid, t * phys.stored, phys.layout)
 
 
 def _advance(u: np.ndarray, d: np.ndarray, alpha: float, t: float) -> None:
@@ -507,8 +508,8 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
     and rebuilds the R-symmetric profile by the mirror
     q[i, ny - j] = conj q[-i, j].  Other
     starts run on full complex spectra, with the v = 0 result rotated onto
-    the real axis.  A v = 0 profile is float64, a traveling one complex128.
-    `history`: one IterationRecord per iteration.
+    the real axis.  A v = 0 profile is float64, a traveling one complex128,
+    stored as it was found.  `history`: one IterationRecord per iteration.
     """
     if init is None:
         init = default_initial_guess(grid, params, kind=init_kind, seed=seed)
@@ -517,14 +518,13 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
     if sp.l2_norm_sq(init) == 0.0:
         raise CollapseError("initial guess is identically zero")
 
-    u0 = sp.to_physical(init).values
+    u0 = sp.to_physical(init)._full()
     layout = sp._layout_of(u0, params.v)
     u = layout.pack(u0)
     # freed before the descent, a default start leaves its memory to the profile
     del init, u0
     u, stats, u_norm, _ = _descent(u, sp.action_quadratic(params.omega, params.v),
                                    params.p, grid, tol, max_iter, floor_rule=False, layout=layout)
-    u = layout.unpack(u)
     if params.v == 0.0:
         if layout is sp._FULL:
             # Phase freedom: rotate to the real axis and reproject.
@@ -536,10 +536,10 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
             stats.update(action_value=fl.action(q, params),
                          nehari_residual=abs(fl.nehari(q, params)),
                          gradient_residual=sp.l2_norm(fl.action_gradient(q, params)))
-            u, u_norm = q.values, sp.l2_norm(q)
-        if float(np.sum(u.real)) < 0.0:
+            u, layout, u_norm = q.stored, q.layout, sp.l2_norm(q)
+        if layout.weigh_rows(lambda ix: layout.total(u[ix]), u.shape) < 0.0:
             u = -u  # keep the nonnegative sign
-    return _solution(params, Field(grid, u, sp.PHYSICAL), stats, u_norm, tol)
+    return _solution(params, Field._of(grid, u, layout), stats, u_norm, tol)
 
 
 def extend_ground_state(sol: SolitarySolution, grid: Grid,
@@ -557,11 +557,10 @@ def extend_ground_state(sol: SolitarySolution, grid: Grid,
     128x32768 at p = 3, the last along P g), at two transforms per
     iteration.  Near the action floor,
     where the Armijo test drowns in rounding noise, a full step is
-    accepted if it still cuts the gradient.  An even source
-    (`sp._layout_of`) is padded symmetrically, half of its edge column
-    y = -ly/2 at each end, so the start is exactly even, and runs on
-    quarters (`sp._EVEN`);
-    another runs on half spectra.
+    accepted if it still cuts the gradient.  An even source (`_quartered`)
+    has its quarter padded symmetrically, half of its edge column y = -ly/2
+    at each end, so the start is exactly even, and runs on quarters
+    (`sp._EVEN`); another runs on half spectra.
 
     The target grid must match nx and lx, keep the same dy, and differ
     from the source by an even number of y rows.
@@ -578,19 +577,19 @@ def extend_ground_state(sol: SolitarySolution, grid: Grid,
         raise ValueError("target ny must exceed the source by an even count")
 
     offset = (grid.ny - g0.ny) // 2
-    q0 = sp.to_physical(sol.q).values.real
-    layout = sp._layout_of(q0, 0.0)
+    q = _quartered(sp.to_physical(sol.q), (0.0, 0.0))
+    layout = q.layout if q.layout is sp._EVEN else sp._REAL
     if layout is sp._EVEN:
         u = np.zeros((grid.nx // 2 + 1, grid.ny // 2 + 1))
-        u[:, offset:] = sp._EVEN.pack(q0)
+        u[:, offset:] = q.stored
         if offset:
             u[:, offset] *= 0.5  # the other half goes to the mirror column
     else:
         u = np.zeros(grid.shape)
-        u[:, offset:offset + g0.ny] = q0
+        u[:, offset:offset + g0.ny] = q.values.real
     u, stats, u_norm, _ = _descent(u, sp.action_quadratic(params.omega), params.p, grid, tol,
                                    max_iter, floor_rule=True, layout=layout)
-    return _solution(params, Field(grid, layout.unpack(u), sp.PHYSICAL), stats, u_norm, tol)
+    return _solution(params, Field._of(grid, u, layout), stats, u_norm, tol)
 
 
 def solve_mass_constrained(grid: Grid, mu: float, p: float, init: Field | None = None,
@@ -620,11 +619,11 @@ def solve_mass_constrained(grid: Grid, mu: float, p: float, init: Field | None =
     if init.grid != grid:
         raise ValueError("initial guess lives on a different grid")
 
-    u0 = sp.to_physical(init).values
+    u0 = sp.to_physical(init)._full()
     layout = sp._layout_of(u0, 0.0)
     u, stats, u_norm, n_u = _descent(layout.pack(u0), sp.action_quadratic(1.0), p, grid, tol,
                                      max_iter, floor_rule=False, mass=mu, layout=layout)
-    out = MassMinimizer(mu=mu, minimizer=Field(grid, layout.unpack(u), sp.PHYSICAL),
+    out = MassMinimizer(mu=mu, minimizer=Field._of(grid, u, layout),
                         energy=stats["action_value"] - mu,
                         omega_multiplier=1.0 - n_u / (2.0 * mu), iterations=stats["iterations"],
                         energy_history=[s - mu for s in stats["action_history"]])
@@ -639,12 +638,11 @@ def rescale_omega(q1: Field, omega: float, p: float) -> Field:
     ly/omega), which makes every scaling identity exact in the discrete
     functionals.
     """
-    if not omega > 0.0:
-        raise ValueError("omega must be positive")
-    g = q1.grid
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"target omega must be positive and finite, got {omega}")
+    g, phys = q1.grid, sp.to_physical(q1)
     new_grid = Grid(g.nx, g.ny, g.lx / math.sqrt(omega), g.ly / omega)
-    vals = omega ** (1.0 / (p - 1.0)) * sp.to_physical(q1).values
-    return Field(new_grid, vals, sp.PHYSICAL)
+    return Field._of(new_grid, omega ** (1.0 / (p - 1.0)) * phys.stored, phys.layout)
 
 
 def mass_centroid(u: Field) -> tuple[float, float]:
@@ -703,39 +701,44 @@ def _resample_lines(src: np.ndarray, dst: np.ndarray, length: float, origin: flo
         np.multiply(res.imag, scale, out=dst[pair])
 
 
-def _quarter(phys: Field, center: tuple[float, float]) -> bool:
-    """Whether T_lambda about `center` runs on quarters: a real field even
-    about (0, 0) (`sp._even`)."""
-    vals = phys.values
-    return tuple(center) == (0.0, 0.0) and sp._is_real(vals) and sp._even(vals.real)
+def _quartered(phys: Field, center: tuple[float, float]) -> Field:
+    """`phys` as T_lambda and the generator about `center` run on it: about
+    (0, 0) the quarter (`sp._EVEN`) of a real field even in x and in y
+    (`sp._layout_of`, the one evenness test of a public call), else a full
+    array (`sp._REAL`, or `sp._FULL` for complex128 values)."""
+    origin = tuple(center) == (0.0, 0.0)
+    if phys.layout is sp._RSYM or (phys.layout is sp._EVEN and not origin):
+        return Field(phys.grid, phys.values, sp.PHYSICAL)
+    if origin and phys.layout is not sp._EVEN and sp._layout_of(phys.stored, 0.0) is sp._EVEN:
+        return Field._of(phys.grid, sp._EVEN.pack(phys.stored), sp._EVEN)
+    return phys
 
 
-def _scaled(phys: Field, lam: float, center: tuple[float, float], tail_tol: float,
-            quarter: bool) -> tuple[np.ndarray, sp._Layout]:
-    """T_lambda of the physical field `phys` (see `t_lambda`) and the layout
-    it is stored in: with `quarter` (`_quarter`) the quarter of an exactly
-    even field (`sp._EVEN`), else the full array of phys's dtype."""
+def _scaled(phys: Field, lam: float, center: tuple[float, float], tail_tol: float) -> Field:
+    """T_lambda (see `t_lambda`) of `phys` as `_quartered` gives it, in its
+    layout: the quarter of a quarter (`sp._EVEN`), else a full array."""
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lambda must be positive and finite, got {lam}")
     if not all(map(math.isfinite, center)):
         raise ValueError(f"center must be finite, got {center}")
     g = phys.grid
-    u_vals = phys.values
-    layout = sp._EVEN if quarter else sp._stored(u_vals)
     if lam == 1.0:
-        return layout.pack(u_vals), layout
+        return phys.copy()
     if lam > 1.0:
         _check_tail(phys, tail_tol, "t_lambda")
+    u_vals = phys.stored
     cx, cy = center
     rx = math.sqrt(lam)
     y_pass = (g.ly, g.y[0], cy + lam * (g.y[0] - cy), lam * g.dy)
     x_pass = (g.lx, g.x[0], cx + rx * (g.x[0] - cx), rx * g.dx, lam ** 0.75)
-    if quarter:
-        # rows 0..nx/2 in y, columns 0..ny/2 mirrored into full x lines (even
-        # counts of lines, as the packed pairs need), rows 0..nx/2 kept
-        m, n = g.nx // 2 + 1, g.ny // 2 + 1
-        buf = np.empty((m + m % 2, g.ny))
-        _resample_lines(u_vals.real[:len(buf)], buf, *y_pass)
+    if phys.layout is sp._EVEN:
+        # rows 0..nx/2 (and nx/2 + 1: the packed pairs need an even count)
+        # mirrored from the quarter in y, then columns 0..ny/2 mirrored
+        # into full x lines, rows 0..nx/2 kept
+        m, n = u_vals.shape
+        i, j = np.arange(m + m % 2), np.arange(g.ny)
+        buf = u_vals[np.minimum(i, g.nx - i)[:, None], np.minimum(j, g.ny - j)]
+        _resample_lines(buf, buf, *y_pass)
         lines = np.empty((n + n % 2, g.nx))
         lines[:, :m] = buf[:m, :len(lines)].T
         lines[:, m:] = buf[m - 2:0:-1, :len(lines)].T
@@ -758,7 +761,7 @@ def _scaled(phys: Field, lam: float, center: tuple[float, float], tail_tol: floa
         rows, cols = vals.shape
         vals[_wrap_corrupt(g.x[:rows], cx, rx, g.lx), :] = 0.0
         vals[:, _wrap_corrupt(g.y[:cols], cy, lam, g.ly)] = 0.0
-    return vals, layout
+    return Field._of(g, vals, phys.layout)
 
 
 def t_lambda(u: Field, lam: float, center: tuple[float, float] = (0.0, 0.0),
@@ -780,23 +783,22 @@ def t_lambda(u: Field, lam: float, center: tuple[float, float] = (0.0, 0.0),
     Bluestein chirp-z along the last axis on packed line pairs in blocks
     of _BLOCK_ELEMS entries (`_resample_lines`); no full spectrum, no BLAS.
     A real field gives float64 values, a complex one complex128.  About
-    (0, 0), T_lambda of a real field even in x and in y (`sp._even`, as
-    every v = 0 ground state is) is even: the passes run on rows and then
-    columns 0..n/2, half the work, and the result is mirrored from its
-    quarter, exactly even.
+    (0, 0), T_lambda of a real field even in x and in y (`_quartered`, as
+    every v = 0 ground state is) runs on rows and then columns 0..n/2, half
+    the work, and is stored as its quarter (`sp._EVEN`), exactly even.
     """
     phys = sp.to_physical(u)
-    vals, layout = _scaled(phys, lam, center, tail_tol, _quarter(phys, center))
-    return Field(u.grid, layout.unpack(vals), sp.PHYSICAL)
+    return _scaled(_quartered(phys, center), lam, center, tail_tol)
 
 
-def _generator(vals: np.ndarray, layout: sp._Layout, g: Grid, c0: float,
-               center: tuple[float, float]) -> np.ndarray:
+def _generator(f: Field, c0: float, center: tuple[float, float]) -> Field:
     """c0 q + (x/2) dx q + y dy q about `center` (Nyquist mode of the
-    derivatives zeroed), one transform forward and two back on the spectra
-    of `layout`: on `sp._REAL`, float64 `vals` give float64; on `sp._EVEN`
-    the quarters of an even q and of the result about (0, 0), with mixed
+    derivatives zeroed) for the physical field q = `f`, one transform
+    forward and two back on the spectra of its layout, which the result
+    keeps: on `sp._REAL`, float64 values give float64; on `sp._EVEN` the
+    quarters of an even q and of the result about (0, 0), with mixed
     DST-I/DCT-I derivatives (`sp._dst_dct`)."""
+    vals, layout, g = f.stored, f.layout, f.grid
     hat = layout.fwd(vals, g.shape)
     rows, cols = vals.shape
     if layout is sp._EVEN:
@@ -813,27 +815,28 @@ def _generator(vals: np.ndarray, layout: sp._Layout, g: Grid, c0: float,
     qx += qy
     del qy
     qx += c0 * vals
-    return qx
+    return Field._of(g, qx, layout)
 
 
 def _apparatus(phys: Field, center: tuple[float, float] | None
-               ) -> tuple[np.ndarray, sp._Layout, tuple[float, float]]:
-    """Stored values, layout and centre of the generator on `phys`.  Centre
-    None is (0, 0) for a field even in x and in y (`sp._even`), else the
-    mass centroid: row 0 and column 0 (x = -lx/2, y = -ly/2) are their own
-    mirrors, so an even field's centroid is off (0, 0) by a tail term (2.7e-6
-    in y on the tests' 128x2048 p = 3 profile; the generator moves by 1.5e-5
-    of its maximum).  About (0, 0) a real even field is stored as its
-    quarter (`sp._EVEN`), another as `sp._samples` stores it."""
-    vals = phys.values
-    even = (center is None or tuple(center) == (0.0, 0.0)) and sp._even(vals)
+               ) -> tuple[Field, tuple[float, float]]:
+    """The field the generator runs on, and its centre.  Centre None is
+    (0, 0) for a field even in x and in y, else the mass centroid: row 0
+    and column 0 (x = -lx/2, y = -ly/2) are their own mirrors, so an even
+    field's centroid is off (0, 0) by a tail term (2.7e-6 in y on the
+    tests' 128x2048 p = 3 profile; the generator moves by 1.5e-5 of its
+    maximum).  A complex field with zero imaginary part runs as a real one,
+    about (0, 0) on a quarter (`_quartered`), else on the full array; a
+    complex one is tested (`sp._even`) only for its centre."""
+    if phys.layout is sp._FULL and sp._is_real(phys.stored):
+        phys = Field(phys.grid, phys.stored.real, sp.PHYSICAL)
+    phys = _quartered(phys, (0.0, 0.0) if center is None else center)
     if center is None:
+        even = phys.layout is sp._EVEN or (phys.layout is sp._FULL and sp._even(phys.stored))
         center = (0.0, 0.0) if even else mass_centroid(phys)
     if not all(map(math.isfinite, center)):
         raise ValueError(f"center must be finite, got {center}")
-    if even and sp._is_real(vals):
-        return sp._EVEN.pack(vals), sp._EVEN, (0.0, 0.0)
-    return (*sp._samples(vals), center)
+    return phys, center
 
 
 def psi_omega(q: Field, center: tuple[float, float] | None = None,
@@ -843,14 +846,15 @@ def psi_omega(q: Field, center: tuple[float, float] | None = None,
     Equals d/dlambda T_lambda q at lambda = 1; coordinates are measured
     from `center`, by default (0, 0) for a q even in x and in y and the mass
     centroid for another (`_apparatus`).  L2-orthogonal to q because
-    T_lambda is an L2 isometry.  Real q: no BLAS, float64 values, on
-    quarters for an even q about (0, 0), else on half spectra.
+    T_lambda is an L2 isometry.  Real q: no BLAS, float64 values; an even
+    q about (0, 0) runs on quarters and the result is stored as its
+    quarter (`sp._EVEN`), values formed on first read; another real q
+    runs on half spectra.
     """
     phys = sp.to_physical(q)
     _check_tail(phys, tail_tol, "psi_omega")
-    vals, layout, center = _apparatus(phys, center)
-    return Field(q.grid, layout.unpack(_generator(vals, layout, q.grid, 0.75, center)),
-                 sp.PHYSICAL)
+    phys, center = _apparatus(phys, center)
+    return _generator(phys, 0.75, center)
 
 
 @dataclass(frozen=True)
@@ -864,15 +868,15 @@ def second_variation_scaling(q: Field, params: ModelParams,
                              tail_tol: float = 1e-8) -> SecondVariationScaling:
     """d^2/dlambda^2 S(T_lambda q) at lambda = 1, two independent ways.
 
-    analytic: -3 (p-1)(3p-7) / (16 (p+1)) * int |q|^{p+1}, the closed
-    form valid at critical points of the action.  numeric: central
-    second difference of lambda -> S(T_lambda q) about (0, 0) with step
-    1e-2, summed over T_lambda's quarter for an even q (`_scaled`).  The
-    sign changes at p = 7/3.  The step divides T_lambda's resampling error
-    by 1e-4, so dy must resolve the profile: on p = 3 ground states
-    extended to height 640 the relative error is 1.01 at dy = 0.156
-    (T_1.01 moves the mass by 6.7e-4), 2.9e-2 at dy = 0.039 and 1.5e-5 at
-    dy = 0.0195, with no warning.
+    analytic: -3 (p-1)(3p-7) / (16 (p+1)) * int |q|^{p+1}, the closed form
+    valid at critical points of the action.  numeric: central second
+    difference of lambda -> S(T_lambda q) about (0, 0) with step 1e-2,
+    summed over T_lambda's quarter for an even q (`_scaled`, evenness
+    decided once by `_quartered`).  The sign changes at p = 7/3.  The step
+    divides T_lambda's resampling error by 1e-4, so dy must resolve the
+    profile: on p = 3 ground states extended to height 640 the relative
+    error is 1.01 at dy = 0.156 (T_1.01 moves the mass by 6.7e-4), 2.9e-2
+    at dy = 0.039 and 1.5e-5 at dy = 0.0195, with no warning.
     """
     if params.v != 0.0:
         raise ValueError("scaling second variation is defined for v = 0")
@@ -880,11 +884,9 @@ def second_variation_scaling(q: Field, params: ModelParams,
     analytic = -3.0 * (p - 1.0) * (3.0 * p - 7.0) / (16.0 * (p + 1.0)) \
         * fl.lp1_power(q, p)
     step = 1e-2
-    phys = sp.to_physical(q)
-    quarter = _quarter(phys, (0.0, 0.0))
-    s_plus, s_mid, s_minus = (
-        fl._stored_action(*_scaled(phys, lam, (0.0, 0.0), tail_tol, quarter), q.grid, params)
-        for lam in (1.0 + step, 1.0, 1.0 - step))
+    phys = _quartered(sp.to_physical(q), (0.0, 0.0))
+    s_plus, s_mid, s_minus = (fl.action(_scaled(phys, lam, (0.0, 0.0), tail_tol), params)
+                              for lam in (1.0 + step, 1.0, 1.0 - step))
     numeric = (s_plus - 2.0 * s_mid + s_minus) / step ** 2
     scale = max(abs(analytic), abs(numeric), 1e-300)
     return SecondVariationScaling(analytic=analytic, numeric=numeric,
@@ -929,15 +931,17 @@ def r1_diagnostics(q1: Field, p: float, tail_tol: float = 1e-8) -> R1Diagnostics
     transformed to (the symbols are even, so a half spectrum or a quarter
     has the same sup).  A real Q1 runs in real arithmetic and gives a
     float64 R1: an even one about (0, 0) on quarters (`sp._EVEN`), with R1
-    unpacked at the end, another about its mass centroid on half spectra
-    (`_apparatus`).  The symbol and the defect are formed by row blocks
-    (`sp._ActionRows`), and each temporary is freed after use; no BLAS.
+    stored as its quarter and its values formed on first read, another
+    about its mass centroid on half spectra (`_apparatus`).  The symbol
+    and the defect are formed by row blocks (`sp._ActionRows`), and each
+    temporary is freed after use; no BLAS.
     """
     phys = sp.to_physical(q1)
     g = q1.grid
     _check_tail(phys, tail_tol, "r1_diagnostics")
-    q, layout, center = _apparatus(phys, None)
-    r1 = _generator(q, layout, g, 1.0 / (p - 1.0), center)
+    phys, center = _apparatus(phys, None)
+    r1_field = _generator(phys, 1.0 / (p - 1.0), center)
+    q, r1, layout = phys.stored, r1_field.stored, phys.layout
     aq = sp._ActionRows(g, 1.0, 0.0, layout)
     hat = layout.fwd(r1, g.shape)
     lin_applied = layout.inv(aq.apply(hat, out=hat), g.shape)
@@ -946,26 +950,21 @@ def r1_diagnostics(q1: Field, p: float, tail_tol: float = 1e-8) -> R1Diagnostics
     def defect_sq(ix):
         defect = lin_applied[ix] - p * fl._density(q[ix]) ** ((p - 1.0) / 2.0) * r1[ix] + q[ix]
         return layout.dot(defect, defect)
-    total = sum(map(defect_sq, _slices(*q.shape, _FUSE_ELEMS)))
-    total = layout.weigh_rows(defect_sq, q.shape, total)
-    lin_res = math.sqrt(total * g.cell_area) / sp.l2_norm(phys)
+    lin_res = math.sqrt(layout.sum_rows(defect_sq, q.shape) * g.cell_area) / sp.l2_norm(phys)
 
-    def norm_sq(a):
-        return layout.weigh_rows(lambda ix: layout.dot(a[ix], a[ix]), a.shape)
     back = layout.fwd(lin_applied, g.shape)
     del lin_applied
     roundtrip = layout.inv(aq.apply(back, out=back, inverse=True), g.shape)
     del back
     roundtrip -= r1
-    rt_err = math.sqrt(norm_sq(roundtrip) / norm_sq(r1))
+    rt_err = math.sqrt(sp.l2_norm_sq(Field._of(g, roundtrip, layout)) / sp.l2_norm_sq(r1_field))
     del roundtrip
 
     phi_max = np.zeros(3)
     for r in _slices(*aq.shape, _FUSE_ELEMS):
         phi1 = 1.0 / aq(r, np.empty((r.stop - r.start, aq.shape[1])))
         phi_max = np.maximum(phi_max, [np.max(m * phi1) for m in (1.0, aq.xi2[r], aq.abs_eta)])
-    return R1Diagnostics(Field(g, layout.unpack(r1), sp.PHYSICAL), lin_res, rt_err,
-                         tuple(float(m) for m in phi_max))
+    return R1Diagnostics(r1_field, lin_res, rt_err, tuple(float(m) for m in phi_max))
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,13 @@ Transforms use the unitary normalization, so the discrete Parseval
 identity holds with the same quadrature weight dx*dy in both
 representations.
 
-A physical Field holds float64 values when its input is real and
-complex128 otherwise; a spectral Field is always complex128, and
-`to_spectral` gives the full spectrum of either.  Inside the package a
-`_Layout` is the one record of how a field and its spectrum are stored;
-its `fwd` and `inv` pick the transforms and its mirrored axes the
-Parseval weights, so no other module looks at a dtype or a spectrum's
-shape to choose either:
+A spectral Field is complex128; `to_spectral` gives the full spectrum
+of any Field.  A physical Field carries its storage, a `_Layout`, the
+one record of how a field and its spectrum are stored, decided once
+(`_layout_of`, for a user's array or a loaded snapshot).  Its `fwd` and
+`inv` pick the transforms and its mirrored axes the Parseval weights, so
+no other module looks at a dtype or a spectrum's shape to choose either,
+and sums over a field read its stored array:
 
 - `_FULL`: complex128 values, full spectra.
 - `_REAL`: float64 values, half spectra (`rfft2` along y), on which
@@ -60,6 +60,7 @@ import math
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.fft
@@ -139,11 +140,11 @@ def _dst_dct(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _redot(a: np.ndarray, b: np.ndarray) -> float:
-    """re sum conj(a) b over two 2-D arrays of one shape (complex ones with
-    a contiguous last axis), by einsum on float views; a real operand pairs
-    with the real part of a complex one."""
+    """re sum conj(a) b over two 2-D arrays of one shape, by einsum on float
+    views (of complex ones, copied if strided along y, as edge columns are);
+    a real operand pairs with the real part of a complex one."""
     if np.iscomplexobj(a) and np.iscomplexobj(b):
-        a, b = a.view(np.float64), b.view(np.float64)
+        a, b = (np.ascontiguousarray(x).view(np.float64) for x in (a, b))
     else:
         a, b = a.real, b.real
     return float(np.einsum("ij,ij->", a, b))
@@ -246,6 +247,11 @@ class _Layout:
             total = reduce((slice(None), slice(None)))
         return self._weigh(total, shape, 0, reduce)
 
+    def sum_rows(self, reduce: Callable, shape: tuple[int, int]) -> float:
+        """`weigh_rows` of `reduce`, its total summed over cache-sized row blocks."""
+        return self.weigh_rows(reduce, shape, sum(
+            reduce((r, slice(None))) for r in _slices(*shape, _FUSE_ELEMS)))
+
 
 def _sum(a: np.ndarray) -> float:
     return float(np.sum(a))
@@ -262,11 +268,6 @@ _EVEN = _Layout((0, 1), (0, 1), lambda u, shape: _dct(u), lambda h, shape: _dct(
 def _is_real(vals: np.ndarray) -> bool:
     """Whether the values are real: float64, or complex with zero imaginary part."""
     return not (np.iscomplexobj(vals) and np.any(vals.imag))
-
-
-def _samples(vals: np.ndarray) -> tuple[np.ndarray, _Layout]:
-    """Real values as their float64 view on `_REAL`, others as they are on `_FULL`."""
-    return (vals.real, _REAL) if _is_real(vals) else (vals, _FULL)
 
 
 def _even(u: np.ndarray) -> bool:
@@ -374,31 +375,42 @@ PHYSICAL = "physical"
 SPECTRAL = "spectral"
 
 
-@dataclass
 class Field:
     """Scalar field on a Grid, tagged with its representation.
 
     values is a C-ordered (nx, ny) array: x is the slow index, y the
-    fast one.  Physical values are float64 when the input is real and
-    complex128 otherwise; spectral values are always complex128.
+    fast one, formed on first read from `stored` by `layout.unpack`.
+    Built from values, a field stores float64 physical ones as they are
+    (`_REAL`) and others as complex128 (`_FULL`); the solvers and the
+    scaling apparatus build theirs by `_of`, on any `_Layout`.
     """
 
-    grid: Grid
-    values: np.ndarray
-    rep: str
+    def __init__(self, grid: Grid, values: np.ndarray, rep: str):
+        if rep not in (PHYSICAL, SPECTRAL):
+            raise RepresentationError(f"unknown representation {rep!r}")
+        real = rep == PHYSICAL and not np.iscomplexobj(values)
+        vals = np.ascontiguousarray(values, dtype=np.float64 if real else np.complex128)
+        if vals.shape != grid.shape:
+            raise ValueError(f"values shape {vals.shape} does not match grid {grid.shape}")
+        self.grid, self.rep, self.stored, self.layout = grid, rep, vals, _REAL if real else _FULL
 
-    def __post_init__(self):
-        if self.rep not in (PHYSICAL, SPECTRAL):
-            raise RepresentationError(f"unknown representation {self.rep!r}")
-        real = self.rep == PHYSICAL and not np.iscomplexobj(self.values)
-        vals = np.ascontiguousarray(self.values, dtype=np.float64 if real else np.complex128)
-        if vals.shape != self.grid.shape:
-            raise ValueError(
-                f"values shape {vals.shape} does not match grid {self.grid.shape}")
-        self.values = vals
+    @classmethod
+    def _of(cls, grid: Grid, stored: np.ndarray, layout: _Layout, rep: str = PHYSICAL) -> Field:
+        """The field whose values `stored` holds as `layout` says, unchecked."""
+        f = cls.__new__(cls)
+        f.grid, f.rep, f.stored, f.layout = grid, rep, stored, layout
+        return f
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy(), self.rep)
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self.layout.unpack(self.stored)
+
+    def _full(self) -> np.ndarray:
+        """`values` if kept, else formed for one use and not kept."""
+        return vars(self)["values"] if "values" in vars(self) else self.layout.unpack(self.stored)
+
+    def copy(self) -> Field:
+        return Field._of(self.grid, self.stored.copy(), self.layout, self.rep)
 
 
 def physical_field(grid: Grid, values: np.ndarray) -> Field:
@@ -421,7 +433,7 @@ def transform(f: Field, direction: str) -> Field:
     if direction == "forward":
         if f.rep != PHYSICAL:
             raise RepresentationError("forward transform expects a physical field")
-        return Field(f.grid, _fft2(np.asarray(f.values, np.complex128)), SPECTRAL)
+        return Field(f.grid, _fft2(np.asarray(f._full(), np.complex128)), SPECTRAL)
     if direction == "inverse":
         if f.rep != SPECTRAL:
             raise RepresentationError("inverse transform expects a spectral field")
@@ -555,25 +567,21 @@ def l2_inner(f: Field, g: Field):
 
 
 def l2_norm_sq(f: Field) -> float:
-    return _redot(f.values, f.values) * f.grid.cell_area
+    """||f||^2 from the stored array, with its layout's weights."""
+    u, layout = f.stored, f.layout
+    return layout.weigh_rows(lambda ix: layout.dot(u[ix], u[ix]), u.shape) * f.grid.cell_area
 
 
 def l2_norm(f: Field) -> float:
     return math.sqrt(l2_norm_sq(f))
 
 
-def _stored(vals: np.ndarray) -> _Layout:
-    """The layout of a full physical array as it is: float64 `_REAL`, else `_FULL`."""
-    return _FULL if np.iscomplexobj(vals) else _REAL
-
-
 def _spectrum(f: Field) -> tuple[np.ndarray, _Layout]:
-    """The spectrum the quadratic forms sum over and its layout: the half
-    spectrum of a real physical field (`_REAL`), the full one otherwise."""
+    """The spectrum the quadratic forms sum over and its layout: a spectral
+    field's values, or the transform of a physical field's stored array."""
     if f.rep == SPECTRAL:
         return f.values, _FULL
-    layout = _stored(f.values)
-    return layout.fwd(f.values, f.grid.shape), layout
+    return f.layout.fwd(f.stored, f.grid.shape), f.layout
 
 
 def _mirror_sum(total: float, shape: tuple[int, int], axes: tuple[int, ...],
@@ -676,16 +684,17 @@ def tail_mass_fraction(f: Field) -> float:
     in x but only algebraically in y, so boxes must be sized until this
     is small.
     """
-    g = f.grid
-    u = to_physical(f).values
-    rows = _marginals(u)[0]
-    total = float(np.sum(rows))
-    if total == 0.0:
-        return 0.0
-    edge_x = np.abs(g.x) > 0.9 * (g.lx / 2.0)
-    edge_y = np.abs(g.y) > 0.9 * (g.ly / 2.0)
-    side = u[np.ix_(~edge_x, edge_y)]  # the y band outside the x band
-    return (float(np.sum(rows[edge_x])) + float(np.sum(_density(side)))) / total
+    g, f = f.grid, to_physical(f)
+    u, layout = f.stored, f.layout
+    inner_x = np.abs(g.x[:u.shape[0]]) <= 0.9 * (g.lx / 2.0)
+    edge_y = np.abs(g.y[:u.shape[1]]) > 0.9 * (g.ly / 2.0)
+    def mass(ix: tuple[slice, slice], band: bool) -> float:
+        dens = _density(u[ix])
+        if band:  # the x band's rows whole, the others on the y band
+            dens[inner_x[ix[0]]] *= edge_y[ix[1]]
+        return layout.total(dens)
+    total = layout.sum_rows(lambda ix: mass(ix, False), u.shape)
+    return 0.0 if total == 0.0 else layout.sum_rows(lambda ix: mass(ix, True), u.shape) / total
 
 
 def frac_constant(s: float) -> float:

@@ -373,6 +373,7 @@ def test_cli_config_file_and_flag_override(tmp_path, capsys):
     ["ground-state", *TINY, "--model.p", "5"],
     ["ground-state", *TINY, "--grid.nx", "7"],
     ["ground-state", *TINY, "--model.omega", "-1"],
+    ["ground-state", *TINY, "--model.omega", "inf"],
     ["travel", *TINY, "--model.v", "1.0"],
     ["sweep-velocity", *TINY, "--v-list", "0,1.5"],
 ])

@@ -30,6 +30,7 @@ def random_field(grid, seed=0):
 
 @pytest.mark.parametrize("p,omega,v", [(0.9, 1.0, 0.0), (5.0, 1.0, 0.0), (5.1, 1.0, 0.0),
                                        (2.0, 0.0, 0.0), (2.0, -1.0, 0.0),
+                                       (2.0, np.inf, 0.0), (2.0, np.nan, 0.0),
                                        (2.0, 1.0, 1.0), (2.0, 1.0, -1.3)])
 def test_params_validation(p, omega, v):
     with pytest.raises(ValueError):
@@ -111,15 +112,23 @@ def test_i_value_coercive(grid):
     assert fl.i_value(u, par) >= lower - 1e-12 * fl.x_norm_sq(u)
 
 
-def test_gn_quotient_invariances(grid):
+@given(scale=st.floats(0.1, 10.0), theta=st.floats(0.0, 2.0 * np.pi),
+       shift=st.tuples(st.integers(-63, 63), st.integers(-63, 63)))
+def test_gn_quotient_invariances(scale, theta, shift):
+    # the quotient is invariant under scaling, gauge and grid translations;
+    # the Hamiltonian and the action under gauge and translations
+    grid = sp.make_grid(64, 64, 20.0, 20.0)
     u = random_field(grid, 5)
-    q0 = fl.gn_quotient(u, 2.0)
-    scaled = sp.physical_field(grid, 3.7 * u.values)
+    par = ModelParams(p=2.0, omega=1.1, v=0.3)
+    q0, h0, s0 = fl.gn_quotient(u, 2.0), fl.hamiltonian(u, 2.0), fl.action(u, par)
+    scaled = sp.physical_field(grid, scale * u.values)
     assert fl.gn_quotient(scaled, 2.0) == pytest.approx(q0, rel=1e-12)
-    phased = sp.physical_field(grid, np.exp(0.9j) * u.values)
-    assert fl.gn_quotient(phased, 2.0) == pytest.approx(q0, rel=1e-12)
-    rolled = sp.physical_field(grid, np.roll(u.values, (3, -5), axis=(0, 1)))
-    assert fl.gn_quotient(rolled, 2.0) == pytest.approx(q0, rel=1e-12)
+    phased = sp.physical_field(grid, np.exp(1j * theta) * u.values)
+    rolled = sp.physical_field(grid, np.roll(u.values, shift, axis=(0, 1)))
+    for v in (phased, rolled):
+        assert fl.gn_quotient(v, 2.0) == pytest.approx(q0, rel=1e-12)
+        assert fl.hamiltonian(v, 2.0) == pytest.approx(h0, rel=1e-12)
+        assert fl.action(v, par) == pytest.approx(s0, rel=1e-12)
     with pytest.raises(ValueError):
         fl.gn_quotient(sp.physical_field(grid, np.zeros(grid.shape)), 2.0)
 

@@ -1,5 +1,7 @@
 """Ground-state solvers, scaling operators, and profile diagnostics."""
 
+import collections
+import dataclasses
 import math
 import os
 import subprocess
@@ -479,8 +481,9 @@ def test_rescale_omega_exact_identities(p2_state):
     assert ratio == pytest.approx(2.0 ** (-s_p), rel=1e-12)
     grad = fl.action_gradient(q2, par2)
     assert sp.l2_norm(grad) <= 1e-4 * sp.l2_norm(q2)
-    with pytest.raises(ValueError):
-        sol.rescale_omega(p2_state.q, -1.0, p=2.0)
+    for omega in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="omega must be positive and finite"):
+            sol.rescale_omega(p2_state.q, omega, p=2.0)
 
 
 def test_mass_centroid_tracks_shift():
@@ -533,20 +536,26 @@ def test_t_lambda_matches_dense_resampling():
 
 def test_t_lambda_of_even_profile_is_exactly_even(p3_state):
     # about (0, 0), T_lambda of an even profile is resampled on its quarter
-    # and mirrored, so it is even bit for bit (on the full array it was off
-    # by 5.9e-12 in x and 4.3e-12 in y, and sp._even rejected it), and the
-    # second variation sums its action over that quarter; the profile moved
-    # by one cell, or a centre off (0, 0), keeps the full array
+    # and stored as it, so its values are even bit for bit (on the full
+    # array it was off by 5.9e-12 in x and 4.3e-12 in y, and sp._even
+    # rejected it), and its action, which the second variation sums, is
+    # summed over that quarter; the same profile without its layout is
+    # found even and scaled alike; the profile moved by one cell, or a
+    # centre off (0, 0), keeps the full array
     q, par = p3_state.q, ModelParams(p=3.0)
+    assert q.layout is sp._EVEN
     scaled = sol.t_lambda(q, 1.05, tail_tol=1e-3)
+    assert scaled.layout is sp._EVEN
     assert _is_even(scaled.values) and sp._even(scaled.values)
-    quarter, layout = sol._scaled(q, 1.05, (0.0, 0.0), 1e-3, sol._quarter(q, (0.0, 0.0)))
-    assert layout is sp._EVEN and np.array_equal(sp._EVEN.unpack(quarter), scaled.values)
-    assert fl._stored_action(quarter, layout, q.grid, par) == pytest.approx(
-        fl.action(scaled, par), rel=1e-13)
+    assert np.array_equal(sp._EVEN.unpack(scaled.stored), scaled.values)
+    assert fl.action(scaled, par) == pytest.approx(
+        fl.action(sp.physical_field(q.grid, scaled.values), par), rel=1e-13)
+    bare = sol.t_lambda(sp.physical_field(q.grid, q.values), 1.05, tail_tol=1e-3)
+    assert bare.layout is sp._EVEN and np.array_equal(bare.values, scaled.values)
     shifted = sp.physical_field(q.grid, np.roll(q.values, 1, axis=0))
     for u, center in ((shifted, (0.0, 0.0)), (q, (0.3, 0.0)), (q, (0.0, -0.2))):
-        assert not _is_even(sol.t_lambda(u, 1.05, center=center, tail_tol=1e-3).values)
+        out = sol.t_lambda(u, 1.05, center=center, tail_tol=1e-3)
+        assert out.layout is sp._REAL and not _is_even(out.values)
 
 
 def test_even_generator_on_quarters(p3_state, transform_count):
@@ -556,9 +565,9 @@ def test_even_generator_on_quarters(p3_state, transform_count):
     # DCT-I forward, two mixed pairs and, for R1, two DCT-I pairs more
     q = p3_state.q
     g = q.grid
-    quarter = sp._EVEN.unpack(
-        sol._generator(sp._EVEN.pack(q.values), sp._EVEN, g, 0.75, (0.0, 0.0)))
-    half = sol._generator(q.values, sp._REAL, g, 0.75, (0.0, 0.0))
+    assert q.layout is sp._EVEN
+    quarter = sol._generator(q, 0.75, (0.0, 0.0)).values
+    half = sol._generator(sp.physical_field(g, q.values), 0.75, (0.0, 0.0)).values
     assert np.max(np.abs(quarter - half)) <= 1e-12 * np.max(np.abs(half))
     transform_count.clear()
     psi = sol.psi_omega(q, tail_tol=1e-3)
@@ -777,12 +786,17 @@ def test_scaling_pairing_sign_flip(p3_state):
 
 
 def test_second_variation_scaling(p3_state, monkeypatch):
-    # the evenness of q is decided once for the three scaled actions
+    # the evenness of q is decided once for the three scaled actions, and
+    # not at all for a q that carries its quarter
     calls = []
     monkeypatch.setattr(sp, "_even", lambda u, _even=sp._even: calls.append(1) or _even(u))
     sv = sol.second_variation_scaling(p3_state.q, ModelParams(p=3.0),
                                       tail_tol=1e-3)
+    assert len(calls) == 0
+    bare = sol.second_variation_scaling(sp.physical_field(p3_state.q.grid, p3_state.q.values),
+                                        ModelParams(p=3.0), tail_tol=1e-3)
     assert len(calls) == 1
+    assert bare.numeric == sv.numeric
     p = 3.0
     expect = -3.0 * (p - 1.0) * (3.0 * p - 7.0) / (16.0 * (p + 1.0)) \
         * fl.lp1_power(p3_state.q, p)
@@ -791,6 +805,33 @@ def test_second_variation_scaling(p3_state, monkeypatch):
     assert sv.relative_error <= 1e-2
     with pytest.raises(ValueError):
         sol.second_variation_scaling(p3_state.q, ModelParams(p=3.0, v=0.5))
+
+
+def test_even_pipeline_keeps_its_quarters(monkeypatch):
+    # solve -> extend -> second variation -> psi_omega -> R1 -> report on
+    # an even state: the solve decides evenness once, and after it nothing
+    # tests or packs again; every result carries its quarter, and its
+    # values are formed only when read, as the unpacked quarter
+    g = sp.make_grid(32, 128, 20.0, 40.0)
+    par = ModelParams(p=3.0)
+    calls = collections.Counter()
+    monkeypatch.setattr(sp, "_even", lambda u, _even=sp._even: calls.update(["even"]) or _even(u))
+    monkeypatch.setattr(sp, "_EVEN", dataclasses.replace(
+        sp._EVEN, pack=lambda u, _pack=sp._EVEN.pack: calls.update(["pack"]) or _pack(u)))
+    small = sol.solve_nehari(g, par, tol=1e-8)
+    assert calls == {"even": 1, "pack": 1}
+    calls.clear()
+    wide = sol.extend_ground_state(small, sp.make_grid(32, 256, 20.0, 80.0))
+    sv = sol.second_variation_scaling(wide.q, par, tail_tol=np.inf)
+    psi = sol.psi_omega(wide.q, tail_tol=np.inf)
+    diag = sol.r1_diagnostics(wide.q, par.p, tail_tol=np.inf)
+    rep = fl.functional_report(wide.q, par)
+    assert not calls
+    assert sv.analytic < 0.0 and rep.action > 0.0
+    for f in (small.q, wide.q, psi, diag.r1):
+        assert f.layout is sp._EVEN and "values" not in vars(f)
+        assert np.array_equal(f.values, sp._EVEN.unpack(f.stored)) and _is_even(f.values)
+    assert not calls
 
 
 def test_action_scaling_curve_shape(p3_state):

@@ -1,6 +1,7 @@
 """Grid construction, transforms, multipliers, and the fractional identity."""
 
 import ast
+import dataclasses
 import math
 import os
 import pathlib
@@ -475,23 +476,34 @@ def test_forms_share_one_density_bit_for_bit(nx, ny, real, block, seed):
 
 
 @given(nx=st.integers(4, 32).map(lambda k: 2 * k), ny=st.integers(4, 32).map(lambda k: 2 * k),
+       layout=st.sampled_from(["_FULL", "_REAL", "_RSYM", "_EVEN"]), p=st.floats(1.1, 4.9),
        block=st.integers(1, 5000), seed=st.integers(0, 2 ** 32 - 1))
-def test_row_blocked_density_sums_match_full_arrays(nx, ny, block, seed):
+def test_row_blocked_density_sums_match_full_arrays(nx, ny, layout, p, block, seed):
     # tail_mass_fraction (and solitary.mass_centroid) read |u|^2 through
-    # row and column sums taken block by block
+    # row and column sums taken block by block; a field with the symmetry
+    # of `layout`, stored as it says, gives the sums of its full array
     g = sp.make_grid(nx, ny, 10.0, 14.0)
-    u = random_field(g, seed % 1000).values
+    lay = getattr(sp, layout)
+    u = lay.unpack(lay.pack(random_field(g, seed % 1000).values))
+    full, stored = sp.physical_field(g, u), sp.Field._of(g, lay.pack(u), lay)
     w = u.real ** 2 + u.imag ** 2
     edge_x = np.abs(g.x) > 0.9 * (g.lx / 2.0)
     edge_y = np.abs(g.y) > 0.9 * (g.ly / 2.0)
     want = np.sum(w[edge_x[:, None] | edge_y[None, :]]) / np.sum(w)
+    par = fl.ModelParams(p=p, omega=1.3, v=0.4)
+    sums = (sp.l2_norm_sq, lambda f: fl.lp1_power(f, p), lambda f: fl.action(f, par),
+            sp.tail_mass_fraction, lambda f: dataclasses.astuple(fl.functional_report(f, par)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sp, "_FUSE_ELEMS", block)
         rows, cols = sp._marginals(u)
-        frac = sp.tail_mass_fraction(sp.physical_field(g, u))
+        frac = sp.tail_mass_fraction(full)
+        got, expect = ([np.atleast_1d(fn(f)) for fn in sums] for f in (stored, full))
     assert np.allclose(rows, w.sum(axis=1), rtol=1e-13, atol=0.0)
     assert np.allclose(cols, w.sum(axis=0), rtol=1e-13, atol=0.0)
     assert frac == pytest.approx(want, rel=1e-13)
+    assert "values" not in vars(stored)  # no sum formed the full array
+    for a, b in zip(got, expect):
+        assert np.allclose(a, b, rtol=1e-12, atol=0.0)
 
 
 def test_frac_constant_half_is_two_pi():
