@@ -64,18 +64,17 @@ def _power(dens: np.ndarray, e: float) -> np.ndarray:
     return dens * np.sqrt(dens) if e == 1.5 else dens ** e
 
 
-def _lp1_sum(u: np.ndarray, p: float, total=np.sum) -> float:
-    """sum |u|^{p+1} by cache-sized row blocks, each block summed by `total`."""
+def _lp1_sum(u: np.ndarray, p: float, layout: sp._Layout = sp._FULL) -> float:
+    """sum |u|^{p+1} over the field u stores as `layout` says, by row blocks."""
     e = (p + 1.0) / 2.0
-    return sum(float(total(_power(_density(u[rows]), e)))
+    return sum(layout.dot(_power(_density(u[rows]), e), None, rows, len(u))
                for rows in sp._slices(*u.shape, sp._FUSE_ELEMS))
 
 
 def lp1_power(u: Field, p: float) -> float:
     """int |u|^{p+1}, via (|u|^2)^{(p+1)/2}, by row blocks of the stored array."""
     f = sp.to_physical(u)
-    return f.layout.weigh_rows(lambda ix: _lp1_sum(f.stored[ix], p, f.layout.total),
-                               f.stored.shape) * u.grid.cell_area
+    return _lp1_sum(f.stored, p, f.layout) * u.grid.cell_area
 
 
 def lp1_norm(u: Field, p: float) -> float:

@@ -62,22 +62,23 @@ def atomic_open(path: str, mode: str = "wb", **kwargs):
 def save_snapshot(path: str, field: Field, params: ModelParams) -> None:
     """Write `field` (physical) and `params` in the version-1 layout.  A
     real field goes out as complex128 with zero imaginary parts, one row
-    block at a time, so no full complex copy is made; the bytes are those
-    of its complex-typed copy."""
+    block at a time (`Field._rows`: a quarter's mirrored from it), so no
+    full complex copy is made and a quarter's values are not formed; the
+    bytes are those of its complex-typed copy."""
     g = field.grid
-    vals = to_physical(field).values
+    phys = to_physical(field)
     header = _HEADER.pack(MAGIC, VERSION, g.nx, g.ny, g.lx, g.ly,
                           params.p, params.omega, params.v)
     with atomic_open(path) as fh:
         fh.write(header)
-        if np.iscomplexobj(vals):
-            np.ascontiguousarray(vals, dtype="<c16").tofile(fh)
+        if np.iscomplexobj(phys.stored):
+            np.ascontiguousarray(phys.values, dtype="<c16").tofile(fh)
             return
         rows = _slices(g.nx, g.ny, _WRITE_ELEMS)
         buf = np.zeros((rows[0].stop, g.ny), dtype="<c16")
         for r in rows:
             blk = buf[:r.stop - r.start]
-            blk.real = vals[r]
+            blk.real = phys._rows(r)
             blk.tofile(fh)
 
 

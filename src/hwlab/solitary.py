@@ -27,6 +27,7 @@ from .functionals import ModelParams
 from .spectral import _FUSE_ELEMS, _slices, Field, Grid
 
 ARMIJO_C = 1e-4
+_PEAK_MARGIN = 0.1  # a lower peak must gain 11% in refinement to win; 7.8% at most in a 32x32 run
 _BLOCK_ELEMS = 1 << 18  # complex entries per block of the chirp-z resampling (4 MB)
 
 
@@ -123,12 +124,13 @@ def default_initial_guess(grid: Grid, params: ModelParams, kind: str = "gaussian
     return Field(grid, vals, sp.PHYSICAL)
 
 
-def _lp1_change(u: np.ndarray, d: np.ndarray, alpha: float, p: float, total=np.sum) -> float:
-    """sum (|u - alpha d|^{p+1} - |u|^{p+1}), accurate far below the rounding
-    level of either sum; by cache-sized row blocks summed by `total`."""
+def _lp1_change(u: np.ndarray, d: np.ndarray, alpha: float, p: float,
+                layout: sp._Layout = sp._FULL) -> float:
+    """sum (|u - alpha d|^{p+1} - |u|^{p+1}) over the fields u, d store as
+    `layout` says, by row blocks, accurate far below either sum's rounding."""
     e = (p + 1.0) / 2.0
-    return sum(float(total(fl._power(fl._density(u[r] - alpha * d[r]), e)
-                           - fl._power(fl._density(u[r]), e)))
+    return sum(layout.dot(fl._power(fl._density(u[r] - alpha * d[r]), e)
+                          - fl._power(fl._density(u[r]), e), None, r, len(u))
                for r in _slices(*u.shape, _FUSE_ELEMS))
 
 
@@ -161,11 +163,6 @@ def _advance(u: np.ndarray, d: np.ndarray, alpha: float, t: float) -> None:
         blk *= t
 
 
-def _edge_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """re sum conj(a) b over two edge-line pairs."""
-    return float(np.sum(a.real * b.real + a.imag * b.imag))
-
-
 class _Spectra:
     """L2 inner products and the fused passes of the descent on the spectra
     of a `sp._Layout`: rfft2 half spectra for real fields and the quarters of
@@ -179,10 +176,10 @@ class _Spectra:
     every inner product of the pass before the next block is read.  aq
     and 1/aq are formed per block in two block buffers by `self.sym`
     (`sp._ActionRows`): full-size copies would cost 251 MB each on the
-    320x98305 half spectra of criterion 08.  The block sums are plain;
-    the line weights are applied per pass from the self-mirrored lines.
-    Block bounds depend on the shape only, so no sum depends on a thread
-    count.
+    320x98305 half spectra of criterion 08.  Each block sum carries its
+    line weights (`sp._Layout.dot`), and a pass multiplies by the cell
+    area once.  Block bounds depend on the shape only, so no sum depends
+    on a thread count.
     `sphere`: the direction pass also sums <u, d>, which only the mass
     constraint reads.
     """
@@ -202,21 +199,13 @@ class _Spectra:
         aq = self.sym(rows, self._aq[:n])
         return aq, np.divide(1.0, aq, out=self._inv[:n])
 
-    def _total(self, total: float, a, b, power: int = 0) -> float:
-        """re int conj(f) aq^power g from `total`, the plain sum of its terms
-        over the spectra a, b of f, g, which may be given as functions of an
-        index that yield the spectra there."""
-        def edges(ix):
-            ea, eb = (x(ix) if callable(x) else x[ix] for x in (a, b))
-            if power:
-                aq = self.sym(ix[0], None, ix[1])
-                eb = eb * aq if power > 0 else eb / aq
-            return _edge_dot(ea, eb)
-        return sp._mirror_sum(total, self.sym.shape, self.layout.spectra, edges) * self.w
+    def _dot(self, a: np.ndarray, b: np.ndarray, rows: slice) -> float:
+        """The weighed sum of re conj(a) b over a row block a, b of the spectra."""
+        return self.layout.dot(a, b, rows, self.sym.shape[0], spectra=True)
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """re int conj(f) g for the fields f, g whose spectra are a, b."""
-        return self._total(sp._redot(a, b), a, b)
+        return sum(self._dot(a[r], b[r], r) for r in self.rows) * self.w
 
     def gradient(self, u: np.ndarray, hat: np.ndarray, p: float, d: np.ndarray | None = None,
                  dhat: np.ndarray | None = None, t: float = 1.0) -> tuple:
@@ -227,20 +216,13 @@ class _Spectra:
         <grad S(v), P grad S(v)>."""
         e = (p - 1.0) / 2.0
         nl = np.empty_like(u)
-
-        def power(ix, out):
-            """|v|^{p-1} v on the stored rows ix, into `out`; returns the sum of |v|^{p+1}."""
-            v = u[ix] if d is None else (u[ix] - d[ix]) * t
-            dens = fl._density(v)
-            pw = fl._power(dens, e)
-            np.multiply(v, pw, out=out)
-            return self.layout.dot(dens, pw)
-
         b_pot = 0.0
         for rows in _slices(*u.shape, _FUSE_ELEMS):
-            b_pot += power(rows, nl[rows])
-        b_pot = self.layout.weigh_rows(lambda ix: power(ix, np.empty_like(u[ix])), u.shape,
-                                       b_pot)
+            v = u[rows] if d is None else (u[rows] - d[rows]) * t
+            dens = fl._density(v)
+            pw = fl._power(dens, e)
+            np.multiply(v, pw, out=nl[rows])
+            b_pot += self.layout.dot(dens, pw, rows, len(u))
         ghat = self.layout.fwd(nl, self.shape)
         del nl
         gh = hh = gg = gpg = 0.0
@@ -254,15 +236,11 @@ class _Spectra:
             g = ghat[rows]
             aq, inv = self._metric(rows)
             np.subtract(np.multiply(h, aq, out=prod[:n]), g, out=g)
-            gh += sp._redot(g, h)
-            gg += sp._redot(g, g)
-            hh += sp._redot(h, h)
-            gpg += sp._redot(g, np.multiply(g, inv, out=prod[:n]))
-
-        def h(ix):
-            return hat[ix] if dhat is None else (hat[ix] - dhat[ix]) * t
-        return (ghat, b_pot * self.w, self._total(gh, ghat, h), self._total(gg, ghat, ghat),
-                self._total(hh, h, h), self._total(gpg, ghat, ghat, -1))
+            gh += self._dot(g, h, rows)
+            gg += self._dot(g, g, rows)
+            hh += self._dot(h, h, rows)
+            gpg += self._dot(g, np.multiply(g, inv, out=prod[:n]), rows)
+        return ghat, b_pot * self.w, gh * self.w, gg * self.w, hh * self.w, gpg * self.w
 
     def step(self, hat: np.ndarray, dhat: np.ndarray, alpha: float, t: float) -> None:
         """Spectrum t (hat - alpha dhat) of an accepted step, written over hat."""
@@ -296,16 +274,14 @@ class _Spectra:
                 o += np.multiply(ghat[rows], inv, out=scaled[:n])
             else:
                 np.multiply(ghat[rows], inv, out=o)
-            dg += sp._redot(ghat[rows], o)
-            dd += sp._redot(o, o)
+            dg += self._dot(ghat[rows], o, rows)
+            dd += self._dot(o, o, rows)
             ao = np.multiply(o, aq, out=prod[:n])
-            ad += sp._redot(hat[rows], ao)
-            dad += sp._redot(o, ao)
+            ad += self._dot(hat[rows], ao, rows)
+            dad += self._dot(o, ao, rows)
             if self.sphere:
-                ud += sp._redot(hat[rows], o)
-        return (out, self._total(dg, ghat, out), self._total(dd, out, out),
-                self._total(ad, hat, out, 1), self._total(dad, out, out, 1),
-                self._total(ud, hat, out))
+                ud += self._dot(hat[rows], o, rows)
+        return out, dg * self.w, dd * self.w, ad * self.w, dad * self.w, ud * self.w
 
     def tangent(self, ghat: np.ndarray, hat: np.ndarray, lam: float) -> tuple[float, float]:
         """Spectrum of g - lam u written over ghat, the gradient tangent to
@@ -316,9 +292,9 @@ class _Spectra:
             n = rows.stop - rows.start
             g = ghat[rows]
             g -= np.multiply(hat[rows], lam, out=prod[:n])
-            gg += sp._redot(g, g)
-            gpg += sp._redot(g, np.multiply(g, self._metric(rows)[1], out=prod[:n]))
-        return self._total(gg, ghat, ghat), self._total(gpg, ghat, ghat, -1)
+            gg += self._dot(g, g, rows)
+            gpg += self._dot(g, np.multiply(g, self._metric(rows)[1], out=prod[:n]), rows)
+        return gg * self.w, gpg * self.w
 
 
 def _descent(u: np.ndarray, sym: sp.Symbol, p: float, grid: Grid, tol: float, max_iter: int,
@@ -384,7 +360,7 @@ def _descent(u: np.ndarray, sym: sp.Symbol, p: float, grid: Grid, tol: float, ma
     hat = layout.fwd(u, grid.shape)
     # aq hat goes into the buffer the first direction is written over
     dhat = spec.sym.apply(hat, np.empty_like(hat))
-    b_pot = layout.weigh_rows(lambda ix: fl._lp1_sum(u[ix], p, layout.total), u.shape)
+    b_pot = fl._lp1_sum(u, p, layout)
     t, a_form, b_pot = scale(spec.dot(hat, dhat), b_pot * spec.w, spec.dot(hat, hat))
     u *= t
     hat *= t
@@ -424,8 +400,7 @@ def _descent(u: np.ndarray, sym: sp.Symbol, p: float, grid: Grid, tol: float, ma
         accepted = False
         while alpha > 1e-14:
             d_a = -alpha * (2.0 * au_d - alpha * a_d)
-            d_b = layout.weigh_rows(
-                lambda ix: _lp1_change(u[ix], d[ix], alpha, p, layout.total), u.shape) * spec.w
+            d_b = _lp1_change(u, d, alpha, p, layout) * spec.w
             t, a_t, b_t = scale(a_u + d_a, b_u + d_b, u_sq - alpha * (2.0 * u_d - alpha * d_sq))
             if mass is None:
                 # S = (p-1)/(2(p+1)) a^{(p+1)/(p-1)} b^{-2/(p-1)} on the Nehari
@@ -537,7 +512,7 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
                          nehari_residual=abs(fl.nehari(q, params)),
                          gradient_residual=sp.l2_norm(fl.action_gradient(q, params)))
             u, layout, u_norm = q.stored, q.layout, sp.l2_norm(q)
-        if layout.weigh_rows(lambda ix: layout.total(u[ix]), u.shape) < 0.0:
+        if layout.dot(u, None, slice(None), len(u)) < 0.0:
             u = -u  # keep the nonnegative sign
     return _solution(params, Field._of(grid, u, layout), stats, u_norm, tol)
 
@@ -946,11 +921,11 @@ def r1_diagnostics(q1: Field, p: float, tail_tol: float = 1e-8) -> R1Diagnostics
     hat = layout.fwd(r1, g.shape)
     lin_applied = layout.inv(aq.apply(hat, out=hat), g.shape)
     del hat
-
-    def defect_sq(ix):
-        defect = lin_applied[ix] - p * fl._density(q[ix]) ** ((p - 1.0) / 2.0) * r1[ix] + q[ix]
-        return layout.dot(defect, defect)
-    lin_res = math.sqrt(layout.sum_rows(defect_sq, q.shape) * g.cell_area) / sp.l2_norm(phys)
+    defect_sq = 0.0
+    for r in _slices(*q.shape, _FUSE_ELEMS):
+        defect = lin_applied[r] - p * fl._density(q[r]) ** ((p - 1.0) / 2.0) * r1[r] + q[r]
+        defect_sq += layout.dot(defect, defect, r, len(q))
+    lin_res = math.sqrt(defect_sq * g.cell_area) / sp.l2_norm(phys)
 
     back = layout.fwd(lin_applied, g.shape)
     del lin_applied
@@ -1013,17 +988,36 @@ def _refine_peak(coef: np.ndarray, g: Grid, tau: np.ndarray) -> np.ndarray:
     return tau if abs(_corr_derivatives(coef, g.xi, g.eta, tau)[0]) >= c_start else start
 
 
+def _lattice_peaks(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the lattice local maxima of `mag` (each at least its eight
+    periodic neighbours) within _PEAK_MARGIN of the maximum, largest first,
+    ties in row-major order: the first is np.argmax's, the only one if the
+    maximum is zero or not finite."""
+    first = np.unravel_index(np.argmax(mag), mag.shape)
+    if not 0.0 < mag[first] < math.inf:
+        return tuple(np.atleast_1d(k) for k in first)
+    i, j = np.nonzero(mag >= (1.0 - _PEAK_MARGIN) * mag[first])
+    top = mag[i, j]
+    peak = np.all([top >= mag[(i + a) % mag.shape[0], (j + b) % mag.shape[1]]
+                   for a in (-1, 0, 1) for b in (-1, 0, 1)], axis=0)
+    order = np.argsort(-top[peak], kind="stable")
+    return i[peak][order], j[peak][order]
+
+
 def orbital_fit(u: Field, q: Field, refine: bool = True) -> OrbitalFit:
     """Best X-norm match of u against the orbit e^{i theta} q(. + tau).
 
-    The X cross-correlation over all grid shifts comes from one FFT of
-    the weighted coefficient product; the peak is then polished off the
-    lattice by Newton steps on |c(tau)|^2, whose gradient and Hessian
-    are the correlation sum weighted by -i xi and -i eta, and the phase
-    is the closed-form argument of the correlation.  The distance is
-    the X norm of the residual u - e^{i theta} q(. + tau), summed over
-    its spectrum, so an exact match reads zero to round-off.  Fields
-    passed in the spectral representation cost no transform.
+    The X cross-correlation c over all grid shifts comes from one FFT of
+    the weighted coefficient product.  distance^2 = ||u||_X^2 + ||q||_X^2
+    - 2 |c(tau)|, so every lattice local maximum of |c| within _PEAK_MARGIN
+    of the largest is polished off the lattice by Newton steps on
+    |c(tau)|^2, whose gradient and Hessian are the correlation sum
+    weighted by -i xi and -i eta, and the largest refined |c| is kept
+    (without `refine`, the lattice argmax); the phase is the closed-form
+    argument of the correlation.  The distance is the X norm of the
+    residual u - e^{i theta} q(. + tau), summed over its spectrum, so an
+    exact match reads zero to round-off.  Fields passed in the spectral
+    representation cost no transform.
     """
     if u.grid != q.grid:
         raise ValueError("fields live on different grids")
@@ -1032,15 +1026,13 @@ def orbital_fit(u: Field, q: Field, refine: bool = True) -> OrbitalFit:
     uh = sp.to_spectral(u).values
     qh = sp.to_spectral(q).values
     coef = w * uh * np.conj(qh) * g.cell_area
-    corr = sp._fft2(coef)
-    flat = int(np.argmax(np.abs(corr)))
-    j1, j2 = np.unravel_index(flat, corr.shape)
-    tau = np.array([((j1 + g.nx // 2) % g.nx - g.nx // 2) * g.dx,
-                    ((j2 + g.ny // 2) % g.ny - g.ny // 2) * g.dy])
-    if refine:
-        tau = _refine_peak(coef, g, tau)
-    c_best = _corr_derivatives(coef, g.xi, g.eta, tau)[0]
-    theta = float(np.angle(c_best))
+    j1, j2 = _lattice_peaks(np.abs(sp._fft2(coef)))
+    taus = np.stack([((j1 + g.nx // 2) % g.nx - g.nx // 2) * g.dx,
+                     ((j2 + g.ny // 2) % g.ny - g.ny // 2) * g.dy], axis=1)
+    taus = [_refine_peak(coef, g, tau) for tau in taus] if refine else taus[:1]
+    cs = [_corr_derivatives(coef, g.xi, g.eta, tau)[0] for tau in taus]
+    best = int(np.argmax(np.abs(cs)))
+    tau, theta = taus[best], float(np.angle(cs[best]))
     # spectrum of e^{i theta} q(. + tau): qh times e^{i(theta + xi tau1 + eta tau2)}
     shift = np.exp(1j * (theta + g.xi * tau[0]))[:, None] * np.exp(1j * g.eta * tau[1])[None, :]
     res = uh - shift * qh

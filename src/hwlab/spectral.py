@@ -16,7 +16,8 @@ one record of how a field and its spectrum are stored, decided once
 (`_layout_of`, for a user's array or a loaded snapshot).  Its `fwd` and
 `inv` pick the transforms and its mirrored axes the Parseval weights, so
 no other module looks at a dtype or a spectrum's shape to choose either,
-and sums over a field read its stored array:
+and sums over a field read its stored array.  The weights are applied in
+one place, `_Layout.dot`, to each cache-sized row block as it is summed:
 
 - `_FULL`: complex128 values, full spectra.
 - `_REAL`: float64 values, half spectra (`rfft2` along y), on which
@@ -30,7 +31,7 @@ and sums over a field read its stored array:
   v = 0 ground state), is fixed by its quarter, indices 0..nx/2 x
   0..ny/2, and its spectrum is real and even, its quarter the DCT-I of
   the field's (`_dct`, its own inverse).  Parseval weighs a quarter's
-  lines (1, 2, ..., 2, 1) along both axes (`_mirror_sum`).
+  lines (1, 2, ..., 2, 1) along both axes.
 
 Every transform in the package goes through `_fft2`, `_ifft2`, `_rfft2`,
 `_irfft2`, `_dct`, `_dst_dct` or the 1-D `_fft` and `_ifft`, on which T_lambda's
@@ -191,14 +192,17 @@ def _even_pack(u0: np.ndarray) -> np.ndarray:
     return (half[:, :n] + half[:, -np.arange(n) % u.shape[1]]) * 0.5
 
 
-def _even_unpack(w: np.ndarray) -> np.ndarray:
-    """The even field whose rows 0..nx/2 and columns 0..ny/2 are `w`: past
-    them, entry (i, j) from (-i mod nx, -j mod ny)."""
+def _even_unpack(w: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """Rows `rows` of the even field whose rows 0..nx/2 and columns 0..ny/2
+    are `w`: past them, entry (i, j) from (-i mod nx, -j mod ny)."""
     m, n = w.shape
-    q = np.empty((2 * m - 2, 2 * n - 2))
-    q[:m, :n] = w
-    q[:m, n:] = w[:, n - 2:0:-1]
-    q[m:] = q[m - 2:0:-1]
+    start, stop, _ = rows.indices(2 * m - 2)
+    mid = min(max(start, m), stop)  # the first selected row past the quarter
+    q = np.empty((stop - start, 2 * n - 2))
+    for part, src in ((q[:mid - start], w[start:mid]),
+                      (q[mid - start:], w[2 * m - 2 - mid:2 * m - 2 - stop:-1])):
+        part[:, :n] = src
+        part[:, n:] = src[:, n - 2:0:-1]  # from w: a copy within q would be buffered
     return q
 
 
@@ -209,7 +213,8 @@ class _Layout:
 
     `spectra` and `values` name the axes along which the stored arrays hold
     lines 0..n/2 of ones even about line 0, which Parseval weighs
-    (1, 2, ..., 2, 1) (`_mirror_sum`).  `fwd(u, shape)` and `inv(hat,
+    (1, 2, ..., 2, 1) as `dot` sums a row block, so a weighted sum is a
+    loop over `_slices` adding `dot`.  `fwd(u, shape)` and `inv(hat,
     shape)` are the unitary transforms between the stored arrays of a
     field of `shape`; `pack` makes the stored values of a full field,
     `unpack` the full field of stored values.
@@ -227,34 +232,29 @@ class _Layout:
         return tuple(n // 2 + 1 if axis in self.spectra else n
                      for axis, n in enumerate(grid.shape))
 
-    def _weigh(self, total: float, shape: tuple[int, int], axis: int, reduce: Callable) -> float:
-        return _mirror_sum(total, shape, (axis,) if axis in self.values else (), reduce)
+    def dot(self, a: np.ndarray, b: np.ndarray | None, rows: slice, n: int,
+            spectra: bool = False) -> float:
+        """re sum conj(a) b (sum a for b None) over the field, for row blocks
+        a, b of the stored values (`spectra`: the stored spectra), rows `rows`
+        of `n`: weighed (1, 2, ..., 2, 1) along the mirrored axes, where the
+        block's first and last columns, and stored rows 0 and n - 1 in the
+        block that holds them, are their own mirrors."""
+        axes = self.spectra if spectra else self.values
+        cols = slice(None, None, a.shape[1] - 1)
 
-    def total(self, a: np.ndarray) -> float:
-        """Sum of a row block of values, with the column weights of `values`."""
-        return self._weigh(_sum(a), a.shape, 1, lambda ix: _sum(a[ix]))
+        def plain(ix) -> float:
+            return float(np.sum(a[ix])) if b is None else _redot(a[ix], b[ix])
 
-    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
-        """`_redot` of two row blocks of values, as `total` weighs them."""
-        return self._weigh(_redot(a, b), a.shape, 1, lambda ix: _redot(a[ix], b[ix]))
+        def lines(r: slice) -> float:
+            """The sum over the block's rows r, weighed along y."""
+            return 2.0 * plain(r) - plain((r, cols)) if 1 in axes else plain(r)
 
-    def weigh_rows(self, reduce: Callable, shape: tuple[int, int],
-                   total: float | None = None) -> float:
-        """The sum over the field of terms whose sum over the stored rows ix,
-        column-weighted as by `total`, is `reduce(ix)` (`total`: over all of
-        them, if known): on a quarter, rows 0 and nx/2 count once."""
-        if total is None:
-            total = reduce((slice(None), slice(None)))
-        return self._weigh(total, shape, 0, reduce)
-
-    def sum_rows(self, reduce: Callable, shape: tuple[int, int]) -> float:
-        """`weigh_rows` of `reduce`, its total summed over cache-sized row blocks."""
-        return self.weigh_rows(reduce, shape, sum(
-            reduce((r, slice(None))) for r in _slices(*shape, _FUSE_ELEMS)))
-
-
-def _sum(a: np.ndarray) -> float:
-    return float(np.sum(a))
+        total = lines(slice(None))
+        if 0 in axes:
+            start, stop, _ = rows.indices(n)
+            own = [i for i, edge in ((0, start == 0), (len(a) - 1, stop == n)) if edge]
+            total = 2.0 * total - (lines(own) if own else 0.0)
+        return total
 
 
 _FULL = _Layout((), (), lambda u, shape: _fft2(u), lambda h, shape: _ifft2(h),
@@ -409,6 +409,10 @@ class Field:
         """`values` if kept, else formed for one use and not kept."""
         return vars(self)["values"] if "values" in vars(self) else self.layout.unpack(self.stored)
 
+    def _rows(self, rows: slice) -> np.ndarray:
+        """Rows `rows` of `values`, on `_EVEN` mirrored from the quarter alone."""
+        return _even_unpack(self.stored, rows) if self.layout is _EVEN else self.values[rows]
+
     def copy(self) -> Field:
         return Field._of(self.grid, self.stored.copy(), self.layout, self.rep)
 
@@ -502,12 +506,11 @@ class _ActionRows:
         self.v_eta = v * grid.eta_odd[:cols] if v else None
         self.omega = omega
 
-    def __call__(self, rows: slice, out: np.ndarray | None = None,
-                 cols: slice = slice(None)) -> np.ndarray:
-        """The symbol on rows x cols, written into `out` if given."""
-        out = np.add(self.xi2[rows], self.abs_eta[cols], out=out)
+    def __call__(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """The symbol on a row block, written into `out` if given."""
+        out = np.add(self.xi2[rows], self.abs_eta, out=out)
         if self.v_eta is not None:
-            out -= self.v_eta[cols]
+            out -= self.v_eta
         out += self.omega
         return out
 
@@ -567,9 +570,10 @@ def l2_inner(f: Field, g: Field):
 
 
 def l2_norm_sq(f: Field) -> float:
-    """||f||^2 from the stored array, with its layout's weights."""
+    """||f||^2 from the stored array's row blocks (`_Layout.dot`)."""
     u, layout = f.stored, f.layout
-    return layout.weigh_rows(lambda ix: layout.dot(u[ix], u[ix]), u.shape) * f.grid.cell_area
+    return sum(layout.dot(u[r], u[r], r, len(u))
+               for r in _slices(*u.shape, _FUSE_ELEMS)) * f.grid.cell_area
 
 
 def l2_norm(f: Field) -> float:
@@ -584,36 +588,16 @@ def _spectrum(f: Field) -> tuple[np.ndarray, _Layout]:
     return f.layout.fwd(f.stored, f.grid.shape), f.layout
 
 
-def _mirror_sum(total: float, shape: tuple[int, int], axes: tuple[int, ...],
-                reduce: Callable[[tuple[slice, slice]], float],
-                index: tuple[slice, slice] = (slice(None), slice(None))) -> float:
-    """The sum over the full arrays of terms whose plain sum over the stored
-    arrays of `shape` is `total`.  Along each axis in `axes` the stored
-    arrays hold lines 0..n/2 of arrays even about line 0 (a half spectrum
-    along y, both axes of an even field's quarter), which Parseval weighs
-    (1, 2, ..., 2, 1): twice the sum, less `reduce(ix)`, the plain sum over
-    the two self-mirrored lines ix, first and last, weighed alike along the
-    other axis of `axes`."""
-    if not axes:
-        return total
-    *rest, axis = axes
-    edges = list(index)
-    edges[axis] = slice(None, None, shape[axis] - 1)
-    edges = tuple(edges)
-    return (2.0 * _mirror_sum(total, shape, rest, reduce, index)
-            - _mirror_sum(reduce(edges), shape, rest, reduce, edges))
-
-
 def _forms(hat: np.ndarray, layout: _Layout, grid: Grid,
            *multipliers: np.ndarray | float) -> list[float]:
     """sum m * |fhat|^2 * dx*dy for each multiplier m, over the spectrum `hat`
     of f stored as `layout` says (`_spectrum`: full or half spectra), for
     real multipliers that broadcast to the grid shape, by cache-sized row
-    blocks that form |fhat|^2 once for every multiplier.  On a half
-    spectrum a multiplier counts by its even part (m(k) + m(-k))/2, with
-    the column weights (1, 2, ..., 2, 1): an odd part, such as the
-    transport row, sums to zero over a real field; on a quarter, by its
-    part even in kx and in ky, with those weights along both axes."""
+    blocks (`_Layout.dot`) that form |fhat|^2 once for every multiplier.
+    On a half spectrum a multiplier counts by its even part (m(k) +
+    m(-k))/2, with the column weights (1, 2, ..., 2, 1): an odd part, such
+    as the transport row, sums to zero over a real field; on a quarter, by
+    its part even in kx and in ky, with those weights along both axes."""
     shape = layout.spectra_shape(grid)
     mults = []
     for multiplier in multipliers:
@@ -627,11 +611,9 @@ def _forms(hat: np.ndarray, layout: _Layout, grid: Grid,
     totals = [0.0] * len(mults)
     for r in _slices(*hat.shape, _FUSE_ELEMS):
         dens = _density(hat[r])
-        totals = [t + float(np.sum(m[r] * dens)) for t, m in zip(totals, mults)]
-    def edges(m):
-        return lambda ix: float(np.sum(m[ix] * _density(hat[ix])))
-    return [_mirror_sum(t, hat.shape, layout.spectra, edges(m)) * grid.cell_area
-            for t, m in zip(totals, mults)]
+        totals = [t + layout.dot(m[r] * dens, None, r, len(hat), spectra=True)
+                  for t, m in zip(totals, mults)]
+    return [t * grid.cell_area for t in totals]
 
 
 def quadratic_form(f: Field, multiplier: np.ndarray) -> float:
@@ -682,19 +664,19 @@ def tail_mass_fraction(f: Field) -> float:
 
     Validates periodic truncation: solitary profiles decay exponentially
     in x but only algebraically in y, so boxes must be sized until this
-    is small.
+    is small.  Both masses are summed in one pass (`_Layout.dot`).
     """
     g, f = f.grid, to_physical(f)
     u, layout = f.stored, f.layout
     inner_x = np.abs(g.x[:u.shape[0]]) <= 0.9 * (g.lx / 2.0)
     edge_y = np.abs(g.y[:u.shape[1]]) > 0.9 * (g.ly / 2.0)
-    def mass(ix: tuple[slice, slice], band: bool) -> float:
-        dens = _density(u[ix])
-        if band:  # the x band's rows whole, the others on the y band
-            dens[inner_x[ix[0]]] *= edge_y[ix[1]]
-        return layout.total(dens)
-    total = layout.sum_rows(lambda ix: mass(ix, False), u.shape)
-    return 0.0 if total == 0.0 else layout.sum_rows(lambda ix: mass(ix, True), u.shape) / total
+    total = band = 0.0
+    for r in _slices(*u.shape, _FUSE_ELEMS):
+        dens = _density(u[r])
+        total += layout.dot(dens, None, r, len(u))
+        dens[inner_x[r]] *= edge_y  # the x band's rows whole, the others on the y band
+        band += layout.dot(dens, None, r, len(u))
+    return 0.0 if total == 0.0 else band / total
 
 
 def frac_constant(s: float) -> float:

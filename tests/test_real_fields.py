@@ -102,21 +102,30 @@ def test_real_field_matches_complex_copy(nx, ny, lx, ly, p, omega, v, lam, seed)
 
 @given(nx=st.integers(4, 40).map(lambda k: 2 * k), ny=st.integers(4, 40).map(lambda k: 2 * k),
        block=st.integers(1, 5000), seed=st.integers(0, 2 ** 32 - 1),
-       special=st.lists(st.sampled_from(_SPECIAL), max_size=6))
-@example(nx=10, ny=8, block=24, seed=0, special=[np.nan, -0.0])
-def test_real_snapshot_bytes_match_complex_copy(nx, ny, block, seed, special):
+       special=st.lists(st.sampled_from(_SPECIAL), max_size=6), even=st.booleans())
+@example(nx=10, ny=8, block=24, seed=0, special=[np.nan, -0.0], even=False)
+@example(nx=10, ny=8, block=24, seed=0, special=[np.nan, -0.0], even=True)
+def test_real_snapshot_bytes_match_complex_copy(nx, ny, block, seed, special, even):
     # a real field is written by row blocks, a short last one included;
-    # NaN, infinities, -0.0 and subnormals keep their bits
+    # NaN, infinities, -0.0 and subnormals keep their bits; an even field
+    # stored as its quarter is written from the quarter, its values not
+    # formed, as the bytes of its unpacked float64 copy
     g = sp.make_grid(nx, ny, 10.0, 10.0)
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(g.shape)
     vals.reshape(-1)[rng.choice(vals.size, len(special), replace=False)] = special
     real = sp.physical_field(g, vals)
+    if even:
+        real = sp.Field._of(g, vals[:nx // 2 + 1, :ny // 2 + 1].copy(), sp._EVEN)
+        vals = sp._EVEN.unpack(real.stored)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(snapshots, "_WRITE_ELEMS", block)
         raw_r, = _saved_bytes([real], ModelParams(p=2.0))
-    raw_c, = _saved_bytes([sp.physical_field(g, vals.astype(np.complex128))], ModelParams(p=2.0))
-    assert raw_r == raw_c
+    assert not even or "values" not in vars(real)
+    raw_f, raw_c = _saved_bytes([sp.physical_field(g, vals),
+                                 sp.physical_field(g, vals.astype(np.complex128))],
+                                ModelParams(p=2.0))
+    assert raw_r == raw_f == raw_c
     assert len(raw_r) == snapshots._HEADER.size + 16 * vals.size
 
 

@@ -296,9 +296,9 @@ def test_r_symmetric_half_sums_match_full_arrays(grid, p, v, alpha, seed):
     assert np.array_equal(lay.unpack(uh), _mirror(lay.unpack(uh)))
     assert np.linalg.norm(lay.unpack(uh) - u) <= 1e-15 * np.linalg.norm(u)
     b_u = fl._lp1_sum(u, p)
-    assert fl._lp1_sum(uh, p, lay.total) == pytest.approx(b_u, rel=1e-12)
+    assert fl._lp1_sum(uh, p, lay) == pytest.approx(b_u, rel=1e-12)
     scale = b_u + fl._lp1_sum(u - alpha * d, p)
-    assert abs(sol._lp1_change(uh, dh, alpha, p, lay.total)
+    assert abs(sol._lp1_change(uh, dh, alpha, p, lay)
                - sol._lp1_change(u, d, alpha, p)) <= 1e-12 * scale
     par = ModelParams(p=p, v=v)
     field = sp.physical_field(grid, u)
@@ -323,11 +323,17 @@ def _is_even(u):
        seed=st.integers(0, 2 ** 32 - 1))
 @example(grid=sp.make_grid(10, 16, 10.0, 10.0), p=3.0, omega=1.0, alpha=0.5, t=1.2, beta=0.7,
          block_rows=1, seed=1)
+@example(grid=sp.make_grid(10, 16, 10.0, 10.0), p=2.0, omega=0.7, alpha=-0.3, t=0.8, beta=1.5,
+         block_rows=5, seed=2)
+@example(grid=sp.make_grid(10, 16, 10.0, 10.0), p=4.0, omega=2.0, alpha=1.1, t=1.5, beta=0.0,
+         block_rows=6, seed=3)
 def test_even_quarter_sums_match_full_arrays(grid, p, omega, alpha, t, beta, block_rows, seed):
     # int |u|^{p+1}, its line-search change, L2 products and the fused passes,
     # summed over the quarters of even fields with the weights (1, 2, ..., 2, 1)
     # along both axes, against full arrays and the half-spectrum passes; row
-    # blocks of one row up to the whole quarter
+    # blocks of one row up to the whole quarter (the examples: blocks of one
+    # row; blocks of five on six quarter rows, the last row a block of its
+    # own; one block holding the first and the last row)
     rng = np.random.default_rng(seed)
     lay = sp._EVEN
     u, d, g_prev = (lay.unpack(lay.pack(_random_field(grid, rng, True))) for _ in range(3))
@@ -337,13 +343,12 @@ def test_even_quarter_sums_match_full_arrays(grid, p, omega, alpha, t, beta, blo
     assert np.array_equal(lay.unpack(uq), u) and np.array_equal(lay.pack(lay.unpack(uq)), uq)
     assert uq.shape == (grid.nx // 2 + 1, grid.ny // 2 + 1)
     scale = math.sqrt(sp._redot(u, u) * sp._redot(d, d))
-    assert abs(lay.weigh_rows(lambda ix: lay.dot(uq[ix], dq[ix]), uq.shape)
+    blocks = sp._slices(*uq.shape, block_rows * uq.shape[1])
+    assert abs(sum(lay.dot(uq[r], dq[r], r, len(uq)) for r in blocks)
                - sp._redot(u, d)) <= 1e-12 * scale
     b_u = fl._lp1_sum(u, p)
-    assert lay.weigh_rows(lambda ix: fl._lp1_sum(uq[ix], p, lay.total),
-                          uq.shape) == pytest.approx(b_u, rel=1e-12)
-    assert abs(lay.weigh_rows(lambda ix: sol._lp1_change(uq[ix], dq[ix], alpha, p, lay.total),
-                              uq.shape) - sol._lp1_change(u, d, alpha, p)) \
+    assert fl._lp1_sum(uq, p, lay) == pytest.approx(b_u, rel=1e-12)
+    assert abs(sol._lp1_change(uq, dq, alpha, p, lay) - sol._lp1_change(u, d, alpha, p)) \
         <= 1e-12 * (b_u + fl._lp1_sum(u - alpha * d, p))
     sym = sp.action_quadratic(omega)
     with pytest.MonkeyPatch.context() as mp:
@@ -1032,6 +1037,28 @@ def test_orbital_fit_perturbation_bound(p2_state):
     fit = sol.orbital_fit(u, q)
     assert fit.distance <= delta * fl.x_norm(pert) * (1.0 + 1e-9)
     assert fit.distance > 0
+
+
+def test_orbital_fit_keeps_the_best_refined_peak():
+    # u = q(. - a) + 1.02 q(. - b), a on the lattice and b half a cell off it
+    # in x and in y: the lattice argmax of |c| is at a, but the refined peak
+    # at b is higher, and its residual q(. - a) + 0.02 q(. - b) is the smaller
+    g = sp.make_grid(32, 32, 20.0, 20.0)
+    qh = sp._fft2(np.exp(-(g.x[:, None] ** 2 + g.y[None, :] ** 2) / 2.0))
+
+    def shifted(c):
+        return qh * np.exp(-1j * (g.xi[:, None] * c[0] + g.eta[None, :] * c[1]))
+    a, b = np.array([-8 * g.dx, 0.0]), np.array([8.5 * g.dx, 0.5 * g.dy])
+    q = sp.spectral_field(g, qh)
+    u = sp.spectral_field(g, shifted(a) + 1.02 * shifted(b))
+    lattice = sol.orbital_fit(u, q, refine=False)
+    assert (lattice.tau1, lattice.tau2) == pytest.approx(tuple(-a), abs=1e-12)
+    fit = sol.orbital_fit(u, q)
+    assert (fit.tau1, fit.tau2) == pytest.approx(tuple(-b), abs=1e-8)
+    assert abs(fit.theta) <= 1e-8
+    want = fl.x_norm(sp.spectral_field(g, shifted(a) + 0.02 * shifted(b)))
+    assert fit.distance == pytest.approx(want, rel=1e-8)
+    assert fit.distance < 0.99 * fl.x_norm(sp.spectral_field(g, 1.02 * shifted(b)))
 
 
 @pytest.mark.parametrize("start", [

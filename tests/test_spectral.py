@@ -442,19 +442,21 @@ def test_dct_is_the_quarter_of_an_even_spectrum(nx, ny, seed):
 
 def _form_one_by_one(hat, grid, multiplier):
     """sum multiplier * |fhat|^2 * dx*dy as summed with one density pass per
-    multiplier: the row-block sums, then twice them less the edge columns on
-    a half spectrum."""
+    multiplier: the row-block sums, each on a half spectrum twice the block's
+    less its edge columns."""
     mult = np.atleast_2d(np.asarray(multiplier, dtype=np.float64))
     half = hat.shape[1] != grid.ny
     if half:
         mult = 0.5 * (mult + np.roll(mult[::-1, ::-1], 1, axis=(0, 1)))
         mult = mult[:, :hat.shape[1]] if mult.shape[1] > 1 else mult
     mult = np.broadcast_to(mult, hat.shape)
-    total = sum(float(np.sum(mult[r] * sp._density(hat[r])))
-                for r in sp._slices(*hat.shape, sp._FUSE_ELEMS))
-    if half:
-        edge = (slice(None), slice(None, None, hat.shape[1] - 1))
-        total = 2.0 * total - float(np.sum(mult[edge] * sp._density(hat[edge])))
+    total = 0.0
+    for r in sp._slices(*hat.shape, sp._FUSE_ELEMS):
+        blk = mult[r] * sp._density(hat[r])
+        if half:
+            total += 2.0 * float(np.sum(blk)) - float(np.sum(blk[:, ::hat.shape[1] - 1]))
+        else:
+            total += float(np.sum(blk))
     return total * grid.cell_area
 
 
