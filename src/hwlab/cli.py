@@ -361,8 +361,8 @@ def _checks(cfg: ExperimentConfig, grid: Grid, params: ModelParams):
                   .astype(np.complex128), sp.PHYSICAL)
     yield "gaussian_mass_quarter_pi", abs(fl.mass(gauss) - math.pi / 4.0), 1e-6
     c_p = 0.5 - 1.0 / (params.p + 1.0)
-    lower = c_p * (1.0 - abs(params.v)) * (fl.dx_norm_sq(u) + fl.dy_half_norm_sq(u)
-                                           + params.omega * sp.l2_norm_sq(u))
+    dx_sq, dy_sq = fl._dx_dy_forms(*sp._spectrum(u), grid)
+    lower = c_p * (1.0 - abs(params.v)) * (dx_sq + dy_sq + params.omega * sp.l2_norm_sq(u))
     yield "i_value_coercive", lower - fl.i_value(u, params), 1e-10 * max(1.0, lower)
     small = Grid(64, 64, 20.0, 20.0)
     vals = [pt.i_value for pt in sol.travel_upper_bound_probe(small, params.p, params.omega)]

@@ -115,7 +115,7 @@ def quadratic_action_form(u: Field, params: ModelParams) -> float:
 
 def hamiltonian(u: Field, p: float) -> float:
     """H(u) = 1/2 (||dx u||^2 + <|D_y| u, u>) - 1/(p+1) int |u|^{p+1}."""
-    return 0.5 * (dx_norm_sq(u) + dy_half_norm_sq(u)) - lp1_power(u, p) / (p + 1.0)
+    return 0.5 * sum(_dx_dy_forms(*sp._spectrum(u), u.grid)) - lp1_power(u, p) / (p + 1.0)
 
 
 def action(u: Field, params: ModelParams) -> float:
@@ -134,7 +134,7 @@ def i_value(u: Field, params: ModelParams) -> float:
 
 
 def x_norm_sq(u: Field) -> float:
-    return dx_norm_sq(u) + dy_half_norm_sq(u) + sp.l2_norm_sq(u)
+    return sum(_dx_dy_forms(*sp._spectrum(u), u.grid)) + sp.l2_norm_sq(u)
 
 
 def x_norm(u: Field) -> float:
@@ -149,12 +149,16 @@ def x_weight(grid: Grid) -> np.ndarray:
 
 
 def x_inner(u: Field, w: Field):
-    """X inner product <u, w>_X as a complex number."""
+    """X inner product <u, w>_X as a complex number, by row blocks of the
+    weight (no full-size weight or product)."""
     if u.grid != w.grid:
         raise ValueError("fields live on different grids")
     uh = sp.to_spectral(u).values
     wh = sp.to_spectral(w).values
-    return complex(np.sum(x_weight(u.grid) * uh * np.conj(wh)) * u.grid.cell_area)
+    weight = sp._ActionRows(u.grid, 1.0, 0.0, sp._FULL)
+    total = sum(np.sum(weight(r) * uh[r] * np.conj(wh[r]))
+                for r in sp._slices(*uh.shape, sp._FUSE_ELEMS))
+    return complex(total * u.grid.cell_area)
 
 
 def gn_quotient(u: Field, p: float) -> float:
@@ -166,7 +170,7 @@ def gn_quotient(u: Field, p: float) -> float:
 
     maximized exactly by the ground states.
     """
-    return _gn_quotient(lp1_power(u, p), dx_norm_sq(u), dy_half_norm_sq(u),
+    return _gn_quotient(lp1_power(u, p), *_dx_dy_forms(*sp._spectrum(u), u.grid),
                         sp.l2_norm_sq(u), p)
 
 

@@ -1018,15 +1018,40 @@ def orbital_fit(u: Field, q: Field, refine: bool = True) -> OrbitalFit:
     residual u - e^{i theta} q(. + tau), summed over its spectrum, so an
     exact match reads zero to round-off.  Fields passed in the spectral
     representation cost no transform.
+
+    Beyond the two spectra the fit holds one complex field: the weighted
+    product, transformed in place; |c| in its memory, as float64; the
+    product again for the Newton steps; the weighted residual density.
+    Each is written by row blocks with the operations of the full-array
+    expression, so every bit is the full-array fit's.
     """
     if u.grid != q.grid:
         raise ValueError("fields live on different grids")
     g = u.grid
-    w = fl.x_weight(g)
     uh = sp.to_spectral(u).values
     qh = sp.to_spectral(q).values
-    coef = w * uh * np.conj(qh) * g.cell_area
-    j1, j2 = _lattice_peaks(np.abs(sp._fft2(coef)))
+    weight = sp._ActionRows(g, 1.0, 0.0, sp._FULL)  # fl.x_weight by row blocks
+    blocks = _slices(*g.shape, _FUSE_ELEMS)
+
+    def fill_coef(buf: np.ndarray) -> np.ndarray:
+        for r in blocks:  # ((w uh) conj(qh)) dx dy
+            blk = np.multiply(weight(r), uh[r], out=buf[r])
+            blk *= np.conj(qh[r])
+            blk *= g.cell_area
+        return buf
+
+    def floats(buf: np.ndarray) -> np.ndarray:
+        """The first half of a complex array's memory as float64 of its shape."""
+        return buf.reshape(-1).view(np.float64)[:buf.size].reshape(buf.shape)
+
+    corr = sp._fft2(fill_coef(np.empty(g.shape, np.complex128)), overwrite=True)
+    mag = floats(corr)
+    # |c| on rows r lands on complex rows < r.stop: read already, or in r,
+    # whose overlap numpy buffers
+    for r in blocks:
+        np.abs(corr[r], out=mag[r])
+    j1, j2 = _lattice_peaks(mag)
+    coef = fill_coef(corr)
     taus = np.stack([((j1 + g.nx // 2) % g.nx - g.nx // 2) * g.dx,
                      ((j2 + g.ny // 2) % g.ny - g.ny // 2) * g.dy], axis=1)
     taus = [_refine_peak(coef, g, tau) for tau in taus] if refine else taus[:1]
@@ -1034,9 +1059,12 @@ def orbital_fit(u: Field, q: Field, refine: bool = True) -> OrbitalFit:
     best = int(np.argmax(np.abs(cs)))
     tau, theta = taus[best], float(np.angle(cs[best]))
     # spectrum of e^{i theta} q(. + tau): qh times e^{i(theta + xi tau1 + eta tau2)}
-    shift = np.exp(1j * (theta + g.xi * tau[0]))[:, None] * np.exp(1j * g.eta * tau[1])[None, :]
-    res = uh - shift * qh
-    dist_sq = float(np.sum(w * sp._density(res))) * g.cell_area
+    ex, ey = np.exp(1j * (theta + g.xi * tau[0])), np.exp(1j * g.eta * tau[1])
+    dens = floats(coef)
+    for r in blocks:
+        res = uh[r] - (ex[r, None] * ey[None, :]) * qh[r]
+        np.multiply(weight(r), sp._density(res), out=dens[r])
+    dist_sq = float(np.sum(dens)) * g.cell_area
     return OrbitalFit(theta=theta, tau1=float(tau[0]), tau2=float(tau[1]),
                       distance=math.sqrt(dist_sq))
 

@@ -98,8 +98,10 @@ def _ifft(a: np.ndarray) -> np.ndarray:
     return scipy.fft.ifft(a, norm="ortho", workers=_workers(a.size))
 
 
-def _fft2(a: np.ndarray) -> np.ndarray:
-    return scipy.fft.fft2(a, norm="ortho", workers=_workers(a.size))
+def _fft2(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Unitary 2-D FFT; with `overwrite`, pocketfft may reuse `a`'s memory
+    for the result (use the returned array: `a` is then undefined)."""
+    return scipy.fft.fft2(a, norm="ortho", overwrite_x=overwrite, workers=_workers(a.size))
 
 
 def _ifft2(a: np.ndarray) -> np.ndarray:

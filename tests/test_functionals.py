@@ -103,6 +103,32 @@ def test_x_norm_composition(grid):
     assert abs(fl.x_inner(u, u).imag) <= 1e-12 * fl.x_norm_sq(u)
 
 
+@pytest.mark.parametrize("layout", ["_FULL", "_REAL", "_RSYM", "_EVEN"])
+def test_one_spectrum_functionals_match_two_transforms(layout):
+    # x_norm_sq, hamiltonian and gn_quotient transform the field once for
+    # both norms; _forms sums each multiplier on its own, so every value
+    # equals, bit for bit, the sum of the two single-norm calls
+    g = sp.make_grid(32, 48, 20.0, 24.0)
+    lay = getattr(sp, layout)
+    env = np.exp(-(g.x[:, None] ** 2 + g.y[None, :] ** 2) / 8.0)
+    u = sp.Field._of(g, lay.pack(random_field(g, 7).values + 2.0 * env), lay)
+    p = 2.5
+    dx_sq, dy_sq, l2_sq = fl.dx_norm_sq(u), fl.dy_half_norm_sq(u), sp.l2_norm_sq(u)
+    lp1 = fl.lp1_power(u, p)
+    assert fl._dx_dy_forms(*sp._spectrum(u), g) == [dx_sq, dy_sq]
+    assert fl.x_norm_sq(u) == dx_sq + dy_sq + l2_sq
+    assert fl.hamiltonian(u, p) == 0.5 * (dx_sq + dy_sq) - lp1 / (p + 1.0)
+    assert fl.gn_quotient(u, p) == fl._gn_quotient(lp1, dx_sq, dy_sq, l2_sq, p)
+
+
+def test_x_inner_by_row_blocks(grid):
+    # the row-blocked sum agrees with the full weighted product to rounding
+    u, w = random_field(grid, 5), random_field(grid, 6)
+    full = np.sum(fl.x_weight(grid) * sp.to_spectral(u).values
+                  * np.conj(sp.to_spectral(w).values)) * grid.cell_area
+    assert fl.x_inner(u, w) == pytest.approx(complex(full), rel=1e-14)
+
+
 def test_i_value_coercive(grid):
     # I controls (1 - |v|) of the X norm for omega ~ 1
     par = ModelParams(p=3.0, omega=1.0, v=0.9)
