@@ -199,7 +199,8 @@ def cmd_stability(cfg: ExperimentConfig, grid: Grid, params: ModelParams) -> int
 
 def cmd_instability(cfg: ExperimentConfig, grid: Grid, params: ModelParams) -> int:
     if not (7.0 / 3.0 < params.p < 5.0):
-        raise ConfigError("instability experiment needs 7/3 < p < 5")
+        raise ConfigError(f"instability experiment needs 7/3 < p < 5, got model.p = "
+                          f"{params.p:g}: pass --model.p 3.0, for example")
     try:
         q, params = _reference_state(cfg, grid, params)
     except (sol.ConvergenceError, sol.CollapseError) as exc:

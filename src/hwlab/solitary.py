@@ -165,11 +165,11 @@ def _advance(u: np.ndarray, d: np.ndarray, alpha: float, t: float) -> None:
 
 class _Spectra:
     """L2 inner products and the fused passes of the descent on the spectra
-    of a `sp._Layout`: rfft2 half spectra for real fields and the quarters of
-    even ones, where Parseval weighs the lines (1, 2, ..., 2, 1), full
-    spectra otherwise (real ones for an R-symmetric field).  aq is the symbol
-    `sym` (action_quadratic) on the same spectra, `w` the cell area, and
-    P = 1/aq the metric of the descent.
+    of a `sp._Layout`: rfft2 half spectra for real fields, the quarters of
+    even ones and rows 0..nx/2 of the real spectra of R-symmetric ones even
+    in x, where Parseval weighs the lines (1, 2, ..., 2, 1), full spectra
+    otherwise.  aq is the symbol `sym` (action_quadratic) on the same
+    spectra, `w` the cell area, and P = 1/aq the metric of the descent.
 
     A fused pass walks the spectra in row blocks of about _FUSE_ELEMS
     entries, which stay in cache: each block is updated and then feeds
@@ -477,14 +477,17 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
     default guesses) on the quarters of the field and of its spectrum,
     with one DCT-I each way, and the profile is mirrored from the quarter,
     even bit for bit; for another real start on half spectra.  For v != 0
-    and a start with ||u - R u|| <= 1e-12 ||u||, R u = conj u(-x, -y) (the
-    default guesses, the v = 0 profile, an earlier traveling wave), it runs
-    from the half of (u + R u) / 2 on real spectra, with rfft2/irfft2 only,
-    and rebuilds the R-symmetric profile by the mirror
-    q[i, ny - j] = conj q[-i, j].  Other
-    starts run on full complex spectra, with the v = 0 result rotated onto
-    the real axis.  A v = 0 profile is float64, a traveling one complex128,
-    stored as it was found.  `history`: one IterationRecord per iteration.
+    and a start even in x and R-symmetric, R u = conj u(-x, -y), to 1e-12
+    (`sp._layout_of`; the default guesses, the v = 0 profile, an earlier
+    traveling wave), it runs on `sp._RSYM`, the conjugated quarter of the
+    field and rows 0..nx/2 of its real spectrum, with a DCT-I along x and
+    the real pair along y each way, and the profile is mirrored from the
+    quarter, R-symmetric and even in x bit for bit.  A stored traveling
+    wave or even v = 0 profile starts it from its quarter, with no full
+    array formed.  Other starts run on full complex spectra, with the
+    v = 0 result rotated onto the real axis.  A v = 0 profile is float64,
+    a traveling one complex128, stored as it was found.  `history`: one
+    IterationRecord per iteration.
     """
     if init is None:
         init = default_initial_guess(grid, params, kind=init_kind, seed=seed)
@@ -493,11 +496,17 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
     if sp.l2_norm_sq(init) == 0.0:
         raise CollapseError("initial guess is identically zero")
 
-    u0 = sp.to_physical(init)._full()
-    layout = sp._layout_of(u0, params.v)
-    u = layout.pack(u0)
+    phys = sp.to_physical(init)
+    if params.v != 0.0 and phys.layout in (sp._RSYM, sp._EVEN):
+        # the `_RSYM` quarter, conj u, is the stored one, or u for a real u
+        layout, u = sp._RSYM, phys.stored.astype(np.complex128)
+    else:
+        u0 = phys._full()
+        layout = sp._layout_of(u0, params.v)
+        u = layout.pack(u0)
+        del u0
     # freed before the descent, a default start leaves its memory to the profile
-    del init, u0
+    del init, phys
     u, stats, u_norm, _ = _descent(u, sp.action_quadratic(params.omega, params.v),
                                    params.p, grid, tol, max_iter, floor_rule=False, layout=layout)
     if params.v == 0.0:

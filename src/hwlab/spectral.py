@@ -23,10 +23,14 @@ one place, `_Layout.dot`, to each cache-sized row block as it is summed:
 - `_REAL`: float64 values, half spectra (`rfft2` along y), on which
   Parseval weighs the columns (1, 2, ..., 2, 1) and a multiplier counts
   by its even part (`_spectrum`, `_forms`).
-- `_RSYM`: u(x, y) = conj u(-x, -y) (R-symmetric, as a traveling wave
-  grown from an R-symmetric start is) has a real spectrum S, and the
-  real pair serves it in reverse: the conjugates of its columns
-  0..ny/2 are `_rfft2(S)`, and S is their `_irfft2`.
+- `_RSYM`: u(x, y) = u(-x, y) = conj u(x, -y) (R-symmetric, u = conj
+  u(-x, -y), and even in x, as a traveling wave grown from such a start
+  is) is fixed by conj u on indices 0..nx/2 x 0..ny/2, mirrored along
+  both axes, and has a real spectrum even in xi, fixed by its rows
+  0..nx/2.  Between them a DCT-I runs along x on the float view of the
+  complex rows and the real pair along y in reverse (`_dct_irfft`,
+  `_rfft_dct`): Parseval weighs the values' lines along both axes and
+  the spectrum's rows.
 - `_EVEN`: a real field even in x and in y, u = u(-x, .) = u(., -y) (a
   v = 0 ground state), is fixed by its quarter, indices 0..nx/2 x
   0..ny/2, and its spectrum is real and even, its quarter the DCT-I of
@@ -34,7 +38,8 @@ one place, `_Layout.dot`, to each cache-sized row block as it is summed:
   lines (1, 2, ..., 2, 1) along both axes.
 
 Every transform in the package goes through `_fft2`, `_ifft2`, `_rfft2`,
-`_irfft2`, `_dct`, `_dst_dct` or the 1-D `_fft` and `_ifft`, on which T_lambda's
+`_irfft2`, `_dct`, `_dst_dct`, `_dct_irfft`, `_rfft_dct` or the 1-D `_fft`
+and `_ifft`, on which T_lambda's
 chirp z-transform runs; all call `scipy.fft` (pocketfft), and no other
 module names `numpy.fft`, `scipy.fft` or `scipy.signal`.  A transform
 runs on `len(os.sched_getaffinity(0))` threads (the usable cores) when
@@ -142,6 +147,30 @@ def _dst_dct(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+def _dct_irfft(w: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Rows 0..nx/2 of the real spectrum of an `_RSYM` field of `shape`
+    from its stored conj u: a DCT-I along x of the float view of the
+    complex rows, then irfft along y, unitary in all."""
+    nx, ny = shape
+    workers = _workers(nx * ny)
+    out = scipy.fft.dctn(w.view(np.float64), type=1, axes=0, workers=workers)
+    out *= 1.0 / math.sqrt(nx)
+    return scipy.fft.irfft2(out.view(np.complex128), s=(ny,), axes=(1,), norm="ortho",
+                            workers=workers)
+
+
+def _rfft_dct(hat: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The stored conj u of an `_RSYM` field of `shape` from rows 0..nx/2
+    of its real spectrum: `_dct_irfft` in reverse, its inverse."""
+    nx, ny = shape
+    workers = _workers(nx * ny)
+    out = scipy.fft.rfft2(hat, axes=(1,), norm="ortho", workers=workers)
+    out = scipy.fft.dctn(out.view(np.float64), type=1, axes=0, overwrite_x=True,
+                         workers=workers)
+    out *= 1.0 / math.sqrt(nx)
+    return out.view(np.complex128)
+
+
 def _redot(a: np.ndarray, b: np.ndarray) -> float:
     """re sum conj(a) b over two 2-D arrays of one shape, by einsum on float
     views (of complex ones, copied if strided along y, as edge columns are);
@@ -160,50 +189,31 @@ def _density(u: np.ndarray) -> np.ndarray:
     return u.real ** 2 + u.imag ** 2
 
 
-def _reflected(u: np.ndarray) -> np.ndarray:
-    """R u = conj u(-x, -y): entry (i, j) from (-i mod nx, -j mod ny), conjugated."""
-    r = np.roll(u[::-1, ::-1], 1, axis=(0, 1))
-    return np.conjugate(r, out=r)
-
-
-def _rsym_pack(u0: np.ndarray) -> np.ndarray:
-    """The conjugate of columns 0..ny/2 of (u0 + R u0) / 2, complex128."""
-    sym = (u0 + _reflected(u0)) * 0.5
-    return np.conj(sym[:, :u0.shape[1] // 2 + 1]).astype(np.complex128, copy=False)
-
-
-def _rsym_unpack(w: np.ndarray) -> np.ndarray:
-    """The field q with columns 0..ny/2 conj(w) and q[i, ny - j] = conj q[-i, j];
-    the two edge columns are symmetrized, so R q equals q bit for bit."""
-    nx, cols = w.shape
-    rows = -np.arange(nx) % nx
-    q = np.empty((nx, 2 * cols - 2), np.complex128)
-    np.conjugate(w, out=q[:, :cols])
-    edges = q[:, :cols:cols - 1]  # columns 0 and ny/2, their own mirrors
-    edges[...] = 0.5 * (edges + np.conj(edges[rows]))
-    q[:, cols:] = w[rows, cols - 2:0:-1]
-    return q
-
-
-def _even_pack(u0: np.ndarray) -> np.ndarray:
-    """Rows 0..nx/2 and columns 0..ny/2 of the even part of the real u0:
-    (u + u(-x, .)) / 2, then the same in y, which keeps an even u bit for bit."""
-    u = u0.real
+def _even_pack(u: np.ndarray) -> np.ndarray:
+    """Rows 0..nx/2 and columns 0..ny/2 of conj w, w the part of u with
+    w = w(-x, .) = conj w(., -y): h = (u + u(-x, .)) / 2, then
+    (h + conj h(., -y)) / 2, which keeps such a u bit for bit (for a real
+    u, w is its part even in x and in y)."""
     m, n = (k // 2 + 1 for k in u.shape)
-    half = (u[:m] + u[-np.arange(m) % u.shape[0]]) * 0.5
-    return (half[:, :n] + half[:, -np.arange(n) % u.shape[1]]) * 0.5
+    half = u[:m] + u[-np.arange(m) % u.shape[0]]
+    half *= 0.5
+    out = np.conj(half[:, :n])
+    out += half[:, -np.arange(n) % u.shape[1]]
+    out *= 0.5
+    return out
 
 
 def _even_unpack(w: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-    """Rows `rows` of the even field whose rows 0..nx/2 and columns 0..ny/2
-    are `w`: past them, entry (i, j) from (-i mod nx, -j mod ny)."""
+    """Rows `rows` of the field u whose rows 0..nx/2 and columns 0..ny/2
+    are conj `w` (`_even_pack`): past them, entry (i, j) from (-i mod nx, j)
+    and, conjugated, from (i, -j mod ny)."""
     m, n = w.shape
     start, stop, _ = rows.indices(2 * m - 2)
     mid = min(max(start, m), stop)  # the first selected row past the quarter
-    q = np.empty((stop - start, 2 * n - 2))
+    q = np.empty((stop - start, 2 * n - 2), w.dtype)
     for part, src in ((q[:mid - start], w[start:mid]),
                       (q[mid - start:], w[2 * m - 2 - mid:2 * m - 2 - stop:-1])):
-        part[:, :n] = src
+        np.conjugate(src, out=part[:, :n])
         part[:, n:] = src[:, n - 2:0:-1]  # from w: a copy within q would be buffered
     return q
 
@@ -262,9 +272,10 @@ class _Layout:
 _FULL = _Layout((), (), lambda u, shape: _fft2(u), lambda h, shape: _ifft2(h),
                 lambda u0: u0.astype(np.complex128))
 _REAL = _Layout((1,), (), lambda u, shape: _rfft2(u), _irfft2, lambda u0: u0.real.copy())
-_RSYM = _Layout((), (1,), _irfft2, lambda h, shape: _rfft2(h), _rsym_pack, _rsym_unpack)
+_RSYM = _Layout((0,), (0, 1), _dct_irfft, _rfft_dct,
+                lambda u0: _even_pack(u0.astype(np.complex128, copy=False)), _even_unpack)
 _EVEN = _Layout((0, 1), (0, 1), lambda u, shape: _dct(u), lambda h, shape: _dct(h),
-                _even_pack, _even_unpack)
+                lambda u0: _even_pack(u0.real), _even_unpack)
 
 
 def _is_real(vals: np.ndarray) -> bool:
@@ -272,31 +283,33 @@ def _is_real(vals: np.ndarray) -> bool:
     return not (np.iscomplexobj(vals) and np.any(vals.imag))
 
 
-def _even(u: np.ndarray) -> bool:
-    """||u - u(-x, .)|| and ||u - u(., -y)|| each at most 1e-12 ||u||,
-    summed by row blocks."""
+def _even(u: np.ndarray, conj: bool = False) -> bool:
+    """||u - u(-x, .)|| and ||u - u(., -y)|| (`conj`: ||u - conj u(., -y)||)
+    each at most 1e-12 ||u||, summed by row blocks."""
     rows, cols = (-np.arange(n) % n for n in u.shape)
     dx_sq = dy_sq = 0.0
     for r in _slices(*u.shape, _FUSE_ELEMS):
         blk = u[r]
         diff = blk - u[rows[r]]
         dx_sq += _redot(diff, diff)
-        diff = blk - blk[:, cols]
+        diff = blk - (np.conj(blk[:, cols]) if conj else blk[:, cols])
         dy_sq += _redot(diff, diff)
     return max(dx_sq, dy_sq) <= 1e-24 * _redot(u, u)
 
 
 def _layout_of(u0: np.ndarray, v: float) -> _Layout:
-    """The layout of a descent from `u0`, by checks in physical space: at
-    v = 0, `_EVEN` for a real start with ||u0 - u0(-x, .)|| and
-    ||u0 - u0(., -y)|| each at most 1e-12 ||u0||, `_REAL` for another real
-    one; at v != 0, `_RSYM` if ||u0 - R u0|| <= 1e-12 ||u0||; else `_FULL`."""
+    """The layout of a descent from `u0`, by checks in physical space summed
+    by row blocks (`_even`): at v = 0, `_EVEN` for a real start with
+    ||u0 - u0(-x, .)|| and ||u0 - u0(., -y)|| each at most 1e-12 ||u0||,
+    `_REAL` for another real one; at v != 0, `_RSYM` for a start with
+    ||u0 - u0(-x, .)|| and ||u0 - conj u0(., -y)|| each at most
+    1e-12 ||u0|| (even in x and R-symmetric to that tolerance); else
+    `_FULL`."""
     if v == 0.0:
         if not _is_real(u0):
             return _FULL
         return _EVEN if _even(u0.real) else _REAL
-    diff = u0 - _reflected(u0)
-    return _RSYM if _redot(diff, diff) <= 1e-24 * _redot(u0, u0) else _FULL
+    return _RSYM if _even(u0, conj=True) else _FULL
 
 
 def wavenumbers(n: int, length: float) -> np.ndarray:
@@ -497,10 +510,11 @@ class _ActionRows:
     """The action_quadratic symbol xi^2 + |eta| - v*eta + omega, strictly
     positive for omega > 0 and |v| <= 1, by row blocks, bit for bit its full
     array, with no full-size array, on the spectra of `layout`: lines 0..n/2
-    along its mirrored axes, where the symbol is even for v = 0."""
+    along its mirrored axes, along which the symbol is even: along x
+    always, along y for v = 0."""
 
     def __init__(self, grid: Grid, omega: float, v: float, layout: _Layout):
-        if layout.spectra and v:
+        if 1 in layout.spectra and v:
             raise ValueError(f"action symbol with v={v} does not act on half spectra")
         self.shape = rows, cols = layout.spectra_shape(grid)
         self.xi2 = grid.xi[:rows, None] ** 2
@@ -598,15 +612,19 @@ def _forms(hat: np.ndarray, layout: _Layout, grid: Grid,
     blocks (`_Layout.dot`) that form |fhat|^2 once for every multiplier.
     On a half spectrum a multiplier counts by its even part (m(k) +
     m(-k))/2, with the column weights (1, 2, ..., 2, 1): an odd part, such
-    as the transport row, sums to zero over a real field; on a quarter, by
-    its part even in kx and in ky, with those weights along both axes."""
+    as the transport row, sums to zero over a real field; on the rows of
+    an `_RSYM` spectrum, by its part even in kx, with those weights along
+    x, so the transport row counts; on a quarter, by its part even in kx
+    and in ky, with those weights along both axes."""
     shape = layout.spectra_shape(grid)
+    folds = [axes for axes, mirrored in (((0, 1), 1 in layout.spectra),
+                                         ((0,), 0 in layout.spectra)) if mirrored]
     mults = []
     for multiplier in multipliers:
         mult = np.atleast_2d(np.asarray(multiplier, dtype=np.float64))
-        # m(-k), then on a quarter m(-kx, ky): reversed, then rolled so that
-        # index 0 stays in place
-        for axes in ((0, 1), (0,))[:len(layout.spectra)]:
+        # m(-k), then m(-kx, ky): reversed, then rolled so that index 0
+        # stays in place
+        for axes in folds:
             mult = 0.5 * (mult + np.roll(np.flip(mult, axes), 1, axis=axes))
         mult = mult[tuple(slice(n) if m > 1 else slice(None) for n, m in zip(shape, mult.shape))]
         mults.append(np.broadcast_to(mult, shape))

@@ -350,6 +350,35 @@ def test_cli_stability_outputs_independent_of_fft_threads(tmp_path, capsys, monk
     assert runs[0] == runs[1]
 
 
+def test_cli_instability_default_config_names_the_flag(tmp_path, capsys):
+    # model.p defaults to 2.0, outside the instability range: the usage
+    # error names the flag and a valid value, and no report is written
+    assert main(["instability", *TINY, "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "instability experiment needs 7/3 < p < 5" in err
+    assert "model.p = 2" in err and "--model.p 3.0" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_sweep_velocity_outputs_independent_of_fft_threads(tmp_path, capsys, monkeypatch):
+    # as for stability: the sweep's CSV and report, from the v = 0 solve on
+    # quarters, the warm traveling solves on `_RSYM` and the restart
+    # check's cold solve and orbit fit, are the same bytes with every
+    # transform on every usable core as with every one on one thread
+    out = tmp_path / "sweep"
+    argv = ["sweep-velocity", *TINY, "--out", str(out), "--v-list", "0,0.3,0.6",
+            "--experiment.restart_check", "1"]
+    runs = []
+    for threaded in (False, True):
+        if threaded:
+            monkeypatch.setattr(sp, "_THREADED_POINTS", 1)
+            assert sp._workers(32 * 32) == len(os.sched_getaffinity(0))
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        runs.append([(out / name).read_bytes() for name in ("sweep_velocity.csv", "report.json")])
+    assert runs[0] == runs[1]
+
+
 def test_cli_config_file_and_flag_override(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(

@@ -85,22 +85,25 @@ def _rotated_guess(grid, par):
     return sp.physical_field(grid, np.exp(0.7j) * sol.default_initial_guess(grid, par).values)
 
 
-def _check_two_transforms(transform_count, g, par, init, kinds):
+def _check_two_transforms(transform_count, g, par, init, kinds, calls=1):
     # |u|^{p-1} u forward and the direction back; the spectrum of u is
     # transformed once at the start and then carried along, and the
     # converged iterate needs no direction.  Line-search trials and their
-    # backtracks cost no transform.
+    # backtracks cost no transform.  A layout transform is `calls` scipy
+    # calls: two on `_RSYM`, a DCT-I along x and one of the real pair along y.
     s = sol.solve_nehari(g, par, init=init, tol=1e-7)
     assert sum(r.backtracks for r in s.history) > 0
     assert len(s.history) == s.iterations
-    assert sum(transform_count.values()) == 2 * s.iterations
+    assert sum(transform_count.values()) == calls * 2 * s.iterations
     assert set(transform_count) == kinds
+    first = transform_count.copy()
     transform_count.clear()
     with pytest.raises(sol.ConvergenceError):
         sol.solve_nehari(g, par, init=init, tol=1e-12, max_iter=6)
     # a spent budget adds the gradient of the last iterate
-    assert sum(transform_count.values()) == 1 + 2 * 6 + 1
+    assert sum(transform_count.values()) == calls * (1 + 2 * 6 + 1)
     assert set(transform_count) == kinds
+    return s.iterations, first
 
 
 @pytest.mark.parametrize("shape, box, v", [((64, 64), (40.0, 40.0), 0.0),
@@ -131,12 +134,16 @@ def test_solver_two_transforms_per_iteration_real(transform_count, shape, box):
 @pytest.mark.parametrize("shape, box, v", [((32, 64), (20.0, 40.0), 0.5),
                                            ((64, 256), (20.0, 80.0), -0.5)])
 def test_solver_two_transforms_per_iteration_r_symmetric(transform_count, shape, box, v):
-    # an R-symmetric start at v != 0 (the default guess) runs on real
-    # spectra and the conjugated half field: the real pair, in reverse
+    # an R-symmetric start even in x at v != 0 (the default guess) runs on
+    # rows 0..nx/2 of real spectra and the conjugated quarter: per layout
+    # transform a DCT-I along x and the real pair along y, in reverse, so
+    # one gradient forward (irfft2) and one direction back (rfft2) per
+    # iteration, the start forward once and the last iterate no direction
     g = sp.make_grid(*shape, *box)
     par = ModelParams(p=2.0, v=v)
-    _check_two_transforms(transform_count, g, par, sol.default_initial_guess(g, par),
-                          {"rfft2", "irfft2"})
+    n, counts = _check_two_transforms(transform_count, g, par, sol.default_initial_guess(g, par),
+                                      {"dctn", "rfft2", "irfft2"}, calls=2)
+    assert counts == {"dctn": 2 * n, "irfft2": n + 1, "rfft2": n - 1}
 
 
 def _random_field(grid, rng, real):
@@ -283,18 +290,28 @@ def _mirror(u):
     return np.conj(u[rows][:, cols])
 
 
+def _x_mirror(u):
+    """u(-x, .) on the grid indices, row i from row -i mod nx."""
+    return u[-np.arange(len(u)) % len(u)]
+
+
 @given(grid=grids, p=st.floats(1.1, 4.9), v=st.sampled_from([-0.9, 0.3, 0.99]),
        alpha=st.floats(-2.0, 2.0), seed=st.integers(0, 2 ** 32 - 1))
 def test_r_symmetric_half_sums_match_full_arrays(grid, p, v, alpha, seed):
     # int |u|^{p+1}, its line-search change and the gradient pass, summed
-    # over the conjugated columns 0..ny/2 of R-symmetric fields with the
-    # column weights (1, 2, ..., 2, 1), against full arrays
+    # over the conjugated quarter of R-symmetric fields even in x with the
+    # line weights (1, 2, ..., 2, 1) along both axes, and over rows
+    # 0..nx/2 of their real spectra, against full arrays; a random field
+    # averaged over the identity, R, the x-mirror and their product has
+    # that symmetry
     rng = np.random.default_rng(seed)
-    u, d = (0.5 * (f + _mirror(f)) for f in (_random_field(grid, rng, False) for _ in range(2)))
+    u, d = (0.25 * (f + _mirror(f) + _x_mirror(f) + _mirror(_x_mirror(f)))
+            for f in (_random_field(grid, rng, False) for _ in range(2)))
     lay = sp._RSYM
     uh, dh = lay.pack(u), lay.pack(d)
-    assert np.array_equal(lay.unpack(uh), _mirror(lay.unpack(uh)))
-    assert np.linalg.norm(lay.unpack(uh) - u) <= 1e-15 * np.linalg.norm(u)
+    full = lay.unpack(uh)
+    assert np.array_equal(full, _mirror(full)) and np.array_equal(full, _x_mirror(full))
+    assert np.linalg.norm(full - u) <= 1e-15 * np.linalg.norm(u)
     b_u = fl._lp1_sum(u, p)
     assert fl._lp1_sum(uh, p, lay) == pytest.approx(b_u, rel=1e-12)
     scale = b_u + fl._lp1_sum(u - alpha * d, p)
@@ -305,7 +322,7 @@ def test_r_symmetric_half_sums_match_full_arrays(grid, p, v, alpha, seed):
     spec = sol._Spectra(grid, sp.action_quadratic(par.omega, v), lay)
     ghat, b_pot, n_u, g_sq, u_sq, _ = spec.gradient(uh, lay.fwd(uh, grid.shape), p)
     want = sp._fft2(fl.action_gradient(field, par).values)
-    assert np.linalg.norm(ghat - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.linalg.norm(ghat - want[:grid.nx // 2 + 1]) <= 1e-12 * np.linalg.norm(want)
     assert b_pot == pytest.approx(fl.lp1_power(field, p), rel=1e-12)
     assert abs(n_u - fl.nehari(field, par)) <= 1e-12 * fl.quadratic_action_form(field, par)
     assert g_sq == pytest.approx(float(np.vdot(want, want).real) * grid.cell_area, rel=1e-12)
@@ -409,15 +426,18 @@ def test_even_descent_matches_real_descent(shape, p, omega):
 
 
 @pytest.mark.parametrize("shape, box, v", [((32, 64), (20.0, 40.0), 0.5),
-                                           ((64, 256), (20.0, 80.0), 0.9)])
+                                           ((64, 256), (20.0, 80.0), 0.9),
+                                           ((32, 64), (20.0, 40.0), -0.5)])
 def test_r_symmetric_path_matches_full_path(transform_count, shape, box, v):
-    # the default guess is R-symmetric: solve_nehari runs on real spectra;
+    # the default guess is R-symmetric and even in x: solve_nehari runs on
+    # rows 0..nx/2 of real spectra, two scipy calls per layout transform;
     # _descent on the complex array runs the full-spectra path from it
     g = sp.make_grid(*shape, *box)
     par = ModelParams(p=2.0, v=v)
     init = sol.default_initial_guess(g, par)
     dual = sol.solve_nehari(g, par, init=init, tol=1e-8)
-    assert set(transform_count) == {"rfft2", "irfft2"}
+    n = dual.iterations
+    assert transform_count == {"dctn": 2 * n, "irfft2": n + 1, "rfft2": n - 1}
     u, stats, _, _ = sol._descent(init.values.astype(np.complex128),
                                   sp.action_quadratic(par.omega, v), par.p, g, 1e-8, 5000,
                                   floor_rule=False, layout=sp._FULL)
@@ -426,6 +446,37 @@ def test_r_symmetric_path_matches_full_path(transform_count, shape, box, v):
     assert sol.orbital_fit(dual.q, full).distance <= 1e-6 * fl.x_norm(full)
     assert dual.q.values.dtype == np.complex128
     assert np.array_equal(dual.q.values, _mirror(dual.q.values))
+    assert np.array_equal(dual.q.values, _x_mirror(dual.q.values))
+    assert fl.action(dual.q, par) == pytest.approx(dual.action_value, rel=1e-13)
+
+
+def test_traveling_warm_starts_take_the_stored_quarter(monkeypatch, p2_state):
+    # a v != 0 solve from an even v = 0 profile (`_EVEN`) starts on `_RSYM`
+    # from its quarter as complex, and one from a traveling wave from its
+    # stored quarter, with no full array formed: the start packing the
+    # full values gives, bit for bit, as an exactly symmetric field is
+    # kept by the symmetrization
+    starts = []
+    plain = sol._descent
+
+    def spy(u, *args, layout, **kwargs):
+        starts.append((u.copy(), layout))
+        return plain(u, *args, layout=layout, **kwargs)
+
+    monkeypatch.setattr(sol, "_descent", spy)
+    q = p2_state.q
+    assert q.layout is sp._EVEN
+    prev = sp.Field._of(q.grid, q.stored.copy(), sp._EVEN)
+    for v in (0.3, 0.5):
+        s = sol.solve_nehari(q.grid, ModelParams(p=2.0, v=v), init=prev, tol=1e-6)
+        assert "values" not in vars(prev)
+        u, layout = starts.pop()
+        assert layout is sp._RSYM and s.q.layout is sp._RSYM
+        assert u.dtype == np.complex128
+        assert np.array_equal(u, prev.stored)
+        assert np.array_equal(u, sp._RSYM.pack(prev.values))
+        prev = s.q
+    assert np.array_equal(sp._RSYM.unpack(sp._RSYM.pack(q.values)), q.values)
 
 
 @pytest.mark.parametrize("case", ["real", "complex", "extend"])
@@ -716,11 +767,13 @@ def test_solver_peak_memory(v, bound):
 
 
 def test_solver_peak_memory_r_symmetric():
-    # an R-symmetric start at v = 0.5 runs in arrays the size of the real
-    # path's, within its bound
+    # an R-symmetric start even in x at v = 0.5 runs on the conjugated
+    # quarter and rows 0..nx/2 of real spectra: 2.89 complex fields, the
+    # default guess included (4.30 with all nx rows of the field's
+    # columns 0..ny/2 and of its real spectra stored)
     g = sp.make_grid(64, 512, 20.0, 80.0)
     par = ModelParams(p=2.0, v=0.5)
-    assert _solver_peak(g, par, sol.default_initial_guess(g, par)) <= 7.0
+    assert _solver_peak(g, par, sol.default_initial_guess(g, par)) <= 3.5
 
 
 def test_t_lambda_isometry_and_potential_scaling():
@@ -939,8 +992,8 @@ def test_conjugate_direction_restart_and_retry(monkeypatch, transform_count, cas
     # decreases monotonically, the budget stays at two transforms per
     # iteration and the descent converges: on quarters (the extension of an
     # even profile), on half spectra (the extension of a shifted one), on
-    # full ones (a traveling wave from a rotated start) and on real ones
-    # (from an R-symmetric start).
+    # full ones (a traveling wave from a rotated start) and on rows of real
+    # ones (from an R-symmetric start even in x).
     if case.startswith("extend"):
         g0, par = sp.make_grid(64, 128, 20.0, 20.0), ModelParams(p=2.0)
         init = _shifted_guess(g0, par) if case == "extend-real" else None
@@ -977,8 +1030,11 @@ def test_conjugate_direction_restart_and_retry(monkeypatch, transform_count, cas
         assert all(r.step == 0.0 and r.backtracks > 0 for r in flagged)
         assert len(out.action_history) == out.iterations - 3
     assert np.all(np.diff(out.action_history) <= 0.0)
-    assert sum(transform_count.values()) == 2 * out.iterations
-    assert set(transform_count) == {"extend": {"dctn"}, "solve": {"fft2", "ifft2"}}.get(
+    # two scipy calls per layout transform on `_RSYM`, one on the others
+    calls = 2 if case == "rsym" else 1
+    assert sum(transform_count.values()) == calls * 2 * out.iterations
+    assert set(transform_count) == {"extend": {"dctn"}, "solve": {"fft2", "ifft2"},
+                                    "rsym": {"dctn", "rfft2", "irfft2"}}.get(
         case, {"rfft2", "irfft2"})
     assert out.gradient_residual <= tol * sp.l2_norm(out.q)
 

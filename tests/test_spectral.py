@@ -206,21 +206,50 @@ def test_half_spectrum_symbols(grid):
 @given(nx=st.integers(4, 24).map(lambda k: 2 * k), ny=st.integers(4, 24).map(lambda k: 2 * k),
        seed=st.integers(0, 1000))
 def test_r_symmetric_fields_take_the_real_pair_in_reverse(nx, ny, seed):
-    # u = conj u(-x, -y) has a real spectrum S: it is the irfft2 of the
-    # conjugated columns 0..ny/2 of u, whose rfft2 gives them back
+    # u = u(-x, .) = conj u(., -y) has a real spectrum S, even in xi: rows
+    # 0..nx/2 of S are the DCT-I along x, then the irfft along y, of the
+    # conjugated quarter of u (`_RSYM.fwd`), and `_RSYM.inv` takes the
+    # rows of any real S even in xi to that quarter of its field
     g = sp.make_grid(nx, ny, 10.0, 14.0)
-    u = random_field(g, seed).values
     rows, cols = -np.arange(nx) % nx, -np.arange(ny) % ny
-    u = 0.5 * (u + np.conj(u[rows][:, cols]))
-    half = ny // 2 + 1
-    want = sp._fft2(u)
-    spec = sp._irfft2(np.conj(u[:, :half]), g.shape)
-    assert spec.dtype == np.float64
+    u = random_field(g, seed).values
+    u = 0.5 * (u + u[rows])
+    u = 0.5 * (u + np.conj(u[:, cols]))
+    m, half = nx // 2 + 1, ny // 2 + 1
+    want = sp._fft2(u)[:m]
+    spec = sp._RSYM.fwd(np.conj(u[:m, :half]), g.shape)
+    assert spec.dtype == np.float64 and spec.shape == (m, ny)
     assert np.linalg.norm(spec - want) <= 1e-12 * np.linalg.norm(want)
     real = np.random.default_rng(seed).standard_normal(g.shape)
-    want = sp._ifft2(real)
-    assert np.linalg.norm(np.conj(sp._rfft2(real)) - want[:, :half]) \
-        <= 1e-12 * np.linalg.norm(want)
+    real = 0.5 * (real + real[rows])
+    want = np.conj(sp._ifft2(real)[:m, :half])
+    assert np.linalg.norm(sp._RSYM.inv(real[:m], g.shape) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("v", [0.5, -0.5])
+def test_layout_of_needs_r_symmetry_and_x_evenness_at_v_nonzero(v):
+    # at v != 0 a start that is R-symmetric, u = conj u(-x, -y), and even
+    # in x runs on `_RSYM`; one with only one of the two, or neither, on
+    # full spectra
+    g = sp.make_grid(16, 24, 10.0, 14.0)
+    rows, cols = -np.arange(16) % 16, -np.arange(24) % 24
+    f = random_field(g, 5).values
+
+    def r_sym(u):
+        return 0.5 * (u + np.conj(u[rows][:, cols]))
+
+    def x_even(u):
+        return 0.5 * (u + u[rows])
+
+    both = r_sym(x_even(f))
+    assert sp._layout_of(both, v) is sp._RSYM
+    assert sp._layout_of(r_sym(f), v) is sp._FULL
+    assert sp._layout_of(x_even(f), v) is sp._FULL
+    assert sp._layout_of(f, v) is sp._FULL
+    # within the 1e-12 tolerance, not beyond it
+    assert sp._layout_of(both + 1e-14 * f, v) is sp._RSYM
+    assert sp._layout_of(both + 1e-10 * f, v) is sp._FULL
+    assert sp._layout_of(both, 0.0) is sp._FULL  # complex at v = 0
 
 
 def test_transforms_bit_identical_across_worker_counts():
