@@ -9,14 +9,15 @@ Layout, all little-endian:
     payload nx*ny complex128 samples, interleaved (re, im) float64,
             row-major with the x index slow.
 
-Loading validates magic, version, payload size, and (optionally) that
-the header grid matches an expected grid; mismatches fail loudly.  The
-payload is read by row blocks into a float64 array while every
-imaginary part is +0.0, so a field saved from float64 values comes back
-float64 without a full complex copy; at the first other imaginary part
-(-0.0 included) the payload is read again, straight into a complex128
-array.  Files are written
-through `atomic_open`, so a reader sees the old file or the
+Every storage layout is written by row blocks (`Field._rows`), with no
+full complex copy and, from a quarter, no full values.  Loading
+validates magic, version, payload size, and (optionally) that the header
+grid matches an expected grid; mismatches fail loudly.  The payload is
+read by row blocks into a float64 array while every imaginary part is
++0.0, so a field saved from float64 values comes back float64 without a
+full complex copy; at the first other imaginary part (-0.0 included) the
+payload is read again, straight into a complex128 array.  Files are
+written through `atomic_open`, so a reader sees the old file or the
 whole new one, never a partial write.
 """
 
@@ -35,7 +36,7 @@ from .spectral import _slices, Field, Grid, PHYSICAL, to_physical
 MAGIC = b"HWSF"
 VERSION = 1
 _HEADER = struct.Struct("<4sIQQddddd")
-_WRITE_ELEMS = 1 << 16  # samples per row block written from a real field (1 MB)
+_WRITE_ELEMS = 1 << 16  # samples per row block written (1 MB)
 _READ_ELEMS = 1 << 16  # samples per row block read while the payload looks real (1 MB)
 
 
@@ -60,25 +61,22 @@ def atomic_open(path: str, mode: str = "wb", **kwargs):
 
 
 def save_snapshot(path: str, field: Field, params: ModelParams) -> None:
-    """Write `field` (physical) and `params` in the version-1 layout.  A
-    real field goes out as complex128 with zero imaginary parts, one row
-    block at a time (`Field._rows`: a quarter's mirrored from it), so no
-    full complex copy is made and a quarter's values are not formed; the
-    bytes are those of its complex-typed copy."""
+    """Write `field` (physical) and `params` in the version-1 layout.
+    Every layout goes out one row block at a time (`Field._rows`: a
+    quarter's mirrored from it), cast to complex128, so no full complex
+    copy is made and a quarter's values are not formed; the bytes are
+    those of its complex-typed copy, a real field's imaginary parts +0.0."""
     g = field.grid
     phys = to_physical(field)
     header = _HEADER.pack(MAGIC, VERSION, g.nx, g.ny, g.lx, g.ly,
                           params.p, params.omega, params.v)
     with atomic_open(path) as fh:
         fh.write(header)
-        if np.iscomplexobj(phys.stored):
-            np.ascontiguousarray(phys.values, dtype="<c16").tofile(fh)
-            return
         rows = _slices(g.nx, g.ny, _WRITE_ELEMS)
-        buf = np.zeros((rows[0].stop, g.ny), dtype="<c16")
+        buf = np.empty((rows[0].stop, g.ny), dtype="<c16")
         for r in rows:
             blk = buf[:r.stop - r.start]
-            blk.real = phys._rows(r)
+            blk[...] = phys._rows(r)
             blk.tofile(fh)
 
 

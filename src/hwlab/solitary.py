@@ -451,6 +451,11 @@ def _converged(out, stats: dict, u_norm: float, tol: float):
     return out
 
 
+def _owned(u: np.ndarray, init: Field) -> np.ndarray:
+    """`u`, copied if `init` stores or keeps it: the descent writes in place."""
+    return u.copy() if any(u is a for a in (init.stored, vars(init).get("values"))) else u
+
+
 def _solution(params: ModelParams, q: Field, stats: dict, u_norm: float,
               tol: float) -> SolitarySolution:
     out = SolitarySolution(params=params, q=q, tail_mass_fraction=sp.tail_mass_fraction(q),
@@ -472,21 +477,16 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
     preconditioned gradient (see `_descent`).  Terminates when
     ||grad S(u)||_{L2} <= tol * ||u||_{L2}.  An iteration costs two
     transforms, its line-search trials none (see `_descent`).  The layout
-    (`sp._Layout`) follows the start.  For v = 0 and a real initial guess it
-    runs in real arithmetic: for a start even in x and in y to 1e-12 (the
-    default guesses) on the quarters of the field and of its spectrum,
-    with one DCT-I each way, and the profile is mirrored from the quarter,
-    even bit for bit; for another real start on half spectra.  For v != 0
-    and a start even in x and R-symmetric, R u = conj u(-x, -y), to 1e-12
-    (`sp._layout_of`; the default guesses, the v = 0 profile, an earlier
-    traveling wave), it runs on `sp._RSYM`, the conjugated quarter of the
-    field and rows 0..nx/2 of its real spectrum, with a DCT-I along x and
-    the real pair along y each way, and the profile is mirrored from the
-    quarter, R-symmetric and even in x bit for bit.  A stored traveling
-    wave or even v = 0 profile starts it from its quarter, with no full
-    array formed.  Other starts run on full complex spectra, with the
-    v = 0 result rotated onto the real axis.  A v = 0 profile is float64,
-    a traveling one complex128, stored as it was found.  `history`: one
+    (`sp._Layout`) follows the start, stored as `sp._settle` says: at
+    v = 0 a real start even in x and in y (the default guesses) runs on
+    quarters (`sp._EVEN`), another real one on half spectra; at v != 0 a
+    start even in x and R-symmetric, R u = conj u(-x, -y) (the default
+    guesses, the v = 0 profile, an earlier traveling wave), on
+    `sp._RSYM`; a stored quarter is started from with no full array
+    formed, and the profile is mirrored from its quarter, symmetric bit
+    for bit.  Other starts run on full complex spectra, with the v = 0
+    result rotated onto the real axis.  A v = 0 profile is float64, a
+    traveling one complex128, stored as it was found.  `history`: one
     IterationRecord per iteration.
     """
     if init is None:
@@ -496,17 +496,10 @@ def solve_nehari(grid: Grid, params: ModelParams, init: Field | None = None,
     if sp.l2_norm_sq(init) == 0.0:
         raise CollapseError("initial guess is identically zero")
 
-    phys = sp.to_physical(init)
-    if params.v != 0.0 and phys.layout in (sp._RSYM, sp._EVEN):
-        # the `_RSYM` quarter, conj u, is the stored one, or u for a real u
-        layout, u = sp._RSYM, phys.stored.astype(np.complex128)
-    else:
-        u0 = phys._full()
-        layout = sp._layout_of(u0, params.v)
-        u = layout.pack(u0)
-        del u0
+    start = sp._settle(init, params.v)
+    u, layout = _owned(start.stored, init), start.layout
     # freed before the descent, a default start leaves its memory to the profile
-    del init, phys
+    del init, start
     u, stats, u_norm, _ = _descent(u, sp.action_quadratic(params.omega, params.v),
                                    params.p, grid, tol, max_iter, floor_rule=False, layout=layout)
     if params.v == 0.0:
@@ -541,7 +534,7 @@ def extend_ground_state(sol: SolitarySolution, grid: Grid,
     128x32768 at p = 3, the last along P g), at two transforms per
     iteration.  Near the action floor,
     where the Armijo test drowns in rounding noise, a full step is
-    accepted if it still cuts the gradient.  An even source (`_quartered`)
+    accepted if it still cuts the gradient.  An even source (`sp._settle`)
     has its quarter padded symmetrically, half of its edge column y = -ly/2
     at each end, so the start is exactly even, and runs on quarters
     (`sp._EVEN`); another runs on half spectra.
@@ -561,7 +554,7 @@ def extend_ground_state(sol: SolitarySolution, grid: Grid,
         raise ValueError("target ny must exceed the source by an even count")
 
     offset = (grid.ny - g0.ny) // 2
-    q = _quartered(sp.to_physical(sol.q), (0.0, 0.0))
+    q = sp._settle(sol.q)
     layout = q.layout if q.layout is sp._EVEN else sp._REAL
     if layout is sp._EVEN:
         u = np.zeros((grid.nx // 2 + 1, grid.ny // 2 + 1))
@@ -570,7 +563,7 @@ def extend_ground_state(sol: SolitarySolution, grid: Grid,
             u[:, offset] *= 0.5  # the other half goes to the mirror column
     else:
         u = np.zeros(grid.shape)
-        u[:, offset:offset + g0.ny] = q.values.real
+        u[:, offset:offset + g0.ny] = q.stored.real
     u, stats, u_norm, _ = _descent(u, sp.action_quadratic(params.omega), params.p, grid, tol,
                                    max_iter, floor_rule=True, layout=layout)
     return _solution(params, Field._of(grid, u, layout), stats, u_norm, tol)
@@ -590,8 +583,7 @@ def solve_mass_constrained(grid: Grid, mu: float, p: float, init: Field | None =
     sums.  omega_multiplier = 1 - lambda, the Lagrange multiplier, is
     omega at a ground state.  Terminates when the tangential gradient
     has ||.||_{L2} <= tol * ||u||_{L2}.  The layout follows the start, as
-    in `solve_nehari`: even real starts on quarters, other real ones on
-    half spectra, complex ones on full spectra.  Only defined on the
+    in `solve_nehari` at v = 0 (`sp._settle`).  Only defined on the
     subcritical range 1 < p < 7/3, where the constrained infimum is finite.
     """
     if not (1.0 < p < 7.0 / 3.0):
@@ -603,10 +595,10 @@ def solve_mass_constrained(grid: Grid, mu: float, p: float, init: Field | None =
     if init.grid != grid:
         raise ValueError("initial guess lives on a different grid")
 
-    u0 = sp.to_physical(init)._full()
-    layout = sp._layout_of(u0, 0.0)
-    u, stats, u_norm, n_u = _descent(layout.pack(u0), sp.action_quadratic(1.0), p, grid, tol,
-                                     max_iter, floor_rule=False, mass=mu, layout=layout)
+    start = sp._settle(init)
+    layout = start.layout
+    u, stats, u_norm, n_u = _descent(_owned(start.stored, init), sp.action_quadratic(1.0), p,
+                                     grid, tol, max_iter, floor_rule=False, mass=mu, layout=layout)
     out = MassMinimizer(mu=mu, minimizer=Field._of(grid, u, layout),
                         energy=stats["action_value"] - mu,
                         omega_multiplier=1.0 - n_u / (2.0 * mu), iterations=stats["iterations"],
@@ -685,21 +677,8 @@ def _resample_lines(src: np.ndarray, dst: np.ndarray, length: float, origin: flo
         np.multiply(res.imag, scale, out=dst[pair])
 
 
-def _quartered(phys: Field, center: tuple[float, float]) -> Field:
-    """`phys` as T_lambda and the generator about `center` run on it: about
-    (0, 0) the quarter (`sp._EVEN`) of a real field even in x and in y
-    (`sp._layout_of`, the one evenness test of a public call), else a full
-    array (`sp._REAL`, or `sp._FULL` for complex128 values)."""
-    origin = tuple(center) == (0.0, 0.0)
-    if phys.layout is sp._RSYM or (phys.layout is sp._EVEN and not origin):
-        return Field(phys.grid, phys.values, sp.PHYSICAL)
-    if origin and phys.layout is not sp._EVEN and sp._layout_of(phys.stored, 0.0) is sp._EVEN:
-        return Field._of(phys.grid, sp._EVEN.pack(phys.stored), sp._EVEN)
-    return phys
-
-
 def _scaled(phys: Field, lam: float, center: tuple[float, float], tail_tol: float) -> Field:
-    """T_lambda (see `t_lambda`) of `phys` as `_quartered` gives it, in its
+    """T_lambda (see `t_lambda`) of `phys` as `sp._settle` stores it, in its
     layout: the quarter of a quarter (`sp._EVEN`), else a full array."""
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lambda must be positive and finite, got {lam}")
@@ -732,7 +711,7 @@ def _scaled(phys: Field, lam: float, center: tuple[float, float], tail_tol: floa
     else:
         vals = np.zeros(g.shape, u_vals.dtype)
         parts = [(u_vals.real, vals.real)]
-        if not sp._is_real(u_vals):
+        if phys.layout is sp._FULL:
             parts.append((u_vals.imag, vals.imag))
         for src, buf in parts:
             _resample_lines(src, buf, *y_pass)
@@ -766,13 +745,12 @@ def t_lambda(u: Field, lam: float, center: tuple[float, float] = (0.0, 0.0),
     pass, then an x pass over the transpose of its output, each a
     Bluestein chirp-z along the last axis on packed line pairs in blocks
     of _BLOCK_ELEMS entries (`_resample_lines`); no full spectrum, no BLAS.
-    A real field gives float64 values, a complex one complex128.  About
-    (0, 0), T_lambda of a real field even in x and in y (`_quartered`, as
-    every v = 0 ground state is) runs on rows and then columns 0..n/2, half
-    the work, and is stored as its quarter (`sp._EVEN`), exactly even.
+    Real values give float64 values, others complex128.  About (0, 0),
+    T_lambda of a real field even in x and in y (`sp._settle`, as every
+    v = 0 ground state is) runs on rows and then columns 0..n/2, half the
+    work, and is stored as its quarter (`sp._EVEN`), exactly even.
     """
-    phys = sp.to_physical(u)
-    return _scaled(_quartered(phys, center), lam, center, tail_tol)
+    return _scaled(sp._settle(u, center=center), lam, center, tail_tol)
 
 
 def _generator(f: Field, c0: float, center: tuple[float, float]) -> Field:
@@ -809,12 +787,10 @@ def _apparatus(phys: Field, center: tuple[float, float] | None
     and column 0 (x = -lx/2, y = -ly/2) are their own mirrors, so an even
     field's centroid is off (0, 0) by a tail term (2.7e-6 in y on the
     tests' 128x2048 p = 3 profile; the generator moves by 1.5e-5 of its
-    maximum).  A complex field with zero imaginary part runs as a real one,
-    about (0, 0) on a quarter (`_quartered`), else on the full array; a
+    maximum).  The field is stored as `sp._settle` says about that centre
+    (real values as float64, an even field about (0, 0) as its quarter); a
     complex one is tested (`sp._even`) only for its centre."""
-    if phys.layout is sp._FULL and sp._is_real(phys.stored):
-        phys = Field(phys.grid, phys.stored.real, sp.PHYSICAL)
-    phys = _quartered(phys, (0.0, 0.0) if center is None else center)
+    phys = sp._settle(phys, center=(0.0, 0.0) if center is None else center)
     if center is None:
         even = phys.layout is sp._EVEN or (phys.layout is sp._FULL and sp._even(phys.stored))
         center = (0.0, 0.0) if even else mass_centroid(phys)
@@ -856,7 +832,7 @@ def second_variation_scaling(q: Field, params: ModelParams,
     valid at critical points of the action.  numeric: central second
     difference of lambda -> S(T_lambda q) about (0, 0) with step 1e-2,
     summed over T_lambda's quarter for an even q (`_scaled`, evenness
-    decided once by `_quartered`).  The sign changes at p = 7/3.  The step
+    decided once by `sp._settle`).  The sign changes at p = 7/3.  The step
     divides T_lambda's resampling error by 1e-4, so dy must resolve the
     profile: on p = 3 ground states extended to height 640 the relative
     error is 1.01 at dy = 0.156 (T_1.01 moves the mass by 6.7e-4), 2.9e-2
@@ -868,7 +844,7 @@ def second_variation_scaling(q: Field, params: ModelParams,
     analytic = -3.0 * (p - 1.0) * (3.0 * p - 7.0) / (16.0 * (p + 1.0)) \
         * fl.lp1_power(q, p)
     step = 1e-2
-    phys = _quartered(sp.to_physical(q), (0.0, 0.0))
+    phys = sp._settle(q)
     s_plus, s_mid, s_minus = (fl.action(_scaled(phys, lam, (0.0, 0.0), tail_tol), params)
                               for lam in (1.0 + step, 1.0, 1.0 - step))
     numeric = (s_plus - 2.0 * s_mid + s_minus) / step ** 2

@@ -12,8 +12,8 @@ representations.
 
 A spectral Field is complex128; `to_spectral` gives the full spectrum
 of any Field.  A physical Field carries its storage, a `_Layout`, the
-one record of how a field and its spectrum are stored, decided once
-(`_layout_of`, for a user's array or a loaded snapshot).  Its `fwd` and
+one record of how a field and its spectrum are stored, changed in one
+place (`_settle`, by `_layout_of`).  Its `fwd` and
 `inv` pick the transforms and its mirrored axes the Parseval weights, so
 no other module looks at a dtype or a spectrum's shape to choose either,
 and sums over a field read its stored array.  The weights are applied in
@@ -228,8 +228,10 @@ class _Layout:
     (1, 2, ..., 2, 1) as `dot` sums a row block, so a weighted sum is a
     loop over `_slices` adding `dot`.  `fwd(u, shape)` and `inv(hat,
     shape)` are the unitary transforms between the stored arrays of a
-    field of `shape`; `pack` makes the stored values of a full field,
-    `unpack` the full field of stored values.
+    field of `shape`; `pack` makes the stored values of a full field (on
+    `_FULL` and `_REAL` maybe its own array), `unpack(u, rows)` the full
+    field of stored values or its rows `rows` (on those two `u` itself,
+    not a view, which numpy would not elide as a temporary).
     """
 
     spectra: tuple[int, ...]
@@ -237,7 +239,7 @@ class _Layout:
     fwd: Callable
     inv: Callable
     pack: Callable
-    unpack: Callable = lambda u: u
+    unpack: Callable = lambda u, rows=None: u if rows is None else u[rows]
 
     def spectra_shape(self, grid: Grid) -> tuple[int, int]:
         """The shape of the stored spectra of a field on `grid`."""
@@ -270,17 +272,13 @@ class _Layout:
 
 
 _FULL = _Layout((), (), lambda u, shape: _fft2(u), lambda h, shape: _ifft2(h),
-                lambda u0: u0.astype(np.complex128))
-_REAL = _Layout((1,), (), lambda u, shape: _rfft2(u), _irfft2, lambda u0: u0.real.copy())
+                lambda u0: u0.astype(np.complex128, copy=False))
+_REAL = _Layout((1,), (), lambda u, shape: _rfft2(u), _irfft2,
+                lambda u0: np.ascontiguousarray(u0.real))
 _RSYM = _Layout((0,), (0, 1), _dct_irfft, _rfft_dct,
                 lambda u0: _even_pack(u0.astype(np.complex128, copy=False)), _even_unpack)
 _EVEN = _Layout((0, 1), (0, 1), lambda u, shape: _dct(u), lambda h, shape: _dct(h),
                 lambda u0: _even_pack(u0.real), _even_unpack)
-
-
-def _is_real(vals: np.ndarray) -> bool:
-    """Whether the values are real: float64, or complex with zero imaginary part."""
-    return not (np.iscomplexobj(vals) and np.any(vals.imag))
 
 
 def _even(u: np.ndarray, conj: bool = False) -> bool:
@@ -297,19 +295,20 @@ def _even(u: np.ndarray, conj: bool = False) -> bool:
     return max(dx_sq, dy_sq) <= 1e-24 * _redot(u, u)
 
 
-def _layout_of(u0: np.ndarray, v: float) -> _Layout:
-    """The layout of a descent from `u0`, by checks in physical space summed
-    by row blocks (`_even`): at v = 0, `_EVEN` for a real start with
+def _layout_of(u0: np.ndarray, v: float, origin: bool = True) -> _Layout:
+    """The layout of a computation on `u0` at velocity `v`, by checks in
+    physical space summed by row blocks (`_even`): at v = 0, `_EVEN` for
+    real values (complex ones too, with zero imaginary part) with
     ||u0 - u0(-x, .)|| and ||u0 - u0(., -y)|| each at most 1e-12 ||u0||,
-    `_REAL` for another real one; at v != 0, `_RSYM` for a start with
+    `_REAL` for other real ones; at v != 0, `_RSYM` for values with
     ||u0 - u0(-x, .)|| and ||u0 - conj u0(., -y)|| each at most
     1e-12 ||u0|| (even in x and R-symmetric to that tolerance); else
-    `_FULL`."""
-    if v == 0.0:
-        if not _is_real(u0):
-            return _FULL
-        return _EVEN if _even(u0.real) else _REAL
-    return _RSYM if _even(u0, conj=True) else _FULL
+    `_FULL`.  Without `origin`, about a centre off (0, 0), no quarter."""
+    if v != 0.0:
+        return _RSYM if origin and _even(u0, conj=True) else _FULL
+    if np.iscomplexobj(u0) and np.any(u0.imag):
+        return _FULL
+    return _EVEN if origin and _even(u0.real) else _REAL
 
 
 def wavenumbers(n: int, length: float) -> np.ndarray:
@@ -397,7 +396,7 @@ class Field:
     fast one, formed on first read from `stored` by `layout.unpack`.
     Built from values, a field stores float64 physical ones as they are
     (`_REAL`) and others as complex128 (`_FULL`); the solvers and the
-    scaling apparatus build theirs by `_of`, on any `_Layout`.
+    scaling apparatus take theirs from `_settle`, results by `_of`.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray, rep: str):
@@ -425,8 +424,8 @@ class Field:
         return vars(self)["values"] if "values" in vars(self) else self.layout.unpack(self.stored)
 
     def _rows(self, rows: slice) -> np.ndarray:
-        """Rows `rows` of `values`, on `_EVEN` mirrored from the quarter alone."""
-        return _even_unpack(self.stored, rows) if self.layout is _EVEN else self.values[rows]
+        """Rows `rows` of `values` from the stored array alone (a quarter's mirrored)."""
+        return self.layout.unpack(self.stored, rows)
 
     def copy(self) -> Field:
         return Field._of(self.grid, self.stored.copy(), self.layout, self.rep)
@@ -466,6 +465,24 @@ def to_spectral(f: Field) -> Field:
 
 def to_physical(f: Field) -> Field:
     return f if f.rep == PHYSICAL else transform(f, "inverse")
+
+
+def _settle(f: Field, v: float = 0.0, center: tuple[float, float] = (0.0, 0.0)) -> Field:
+    """`f` in physical space, stored as a computation at velocity `v` about
+    `center` runs on it: the one place a field changes storage.  About
+    (0, 0) a stored quarter is kept, an `_EVEN` one taken at v != 0 as
+    `_RSYM`'s; any other field is unpacked once (`Field._full`: nothing is
+    kept on `f`) and stored as `_layout_of` says, off (0, 0) as a full
+    array, float64 for real values.  The stored array may be `f`'s own."""
+    phys = to_physical(f)
+    origin = tuple(center) == (0.0, 0.0)
+    if origin and v and phys.layout is _EVEN:
+        return Field._of(phys.grid, phys.stored.astype(np.complex128), _RSYM)
+    if origin and phys.layout is (_RSYM if v else _EVEN):
+        return Field._of(phys.grid, phys.stored, phys.layout)
+    u = phys._full()
+    layout = _layout_of(u, v, origin)
+    return Field._of(phys.grid, layout.pack(u), layout)
 
 
 _SYMBOL_KINDS = ("dxx", "abs_dy", "frac_dy", "transport",
@@ -570,7 +587,7 @@ def apply_symbol(f: Field, sym: Symbol) -> Field:
     mult = sym.values(f.grid)
     if f.rep == SPECTRAL:
         return Field(f.grid, mult * f.values, SPECTRAL)
-    return Field(f.grid, _ifft2(mult * to_spectral(f).values), PHYSICAL)
+    return Field(f.grid, _ifft2(to_spectral(f).values * mult), PHYSICAL)
 
 
 def l2_inner(f: Field, g: Field):

@@ -511,6 +511,21 @@ def test_cli_verify_report_contract(tmp_path, capsys, monkeypatch):
     assert rep["checks"][-1]["passed"] is False
     assert rep["checks"][-1]["detail"] == str(err.value)
 
+    # a traveling wave's snapshot gets its residual checks only: the scaling
+    # identities hold for v = 0 profiles; it writes its report and exits by
+    # the checks' verdict
+    travel = str(tmp_path / "travel")
+    assert main(["travel", "--grid.nx", "32", "--grid.ny", "64", "--grid.lx", "20",
+                 "--grid.ly", "40", "--model.p", "2", "--model.v", "0.5",
+                 "--solver.tol", "1e-5", "--out", travel]) == EXIT_OK
+    snap = _report(capsys)["snapshot"]
+    code = main(["verify", "--out", out, "--snapshot", snap, "--solver.tol", "1e-5"])
+    rep = _report(capsys)
+    assert [c["check"] for c in rep["checks"]] == VERIFY_CHECKS + [
+        "snapshot_nehari_residual", "snapshot_gradient_residual"]
+    assert json.loads((tmp_path / "report.json").read_text()) == rep
+    assert code == (EXIT_OK if rep["passed"] else EXIT_NUMERICAL)
+
     # without the tail guard every snapshot check runs; values need not pass
     monkeypatch.setattr(sol, "_check_tail", lambda *args: 0.0)
     main(argv)

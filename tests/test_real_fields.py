@@ -102,31 +102,53 @@ def test_real_field_matches_complex_copy(nx, ny, lx, ly, p, omega, v, lam, seed)
 
 @given(nx=st.integers(4, 40).map(lambda k: 2 * k), ny=st.integers(4, 40).map(lambda k: 2 * k),
        block=st.integers(1, 5000), seed=st.integers(0, 2 ** 32 - 1),
-       special=st.lists(st.sampled_from(_SPECIAL), max_size=6), even=st.booleans())
-@example(nx=10, ny=8, block=24, seed=0, special=[np.nan, -0.0], even=False)
-@example(nx=10, ny=8, block=24, seed=0, special=[np.nan, -0.0], even=True)
-def test_real_snapshot_bytes_match_complex_copy(nx, ny, block, seed, special, even):
-    # a real field is written by row blocks, a short last one included;
-    # NaN, infinities, -0.0 and subnormals keep their bits; an even field
-    # stored as its quarter is written from the quarter, its values not
-    # formed, as the bytes of its unpacked float64 copy
+       special=st.lists(st.sampled_from(_SPECIAL), max_size=6),
+       quarter=st.sampled_from([None, "even", "rsym"]))
+@example(nx=10, ny=8, block=24, seed=0, special=[np.nan, -0.0], quarter=None)
+@example(nx=10, ny=8, block=24, seed=0, special=[np.nan, -0.0], quarter="even")
+@example(nx=10, ny=8, block=24, seed=0, special=[np.nan, -0.0], quarter="rsym")
+def test_real_snapshot_bytes_match_complex_copy(nx, ny, block, seed, special, quarter):
+    # every layout is written by row blocks, a short last one included, and
+    # no values are kept on the field; NaN, infinities, -0.0 and subnormals
+    # keep their bits; a field stored as its quarter (an even real one, or
+    # an R-symmetric one even in x, complex) is written from the quarter, as
+    # the bytes of its unpacked values cast to complex128
     g = sp.make_grid(nx, ny, 10.0, 10.0)
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(g.shape)
+    if quarter == "rsym":
+        vals = vals + 1j * rng.standard_normal(g.shape)
     vals.reshape(-1)[rng.choice(vals.size, len(special), replace=False)] = special
-    real = sp.physical_field(g, vals)
-    if even:
-        real = sp.Field._of(g, vals[:nx // 2 + 1, :ny // 2 + 1].copy(), sp._EVEN)
-        vals = sp._EVEN.unpack(real.stored)
+    field = sp.physical_field(g, vals)
+    if quarter:
+        layout = sp._EVEN if quarter == "even" else sp._RSYM
+        field = sp.Field._of(g, vals[:nx // 2 + 1, :ny // 2 + 1].copy(), layout)
+        vals = layout.unpack(field.stored)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(snapshots, "_WRITE_ELEMS", block)
-        raw_r, = _saved_bytes([real], ModelParams(p=2.0))
-    assert not even or "values" not in vars(real)
+        raw_r, = _saved_bytes([field], ModelParams(p=2.0))
+    assert "values" not in vars(field)
     raw_f, raw_c = _saved_bytes([sp.physical_field(g, vals),
                                  sp.physical_field(g, vals.astype(np.complex128))],
                                 ModelParams(p=2.0))
     assert raw_r == raw_f == raw_c
-    assert len(raw_r) == snapshots._HEADER.size + 16 * vals.size
+    assert raw_r[snapshots._HEADER.size:] == vals.astype("<c16").tobytes()
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_scaling_apparatus_of_real_complex_copy_is_float64(shift):
+    # a complex128 field with zero imaginary part is scaled, and its
+    # generator and R1 formed, as its float64 copy, bit for bit, whether it
+    # is even about (0, 0) (on quarters) or moved by a cell (on half spectra)
+    g = sp.make_grid(32, 64, 12.0, 24.0)
+    vals = np.roll(np.exp(-g.x[:, None] ** 2 / 2.0 - g.y[None, :] ** 2 / 8.0), shift, axis=0)
+    real, cplx = (sp.physical_field(g, vals.astype(t)) for t in (np.float64, np.complex128))
+    for fn in (lambda u: sol.t_lambda(u, 1.05, tail_tol=np.inf),
+               lambda u: sol.psi_omega(u, tail_tol=np.inf),
+               lambda u: sol.r1_diagnostics(u, 3.0, tail_tol=np.inf).r1):
+        want, got = fn(real), fn(cplx)
+        assert got.layout is want.layout and got.values.dtype == np.float64
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 @given(nx=st.integers(4, 40).map(lambda k: 2 * k), ny=st.integers(4, 40).map(lambda k: 2 * k),

@@ -614,6 +614,17 @@ def test_t_lambda_of_even_profile_is_exactly_even(p3_state):
         assert out.layout is sp._REAL and not _is_even(out.values)
 
 
+def test_off_centre_scaling_keeps_no_values_on_its_input():
+    # about a centre off (0, 0), T_lambda and the generator of an even field
+    # run on its full array, formed for the call and not kept on the field
+    g = sp.make_grid(32, 64, 12.0, 24.0)
+    env = np.exp(-g.x[:, None] ** 2 / 2.0 - g.y[None, :] ** 2 / 8.0)
+    q = sp.Field._of(g, sp._EVEN.pack(env), sp._EVEN)
+    for out in (sol.t_lambda(q, 1.05, center=(0.3, 0.0), tail_tol=np.inf),
+                sol.psi_omega(q, center=(0.0, -0.2), tail_tol=np.inf)):
+        assert out.layout is sp._REAL and "values" not in vars(q)
+
+
 def test_even_generator_on_quarters(p3_state, transform_count):
     # the generator of an even q about (0, 0) on its quarter, each derivative
     # a DST-I along its axis and a DCT-I along the other, against the half

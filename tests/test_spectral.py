@@ -148,6 +148,15 @@ def test_halfwave_group_symbol_and_isometry(grid):
     assert np.allclose(prop.values, np.exp(0.3j * (-4.0 - 3.0)) * mode.values)
 
 
+def test_apply_symbol_multiplies_spectrum_by_symbol(grid):
+    # a physical field's spectrum times the symbol, in that order, whatever
+    # numpy's temporary elision would pick: a complex multiply need not be
+    # bitwise commutative on every SIMD path
+    f, sym = random_field(grid, 5), sp.halfwave_group(0.37)
+    want = sp._ifft2(sp.to_spectral(f).values * sym.values(grid))
+    assert sp.apply_symbol(f, sym).values.tobytes() == want.tobytes()
+
+
 def test_symbol_linearity(grid):
     f, g = random_field(grid, 3), random_field(grid, 4)
     sym = sp.frac_dy(0.5)
