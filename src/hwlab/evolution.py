@@ -39,7 +39,7 @@ class PicardContractionError(RuntimeError):
 def _complex(u: Field) -> np.ndarray:
     """Physical values of u as complex128, the dtype every flow runs in:
     a real field and its complex-typed copy give the same bits."""
-    return np.asarray(sp.to_physical(u)._full(), dtype=np.complex128)
+    return np.asarray(sp.to_physical(u).values, dtype=np.complex128)
 
 
 def linear_propagate(u: Field, t: float) -> Field:

@@ -452,8 +452,8 @@ def _converged(out, stats: dict, u_norm: float, tol: float):
 
 
 def _owned(u: np.ndarray, init: Field) -> np.ndarray:
-    """`u`, copied if `init` stores or keeps it: the descent writes in place."""
-    return u.copy() if any(u is a for a in (init.stored, vars(init).get("values"))) else u
+    """`u`, copied if `init` stores it: the descent writes in place."""
+    return u.copy() if u is init.stored else u
 
 
 def _solution(params: ModelParams, q: Field, stats: dict, u_norm: float,
@@ -808,7 +808,7 @@ def psi_omega(q: Field, center: tuple[float, float] | None = None,
     centroid for another (`_apparatus`).  L2-orthogonal to q because
     T_lambda is an L2 isometry.  Real q: no BLAS, float64 values; an even
     q about (0, 0) runs on quarters and the result is stored as its
-    quarter (`sp._EVEN`), values formed on first read; another real q
+    quarter (`sp._EVEN`), values formed on each read; another real q
     runs on half spectra.
     """
     phys = sp.to_physical(q)
@@ -891,7 +891,7 @@ def r1_diagnostics(q1: Field, p: float, tail_tol: float = 1e-8) -> R1Diagnostics
     transformed to (the symbols are even, so a half spectrum or a quarter
     has the same sup).  A real Q1 runs in real arithmetic and gives a
     float64 R1: an even one about (0, 0) on quarters (`sp._EVEN`), with R1
-    stored as its quarter and its values formed on first read, another
+    stored as its quarter and its values formed on each read, another
     about its mass centroid on half spectra (`_apparatus`).  The symbol
     and the defect are formed by row blocks (`sp._ActionRows`), and each
     temporary is freed after use; no BLAS.

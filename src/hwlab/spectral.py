@@ -66,7 +66,6 @@ import math
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.fft
@@ -392,8 +391,8 @@ SPECTRAL = "spectral"
 class Field:
     """Scalar field on a Grid, tagged with its representation.
 
-    values is a C-ordered (nx, ny) array: x is the slow index, y the
-    fast one, formed on first read from `stored` by `layout.unpack`.
+    values is a C-ordered (nx, ny) array, x the slow index and y the fast
+    one, formed from `stored`, the only state, on each read (`values`).
     Built from values, a field stores float64 physical ones as they are
     (`_REAL`) and others as complex128 (`_FULL`); the solvers and the
     scaling apparatus take theirs from `_settle`, results by `_of`.
@@ -415,13 +414,12 @@ class Field:
         f.grid, f.rep, f.stored, f.layout = grid, rep, stored, layout
         return f
 
-    @cached_property
+    @property
     def values(self) -> np.ndarray:
-        return self.layout.unpack(self.stored)
-
-    def _full(self) -> np.ndarray:
-        """`values` if kept, else formed for one use and not kept."""
-        return vars(self)["values"] if "values" in vars(self) else self.layout.unpack(self.stored)
+        u = self.layout.unpack(self.stored)  # `stored` itself on `_FULL` and `_REAL`
+        if u is not self.stored:
+            u.flags.writeable = False  # a quarter's unpack: a write to it would be lost
+        return u
 
     def _rows(self, rows: slice) -> np.ndarray:
         """Rows `rows` of `values` from the stored array alone (a quarter's mirrored)."""
@@ -451,7 +449,7 @@ def transform(f: Field, direction: str) -> Field:
     if direction == "forward":
         if f.rep != PHYSICAL:
             raise RepresentationError("forward transform expects a physical field")
-        return Field(f.grid, _fft2(np.asarray(f._full(), np.complex128)), SPECTRAL)
+        return Field(f.grid, _fft2(np.asarray(f.values, np.complex128)), SPECTRAL)
     if direction == "inverse":
         if f.rep != SPECTRAL:
             raise RepresentationError("inverse transform expects a spectral field")
@@ -471,8 +469,8 @@ def _settle(f: Field, v: float = 0.0, center: tuple[float, float] = (0.0, 0.0)) 
     """`f` in physical space, stored as a computation at velocity `v` about
     `center` runs on it: the one place a field changes storage.  About
     (0, 0) a stored quarter is kept, an `_EVEN` one taken at v != 0 as
-    `_RSYM`'s; any other field is unpacked once (`Field._full`: nothing is
-    kept on `f`) and stored as `_layout_of` says, off (0, 0) as a full
+    `_RSYM`'s; any other field is unpacked once, into an array the result
+    may write to, and stored as `_layout_of` says, off (0, 0) as a full
     array, float64 for real values.  The stored array may be `f`'s own."""
     phys = to_physical(f)
     origin = tuple(center) == (0.0, 0.0)
@@ -480,7 +478,7 @@ def _settle(f: Field, v: float = 0.0, center: tuple[float, float] = (0.0, 0.0)) 
         return Field._of(phys.grid, phys.stored.astype(np.complex128), _RSYM)
     if origin and phys.layout is (_RSYM if v else _EVEN):
         return Field._of(phys.grid, phys.stored, phys.layout)
-    u = phys._full()
+    u = phys.layout.unpack(phys.stored)
     layout = _layout_of(u, v, origin)
     return Field._of(phys.grid, layout.pack(u), layout)
 

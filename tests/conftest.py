@@ -37,6 +37,25 @@ def transform_count(monkeypatch):
     return counts
 
 
+def count_full_unpacks(mp):
+    """Counter, by layout name, of the full arrays unpacked from a quarter
+    (`_EVEN`, `_RSYM`) while `mp`'s patches hold, a field's `values` read
+    among them; an unpack of a row block is not counted.  Call it after
+    any patch that replaces `sp._EVEN` or `sp._RSYM`."""
+    counts = collections.Counter()
+    for name in ("_EVEN", "_RSYM"):
+        layout = getattr(sp, name)
+
+        def spy(u, rows=None, _plain=layout.unpack, _name=name):
+            if rows is None:
+                counts[_name] += 1
+                return _plain(u)
+            return _plain(u, rows)
+        # the frozen instance's own attribute, so `layout is sp._EVEN` holds
+        mp.setitem(vars(layout), "unpack", spy)
+    return counts
+
+
 # Ground states shared by several test modules, solved once per session;
 # the tests only read them.
 @pytest.fixture(scope="session")

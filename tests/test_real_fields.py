@@ -15,6 +15,8 @@ from hwlab import spectral as sp
 from hwlab import solitary as sol
 from hwlab.functionals import ModelParams
 
+from conftest import count_full_unpacks
+
 _SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308]
 
 
@@ -109,10 +111,10 @@ def test_real_field_matches_complex_copy(nx, ny, lx, ly, p, omega, v, lam, seed)
 @example(nx=10, ny=8, block=24, seed=0, special=[np.nan, -0.0], quarter="rsym")
 def test_real_snapshot_bytes_match_complex_copy(nx, ny, block, seed, special, quarter):
     # every layout is written by row blocks, a short last one included, and
-    # no values are kept on the field; NaN, infinities, -0.0 and subnormals
-    # keep their bits; a field stored as its quarter (an even real one, or
-    # an R-symmetric one even in x, complex) is written from the quarter, as
-    # the bytes of its unpacked values cast to complex128
+    # no full array is unpacked from a quarter; NaN, infinities, -0.0 and
+    # subnormals keep their bits; a field stored as its quarter (an even real
+    # one, or an R-symmetric one even in x, complex) is written from the
+    # quarter, as the bytes of its unpacked values cast to complex128
     g = sp.make_grid(nx, ny, 10.0, 10.0)
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(g.shape)
@@ -126,8 +128,9 @@ def test_real_snapshot_bytes_match_complex_copy(nx, ny, block, seed, special, qu
         vals = layout.unpack(field.stored)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(snapshots, "_WRITE_ELEMS", block)
+        unpacks = count_full_unpacks(mp)
         raw_r, = _saved_bytes([field], ModelParams(p=2.0))
-    assert "values" not in vars(field)
+    assert not unpacks
     raw_f, raw_c = _saved_bytes([sp.physical_field(g, vals),
                                  sp.physical_field(g, vals.astype(np.complex128))],
                                 ModelParams(p=2.0))

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import gc
 import math
 import os
 import subprocess
@@ -13,9 +14,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hwlab import functionals as fl
+from hwlab import snapshots
 from hwlab import spectral as sp
 from hwlab import solitary as sol
 from hwlab.functionals import ModelParams
+
+from conftest import count_full_unpacks
 
 
 def test_initial_guess_kinds():
@@ -467,9 +471,11 @@ def test_traveling_warm_starts_take_the_stored_quarter(monkeypatch, p2_state):
     q = p2_state.q
     assert q.layout is sp._EVEN
     prev = sp.Field._of(q.grid, q.stored.copy(), sp._EVEN)
+    unpacks = count_full_unpacks(monkeypatch)
     for v in (0.3, 0.5):
+        unpacks.clear()
         s = sol.solve_nehari(q.grid, ModelParams(p=2.0, v=v), init=prev, tol=1e-6)
-        assert "values" not in vars(prev)
+        assert not unpacks
         u, layout = starts.pop()
         assert layout is sp._RSYM and s.q.layout is sp._RSYM
         assert u.dtype == np.complex128
@@ -614,15 +620,77 @@ def test_t_lambda_of_even_profile_is_exactly_even(p3_state):
         assert out.layout is sp._REAL and not _is_even(out.values)
 
 
+def _quarter(layout):
+    """A 32x64 Gaussian stored as `layout`'s quarter: even in x and in y
+    (`_EVEN`), or even in x and R-symmetric with a phase along y (`_RSYM`)."""
+    g = sp.make_grid(32, 64, 12.0, 24.0)
+    env = np.exp(-g.x[:, None] ** 2 / 2.0 - g.y[None, :] ** 2 / 8.0)
+    vals = env if layout is sp._EVEN else env * np.exp(0.4j * g.y[None, :])
+    return sp.Field._of(g, layout.pack(vals), layout)
+
+
+def _retained(call, q):
+    """Bytes tracemalloc still sees once `call(q)` has returned and its
+    result is dropped, after a first call on a copy of `q` that fills any
+    first-use cache."""
+    call(q.copy())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call(q)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_rest_solve_from_a_traveling_quarter():
+    # at v = 0 an R-symmetric start with a phase runs on full spectra: the
+    # start is unpacked from its quarter into an array the descent may
+    # write to, and the quarter is left as it was
+    start = _quarter(sp._RSYM)
+    before = start.stored.copy()
+    s = sol.solve_nehari(start.grid, ModelParams(p=2.0), init=start, tol=1e-5)
+    assert s.q.layout is sp._REAL
+    assert s.gradient_residual <= 1e-5 * sp.l2_norm(s.q)
+    assert np.array_equal(start.stored, before)
+
+
 def test_off_centre_scaling_keeps_no_values_on_its_input():
     # about a centre off (0, 0), T_lambda and the generator of an even field
     # run on its full array, formed for the call and not kept on the field
-    g = sp.make_grid(32, 64, 12.0, 24.0)
-    env = np.exp(-g.x[:, None] ** 2 / 2.0 - g.y[None, :] ** 2 / 8.0)
-    q = sp.Field._of(g, sp._EVEN.pack(env), sp._EVEN)
-    for out in (sol.t_lambda(q, 1.05, center=(0.3, 0.0), tail_tol=np.inf),
-                sol.psi_omega(q, center=(0.0, -0.2), tail_tol=np.inf)):
-        assert out.layout is sp._REAL and "values" not in vars(q)
+    q = _quarter(sp._EVEN)
+    full = q.values.nbytes
+    for call in (lambda f: sol.t_lambda(f, 1.05, center=(0.3, 0.0), tail_tol=np.inf),
+                 lambda f: sol.psi_omega(f, center=(0.0, -0.2), tail_tol=np.inf)):
+        assert call(q).layout is sp._REAL
+        assert _retained(call, q) < full / 2
+
+
+_PUBLIC_CALLS = {
+    "l2_norm_sq": lambda f, path: sp.l2_norm_sq(f),
+    "l2_inner": lambda f, path: sp.l2_inner(f, f),
+    "tail_mass_fraction": lambda f, path: sp.tail_mass_fraction(f),
+    "action": lambda f, path: fl.action(f, ModelParams(p=2.0)),
+    "functional_report": lambda f, path: fl.functional_report(f, ModelParams(p=2.0)),
+    "action_gradient": lambda f, path: fl.action_gradient(f, ModelParams(p=2.0)),
+    "mass_centroid": lambda f, path: sol.mass_centroid(f),
+    "psi_omega": lambda f, path: sol.psi_omega(f, tail_tol=np.inf),
+    "t_lambda": lambda f, path: sol.t_lambda(f, 1.05, tail_tol=np.inf),
+    "save_snapshot": lambda f, path: snapshots.save_snapshot(str(path), f, ModelParams(p=2.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(_PUBLIC_CALLS))
+@pytest.mark.parametrize("layout", ["_EVEN", "_RSYM"])
+def test_public_api_keeps_no_full_array_on_a_quarter(layout, name, tmp_path):
+    # a sum, functional, scaling or snapshot of a field stored as its
+    # quarter leaves no full array behind on that field: less than half of
+    # one stays allocated once the result is dropped (l2_inner and
+    # mass_centroid still form the full array for the call)
+    q = _quarter(getattr(sp, layout))
+    call = _PUBLIC_CALLS[name]
+    assert _retained(lambda f: call(f, tmp_path / "state.hwsf"), q) < q.values.nbytes / 2
 
 
 def test_even_generator_on_quarters(p3_state, transform_count):
@@ -879,14 +947,15 @@ def test_second_variation_scaling(p3_state, monkeypatch):
 def test_even_pipeline_keeps_its_quarters(monkeypatch):
     # solve -> extend -> second variation -> psi_omega -> R1 -> report on
     # an even state: the solve decides evenness once, and after it nothing
-    # tests or packs again; every result carries its quarter, and its
-    # values are formed only when read, as the unpacked quarter
+    # tests or packs again, and no full array is unpacked; every result
+    # carries its quarter, its values the unpacked quarter
     g = sp.make_grid(32, 128, 20.0, 40.0)
     par = ModelParams(p=3.0)
     calls = collections.Counter()
     monkeypatch.setattr(sp, "_even", lambda u, _even=sp._even: calls.update(["even"]) or _even(u))
     monkeypatch.setattr(sp, "_EVEN", dataclasses.replace(
         sp._EVEN, pack=lambda u, _pack=sp._EVEN.pack: calls.update(["pack"]) or _pack(u)))
+    unpacks = count_full_unpacks(monkeypatch)
     small = sol.solve_nehari(g, par, tol=1e-8)
     assert calls == {"even": 1, "pack": 1}
     calls.clear()
@@ -895,10 +964,10 @@ def test_even_pipeline_keeps_its_quarters(monkeypatch):
     psi = sol.psi_omega(wide.q, tail_tol=np.inf)
     diag = sol.r1_diagnostics(wide.q, par.p, tail_tol=np.inf)
     rep = fl.functional_report(wide.q, par)
-    assert not calls
+    assert not calls and not unpacks
     assert sv.analytic < 0.0 and rep.action > 0.0
     for f in (small.q, wide.q, psi, diag.r1):
-        assert f.layout is sp._EVEN and "values" not in vars(f)
+        assert f.layout is sp._EVEN
         assert np.array_equal(f.values, sp._EVEN.unpack(f.stored)) and _is_even(f.values)
     assert not calls
 

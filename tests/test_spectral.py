@@ -16,6 +16,8 @@ from scipy import integrate
 from hwlab import functionals as fl
 from hwlab import spectral as sp
 
+from conftest import count_full_unpacks
+
 
 def random_field(grid, seed=0):
     rng = np.random.default_rng(seed)
@@ -420,6 +422,29 @@ def test_l2_inner_matches_vdot(grid):
                                              rel=1e-13)
 
 
+@pytest.mark.parametrize("layout", ["_FULL", "_REAL", "_RSYM", "_EVEN"])
+def test_values_hold_no_state_of_their_own(layout):
+    # `stored` is a field's only state, so its sums and its values agree:
+    # on full storage `values` is the stored array and a write lands, on a
+    # quarter it is formed on each read, read-only, and a write that would
+    # be lost raises
+    g = sp.make_grid(32, 64, 12.0, 24.0)
+    lay = getattr(sp, layout)
+    f = sp.Field._of(g, lay.pack(random_field(g, 3).values), lay)
+    norm_sq = sp.l2_norm_sq(f)
+    if lay in (sp._FULL, sp._REAL):
+        assert f.values is f.stored
+        f.values[:] *= 2.0
+        assert sp.l2_norm_sq(f) == pytest.approx(4.0 * norm_sq, rel=1e-13)
+    else:
+        assert f.values is not f.values
+        with pytest.raises(ValueError):
+            f.values[:] *= 2.0
+        assert sp.l2_norm_sq(f) == norm_sq
+    assert np.array_equal(f.values, lay.unpack(f.stored))
+    assert sp.l2_norm_sq(f) == pytest.approx(sp.l2_inner(f, f).real, rel=1e-13)
+
+
 def test_derivatives_match_analytic():
     g = sp.make_grid(64, 64, 20.0, 20.0)
     gauss = np.exp(-(g.x[:, None] ** 2 + g.y[None, :] ** 2) / 2.0)
@@ -535,13 +560,14 @@ def test_row_blocked_density_sums_match_full_arrays(nx, ny, layout, p, block, se
             sp.tail_mass_fraction, lambda f: dataclasses.astuple(fl.functional_report(f, par)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sp, "_FUSE_ELEMS", block)
+        unpacks = count_full_unpacks(mp)
         rows, cols = sp._marginals(u)
         frac = sp.tail_mass_fraction(full)
         got, expect = ([np.atleast_1d(fn(f)) for fn in sums] for f in (stored, full))
     assert np.allclose(rows, w.sum(axis=1), rtol=1e-13, atol=0.0)
     assert np.allclose(cols, w.sum(axis=0), rtol=1e-13, atol=0.0)
     assert frac == pytest.approx(want, rel=1e-13)
-    assert "values" not in vars(stored)  # no sum formed the full array
+    assert not unpacks  # no sum formed the full array
     for a, b in zip(got, expect):
         assert np.allclose(a, b, rtol=1e-12, atol=0.0)
 
