@@ -444,7 +444,7 @@ def test_r_symmetric_path_matches_full_path(transform_count, shape, box, v):
     assert transform_count == {"dctn": 2 * n, "irfft2": n + 1, "rfft2": n - 1}
     u, stats, _, _ = sol._descent(init.values.astype(np.complex128),
                                   sp.action_quadratic(par.omega, v), par.p, g, 1e-8, 5000,
-                                  floor_rule=False, layout=sp._FULL)
+                                  converged_start=False, layout=sp._FULL)
     full = sp.physical_field(g, u)
     assert dual.action_value == pytest.approx(stats["action_value"], rel=1e-10)
     assert sol.orbital_fit(dual.q, full).distance <= 1e-6 * fl.x_norm(full)
@@ -1008,8 +1008,13 @@ def test_extend_ground_state_widens_box(p2_state, transform_count):
     # the descent core of solve_nehari: two transforms per iteration, on the
     # quarters of the even profile
     assert sum(transform_count.values()) == 2 * ext.iterations
-    # Fletcher-Reeves CG takes 20 iterations here, steepest descent 42
-    assert ext.iterations <= 20
+    # Fletcher-Reeves CG takes 13 iterations here with the model step, 20
+    # with unit steps, steepest descent 42
+    assert ext.iterations <= 13
+    # the model step goes beyond alpha = 1, but never on the closing step
+    # along P g (history[-1] is the converged iterate, which takes none)
+    assert max(r.step for r in ext.history) > 1.0
+    assert ext.history[-2].step == 1.0
     assert set(transform_count) == {"dctn"}
     assert _is_even(ext.q.values)
     assert ext.q.grid == g1
@@ -1048,7 +1053,7 @@ def test_even_extension_matches_real_extension():
     t = first.max() / start.max()
     assert np.max(np.abs(first - t * start)) <= 1e-13 * first.max()
     u, stats, _, _ = sol._descent(start, sp.action_quadratic(1.0), 2.0, g1, 5e-7, 200,
-                                  floor_rule=True, layout=sp._REAL)
+                                  converged_start=True, layout=sp._REAL)
     assert ext.action_value == pytest.approx(stats["action_value"], rel=1e-10)
     real = sp.physical_field(g1, u)
     assert sol.orbital_fit(ext.q, real).distance <= 1e-6 * fl.x_norm(real)
@@ -1266,6 +1271,31 @@ def test_orbital_fit_peak_memory(rep, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * u.grid.nx * u.grid.ny * 16
+
+
+@pytest.mark.parametrize("layout", ["_FULL", "_REAL", "_EVEN", "_RSYM"])
+def test_cold_solves_take_no_step_beyond_one(monkeypatch, layout):
+    # the model step beyond alpha = 1 is taken only from a converged start
+    # (extend_ground_state); solve_nehari and solve_mass_constrained (v = 0
+    # only, so no `_RSYM`) backtrack from alpha = 1 on every layout
+    runs = []
+    plain = sol._descent
+
+    def spy(u, *args, layout, **kwargs):
+        out = plain(u, *args, layout=layout, **kwargs)
+        runs.append((layout, out[1]["history"]))
+        return out
+
+    monkeypatch.setattr(sol, "_descent", spy)
+    g = sp.make_grid(32, 64, 20.0, 40.0)
+    par = ModelParams(p=2.0, v=0.5 if layout == "_RSYM" else 0.0)
+    init = {"_FULL": _rotated_guess(g, par), "_REAL": _shifted_guess(g, par)}.get(layout)
+    sol.solve_nehari(g, par, init=init, tol=1e-7)
+    if par.v == 0.0:
+        sol.solve_mass_constrained(g, 3.0, 2.0, init=init, tol=1e-6)
+    assert [lay for lay, _ in runs] == [getattr(sp, layout)] * (1 if par.v else 2)
+    for _, history in runs:
+        assert max(r.step for r in history) == 1.0
 
 
 @pytest.mark.parametrize("start", [
