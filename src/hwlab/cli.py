@@ -477,7 +477,8 @@ def main(argv=None) -> int:
         for key in _ORDER:
             if key != "command" and ns.get(key) is not None:
                 cfg.set(key, ns[key])
-        # invalid grid and model values are usage errors, found before any solve
+        # invalid grid, model, solver and evolution values are usage errors,
+        # found before any solve
         grid = Grid(cfg["grid.nx"], cfg["grid.ny"], cfg["grid.lx"], cfg["grid.ly"])
         speeds = (cfg["experiment.v_list"] if args.command == "sweep-velocity"
                   else (cfg["model.v"],))
@@ -485,6 +486,13 @@ def main(argv=None) -> int:
             raise ConfigError("experiment.v_list is empty")
         params = [ModelParams(p=cfg["model.p"], omega=cfg["model.omega"], v=float(v))
                   for v in speeds]
+        if cfg["solver.init_kind"] not in sol._INIT_KINDS:
+            raise ConfigError(f"unknown solver.init_kind {cfg['solver.init_kind']!r}; "
+                              f"expected one of {sol._INIT_KINDS}")
+        if not (0.0 < cfg["evolution.T"] < math.inf and 0.0 < cfg["evolution.dt"] < math.inf):
+            raise ConfigError("evolution.T and evolution.dt must be positive and finite")
+        if cfg["evolution.sample_stride"] < 1:
+            raise ConfigError("evolution.sample_stride must be >= 1")
         os.makedirs(cfg["output.out_dir"], exist_ok=True)
     except (ConfigError, ValueError) as exc:
         print(f"hwlab: {exc}", file=sys.stderr)

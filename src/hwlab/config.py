@@ -82,11 +82,9 @@ def _format_value(key: str, value) -> str:
 class ExperimentConfig:
     """Typed key-value store over the fixed schema."""
 
-    def __init__(self, values: dict | None = None, explicit: set | None = None):
+    def __init__(self):
         self.values = dict(_DEFAULTS)
-        self.explicit: set[str] = set(explicit or ())
-        for key, val in (values or {}).items():
-            self.set(key, val, parse=False)
+        self.explicit: set[str] = set()
 
     def __getitem__(self, key: str):
         if key not in self.values:
@@ -116,9 +114,6 @@ class ExperimentConfig:
         if not isinstance(other, ExperimentConfig):
             return NotImplemented
         return self.values == other.values
-
-    def copy(self) -> "ExperimentConfig":
-        return ExperimentConfig(dict(self.values), set(self.explicit))
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -94,6 +94,9 @@ class MassMinimizer:
     energy_history: list = dc_field(default_factory=list)
 
 
+_INIT_KINDS = ("gaussian", "gaussian-wide", "noise")
+
+
 def default_initial_guess(grid: Grid, params: ModelParams, kind: str = "gaussian",
                           seed: int = 0) -> Field:
     """Smooth localized starting fields for the solvers.
@@ -119,7 +122,7 @@ def default_initial_guess(grid: Grid, params: ModelParams, kind: str = "gaussian
         phys = sp._ifft2(coef * keep * envelope)
         vals = phys * np.exp(-X ** 2 / 8.0 - Y ** 2 / 32.0)
     else:
-        raise ValueError(f"unknown initializer kind {kind!r}")
+        raise ValueError(f"unknown initializer kind {kind!r}; expected one of {_INIT_KINDS}")
     if params.v != 0.0:
         eta0 = math.copysign(2.0 * np.pi / grid.ly, params.v)
         vals = vals * np.exp(1j * eta0 * Y)
@@ -158,7 +161,8 @@ def nehari_project(u: Field, params: ModelParams) -> Field:
 
 
 def _advance(u: np.ndarray, d: np.ndarray, alpha: float, t: float) -> None:
-    """u <- t (u - alpha d) in place, by cache-sized row blocks."""
+    """u <- t (u - alpha d) in place, by cache-sized row blocks: an iterate,
+    or the float view of its spectrum."""
     for rows in _slices(*u.shape, _FUSE_ELEMS):
         blk = u[rows]
         blk -= alpha * d[rows]
@@ -209,18 +213,15 @@ class _Spectra:
         """re int conj(f) g for the fields f, g whose spectra are a, b."""
         return sum(self._dot(a[r], b[r], r) for r in self.rows) * self.w
 
-    def gradient(self, u: np.ndarray, hat: np.ndarray, p: float, d: np.ndarray | None = None,
-                 dhat: np.ndarray | None = None, t: float = 1.0) -> tuple:
-        """Spectrum ghat = aq hat(v) - hat(|v|^{p-1} v) of grad S(v), one transform,
-        for v = u with spectrum hat, or for the trial v = t (u - d), whose
-        spectrum t (hat - dhat) is formed block by block.  Returns ghat and
-        int |v|^{p+1}, <grad S(v), v>, ||grad S(v)||^2, ||v||^2 and
-        <grad S(v), P grad S(v)>."""
+    def gradient(self, u: np.ndarray, hat: np.ndarray, p: float) -> tuple:
+        """Spectrum ghat = aq hat - hat(|u|^{p-1} u) of grad S(u), one transform,
+        for u with spectrum hat.  Returns ghat and int |u|^{p+1},
+        <grad S(u), u>, ||grad S(u)||^2, ||u||^2 and <grad S(u), P grad S(u)>."""
         e = (p - 1.0) / 2.0
         nl = np.empty_like(u)
         b_pot = 0.0
         for rows in _slices(*u.shape, _FUSE_ELEMS):
-            v = u[rows] if d is None else (u[rows] - d[rows]) * t
+            v = u[rows]
             dens = fl._density(v)
             pw = fl._power(dens, e)
             np.multiply(v, pw, out=nl[rows])
@@ -228,14 +229,10 @@ class _Spectra:
         ghat = self.layout.fwd(nl, self.shape)
         del nl
         gh = hh = gg = gpg = 0.0
-        trial, prod = self._tmp
+        prod = self._tmp[1]
         for rows in self.rows:
             n = rows.stop - rows.start
-            h = hat[rows]
-            if dhat is not None:
-                h = np.subtract(h, dhat[rows], out=trial[:n])
-                h *= t
-            g = ghat[rows]
+            h, g = hat[rows], ghat[rows]
             aq, inv = self._metric(rows)
             np.subtract(np.multiply(h, aq, out=prod[:n]), g, out=g)
             gh += self._dot(g, h, rows)
@@ -244,25 +241,13 @@ class _Spectra:
             gpg += self._dot(g, np.multiply(g, inv, out=prod[:n]), rows)
         return ghat, b_pot * self.w, gh * self.w, gg * self.w, hh * self.w, gpg * self.w
 
-    def step(self, hat: np.ndarray, dhat: np.ndarray, alpha: float, t: float) -> None:
-        """Spectrum t (hat - alpha dhat) of an accepted step, written over hat."""
-        scaled = self._tmp[0]
-        for rows in self.rows:
-            n = rows.stop - rows.start
-            blk = hat[rows].view(np.float64)
-            np.subtract(blk, np.multiply(dhat[rows].view(np.float64), alpha,
-                                         out=scaled[:n].view(np.float64)), out=blk)
-            blk *= t
-
-    def direction(self, ghat: np.ndarray, hat: np.ndarray, out: np.ndarray | None = None,
+    def direction(self, ghat: np.ndarray, hat: np.ndarray, out: np.ndarray,
                   beta: float = 0.0) -> tuple:
         """Conjugate direction dhat = P ghat + beta out, written over the
         previous direction in `out` (beta = 0: P ghat, and `out` is not
         read), in one pass that also sums the line-search products.
         Returns dhat, <d, grad>, ||d||^2, <Au, d>, <Ad, d>, <u, d> (0 unless
         `sphere`)."""
-        if out is None:
-            out = np.empty_like(ghat)
         dg = dd = ad = dad = ud = 0.0
         scaled, prod = self._tmp
         for rows in self.rows:
@@ -311,9 +296,10 @@ def _descent(u: np.ndarray, sym: sp.Symbol, p: float, grid: Grid, tol: float, ma
     iterate, with the SolitarySolution fields the descent fixes, ||u|| and
     N(u) = <grad S(u), u>.  The spectrum of the iterate is carried along:
     an accepted step u <- t (u - alpha d) sets it to t (hat - alpha dhat)
-    over hat, and dhat stays as the previous direction.  So an iteration
-    costs two transforms, |u|^{p-1} u forward and the direction d back,
-    and the start one more; the physical u feeds the nonlinear sums.
+    over hat by the same `_advance`, and dhat stays as the previous
+    direction.  So an iteration costs two transforms, |u|^{p-1} u forward
+    and the direction d back, and the start one more; the physical u
+    feeds the nonlinear sums.
 
     The direction is the preconditioned Riemannian CG of Antoine, Levitt
     and Tang (J. Comput. Phys. 343, 2017) with the metric P = 1/aq:
@@ -339,8 +325,11 @@ def _descent(u: np.ndarray, sym: sp.Symbol, p: float, grid: Grid, tol: float, ma
 
     `converged_start` marks a start that is a converged profile (the
     zero-padded one of `extend_ground_state`), and enables two rules:
-    - a full step that fails the Armijo test near the action floor is
-      accepted if it cuts the gradient norm by 0.1%;
+    - a full step that fails the Armijo test near the action floor,
+      where ARMIJO_C slope is within 1e3 ulps of S and the test drowns
+      in rounding noise, is accepted as it is, with no transform.  From
+      64x256 to 64x1024 at p = 3 and tol 1e-10 the extension takes 19
+      iterations with it, 27 without;
     - a full step that passes it is followed by one model trial.  S
       along d is fitted by the parabola S(u) - slope alpha + c alpha^2
       through the change d_s(1), so c = d_s(1) + slope; for c > 0 its
@@ -383,8 +372,8 @@ def _descent(u: np.ndarray, sym: sp.Symbol, p: float, grid: Grid, tol: float, ma
         return t, s_val * math.expm1(((p + 1.0) * math.log1p(d_a / a_u)
                                       - 2.0 * math.log1p(d_b / b_u)) / (p - 1.0))
 
-    def measure(carried):
-        ghat, b_u, n_u, g_sq, u_sq, gpg = carried or spec.gradient(u, hat, p)
+    def measure():
+        ghat, b_u, n_u, g_sq, u_sq, gpg = spec.gradient(u, hat, p)
         if mass is not None:
             g_sq, gpg = spec.tangent(ghat, hat, n_u / u_sq)
         return ghat, b_u, n_u, g_sq, u_sq, gpg
@@ -398,15 +387,13 @@ def _descent(u: np.ndarray, sym: sp.Symbol, p: float, grid: Grid, tol: float, ma
     hat *= t
     action_history = [action_of(a_form, b_pot)]
     history: list[IterationRecord] = []
-    carried = None
     gpg_prev = 0.0  # <g, P g> at the last iterate; 0 restarts from P g
     conj = False  # the last direction was a conjugate one
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
         # the Nehari functional N(u) = <grad S(u), u> = a(u) - int |u|^{p+1}
-        ghat, b_u, n_u, g_sq, u_sq, gpg = measure(carried)
-        carried = None
+        ghat, b_u, n_u, g_sq, u_sq, gpg = measure()
         grad_norm, u_norm = math.sqrt(g_sq), math.sqrt(u_sq)
         a_u = n_u + b_u
         s_val = action_of(*scale(a_u, b_u, u_sq)[1:])
@@ -444,14 +431,11 @@ def _descent(u: np.ndarray, sym: sp.Symbol, p: float, grid: Grid, tol: float, ma
                         if d_top < d_s and d_top <= -ARMIJO_C * top * slope:
                             alpha, t, d_s = top, t_top, d_top
             elif floor and alpha == 1.0:
-                carried = spec.gradient(u, hat, p, d, dhat, t)
-                accepted = math.sqrt(carried[3]) <= grad_norm * (1.0 - 1e-3)
-                if not accepted:
-                    carried = None
+                accepted = True  # the Armijo test drowns in rounding noise
             if accepted:
-                # a floor trial's carried gradient saw exactly these values
                 _advance(u, d, alpha, t)
-                spec.step(hat, dhat, alpha, t)
+                # a real scalar times complex entries: the same update on float views
+                _advance(hat.view(np.float64), dhat.view(np.float64), alpha, t)
                 action_history.append(s_val + d_s)
                 break
             backtracks += 1
@@ -466,7 +450,7 @@ def _descent(u: np.ndarray, sym: sp.Symbol, p: float, grid: Grid, tol: float, ma
             break  # line search along P g exhausted
     else:
         # budget spent: measure the last accepted iterate
-        _, b_u, n_u, g_sq, u_sq, _ = measure(carried)
+        _, b_u, n_u, g_sq, u_sq, _ = measure()
         grad_norm, u_norm = math.sqrt(g_sq), math.sqrt(u_sq)
     return u, dict(action_value=action_of(*scale(n_u + b_u, b_u, u_sq)[1:]),
                    nehari_residual=abs(n_u), gradient_residual=grad_norm, iterations=iterations,
@@ -566,10 +550,10 @@ def extend_ground_state(sol: SolitarySolution, grid: Grid,
     iterations from 128x8192 to 128x32768 at p = 3 from 14 to 8, the last
     along P g at alpha = 1 (preconditioned steepest descent takes 27).
     Near the action floor, where the Armijo test drowns in rounding
-    noise, a full step is accepted if it still cuts the gradient.  An
-    even source (`sp._settle`) has its quarter padded symmetrically, half
-    of its edge column y = -ly/2 at each end, so the start is exactly
-    even, and runs on quarters (`sp._EVEN`); another runs on half spectra.
+    noise, a full step is accepted as it is.  An even source
+    (`sp._settle`) has its quarter padded symmetrically, half of its edge
+    column y = -ly/2 at each end, so the start is exactly even, and runs
+    on quarters (`sp._EVEN`); another runs on half spectra.
 
     The target grid must match nx and lx, keep the same dy, and differ
     from the source by an even number of y rows.

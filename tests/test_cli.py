@@ -405,6 +405,10 @@ def test_cli_config_file_and_flag_override(tmp_path, capsys):
     ["ground-state", *TINY, "--model.omega", "inf"],
     ["travel", *TINY, "--model.v", "1.0"],
     ["sweep-velocity", *TINY, "--v-list", "0,1.5"],
+    # invalid solver and evolution values, rejected before any solve
+    ["ground-state", *TINY, "--solver.init_kind", "bogus"],
+    ["evolve", *TINY, "--evolution.sample_stride", "0"],
+    ["evolve", *TINY, "--evolution.dt", "-1"],
 ])
 def test_cli_usage_errors(argv, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path)])
