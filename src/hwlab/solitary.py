@@ -639,7 +639,7 @@ def rescale_omega(q1: Field, omega: float, p: float) -> Field:
 
 
 def mass_centroid(u: Field) -> tuple[float, float]:
-    rows, cols = sp._marginals(sp.to_physical(u).values)
+    rows, cols = sp._marginals(sp.to_physical(u))
     total = float(np.sum(rows))
     if total == 0.0:
         return (0.0, 0.0)
@@ -1019,26 +1019,34 @@ def orbital_fit(u: Field, q: Field, refine: bool = True) -> OrbitalFit:
     argument of the correlation.  The distance is the X norm of the
     residual u - e^{i theta} q(. + tau), summed over its spectrum, so an
     exact match reads zero to round-off.  Fields passed in the spectral
-    representation cost no transform.
+    representation cost no transform, physical ones one each
+    (`spectral._spectrum`).
 
-    Beyond the two spectra the fit holds one complex field: the weighted
-    product, transformed in place; |c| in its memory, as float64; the
-    product again for the Newton steps; the weighted residual density.
-    Each is written by row blocks with the operations of the full-array
-    expression, so every bit is the full-array fit's.
+    Each spectrum stays as its layout stores it, a quarter or a half no
+    larger, and is read by row blocks of the full spectrum
+    (`_Layout.spectrum_rows`).  Beyond the two the fit holds one complex
+    field: the weighted product, transformed in place; |c| in its memory,
+    as float64; the product again for the Newton steps; the weighted
+    residual density.  Each is written by row blocks with the operations
+    of the full-array expression on the mirrored spectra, so every bit is
+    that fit's.
     """
     if u.grid != q.grid:
         raise ValueError("fields live on different grids")
     g = u.grid
-    uh = sp.to_spectral(u).values
-    qh = sp.to_spectral(q).values
+    (uh, u_layout), (qh, q_layout) = sp._spectrum(u), sp._spectrum(q)
     weight = sp._ActionRows(g, 1.0, 0.0, sp._FULL)  # fl.x_weight by row blocks
     blocks = _slices(*g.shape, _FUSE_ELEMS)
 
+    def rows(r: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Rows r of the full spectra of u and q."""
+        return u_layout.spectrum_rows(uh, r, g.shape), q_layout.spectrum_rows(qh, r, g.shape)
+
     def fill_coef(buf: np.ndarray) -> np.ndarray:
         for r in blocks:  # ((w uh) conj(qh)) dx dy
-            blk = np.multiply(weight(r), uh[r], out=buf[r])
-            blk *= np.conj(qh[r])
+            u_rows, q_rows = rows(r)
+            blk = np.multiply(weight(r), u_rows, out=buf[r])
+            blk *= np.conj(q_rows)
             blk *= g.cell_area
         return buf
 
@@ -1064,7 +1072,8 @@ def orbital_fit(u: Field, q: Field, refine: bool = True) -> OrbitalFit:
     ex, ey = np.exp(1j * (theta + g.xi * tau[0])), np.exp(1j * g.eta * tau[1])
     dens = floats(coef)
     for r in blocks:
-        res = uh[r] - (ex[r, None] * ey[None, :]) * qh[r]
+        u_rows, q_rows = rows(r)
+        res = u_rows - (ex[r, None] * ey[None, :]) * q_rows
         np.multiply(weight(r), sp._density(res), out=dens[r])
     dist_sq = float(np.sum(dens)) * g.cell_area
     return OrbitalFit(theta=theta, tau1=float(tau[0]), tau2=float(tau[1]),

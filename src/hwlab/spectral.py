@@ -16,8 +16,12 @@ one record of how a field and its spectrum are stored, changed in one
 place (`_settle`, by `_layout_of`).  Its `fwd` and
 `inv` pick the transforms and its mirrored axes the Parseval weights, so
 no other module looks at a dtype or a spectrum's shape to choose either,
-and sums over a field read its stored array.  The weights are applied in
-one place, `_Layout.dot`, to each cache-sized row block as it is summed:
+and sums over a field read its stored array.  As `unpack` reads rows of
+a field's values from its stored values, `spectrum_rows` reads rows of
+its full spectrum from its stored spectra, so a pass over the full
+spectrum (`orbital_fit`) forms no full array of a quarter or a half.
+The weights are applied in one place, `_Layout.dot`, to each cache-sized
+row block as it is summed:
 
 - `_FULL`: complex128 values, full spectra.
 - `_REAL`: float64 values, half spectra (`rfft2` along y), on which
@@ -230,7 +234,8 @@ class _Layout:
     field of `shape`; `pack` makes the stored values of a full field (on
     `_FULL` and `_REAL` maybe its own array), `unpack(u, rows)` the full
     field of stored values or its rows `rows` (on those two `u` itself,
-    not a view, which numpy would not elide as a temporary).
+    not a view, which numpy would not elide as a temporary), and
+    `spectrum_rows` is its counterpart for the stored spectra.
     """
 
     spectra: tuple[int, ...]
@@ -244,6 +249,28 @@ class _Layout:
         """The shape of the stored spectra of a field on `grid`."""
         return tuple(n // 2 + 1 if axis in self.spectra else n
                      for axis, n in enumerate(grid.shape))
+
+    def spectrum_rows(self, hat: np.ndarray, rows: slice, shape: tuple[int, int]) -> np.ndarray:
+        """Rows `rows` of the full spectrum of a field of `shape`, read from
+        its stored spectra `hat` (real on a quarter): `hat[rows]` itself on
+        `_FULL`; row i from stored row min(i, nx - i) along a mirrored x
+        axis, and column j from min(j, ny - j) on a quarter or, past ny/2
+        of a half spectrum, conj hat[-i mod nx, ny - j]."""
+        if not self.spectra:
+            return hat[rows]
+        nx, ny = shape
+        i = np.arange(*rows.indices(nx))
+        if 0 in self.spectra:
+            hat = hat[np.minimum(i, nx - i)]
+            if 1 not in self.spectra:
+                return hat
+            j = np.arange(ny)
+            return hat[:, np.minimum(j, ny - j)]
+        n = ny // 2 + 1
+        out = np.empty((len(i), ny), hat.dtype)
+        out[:, :n] = hat[i]
+        np.conjugate(hat[-i % nx, n - 2:0:-1], out=out[:, n:])
+        return out
 
     def dot(self, a: np.ndarray, b: np.ndarray | None, rows: slice, n: int,
             spectra: bool = False) -> float:
@@ -683,11 +710,12 @@ def apply_dealias(f: Field) -> Field:
     return Field(f.grid, _ifft2(hat), PHYSICAL)
 
 
-def _marginals(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column sums of |u|^2, by cache-sized row blocks."""
-    rows, cols = np.empty(u.shape[0]), np.zeros(u.shape[1])
-    for blk in _slices(*u.shape, _FUSE_ELEMS):
-        w = _density(u[blk])
+def _marginals(f: Field) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column sums of |f|^2 over the grid, by cache-sized row blocks
+    of its values (`Field._rows`: a quarter's mirrored, never unpacked whole)."""
+    rows, cols = np.empty(f.grid.nx), np.zeros(f.grid.ny)
+    for blk in _slices(*f.grid.shape, _FUSE_ELEMS):
+        w = _density(f._rows(blk))
         rows[blk] = w.sum(axis=1)
         cols += w.sum(axis=0)
     return rows, cols

@@ -672,6 +672,7 @@ _PUBLIC_CALLS = {
     "functional_report": lambda f, path: fl.functional_report(f, ModelParams(p=2.0)),
     "action_gradient": lambda f, path: fl.action_gradient(f, ModelParams(p=2.0)),
     "mass_centroid": lambda f, path: sol.mass_centroid(f),
+    "orbital_fit": lambda f, path: sol.orbital_fit(f, f),
     "psi_omega": lambda f, path: sol.psi_omega(f, tail_tol=np.inf),
     "t_lambda": lambda f, path: sol.t_lambda(f, 1.05, tail_tol=np.inf),
     "save_snapshot": lambda f, path: snapshots.save_snapshot(str(path), f, ModelParams(p=2.0)),
@@ -683,8 +684,8 @@ _PUBLIC_CALLS = {
 def test_public_api_keeps_no_full_array_on_a_quarter(layout, name, tmp_path):
     # a sum, functional, scaling or snapshot of a field stored as its
     # quarter leaves no full array behind on that field: less than half of
-    # one stays allocated once the result is dropped (l2_inner and
-    # mass_centroid still form the full array for the call)
+    # one stays allocated once the result is dropped (l2_inner still forms
+    # the full array for the call)
     q = _quarter(getattr(sp, layout))
     call = _PUBLIC_CALLS[name]
     assert _retained(lambda f: call(f, tmp_path / "state.hwsf"), q) < q.values.nbytes / 2
@@ -1187,12 +1188,13 @@ def test_orbital_fit_perturbation_bound(p2_state):
 
 
 def _fit_full_arrays(u, q, refine):
-    """orbital_fit formed with full-size arrays: the X weight, the weighted
-    product, its transform and modulus, the shift and the residual."""
+    """orbital_fit formed with full-size arrays: the full spectra, mirrored
+    whole from the stored ones, the X weight, the weighted product, its
+    transform and modulus, the shift and the residual."""
     g = u.grid
     w = fl.x_weight(g)
-    uh = sp.to_spectral(u).values
-    qh = sp.to_spectral(q).values
+    uh, qh = (layout.spectrum_rows(hat, slice(None), g.shape)
+              for hat, layout in map(sp._spectrum, (u, q)))
     coef = w * uh * np.conj(qh) * g.cell_area
     j1, j2 = sol._lattice_peaks(np.abs(sp._fft2(coef)))
     taus = np.stack([((j1 + g.nx // 2) % g.nx - g.nx // 2) * g.dx,
@@ -1258,14 +1260,55 @@ def test_orbital_fit_bit_identical_to_full_arrays(shape, box, rep, refine):
     assert abs(fit.theta - 0.7) <= 1e-2
 
 
-@pytest.mark.parametrize("rep, bound", [(sp.SPECTRAL, 1.5), (sp.PHYSICAL, 3.5)])
+@pytest.mark.parametrize("layout", ["_EVEN", "_RSYM", "_REAL"])
+def test_orbital_fit_on_stored_spectra_matches_full_copies(monkeypatch, layout):
+    # q stored as `layout`, its spectrum read by row blocks of the full
+    # spectrum (5-row blocks, one across row nx/2), fits as its `_FULL`
+    # copy does, against a shifted, phase-rotated, perturbed partner and
+    # against itself, and no full array is unpacked from a quarter (a half
+    # spectrum mirrored past ny/2 without its conjugate reflection moves
+    # the fit's theta by 1.5e-2)
+    lay = getattr(sp, layout)
+    g = sp.make_grid(64, 128, 20.0, 40.0)
+    x, y = g.x[:, None], g.y[None, :]
+    vals = np.exp(-x ** 2 / 3.0 - (y / 2.0) ** 2)
+    if lay is sp._RSYM:
+        vals = vals * np.exp(0.3j * y)
+    elif lay is sp._REAL:
+        vals = vals * (1.0 + 0.3 * np.sin(x + 0.5) + 0.2 * np.cos(0.7 * y - 0.2))
+    q = sp.Field._of(g, lay.pack(vals), lay)
+    full = sp.physical_field(g, q.values.astype(np.complex128))
+    hat, _ = sp._spectrum(q)
+    want = sp._fft2(full.values)
+    assert np.max(np.abs(lay.spectrum_rows(hat, slice(None), g.shape) - want)) \
+        <= 1e-14 * np.max(np.abs(want))
+    rng = np.random.default_rng(3)
+    noise = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)) \
+        * np.exp(-(x ** 2 + y ** 2) / 16.0)
+    u = sp.physical_field(g, np.exp(0.7j) * np.roll(full.values, (3, -5), axis=(0, 1))
+                          + 0.02 * noise)
+    monkeypatch.setattr(sol, "_FUSE_ELEMS", 5 * g.ny)
+    unpacks = count_full_unpacks(monkeypatch)
+    fits = [sol.orbital_fit(u, q), sol.orbital_fit(q, q)]
+    assert not unpacks
+    refs = [sol.orbital_fit(u, full), sol.orbital_fit(full, full)]
+    for fit, ref in zip(fits, refs):
+        for got, expect in ((fit.theta, ref.theta), (fit.tau1, ref.tau1), (fit.tau2, ref.tau2)):
+            assert abs(got - expect) <= 1e-14
+    assert fits[0].distance == pytest.approx(refs[0].distance, rel=1e-12)
+    assert max(fits[1].distance, refs[1].distance) <= 1e-12 * fl.x_norm(full)
+    assert abs(fits[0].theta - 0.7) <= 1e-2
+
+
+@pytest.mark.parametrize("rep, bound", [(sp.SPECTRAL, 1.5), (sp.PHYSICAL, 2.2)])
 def test_orbital_fit_peak_memory(rep, bound):
     # tracemalloc sees numpy's arrays but not pocketfft's internal buffers.
     # Peaks on 256x1024 in units of the complex field: with full-size
     # weight, product, correlation, modulus, shift and residual the fit
     # took 4.5 on spectral inputs and 6.5 on physical R-symmetric ones (the
     # two spectra formed inside); with one buffer beyond the spectra it
-    # takes 1.20 and 3.20
+    # took 1.20 and 3.20, and with the R-symmetric spectra kept as their
+    # stored rows 0..nx/2 and read by row blocks it takes 1.20 and 1.79
     u, q = _fit_pair((256, 1024), (40.0, 160.0), rep)
     if rep == sp.PHYSICAL:  # both stored as R-symmetric halves, as the sweep's are
         u, q = (sp.Field._of(f.grid, sp._RSYM.pack(f.values), sp._RSYM) for f in (u, q))

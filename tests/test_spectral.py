@@ -561,7 +561,7 @@ def test_row_blocked_density_sums_match_full_arrays(nx, ny, layout, p, block, se
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sp, "_FUSE_ELEMS", block)
         unpacks = count_full_unpacks(mp)
-        rows, cols = sp._marginals(u)
+        rows, cols = sp._marginals(stored)
         frac = sp.tail_mass_fraction(full)
         got, expect = ([np.atleast_1d(fn(f)) for fn in sums] for f in (stored, full))
     assert np.allclose(rows, w.sum(axis=1), rtol=1e-13, atol=0.0)
