@@ -1300,7 +1300,8 @@ def test_orbital_fit_on_stored_spectra_matches_full_copies(monkeypatch, layout):
     assert abs(fits[0].theta - 0.7) <= 1e-2
 
 
-@pytest.mark.parametrize("rep, bound", [(sp.SPECTRAL, 1.5), (sp.PHYSICAL, 2.2)])
+@pytest.mark.parametrize("rep, bound", [(sp.SPECTRAL, 1.5), (sp.PHYSICAL, 3.5),
+                                        (sp.PHYSICAL, 2.2)])
 def test_orbital_fit_peak_memory(rep, bound):
     # tracemalloc sees numpy's arrays but not pocketfft's internal buffers.
     # Peaks on 256x1024 in units of the complex field: with full-size
@@ -1309,6 +1310,7 @@ def test_orbital_fit_peak_memory(rep, bound):
     # two spectra formed inside); with one buffer beyond the spectra it
     # took 1.20 and 3.20, and with the R-symmetric spectra kept as their
     # stored rows 0..nx/2 and read by row blocks it takes 1.20 and 1.79
+    # (the physical case is held both to the earlier bound, 3.5, and to 2.2)
     u, q = _fit_pair((256, 1024), (40.0, 160.0), rep)
     if rep == sp.PHYSICAL:  # both stored as R-symmetric halves, as the sweep's are
         u, q = (sp.Field._of(f.grid, sp._RSYM.pack(f.values), sp._RSYM) for f in (u, q))
